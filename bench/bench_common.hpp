@@ -1,18 +1,27 @@
-// Shared harness for the paper-table benchmark binaries.
+// Shared harness for the benchmark binaries.
 //
-// Every binary prints the same rows/series the corresponding paper table or
-// figure reports, on the scaled-down dataset proxies (DESIGN.md §2).
-// Simulated times are NOT comparable to the paper's RTX 3090 numbers; the
-// reproduced claims are orderings and rough factors (EXPERIMENTS.md).
+// Every paper-table binary prints the same rows/series the corresponding
+// paper table or figure reports, on the scaled-down dataset proxies
+// (DESIGN.md §2). Simulated times are NOT comparable to the paper's RTX 3090
+// numbers; the reproduced claims are orderings and rough factors
+// (EXPERIMENTS.md). The micro-benchmarks share the update-batch generators
+// and scratch directories below.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
+#include "dynamic/dynamic_graph.hpp"
 #include "util/options.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -77,6 +86,74 @@ inline void print_speedup_summary(const std::string& label,
   std::printf("%s: geomean %.1fx, min %.1fx, max %.1fx (n=%zu)\n",
               label.c_str(), geometric_mean(positive), mm.min, mm.max,
               positive.size());
+}
+
+/// A valid random batch: random vertex pairs classified against the
+/// current version (present -> delete, absent -> insert). On a sparse graph
+/// almost every pair is an insertion.
+inline UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng,
+                                int num_edges) {
+  const VertexId n = snap.num_vertices();
+  UpdateBatch batch;
+  for (int i = 0; i < num_edges; ++i) {
+    const auto u = static_cast<VertexId>(rng() % n);
+    const auto v = static_cast<VertexId>(rng() % n);
+    if (u == v) continue;
+    if (snap.has_edge(u, v)) {
+      batch.deletions.emplace_back(u, v);
+    } else {
+      batch.insertions.emplace_back(u, v);
+    }
+  }
+  return batch;
+}
+
+/// A balanced churn batch: `half` deletions of existing edges and `half`
+/// insertions of absent ones, all distinct, endpoints drawn with
+/// probability proportional to degree (so churn lands where the matches
+/// are and the edge count stays flat).
+inline UpdateBatch churn_batch(const GraphSnapshot& snap, Rng& rng,
+                               std::size_t half) {
+  const auto lease = snap.storage_lease();
+  const GraphView g = snap.view();
+  const VertexId n = g.num_vertices();
+  EdgeId max_degree = 1;
+  for (VertexId v = 0; v < n; ++v)
+    max_degree = std::max(max_degree, g.degree(v));
+  const auto pick = [&] {
+    for (;;) {
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      if (rng.next_below(max_degree) < g.degree(v)) return v;
+    }
+  };
+  std::set<std::pair<VertexId, VertexId>> used;
+  UpdateBatch batch;
+  while (batch.deletions.size() < half) {
+    const VertexId u = pick();
+    const auto nbrs = g.neighbors(u);
+    const VertexId v = nbrs[rng.next_below(nbrs.size())];
+    const auto e = std::minmax(u, v);
+    if (used.insert(e).second) batch.deletions.push_back(e);
+  }
+  while (batch.insertions.size() < half) {
+    const VertexId u = pick(), v = pick();
+    if (u == v || g.has_edge(u, v)) continue;
+    const auto e = std::minmax(u, v);
+    if (used.insert(e).second) batch.insertions.push_back(e);
+  }
+  return batch;
+}
+
+/// A fresh, empty directory under the system temp dir, unique within the
+/// process: stmatch-<tag>-<n>. The caller removes it.
+inline std::string scratch_dir(const std::string& tag) {
+  static std::atomic<std::uint64_t> counter{0};
+  const std::filesystem::path p =
+      std::filesystem::temp_directory_path() /
+      ("stmatch-" + tag + "-" + std::to_string(counter.fetch_add(1)));
+  std::filesystem::remove_all(p);
+  std::filesystem::create_directories(p);
+  return p.string();
 }
 
 }  // namespace stm::bench

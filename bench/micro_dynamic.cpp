@@ -8,42 +8,25 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/recursive.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/generators.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace stm;
+using bench::random_batch;
 
 const Graph& dynamic_base() {
   // Power-law proxy of the paper's SNAP datasets: skewed degrees make full
   // re-enumeration expensive while a small batch touches few hot vertices.
   static const Graph g = make_barabasi_albert(4000, 8, 77);
   return g;
-}
-
-/// A valid random batch: random pairs classified against the current
-/// version (present -> delete, absent -> insert).
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
 }
 
 void BM_ApplyBatch(benchmark::State& state) {

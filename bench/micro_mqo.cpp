@@ -1,9 +1,11 @@
 // Micro-benchmarks of the standing-query index (DESIGN.md §16): batched
-// indexed-delta evaluation vs. the per-pattern loop, and registration
-// throughput. The acceptance target is sub-linear indexed-delta cost growth
-// from 10k to 100k standing registrations in the duplicate-heavy regime
-// (many users registering isomorphic alerts): the shared walk's cost is a
-// function of the distinct canonical groups, not the registration count.
+// indexed-delta evaluation vs. the per-pattern loop, one registration
+// through each, and registration throughput. The acceptance targets are
+// sub-linear indexed-delta cost growth from 10k to 100k standing
+// registrations in the duplicate-heavy regime (many users registering
+// isomorphic alerts: the shared walk's cost is a function of the distinct
+// canonical groups, not the registration count), and a single registration
+// walking no slower than its own IncrementalMatcher.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,19 +14,22 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "mqo/evaluator.hpp"
 #include "mqo/pattern_index.hpp"
 #include "pattern/canonical.hpp"
 #include "pattern/pattern.hpp"
-#include "util/rng.hpp"
+#include "pattern/queries.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace stm;
+using bench::random_batch;
 
 const Graph& mqo_base() {
   static const Graph g = make_barabasi_albert(2000, 4, 99);
@@ -54,22 +59,6 @@ std::vector<Pattern> distinct_patterns(std::size_t count) {
     }
   }
   return out;
-}
-
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
 }
 
 /// One shared walk per batch serving every registration. Args: {standing
@@ -154,6 +143,85 @@ void BM_PerPatternDelta(benchmark::State& state) {
   state.counters["queries"] = static_cast<double>(num_regs);
 }
 BENCHMARK(BM_PerPatternDelta)->Arg(8)->Arg(64)->Arg(512);
+
+/// The eight standing queries of the update_standing benchmark workload
+/// (e2e_bench/), in its registration order.
+const std::vector<std::pair<std::string, Pattern>>& standing_shapes() {
+  static const std::vector<std::pair<std::string, Pattern>> shapes = {
+      {"triangle", Pattern::parse("0-1,1-2,2-0")},
+      {"4-cycle", Pattern::parse("0-1,1-2,2-3,3-0")},
+      {"4-cycle-renumbered", Pattern::parse("0-2,2-1,1-3,3-0")},
+      {"diamond", Pattern::parse("0-1,1-2,2-0,1-3,2-3")},
+      {"tailed-triangle", Pattern::parse("0-1,1-2,2-0,2-3")},
+      {"4-path", Pattern::parse("0-1,1-2,2-3")},
+      {"5-cycle", Pattern::parse("0-1,1-2,2-3,3-4,4-0")},
+      {query_name(6), query(6)}};
+  return shapes;
+}
+
+/// That workload's graph recipe: BA(2000, m=6) with degrees capped at 96.
+const Graph& standing_base() {
+  static const Graph g = cap_degrees(make_barabasi_albert(2000, 6, 41), 96, 42);
+  return g;
+}
+
+/// One registration alone: the shared walk over a one-pattern trie vs. the
+/// per-pattern IncrementalMatcher, on the same balanced 16+16 churn batches
+/// (compacted every 64, the workload's checkpoint cadence). Arg = index
+/// into standing_shapes(). Reports the median ms/batch of each side over
+/// the fixed iteration count and walk/matcher; the acceptance target is a
+/// ratio <= 1 for every shape. The deltas are cross-checked every batch.
+void BM_SingleRegistration(benchmark::State& state) {
+  const auto& [name, pattern] =
+      standing_shapes()[static_cast<std::size_t>(state.range(0))];
+  mqo::PatternIndex index;
+  index.add(1, pattern, PlanOptions{}, /*wants_embeddings=*/false);
+  const mqo::MultiQueryEvaluator eval(index);
+  const IncrementalMatcher matcher(pattern);
+
+  MutableGraph g(standing_base());
+  Rng rng(8);
+  std::vector<double> walk_ms, matcher_ms;
+  for (auto _ : state) {
+    if (walk_ms.size() % 64 == 63) g.compact();
+    auto from = g.snapshot();
+    const ApplyResult applied = g.apply(bench::churn_batch(*from, rng, 16));
+    std::int64_t walk_delta = 0, matcher_delta = 0;
+    const auto run_walk = [&] {
+      Timer t;
+      walk_delta = index.project(1, eval.evaluate(from, applied.applied)).delta;
+      walk_ms.push_back(t.elapsed_ms());
+    };
+    const auto run_matcher = [&] {
+      Timer t;
+      matcher_delta = matcher.count_delta(from, applied.applied).delta;
+      matcher_ms.push_back(t.elapsed_ms());
+    };
+    // Alternate which side runs first so cache warmth favors neither.
+    if (walk_ms.size() % 2 == 0) {
+      run_walk();
+      run_matcher();
+    } else {
+      run_matcher();
+      run_walk();
+    }
+    if (walk_delta != matcher_delta) {
+      state.SkipWithError("walk and matcher deltas disagree");
+      break;
+    }
+  }
+  const double walk = percentile(walk_ms, 50.0);
+  const double per_pattern = percentile(matcher_ms, 50.0);
+  state.SetLabel(name);
+  state.counters["walk_ms"] = walk;
+  state.counters["matcher_ms"] = per_pattern;
+  state.counters["walk_over_matcher"] =
+      per_pattern > 0.0 ? walk / per_pattern : 0.0;
+}
+BENCHMARK(BM_SingleRegistration)
+    ->DenseRange(0, 7)
+    ->Iterations(128)
+    ->Unit(benchmark::kMillisecond);
 
 /// Registration throughput in the duplicate-heavy regime: after the first
 /// member of each group pays for its trie paths, a duplicate registration

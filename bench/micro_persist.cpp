@@ -5,53 +5,27 @@
 // device's flush latency per batch. Baselines recorded in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 #include <utility>
 
-#include "dynamic/dynamic_graph.hpp"
+#include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "persist/wal.hpp"
 #include "service/service.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace stm;
+using bench::random_batch;
+using bench::scratch_dir;
 
 namespace fs = std::filesystem;
-
-std::string scratch_dir() {
-  static std::atomic<std::uint64_t> counter{0};
-  const fs::path p =
-      fs::temp_directory_path() /
-      ("stmatch-micro-persist-" + std::to_string(counter.fetch_add(1)));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p.string();
-}
 
 const Graph& bench_base() {
   static const Graph g = make_barabasi_albert(2000, 6, 77);
   return g;
-}
-
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
 }
 
 /// Apply throughput: state.range(0) = edges per batch, range(1) selects
@@ -62,7 +36,7 @@ void BM_ApplyWithWal(benchmark::State& state) {
   SessionConfig cfg;
   std::string dir;
   if (mode > 0) {
-    dir = scratch_dir();
+    dir = scratch_dir("micro-persist");
     cfg.persistence.dir = dir;
     cfg.persistence.fsync = mode == 2;
   }
@@ -90,7 +64,7 @@ BENCHMARK(BM_ApplyWithWal)
 
 /// Checkpoint install: compacted-CSR serialization + crc + atomic rename.
 void BM_Checkpoint(benchmark::State& state) {
-  const std::string dir = scratch_dir();
+  const std::string dir = scratch_dir("micro-persist");
   SessionConfig cfg;
   cfg.persistence.dir = dir;
   cfg.persistence.fsync = false;
@@ -110,7 +84,7 @@ BENCHMARK(BM_Checkpoint)->Unit(benchmark::kMillisecond);
 /// WAL batches past the checkpoint.
 void BM_RecoveryReplay(benchmark::State& state) {
   const int batches = static_cast<int>(state.range(0));
-  const std::string dir = scratch_dir();
+  const std::string dir = scratch_dir("micro-persist");
   SessionConfig cfg;
   cfg.persistence.dir = dir;
   cfg.persistence.fsync = false;
@@ -137,7 +111,7 @@ BENCHMARK(BM_RecoveryReplay)->Arg(0)->Arg(16)->Arg(64)
 /// write-ahead overhead per record.
 void BM_WalAppendRaw(benchmark::State& state) {
   const int edges = static_cast<int>(state.range(0));
-  const std::string dir = scratch_dir();
+  const std::string dir = scratch_dir("micro-persist");
   persist::WalWriter w((fs::path(dir) / "wal.stmwal").string(), 1,
                        /*fsync=*/false, 0, nullptr, 1);
   DeltaEdges d;

@@ -10,9 +10,10 @@
 //   2. deadlines — a deliberately tight budget on a heavy size-7 query over
 //      a skewed proxy must come back kDeadlineExceeded within 2x the budget;
 //   3. mixed load — q1..q24 submitted concurrently under a per-query
-//      deadline: qps, p50/p95/p99 latency, cache hit rate, status mix.
+//      deadline: completed-query qps and p50/p95/p99 latency (queries cut
+//      off at the deadline are reported as a share, not timed), cache hit
+//      rate, status mix.
 // Ends by printing the session metrics as JSON and Prometheus text.
-#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <mutex>
@@ -30,11 +31,6 @@
 
 namespace stm {
 namespace {
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
-}
 
 QueryRequest make_request(const Pattern& p, double deadline_ms,
                           const PlanOptions& plan = {}) {
@@ -65,7 +61,8 @@ void bench_plan_cache(int reps) {
       // First warm run after the cold one primes nothing new; measure it.
       warm_ms.push_back(session.run(make_request(query(q), -1.0, unique)).total_ms);
     }
-    const double cold = median(cold_ms), warm = median(warm_ms);
+    const double cold = percentile(cold_ms, 50.0);
+    const double warm = percentile(warm_ms, 50.0);
     cold_total += cold;
     warm_total += warm;
     table.add_row({query_name(q), Table::fmt(cold, 3), Table::fmt(warm, 3),
@@ -97,7 +94,10 @@ void bench_deadline(double scale) {
 // Section 3: concurrent mixed q1..q24 load with a per-query deadline.
 // Closed-loop clients (each submits its next query when the previous one
 // finishes) keep queue wait bounded, so the deadline budget is spent in the
-// engine, not in the queue.
+// engine, not in the queue. A query cut off at the deadline returns after
+// roughly the deadline whatever its real cost, so timing it would pull the
+// percentiles toward the budget: qps and latency count completed queries,
+// and the cut-off ones are reported as a share.
 void bench_mixed_load(double scale, int rounds) {
   const int num_clients = 4;
   std::printf("== mixed load: %d clients x q1..q24 x %d passes ==\n",
@@ -109,8 +109,8 @@ void bench_mixed_load(double scale, int rounds) {
   GraphSession session(make_skewed_dataset("enron", scale), cfg);
 
   std::mutex mu;
-  std::size_t ok = 0, deadline = 0, other = 0;
-  std::vector<double> latencies;
+  std::size_t deadline = 0, other = 0;
+  std::vector<double> ok_ms;
   Timer wall;
   std::vector<std::thread> clients;
   for (int c = 0; c < num_clients; ++c) {
@@ -119,8 +119,7 @@ void bench_mixed_load(double scale, int rounds) {
         for (int q = 1; q <= num_queries(); ++q) {
           const QueryResult r = session.run(make_request(query(q), 0.0));
           std::lock_guard<std::mutex> lock(mu);
-          latencies.push_back(r.total_ms);
-          if (r.status == QueryStatus::kOk) ++ok;
+          if (r.status == QueryStatus::kOk) ok_ms.push_back(r.total_ms);
           else if (r.status == QueryStatus::kDeadlineExceeded) ++deadline;
           else ++other;
         }
@@ -129,13 +128,19 @@ void bench_mixed_load(double scale, int rounds) {
   }
   for (auto& t : clients) t.join();
   const double total_s = wall.elapsed_ms() / 1000.0;
-  const std::size_t n = latencies.size();
-  std::printf("%zu queries in %.2f s -> %.1f qps\n", n, total_s, n / total_s);
-  std::printf("status: %zu ok, %zu deadline_exceeded, %zu other\n", ok,
-              deadline, other);
-  std::printf("latency p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n",
-              percentile(latencies, 50.0), percentile(latencies, 95.0),
-              percentile(latencies, 99.0));
+  const std::size_t ok = ok_ms.size();
+  const std::size_t n = ok + deadline + other;
+  std::printf("%zu queries in %.2f s -> %.1f completed qps\n", n, total_s,
+              static_cast<double>(ok) / total_s);
+  std::printf("status: %zu ok, %zu deadline_exceeded (%.1f%% hit the %.0f ms "
+              "deadline), %zu other\n",
+              ok, deadline, 100.0 * static_cast<double>(deadline) / n,
+              cfg.default_deadline_ms, other);
+  if (ok > 0) {
+    std::printf("ok-query latency p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n",
+                percentile(ok_ms, 50.0), percentile(ok_ms, 95.0),
+                percentile(ok_ms, 99.0));
+  }
   std::printf("plan cache hit rate: %.0f%%\n\n",
               100.0 * session.plan_cache().stats().hit_rate());
 

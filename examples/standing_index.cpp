@@ -8,13 +8,13 @@
 //
 // The duplicate-heavy regime of DESIGN.md §16: many "users" each register a
 // standing alert drawn from a handful of pattern shapes (mostly relabeled
-// triangles — isomorphic, not identical). With SessionConfig::standing_index
-// on, the session deduplicates them into canonical groups in one
-// shared-prefix plan trie, serves every registration after the first from a
-// sibling's baseline (no full enumeration), and evaluates each update batch
-// with ONE trie pass instead of one anchored sweep per registration — while
-// every delivered count and embedding delta stays bit-identical to the
-// per-pattern loop.
+// triangles — isomorphic, not identical). The session deduplicates them
+// into canonical groups in one shared-prefix plan trie, serves every
+// registration after the first from a sibling's baseline (no full
+// enumeration), and evaluates each update batch with ONE trie pass instead
+// of one anchored sweep per registration — while every delivered count and
+// embedding delta stays bit-identical to the per-pattern IncrementalMatcher
+// and DeltaStreamer.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -36,9 +36,7 @@ int main(int argc, char** argv) try {
               static_cast<std::size_t>(g.num_vertices()),
               static_cast<std::size_t>(g.num_edges()));
 
-  SessionConfig cfg;
-  cfg.standing_index = true;
-  GraphSession session(std::move(g), cfg);
+  GraphSession session(std::move(g));
 
   // The shape pool users draw from. Relabelings of the triangle are
   // isomorphic to it: the index folds them into one canonical group.

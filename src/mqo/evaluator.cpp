@@ -74,29 +74,53 @@ class Walker {
   }
 
   /// Candidates for position `depth`: the intersection of the prefix
-  /// neighborhoods selected by `mask`, materialized into cands_[depth].
-  /// Label/injectivity are checked per candidate by the caller.
-  const std::vector<VertexId>& candidates(std::uint8_t mask,
-                                          std::size_t depth) {
+  /// neighborhoods selected by `mask`, unfiltered (label and injectivity
+  /// are checked by the caller). Loop-invariant code motion across levels
+  /// (paper §VII): the list each ancestor position p >= 2 drew its vertex
+  /// from is still live in live_[p], and when its mask is a subset of
+  /// `mask` it already holds that part of the intersection — so start from
+  /// the widest such list and intersect only the remaining neighborhoods.
+  /// A single list is returned as a view, not copied; results of real
+  /// intersections land in cands_[depth].
+  std::span<const VertexId> candidates(std::uint8_t mask, std::size_t depth) {
+    // The widest live ancestor list inside `mask` (ties: the shorter one).
+    // A one-bit ancestor list is a raw N(v) again, so it never qualifies.
+    std::size_t from = 0;  // none
+    for (std::size_t p = 2; p < depth; ++p) {
+      const int width = std::popcount(live_mask_[p]);
+      if ((live_mask_[p] & ~mask) != 0 || width < 2) continue;
+      const int best = from == 0 ? 0 : std::popcount(live_mask_[from]);
+      if (width > best ||
+          (width == best && live_[p].size() < live_[from].size())) {
+        from = p;
+      }
+    }
     std::array<std::span<const VertexId>, kMaxPatternSize> lists;
     std::size_t count = 0;
+    std::uint8_t rest = mask;
+    if (from != 0) {
+      lists[count++] = live_[from];
+      rest = static_cast<std::uint8_t>(mask & ~live_mask_[from]);
+    }
     for (std::size_t j = 0; j < depth; ++j) {
-      if ((mask >> j) & 1u) lists[count++] = g_.neighbors(matched_[j]);
+      if ((rest >> j) & 1u) lists[count++] = g_.neighbors(matched_[j]);
     }
     STM_CHECK(count >= 1);  // anchored orders are connected
-    std::sort(lists.begin(), lists.begin() + static_cast<std::ptrdiff_t>(count),
-              [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    auto& out = cands_[depth];
-    if (count == 1) {
-      out.assign(lists[0].begin(), lists[0].end());
-      return out;
+    if (count == 1) return lists[0];
+    // Smallest first; an insertion sort, since count <= kMaxPatternSize.
+    for (std::size_t i = 1; i < count; ++i) {
+      for (std::size_t j = i; j > 0 && lists[j].size() < lists[j - 1].size();
+           --j) {
+        std::swap(lists[j], lists[j - 1]);
+      }
     }
+    auto& out = cands_[depth];
     intersect_into(lists[0], lists[1], &out);
     for (std::size_t i = 2; i < count; ++i) {
       intersect_into({out.data(), out.size()}, lists[i], &scratch_);
       out.swap(scratch_);
     }
-    return out;
+    return {out.data(), out.size()};
   }
 
   void intersect_into(std::span<const VertexId> a, std::span<const VertexId> b,
@@ -112,30 +136,48 @@ class Walker {
     out->resize(n);
   }
 
+  /// Valid extensions at position `depth` drawn from sorted list `c`. An
+  /// unlabeled step accepts every vertex not already matched, so on a long
+  /// list (typically a raw or reused neighbor list, which is not copied)
+  /// the tally is |c| minus the prefix vertices c contains: one binary
+  /// search per prefix position instead of a pass over the list. Short
+  /// lists take the pass, whose compares predict well where a binary
+  /// search's do not.
+  std::int64_t count_valid(std::span<const VertexId> c, std::int16_t label,
+                           std::size_t depth) const {
+    constexpr std::size_t kSearchMinLength = 16;
+    std::int64_t valid = 0;
+    if (label < 0 && c.size() >= kSearchMinLength) {
+      valid = static_cast<std::int64_t>(c.size());
+      for (std::size_t j = 0; j < depth; ++j) {
+        if (std::binary_search(c.begin(), c.end(), matched_[j])) --valid;
+      }
+      return valid;
+    }
+    for (const VertexId v : c) {
+      if (label_match(label, v) && injective(depth, v)) ++valid;
+    }
+    return valid;
+  }
+
   void descend(const TrieNode& node, std::size_t depth) {
     for (const auto& child : node.children) {
-      const std::vector<VertexId>& c = candidates(child->step.adj_mask, depth);
+      const std::span<const VertexId> c =
+          candidates(child->step.adj_mask, depth);
       const bool leaf = child->children.empty();
-      const bool collecting = leaf && !child->terminals.empty() &&
-                              any_collecting(*child);
-      if (leaf && !collecting) {
+      if (leaf && !any_collecting(*child)) {
         // Leaf fast path: terminals only — tally the valid candidates
         // without per-vertex recursion or embedding materialization.
-        std::int64_t valid = 0;
-        for (const VertexId v : c) {
-          if (!label_match(child->step.label, v) || !injective(depth, v)) {
-            continue;
-          }
-          ++valid;
-        }
+        const std::int64_t valid = count_valid(c, child->step.label, depth);
         out_->node_visits += static_cast<std::uint64_t>(valid);
         for (const TrieTerminal& t : child->terminals) {
           out_->groups[t.group].embeddings += sign_ * valid;
         }
         continue;
       }
-      for (std::size_t idx = 0; idx < c.size(); ++idx) {
-        const VertexId v = c[idx];
+      live_[depth] = c;
+      live_mask_[depth] = child->step.adj_mask;
+      for (const VertexId v : c) {
         if (!label_match(child->step.label, v) || !injective(depth, v)) {
           continue;
         }
@@ -160,6 +202,11 @@ class Walker {
   const int sign_;
   EvalResult* out_;
   std::array<VertexId, kMaxPatternSize> matched_{};
+  /// live_[p]: the list matched_[p] is being drawn from (valid for p below
+  /// the current depth), and live_mask_[p] the prefix positions it
+  /// intersects.
+  std::array<std::span<const VertexId>, kMaxPatternSize> live_{};
+  std::array<std::uint8_t, kMaxPatternSize> live_mask_{};
   std::array<std::vector<VertexId>, kMaxPatternSize + 1> cands_;
   std::vector<VertexId> scratch_;
 };

@@ -11,7 +11,10 @@
 // and enumeration fans out into per-group suffixes only at divergence nodes.
 // Arriving at a node credits every terminal attached to it — the anchored
 // plan of some pattern group completes there — so a single partial embedding
-// feeds every registered query it matches.
+// feeds every registered query it matches. Within one root-to-leaf path the
+// walk also hoists work the way MatchingPlan does: a step whose adjacency
+// mask contains an ancestor's starts from that ancestor's live candidate
+// list, and count-only leaves are tallied rather than enumerated.
 //
 // Exactness: for a fixed data edge and pattern anchor, the number of
 // injective embeddings mapping the anchor onto the edge does not depend on

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -139,18 +138,7 @@ std::string encode_checkpoint(const CheckpointData& data) {
   payload.u64(data.next_standing_id);
   encode_graph(payload, data.graph, data.compressed);
   payload.u32(static_cast<std::uint32_t>(data.standing.size()));
-  for (const StandingEntry& e : data.standing) {
-    payload.u64(e.id);
-    payload.str(e.pattern);
-    payload.u8(static_cast<std::uint8_t>(e.plan.induced));
-    payload.u8(e.plan.code_motion ? 1 : 0);
-    payload.u8(static_cast<std::uint8_t>(e.plan.count_mode));
-    payload.u8(static_cast<std::uint8_t>(e.engine));
-    payload.u64(e.count);
-    payload.u64(e.epoch);
-    payload.u64(e.batches);
-    payload.u64(std::bit_cast<std::uint64_t>(e.full_ms));
-  }
+  for (const StandingEntry& e : data.standing) encode_standing(payload, e);
   const std::string body = payload.take();
 
   BinaryWriter out;
@@ -186,26 +174,8 @@ CheckpointData decode_checkpoint(std::string_view bytes) {
   data.graph = decode_graph(r, data.compressed);
   const std::uint32_t num_standing = r.u32();
   data.standing.reserve(num_standing);
-  for (std::uint32_t i = 0; i < num_standing; ++i) {
-    StandingEntry e;
-    e.id = r.u64();
-    e.pattern = r.str();
-    const std::uint8_t induced = r.u8();
-    STM_CHECK_MSG(induced <= 1, "corrupt manifest entry: bad induced mode");
-    e.plan.induced = static_cast<Induced>(induced);
-    e.plan.code_motion = r.u8() != 0;
-    const std::uint8_t mode = r.u8();
-    STM_CHECK_MSG(mode <= 1, "corrupt manifest entry: bad count mode");
-    e.plan.count_mode = static_cast<CountMode>(mode);
-    const std::uint8_t engine = r.u8();
-    STM_CHECK_MSG(engine <= 1, "corrupt manifest entry: bad delta engine");
-    e.engine = static_cast<DeltaEngine>(engine);
-    e.count = r.u64();
-    e.epoch = r.u64();
-    e.batches = r.u64();
-    e.full_ms = std::bit_cast<double>(r.u64());
-    data.standing.push_back(std::move(e));
-  }
+  for (std::uint32_t i = 0; i < num_standing; ++i)
+    data.standing.push_back(decode_standing(r));
   STM_CHECK_MSG(r.done(),
                 "corrupt checkpoint: " << r.remaining() << " trailing bytes");
   return data;

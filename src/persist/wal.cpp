@@ -39,40 +39,6 @@ std::vector<std::pair<VertexId, VertexId>> decode_edges(BinaryReader& r) {
   return edges;
 }
 
-void encode_standing(BinaryWriter& w, const StandingEntry& e) {
-  w.u64(e.id);
-  w.str(e.pattern);
-  w.u8(static_cast<std::uint8_t>(e.plan.induced));
-  w.u8(e.plan.code_motion ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(e.plan.count_mode));
-  w.u8(static_cast<std::uint8_t>(e.engine));
-  w.u64(e.count);
-  w.u64(e.epoch);
-  w.u64(e.batches);
-  w.u64(std::bit_cast<std::uint64_t>(e.full_ms));
-}
-
-StandingEntry decode_standing(BinaryReader& r) {
-  StandingEntry e;
-  e.id = r.u64();
-  e.pattern = r.str();
-  const std::uint8_t induced = r.u8();
-  STM_CHECK_MSG(induced <= 1, "corrupt standing entry: bad induced mode");
-  e.plan.induced = static_cast<Induced>(induced);
-  e.plan.code_motion = r.u8() != 0;
-  const std::uint8_t mode = r.u8();
-  STM_CHECK_MSG(mode <= 1, "corrupt standing entry: bad count mode");
-  e.plan.count_mode = static_cast<CountMode>(mode);
-  const std::uint8_t engine = r.u8();
-  STM_CHECK_MSG(engine <= 1, "corrupt standing entry: bad delta engine");
-  e.engine = static_cast<DeltaEngine>(engine);
-  e.count = r.u64();
-  e.epoch = r.u64();
-  e.batches = r.u64();
-  e.full_ms = std::bit_cast<double>(r.u64());
-  return e;
-}
-
 /// One frame: length + crc + payload.
 std::string frame_payload(const std::string& payload) {
   BinaryWriter w;
@@ -96,6 +62,38 @@ void write_all(int fd, const char* data, std::size_t n, std::uint64_t offset,
 }
 
 }  // namespace
+
+void encode_standing(BinaryWriter& w, const StandingEntry& e) {
+  w.u64(e.id);
+  w.str(e.pattern);
+  w.u8(static_cast<std::uint8_t>(e.plan.induced));
+  w.u8(e.plan.code_motion ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(e.plan.count_mode));
+  w.u8(0);  // delta-engine byte (see wal.hpp)
+  w.u64(e.count);
+  w.u64(e.epoch);
+  w.u64(e.batches);
+  w.u64(std::bit_cast<std::uint64_t>(e.full_ms));
+}
+
+StandingEntry decode_standing(BinaryReader& r) {
+  StandingEntry e;
+  e.id = r.u64();
+  e.pattern = r.str();
+  const std::uint8_t induced = r.u8();
+  STM_CHECK_MSG(induced <= 1, "corrupt standing entry: bad induced mode");
+  e.plan.induced = static_cast<Induced>(induced);
+  e.plan.code_motion = r.u8() != 0;
+  const std::uint8_t mode = r.u8();
+  STM_CHECK_MSG(mode <= 1, "corrupt standing entry: bad count mode");
+  e.plan.count_mode = static_cast<CountMode>(mode);
+  STM_CHECK_MSG(r.u8() <= 1, "corrupt standing entry: bad delta engine");
+  e.count = r.u64();
+  e.epoch = r.u64();
+  e.batches = r.u64();
+  e.full_ms = std::bit_cast<double>(r.u64());
+  return e;
+}
 
 const char* to_string(WalRecordType type) {
   switch (type) {

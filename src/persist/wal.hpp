@@ -9,7 +9,7 @@
 //                       produced — exactly what replay feeds back through
 //                       MutableGraph::apply
 //   kRegisterStanding   a standing-query registration: id, pattern,
-//                       semantics, engine, and the baseline count/epoch the
+//                       semantics, and the baseline count/epoch the
 //                       registration-time full enumeration established
 //   kUnregisterStanding a standing-query removal by id
 //
@@ -32,7 +32,6 @@
 
 #include "core/fault.hpp"
 #include "dynamic/dynamic_graph.hpp"
-#include "dynamic/incremental.hpp"
 #include "pattern/plan.hpp"
 
 namespace stm::persist {
@@ -57,7 +56,6 @@ struct StandingEntry {
   /// Pattern::to_string() form (Pattern::parse round-trips it).
   std::string pattern;
   PlanOptions plan;
-  DeltaEngine engine = DeltaEngine::kHost;
   /// Cumulative count and the epoch it is valid for.
   std::uint64_t count = 0;
   std::uint64_t epoch = 0;
@@ -89,6 +87,16 @@ struct WalRecord {
 
 std::string encode_record(const WalRecord& rec);
 WalRecord decode_record(std::string_view payload);
+
+class BinaryWriter;
+class BinaryReader;
+
+/// One StandingEntry's bytes, shared by registration records and checkpoint
+/// manifests. The layout keeps a delta-engine byte from when standing
+/// queries chose one: it is written as 0, and 0 or 1 is accepted on read,
+/// so state directories written with either value still restore.
+void encode_standing(BinaryWriter& w, const StandingEntry& e);
+StandingEntry decode_standing(BinaryReader& r);
 
 struct WalReadResult {
   std::vector<WalRecord> records;

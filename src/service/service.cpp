@@ -8,7 +8,6 @@
 
 #include "baselines/reference.hpp"
 #include "core/engine.hpp"
-#include "stream/delta_stream.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -217,7 +216,7 @@ GraphSession::GraphSession(Boot boot)
       indexed_delta_latency_ms_(metrics_.histogram(
           "indexed_delta_latency_ms",
           "Shared trie-pass wall time per batch (serves every standing "
-          "query at once; indexed mode only)")),
+          "query at once)")),
       stream_backpressure_ms_(metrics_.histogram(
           "stream_backpressure_ms",
           "Producer wall time blocked on stream backpressure, per stream")),
@@ -282,12 +281,12 @@ GraphSession::GraphSession(Boot boot)
           break;
         case persist::WalRecordType::kUnregisterStanding:
           standing_.erase(r.standing_id);
-          if (cfg_.standing_index) standing_index_.remove(r.standing_id);
+          standing_index_.remove(r.standing_id);
           break;
       }
     }
     standing_queries_.set(static_cast<double>(standing_.size()));
-    if (cfg_.standing_index) {
+    {
       std::lock_guard<std::mutex> standing_lock(standing_mu_);
       publish_index_metrics();
     }
@@ -969,78 +968,18 @@ void GraphSession::apply_standing_deltas(
     std::uint64_t epoch, UpdateOutcome* out) {
   if (applied.empty()) return;
   Timer inc_timer;
-  // The anchored delta enumerations read the pre-batch snapshot.
+  // The anchored delta walks read the pre-batch snapshot.
   const auto storage_lease = from->storage_lease();
   std::lock_guard<std::mutex> standing_lock(standing_mu_);
-  if (cfg_.standing_index) {
-    apply_standing_deltas_indexed(from, applied, epoch, out);
-    if (out != nullptr) {
-      out->incremental_ms = inc_timer.elapsed_ms();
-      incremental_latency_ms_.observe(out->incremental_ms);
-    }
-    return;
-  }
-  for (auto& [id, sq] : standing_) {
-    Timer one;
-    const DeltaMatchResult d = sq.matcher->count_delta(from, applied);
-    const double delta_ms = one.elapsed_ms();
-    sq.count = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(sq.count) + d.delta);
-    sq.epoch = epoch;
-    ++sq.batches;
-    if (sq.full_ms > 0.0 && delta_ms > 0.0) {
-      delta_speedup_.set(sq.full_ms / delta_ms);
-    }
-    StandingQueryUpdate upd;
-    upd.query_id = id;
-    upd.epoch = epoch;
-    upd.delta = d.delta;
-    upd.count = sq.count;
-    upd.delta_ms = delta_ms;
-    if (sq.on_update) sq.on_update(upd);
-    if (out != nullptr) out->updates.push_back(std::move(upd));
-
-    if (sq.streamer != nullptr) {
-      Timer emb_timer;
-      stream::DeltaBatch db = sq.streamer->delta(from, applied);
-      StandingQueryDelta sd;
-      sd.query_id = id;
-      sd.epoch = epoch;
-      sd.delta_ms = emb_timer.elapsed_ms();
-      // Embedding-level and count-level deltas are computed independently
-      // (enumeration vs. counting over the same anchored identity); they
-      // must agree exactly.
-      STM_CHECK_MSG(static_cast<std::int64_t>(db.added.size()) -
-                            static_cast<std::int64_t>(db.retracted.size()) ==
-                        d.delta,
-                    "standing query " << id << ": embedding delta "
-                                      << db.added.size() << " - "
-                                      << db.retracted.size()
-                                      << " disagrees with count delta "
-                                      << d.delta);
-      sd.added = std::move(db.added);
-      sd.retracted = std::move(db.retracted);
-      sq.on_delta(sd);
-    }
-  }
-  if (out != nullptr) {
-    out->incremental_ms = inc_timer.elapsed_ms();
-    incremental_latency_ms_.observe(out->incremental_ms);
-  }
-}
-
-void GraphSession::apply_standing_deltas_indexed(
-    const std::shared_ptr<const GraphSnapshot>& from, const DeltaEdges& applied,
-    std::uint64_t epoch, UpdateOutcome* out) {
-  if (standing_.empty()) return;
-  Timer shared_timer;
-  const mqo::MultiQueryEvaluator evaluator(standing_index_);
-  const mqo::EvalResult res = evaluator.evaluate(from, applied);
-  const double shared_ms = shared_timer.elapsed_ms();
-  indexed_delta_latency_ms_.observe(shared_ms);
-  // One trie pass served every registration; a query's reported delta_ms is
-  // its amortized share of the pass.
-  const double amortized_ms = shared_ms / static_cast<double>(standing_.size());
+  // One trie walk serves every registration (an empty index returns at
+  // once); a query's reported delta_ms is its amortized share of the walk.
+  Timer walk_timer;
+  const mqo::EvalResult res =
+      mqo::MultiQueryEvaluator(standing_index_).evaluate(from, applied);
+  const double walk_ms = walk_timer.elapsed_ms();
+  if (!standing_.empty()) indexed_delta_latency_ms_.observe(walk_ms);
+  const double amortized_ms =
+      walk_ms / static_cast<double>(std::max<std::size_t>(standing_.size(), 1));
   for (auto& [id, sq] : standing_) {
     mqo::QueryDelta qd = standing_index_.project(id, res);
     sq.count = static_cast<std::uint64_t>(
@@ -1060,9 +999,9 @@ void GraphSession::apply_standing_deltas_indexed(
     if (out != nullptr) out->updates.push_back(std::move(upd));
 
     if (sq.on_delta) {
-      // Counts and embedding lists come from the same walk here, but the
-      // projection arithmetic (|Aut| division, remap) is independent; keep
-      // the same cross-check the per-pattern path enforces.
+      // Counts and embedding lists come from the same walk, but the
+      // projection arithmetic (|Aut| division, remap) is independent; they
+      // must agree exactly.
       STM_CHECK_MSG(static_cast<std::int64_t>(qd.added.size()) -
                             static_cast<std::int64_t>(qd.retracted.size()) ==
                         qd.delta,
@@ -1080,74 +1019,21 @@ void GraphSession::apply_standing_deltas_indexed(
       sq.on_delta(sd);
     }
   }
+  if (out != nullptr) {
+    out->incremental_ms = inc_timer.elapsed_ms();
+    incremental_latency_ms_.observe(out->incremental_ms);
+  }
 }
 
 std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
-  // Baseline: one full enumeration on the current version. Serialized with
-  // the update path so the (count, epoch) pair is consistent — a batch
-  // applied concurrently would otherwise race the baseline.
+  // Serialized with the update path so the (count, epoch) pair is
+  // consistent — a batch applied concurrently would otherwise race the
+  // baseline.
   std::lock_guard<std::mutex> lock(update_mu_);
   const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-  if (cfg_.standing_index) {
-    return register_standing_indexed(std::move(cfg), snap);
-  }
-
-  IncrementalOptions inc_opts;
-  inc_opts.plan = cfg.plan;
-  inc_opts.engine = cfg.engine;
-  auto matcher = std::make_shared<const IncrementalMatcher>(cfg.pattern,
-                                                            inc_opts);
-
-  auto plan = plan_cache_.get_or_compile(cfg.pattern, cfg.plan, snap->epoch());
-  HostEngineConfig host;
-  host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
-  Timer full_timer;
-  const auto storage_lease = snap->storage_lease();
-  const HostMatchResult full = host_match(snap->view(), *plan, host);
-  const double full_ms = full_timer.elapsed_ms();
-
-  StandingQuery sq;
-  sq.pattern = cfg.pattern;
-  sq.matcher = std::move(matcher);
-  sq.on_update = std::move(cfg.on_update);
-  if (cfg.on_delta) {
-    // The DeltaStreamer constructor enforces kEmbeddings count mode (and,
-    // via AnchoredEnumerator, edge-induced semantics).
-    sq.streamer =
-        std::make_shared<const stream::DeltaStreamer>(cfg.pattern, cfg.plan);
-    sq.on_delta = std::move(cfg.on_delta);
-  }
-  sq.count = full.count;
-  sq.epoch = snap->epoch();
-  sq.full_ms = full_ms;
-  sq.plan = cfg.plan;
-  sq.engine = cfg.engine;
-
-  std::lock_guard<std::mutex> standing_lock(standing_mu_);
-  const std::uint64_t id = next_standing_id_;
-  if (persist_ != nullptr) {
-    // Logged before the id is consumed or the query installed: if the append
-    // exhausts its chaos budget the throw leaves memory and the id space
-    // untouched, so replay and live state can never disagree.
-    const persist::WalAppendResult res =
-        persist_->log_register(standing_entry(id, sq), snap->epoch());
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) {
-      faults_injected_total_.inc(res.faults);
-      recovery_units_total_.inc(1);
-    }
-  }
-  ++next_standing_id_;
-  standing_.emplace(id, std::move(sq));
-  standing_queries_.set(static_cast<double>(standing_.size()));
-  return id;
-}
-
-std::uint64_t GraphSession::register_standing_indexed(
-    StandingQueryConfig cfg, const std::shared_ptr<const GraphSnapshot>& snap) {
-  // Everything the per-pattern path would reject fails here, before any
-  // side effect (WAL append, index mutation) — a validated add() below
-  // cannot fail halfway.
+  // Everything the index cannot serve fails here, before any side effect
+  // (WAL append, index mutation) — a validated add() below cannot fail
+  // halfway.
   mqo::PatternIndex::validate(cfg.pattern, cfg.plan);
   if (cfg.on_delta) {
     STM_CHECK_MSG(cfg.plan.count_mode == CountMode::kEmbeddings,
@@ -1160,7 +1046,7 @@ std::uint64_t GraphSession::register_standing_indexed(
   // arithmetically (both modes relate by the group's |Aut| factor), so
   // duplicate registrations — the at-scale common case — cost no
   // enumeration at all. standing_/index reads are safe here: writers are
-  // serialized by update_mu_, which the caller holds.
+  // serialized by update_mu_.
   std::uint64_t count = 0;
   double full_ms = 0.0;
   const std::optional<std::uint64_t> sibling =
@@ -1186,17 +1072,19 @@ std::uint64_t GraphSession::register_standing_indexed(
 
   StandingQuery sq;
   sq.pattern = cfg.pattern;
+  sq.plan = cfg.plan;
   sq.on_update = std::move(cfg.on_update);
   sq.on_delta = std::move(cfg.on_delta);
   sq.count = count;
   sq.epoch = snap->epoch();
   sq.full_ms = full_ms;
-  sq.plan = cfg.plan;
-  sq.engine = cfg.engine;
 
   std::lock_guard<std::mutex> standing_lock(standing_mu_);
   const std::uint64_t id = next_standing_id_;
   if (persist_ != nullptr) {
+    // Logged before the id is consumed or the query installed: if the append
+    // exhausts its chaos budget the throw leaves memory and the id space
+    // untouched, so replay and live state can never disagree.
     const persist::WalAppendResult res =
         persist_->log_register(standing_entry(id, sq), snap->epoch());
     wal_appended_bytes_.inc(res.bytes);
@@ -1230,10 +1118,8 @@ bool GraphSession::unregister_standing_query(std::uint64_t id) {
     }
   }
   standing_.erase(it);
-  if (cfg_.standing_index) {
-    standing_index_.remove(id);
-    publish_index_metrics();
-  }
+  standing_index_.remove(id);
+  publish_index_metrics();
   standing_queries_.set(static_cast<double>(standing_.size()));
   return true;
 }
@@ -1271,7 +1157,6 @@ persist::StandingEntry GraphSession::standing_entry(
   e.id = id;
   e.pattern = sq.pattern.to_string();
   e.plan = sq.plan;
-  e.engine = sq.engine;
   e.count = sq.count;
   e.epoch = sq.epoch;
   e.batches = sq.batches;
@@ -1282,35 +1167,24 @@ persist::StandingEntry GraphSession::standing_entry(
 void GraphSession::restore_standing(const persist::StandingEntry& entry) {
   // Counts are durable, not recomputed: the registration record carries the
   // baseline and update records advance it through the same delta path that
-  // ran before the crash, so no full re-enumeration happens at boot. The
-  // matcher itself is stateless and is simply rebuilt. Callbacks and delta
-  // streamers cannot be serialized; a restored session re-attaches them by
+  // ran before the crash, so no full re-enumeration happens at boot.
+  // Callbacks cannot be serialized; a restored session re-attaches them by
   // registering fresh queries.
   StandingQuery sq;
   sq.pattern = Pattern::parse(entry.pattern);
-  if (!cfg_.standing_index) {
-    IncrementalOptions inc_opts;
-    inc_opts.plan = entry.plan;
-    inc_opts.engine = entry.engine;
-    sq.matcher =
-        std::make_shared<const IncrementalMatcher>(sq.pattern, inc_opts);
-  }
+  sq.plan = entry.plan;
   sq.count = entry.count;
   sq.epoch = entry.epoch;
   sq.batches = entry.batches;
   sq.full_ms = entry.full_ms;
-  sq.plan = entry.plan;
-  sq.engine = entry.engine;
   std::lock_guard<std::mutex> lock(standing_mu_);
-  if (cfg_.standing_index) {
-    // add() replaces an existing id, mirroring insert_or_assign below, so a
-    // checkpoint-manifest entry superseded by a WAL record rebuilds the
-    // exact same trie state (delta streamers do not survive a restart, so
-    // restored registrations never collect embeddings).
-    standing_index_.add(entry.id, sq.pattern, entry.plan,
-                        /*wants_embeddings=*/false);
-    publish_index_metrics();
-  }
+  // add() replaces an existing id, mirroring insert_or_assign below, so a
+  // checkpoint-manifest entry superseded by a WAL record rebuilds the exact
+  // same trie state (subscribers do not survive a restart, so restored
+  // registrations never collect embeddings).
+  standing_index_.add(entry.id, sq.pattern, entry.plan,
+                      /*wants_embeddings=*/false);
+  publish_index_metrics();
   standing_.insert_or_assign(entry.id, std::move(sq));
 }
 

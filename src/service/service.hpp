@@ -51,7 +51,6 @@
 #include "dist/partition.hpp"
 #include "dist/sharded.hpp"
 #include "dynamic/dynamic_graph.hpp"
-#include "dynamic/incremental.hpp"
 #include "graph/graph.hpp"
 #include "mqo/evaluator.hpp"
 #include "pattern/pattern.hpp"
@@ -65,10 +64,6 @@
 #include "util/timer.hpp"
 
 namespace stm {
-
-namespace stream {
-class DeltaStreamer;
-}  // namespace stream
 
 // Streaming endpoints (service/stream.hpp).
 class EmbeddingStream;
@@ -162,10 +157,9 @@ struct StandingQueryDelta {
 
 struct StandingQueryConfig {
   Pattern pattern;
-  /// Count semantics (induced must be kEdge; see IncrementalMatcher).
+  /// Count semantics (induced must be kEdge: a vertex-induced match can
+  /// change without containing a delta edge).
   PlanOptions plan;
-  /// Engine for the anchored delta enumerations.
-  DeltaEngine engine = DeltaEngine::kHost;
   /// Optional subscriber, invoked synchronously per applied batch from the
   /// update path (keep it cheap; it runs under the writer lock).
   std::function<void(const StandingQueryUpdate&)> on_update;
@@ -271,15 +265,6 @@ struct SessionConfig {
   /// manifest, and construction runs crash recovery against whatever the
   /// directory holds (checkpoint load + WAL tail replay).
   persist::PersistenceConfig persistence;
-  /// Standing-query evaluation mode (DESIGN.md §16). false: every
-  /// registered pattern runs its own IncrementalMatcher/DeltaStreamer per
-  /// applied batch (cost linear in registrations). true: registrations land
-  /// in a shared-prefix plan trie (src/mqo/) and each batch runs ONE
-  /// anchored enumeration pass per delta edge serving every standing query
-  /// at once — per-query deltas are bit-identical to the per-pattern loop.
-  /// Indexed evaluation always enumerates on the host recursion;
-  /// StandingQueryConfig::engine is recorded but not consulted.
-  bool standing_index = false;
   /// Graph-storage backend (DESIGN.md §14): kUncompressed serves the raw
   /// CSR; compressed backends re-encode the base graph (and every compacted
   /// successor) behind the GraphView seam, so engines never know which one
@@ -371,12 +356,16 @@ class GraphSession {
   /// result is deterministic). Blocks until the enumeration completes.
   TopKResult top_k(const QueryRequest& req, const TopKOptions& opts);
 
-  /// Registers a pattern for per-batch count deltas. Runs one full
-  /// enumeration on the current snapshot to establish the baseline count
-  /// (and the full-cost reference of the speedup gauge). Throws check_error
-  /// for unsupported options (e.g. vertex-induced matching). With
-  /// persistence, the registration is WAL-logged (baseline count included)
-  /// before it takes effect; an exhausted kWalAppend budget throws
+  /// Registers a pattern for per-batch count deltas. Registrations land in
+  /// a shared-prefix plan trie (src/mqo/, DESIGN.md §16), and each applied
+  /// batch runs ONE anchored walk per delta edge that serves every standing
+  /// query at once. The baseline count comes from one full enumeration on
+  /// the current snapshot (also the full-cost reference of the speedup
+  /// gauge) — or, when an isomorphic query is already registered, from that
+  /// sibling's count at no enumeration cost. Throws check_error for
+  /// unsupported options (e.g. vertex-induced matching). With persistence,
+  /// the registration is WAL-logged (baseline count included) before it
+  /// takes effect; an exhausted kWalAppend budget throws
   /// FaultInjectedError and registers nothing.
   std::uint64_t register_standing_query(StandingQueryConfig cfg);
   /// Removes a standing query; false when the id is unknown. With
@@ -387,7 +376,7 @@ class GraphSession {
   std::optional<StandingQueryInfo> standing_query(std::uint64_t id) const;
 
   /// Shared-index observability: registrations, canonical groups, and trie
-  /// shape (all-zero when SessionConfig::standing_index is off).
+  /// shape.
   mqo::IndexStats standing_index_stats() const;
 
   /// Blocks until every submitted query has completed.
@@ -413,14 +402,10 @@ class GraphSession {
   struct StreamState;
   struct StandingQuery {
     Pattern pattern;
-    /// Registration options, kept for checkpoint manifests (the matcher
-    /// does not expose them back).
+    /// Registration options, kept for checkpoint manifests and sibling
+    /// baselines.
     PlanOptions plan;
-    DeltaEngine engine = DeltaEngine::kHost;
-    std::shared_ptr<const IncrementalMatcher> matcher;
     std::function<void(const StandingQueryUpdate&)> on_update;
-    /// Present iff on_delta is set: the embedding-level delta enumerator.
-    std::shared_ptr<const stream::DeltaStreamer> streamer;
     std::function<void(const StandingQueryDelta&)> on_delta;
     std::uint64_t count = 0;
     std::uint64_t epoch = 0;
@@ -454,23 +439,13 @@ class GraphSession {
                                 const std::shared_ptr<CancelToken>& token);
   /// The update path proper (runs on a dispatcher worker).
   UpdateOutcome do_apply(const UpdateBatch& batch);
-  /// Per-batch standing-query sweep (count deltas, subscribers, speedup
-  /// gauge), shared between do_apply and WAL replay (`out` null there: no
-  /// outcome to fill, no latency to record).
+  /// Per-batch standing-query sweep: one shared trie walk, then
+  /// per-registration projection and delivery (count deltas, subscribers,
+  /// speedup gauge). Shared between do_apply and WAL replay (`out` null
+  /// there: no outcome to fill, no latency to record).
   void apply_standing_deltas(const std::shared_ptr<const GraphSnapshot>& from,
                              const DeltaEdges& applied, std::uint64_t epoch,
                              UpdateOutcome* out);
-  /// Indexed-mode body of apply_standing_deltas: one shared trie pass, then
-  /// per-registration projection + delivery. Caller holds standing_mu_.
-  void apply_standing_deltas_indexed(
-      const std::shared_ptr<const GraphSnapshot>& from,
-      const DeltaEdges& applied, std::uint64_t epoch, UpdateOutcome* out);
-  /// Indexed-mode body of register_standing_query (caller holds update_mu_):
-  /// duplicate registrations take their baseline from a canonical-group
-  /// sibling's standing count instead of re-enumerating the graph.
-  std::uint64_t register_standing_indexed(
-      StandingQueryConfig cfg,
-      const std::shared_ptr<const GraphSnapshot>& snap);
   /// Publishes standing_patterns / trie_nodes / shared_prefix_ratio from the
   /// index. Caller holds standing_mu_.
   void publish_index_metrics();
@@ -538,9 +513,10 @@ class GraphSession {
   std::mutex update_mu_;
   mutable std::mutex standing_mu_;
   std::map<std::uint64_t, StandingQuery> standing_;
-  /// The shared-prefix pattern index (used iff cfg_.standing_index). Reads
-  /// are safe under either update_mu_ or standing_mu_; writes happen under
-  /// both (registration/unregistration) or during single-threaded boot.
+  /// The shared-prefix pattern index every standing query is evaluated
+  /// through. Reads are safe under either update_mu_ or standing_mu_;
+  /// writes happen under both (registration/unregistration) or during
+  /// single-threaded boot.
   mqo::PatternIndex standing_index_;
   std::uint64_t next_standing_id_ = 1;
 

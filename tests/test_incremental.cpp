@@ -327,23 +327,5 @@ TEST(StandingQuery, RejectsVertexInducedRegistration) {
   EXPECT_THROW(session.register_standing_query(cfg), check_error);
 }
 
-TEST(StandingQuery, SimtEngineStandingQuery) {
-  GraphSession session(make_erdos_renyi(26, 0.15, 6));
-  StandingQueryConfig cfg;
-  cfg.pattern = Pattern::parse("0-1,1-2,2-0");
-  cfg.engine = DeltaEngine::kSimt;
-  const std::uint64_t id = session.register_standing_query(cfg);
-
-  Rng rng(31);
-  for (int i = 0; i < 3; ++i) {
-    UpdateBatch batch = random_batch(*session.snapshot(), rng, 4);
-    ASSERT_TRUE(session.apply_updates(batch).ok());
-  }
-  auto info = session.standing_query(id);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->count, reference_count(session.snapshot()->view(),
-                                         cfg.pattern, {}));
-}
-
 }  // namespace
 }  // namespace stm

@@ -2,7 +2,10 @@
 // plan-trie construction and pruning, canonical-group deduplication,
 // registration churn, and the randomized differential proving indexed
 // deltas == per-pattern deltas == full re-enumeration — including the
-// prism vs K_{3,3} near-collider and embedding-level stream parity.
+// prism vs K_{3,3} near-collider, the walk's ancestor-list reuse and
+// counting leaves, and embedding-level stream parity. The session serves
+// standing queries only through the index, so the MqoSession cases check
+// it against the per-pattern pipeline directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include "pattern/canonical.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
+#include "pattern/queries.hpp"
 #include "service/service.hpp"
 #include "stream/delta_stream.hpp"
 #include "util/check.hpp"
@@ -36,6 +40,9 @@ const char* const kPath3 = "0-1,1-2";
 const char* const kFourClique = "0-1,0-2,0-3,1-2,1-3,2-3";
 const char* const kPrism = "0-1,1-2,2-0,3-4,4-5,5-3,0-3,1-4,2-5";
 const char* const kK33 = "0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5";
+const char* const kFiveClique = "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4";
+const char* const kDiamond = "0-1,1-2,2-0,1-3,2-3";
+const char* const kTailedTriangle = "0-1,1-2,2-0,2-3";
 
 UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
   const VertexId n = snap.num_vertices();
@@ -183,16 +190,16 @@ TEST(MqoIndex, GroupSlotsAreReusedUnderChurn) {
   EXPECT_EQ(index.stats().trie.nodes, 0u);
 }
 
-/// Registers `patterns` into an index (ids 1..n, kEmbeddings, collecting)
-/// and runs `num_batches` random batches, asserting after each that every
-/// registration's indexed delta equals its per-pattern IncrementalMatcher
-/// delta, its DeltaStreamer embedding lists, and cumulative full
-/// re-enumeration.
-void run_mqo_differential(const std::vector<Pattern>& patterns,
-                          std::uint64_t seed, int num_batches,
-                          int batch_edges, VertexId n = 32,
-                          double density = 0.12) {
-  Graph base = make_erdos_renyi(n, density, seed);
+/// Registers `patterns` into an index (ids 1..n, kEmbeddings; pattern i
+/// collects embeddings iff collect[i]) and runs `num_batches` random batches
+/// over `base`, asserting after each that every registration's indexed
+/// delta equals its per-pattern IncrementalMatcher delta and cumulative full
+/// re-enumeration, and a collecting registration's lists equal its
+/// DeltaStreamer embedding lists.
+void run_mqo_differential(const Graph& base,
+                          const std::vector<Pattern>& patterns,
+                          const std::vector<bool>& collect, std::uint64_t seed,
+                          int num_batches, int batch_edges) {
   MutableGraph g(base);
 
   mqo::PatternIndex index;
@@ -200,10 +207,12 @@ void run_mqo_differential(const std::vector<Pattern>& patterns,
   std::vector<std::unique_ptr<stream::DeltaStreamer>> streamers;
   std::vector<std::int64_t> counts;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
-    index.add(i + 1, patterns[i], {}, true);
+    index.add(i + 1, patterns[i], {}, collect[i]);
     matchers.push_back(std::make_unique<IncrementalMatcher>(patterns[i]));
-    streamers.push_back(std::make_unique<stream::DeltaStreamer>(
-        patterns[i], PlanOptions{}));
+    streamers.push_back(
+        collect[i] ? std::make_unique<stream::DeltaStreamer>(patterns[i],
+                                                             PlanOptions{})
+                   : nullptr);
     counts.push_back(static_cast<std::int64_t>(
         reference_count(g.snapshot()->view(), patterns[i])));
   }
@@ -221,17 +230,29 @@ void run_mqo_differential(const std::vector<Pattern>& patterns,
       EXPECT_EQ(qd.delta, d.delta)
           << "indexed vs per-pattern, pattern " << i << " batch " << b
           << " seed " << seed;
-      stream::DeltaBatch db = streamers[i]->delta(from, applied.applied);
-      EXPECT_EQ(qd.added, db.added)
-          << "added embeddings, pattern " << i << " batch " << b;
-      EXPECT_EQ(qd.retracted, db.retracted)
-          << "retracted embeddings, pattern " << i << " batch " << b;
+      if (streamers[i] != nullptr) {
+        stream::DeltaBatch db = streamers[i]->delta(from, applied.applied);
+        EXPECT_EQ(qd.added, db.added)
+            << "added embeddings, pattern " << i << " batch " << b;
+        EXPECT_EQ(qd.retracted, db.retracted)
+            << "retracted embeddings, pattern " << i << " batch " << b;
+      }
       counts[i] += qd.delta;
       EXPECT_EQ(counts[i], static_cast<std::int64_t>(reference_count(
                                GraphView(compacted), patterns[i])))
           << "cumulative vs full, pattern " << i << " batch " << b;
     }
   }
+}
+
+/// The all-collecting differential over ER(n, density).
+void run_mqo_differential(const std::vector<Pattern>& patterns,
+                          std::uint64_t seed, int num_batches,
+                          int batch_edges, VertexId n = 32,
+                          double density = 0.12) {
+  run_mqo_differential(make_erdos_renyi(n, density, seed), patterns,
+                       std::vector<bool>(patterns.size(), true), seed,
+                       num_batches, batch_edges);
 }
 
 TEST(MqoDifferential, MixedPatternSetMatchesPerPatternAndFull) {
@@ -261,6 +282,62 @@ TEST(MqoDifferential, PrismVsK33NearCollider) {
   run_mqo_differential({prism, k33, prism.relabeled({3, 4, 5, 0, 1, 2}),
                         k33.relabeled({1, 2, 0, 4, 5, 3})},
                        5, 4, 5, 20, 0.25);
+}
+
+TEST(MqoDifferential, CodeMotionReusesAncestorListsTwoLevelsDeep) {
+  // q6 (K4 + pendant): position 3's mask {0,1,2} starts from position 2's
+  // N(v0) ∩ N(v1). K5: position 4 starts from position 3's list, itself
+  // built on position 2's. Both leaf paths: counted and collected.
+  const Pattern k5 = Pattern::parse(kFiveClique);
+  const Graph base = make_erdos_renyi(22, 0.5, 61);
+  for (const bool collect : {false, true}) {
+    run_mqo_differential(base, {query(6), k5, Pattern::parse(kFourClique)},
+                         {collect, collect, collect}, 61, 4, 6);
+  }
+}
+
+TEST(MqoDifferential, LabeledCliqueExtensionFiltersReusedList) {
+  // The reused ancestor list is the raw intersection, unfiltered by the
+  // ancestor's label, so a clique extension with a different label must
+  // still check labels per candidate.
+  Graph base = make_erdos_renyi(26, 0.4, 73);
+  std::vector<Label> labels(base.num_vertices());
+  Rng label_rng(7);
+  for (auto& l : labels) l = static_cast<Label>(label_rng.next_below(3));
+  const Pattern k4 = Pattern::parse(kFourClique);
+  run_mqo_differential(base.with_labels(std::move(labels)),
+                       {k4.with_labels({0, 1, 1, 2}),
+                        k4.with_labels({0, 0, 0, 0}),
+                        query(6).with_labels({0, 1, 2, 1, 0})},
+                       {false, false, false}, 73, 5, 6);
+}
+
+TEST(MqoDifferential, PendantLeafOnHubSubtractsPrefixHits) {
+  // A hub adjacent to every vertex: a pendant leaf hanging off it counts
+  // |N(hub)| minus the prefix vertices in N(hub) — all of them here.
+  const Graph er = make_erdos_renyi(40, 0.1, 83);
+  GraphBuilder builder(er.num_vertices());
+  for (VertexId u = 0; u < er.num_vertices(); ++u) {
+    for (const VertexId v : er.neighbors(u)) builder.add_edge(u, v);
+    builder.add_edge(0, u);
+  }
+  const Graph hub = builder.build();
+  ASSERT_GE(hub.degree(0), 32u);
+  run_mqo_differential(hub,
+                       {Pattern::parse(kTailedTriangle), query(6),
+                        Pattern::parse("0-1,0-2,0-3")},
+                       {false, false, false}, 83, 5, 8);
+}
+
+TEST(MqoDifferential, CollectingLeafBesideCountedLeavesMaterializes) {
+  // The triangle node carries a collecting terminal and leaf children of
+  // three groups: the K4 and diamond leaves only count, the tailed
+  // triangle's collect and must materialize every embedding.
+  run_mqo_differential(make_erdos_renyi(30, 0.25, 97),
+                       {Pattern::parse(kTriangle), Pattern::parse(kFourClique),
+                        Pattern::parse(kDiamond),
+                        Pattern::parse(kTailedTriangle)},
+                       {true, false, false, true}, 97, 5, 6);
 }
 
 TEST(MqoDifferential, LabeledPatternsFilterExactly) {
@@ -414,12 +491,6 @@ TEST(MqoChurn, EmptyIndexAndSinglePatternDegeneratePaths) {
             matcher.count_delta(from, applied2.applied).delta);
 }
 
-SessionConfig indexed_cfg() {
-  SessionConfig cfg;
-  cfg.standing_index = true;
-  return cfg;
-}
-
 /// Brute-force embedding list in original-pattern vertex order (the
 /// reference enumerator reports plan-order mappings), sorted.
 std::vector<Embedding> reference_embeddings(GraphView g, const Pattern& p) {
@@ -437,71 +508,88 @@ std::vector<Embedding> reference_embeddings(GraphView g, const Pattern& p) {
 }
 
 TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
+  // The session evaluates standing queries only through the shared index;
+  // the per-pattern IncrementalMatcher / DeltaStreamer pipeline and full
+  // re-enumeration are its oracles, fed the same pre-batch snapshot and
+  // effective delta.
   const Graph base = make_erdos_renyi(32, 0.14, 13);
-  GraphSession indexed(base, indexed_cfg());
-  GraphSession loop(base);
+  GraphSession session(base);
 
   // A duplicate-heavy mix: two relabeled triangles, a path, a 4-clique.
   const Pattern tri = Pattern::parse(kTriangle);
   const std::vector<Pattern> patterns{tri, tri.relabeled({1, 2, 0}),
                                       Pattern::parse(kPath3),
                                       Pattern::parse(kFourClique)};
-  std::vector<std::uint64_t> indexed_ids, loop_ids;
+  std::vector<std::uint64_t> ids;
+  std::map<std::uint64_t, StandingQueryDelta> deltas;
+  std::vector<std::unique_ptr<IncrementalMatcher>> matchers;
+  std::vector<std::unique_ptr<stream::DeltaStreamer>> streamers;
   for (const Pattern& p : patterns) {
     StandingQueryConfig cfg;
     cfg.pattern = p;
-    indexed_ids.push_back(indexed.register_standing_query(cfg));
-    loop_ids.push_back(loop.register_standing_query(cfg));
+    cfg.on_delta = [&deltas](const StandingQueryDelta& d) {
+      deltas[d.query_id] = d;
+    };
+    ids.push_back(session.register_standing_query(cfg));
+    matchers.push_back(std::make_unique<IncrementalMatcher>(p));
+    streamers.push_back(
+        std::make_unique<stream::DeltaStreamer>(p, PlanOptions{}));
   }
-  // Three queries, two canonical groups: the relabeled triangle rode its
+  // Four queries, three canonical groups: the relabeled triangle rode its
   // sibling's baseline and shares the triangle's trie chain.
-  EXPECT_EQ(indexed.metrics().gauge("standing_patterns").value(), 3.0);
-  const mqo::IndexStats st = indexed.standing_index_stats();
+  EXPECT_EQ(session.metrics().gauge("standing_patterns").value(), 3.0);
+  const mqo::IndexStats st = session.standing_index_stats();
   EXPECT_EQ(st.registrations, 4u);
   EXPECT_EQ(st.groups, 3u);
-  EXPECT_EQ(indexed.metrics().gauge("trie_nodes").value(),
+  EXPECT_EQ(session.metrics().gauge("trie_nodes").value(),
             static_cast<double>(st.trie.nodes));
-  EXPECT_GT(indexed.metrics().gauge("shared_prefix_ratio").value(), 0.0);
+  EXPECT_GT(session.metrics().gauge("shared_prefix_ratio").value(), 0.0);
 
   Rng rng(606);
   int applied = 0;
   for (int b = 0; b < 6; ++b) {
-    const UpdateBatch batch = random_batch(*indexed.snapshot(), rng, 5);
-    const UpdateOutcome oi = indexed.apply_updates(batch);
-    const UpdateOutcome ol = loop.apply_updates(batch);
-    ASSERT_TRUE(oi.ok());
-    ASSERT_TRUE(ol.ok());
-    if (oi.applied.empty()) continue;
+    const auto from = session.snapshot();
+    deltas.clear();
+    const UpdateOutcome out =
+        session.apply_updates(random_batch(*from, rng, 5));
+    ASSERT_TRUE(out.ok());
+    if (out.applied.empty()) continue;
     ++applied;
-    ASSERT_EQ(oi.updates.size(), patterns.size());
+    ASSERT_EQ(out.updates.size(), patterns.size());
     for (std::size_t i = 0; i < patterns.size(); ++i) {
-      const auto ii = indexed.standing_query(indexed_ids[i]);
-      const auto li = loop.standing_query(loop_ids[i]);
-      ASSERT_TRUE(ii.has_value() && li.has_value());
-      EXPECT_EQ(ii->count, li->count)
-          << "indexed vs per-pattern, pattern " << i << " batch " << b;
-      EXPECT_EQ(ii->count, reference_count(indexed.snapshot()->view(),
-                                           patterns[i], {}));
+      EXPECT_EQ(out.updates[i].query_id, ids[i]);
+      EXPECT_EQ(out.updates[i].delta,
+                matchers[i]->count_delta(from, out.applied).delta)
+          << "session vs IncrementalMatcher, pattern " << i << " batch " << b;
+      const stream::DeltaBatch db = streamers[i]->delta(from, out.applied);
+      ASSERT_TRUE(deltas.contains(ids[i]));
+      EXPECT_EQ(deltas[ids[i]].added, db.added)
+          << "session vs DeltaStreamer, pattern " << i << " batch " << b;
+      EXPECT_EQ(deltas[ids[i]].retracted, db.retracted)
+          << "session vs DeltaStreamer, pattern " << i << " batch " << b;
+      EXPECT_EQ(session.standing_query(ids[i])->count,
+                reference_count(session.snapshot()->view(), patterns[i], {}))
+          << "session vs full recount, pattern " << i << " batch " << b;
     }
   }
   ASSERT_GT(applied, 0);
-  EXPECT_EQ(indexed.metrics()
+  EXPECT_EQ(session.metrics()
                 .histogram("indexed_delta_latency_ms")
                 .snapshot()
                 .count,
             static_cast<std::uint64_t>(applied));
 
   // Unregistering everything drains the trie and the gauges.
-  for (const std::uint64_t id : indexed_ids) {
-    EXPECT_TRUE(indexed.unregister_standing_query(id));
+  for (const std::uint64_t id : ids) {
+    EXPECT_TRUE(session.unregister_standing_query(id));
   }
-  EXPECT_EQ(indexed.metrics().gauge("standing_patterns").value(), 0.0);
-  EXPECT_EQ(indexed.metrics().gauge("trie_nodes").value(), 0.0);
-  EXPECT_EQ(indexed.standing_index_stats().trie.nodes, 0u);
+  EXPECT_EQ(session.metrics().gauge("standing_patterns").value(), 0.0);
+  EXPECT_EQ(session.metrics().gauge("trie_nodes").value(), 0.0);
+  EXPECT_EQ(session.standing_index_stats().trie.nodes, 0u);
 }
 
 TEST(MqoSession, SiblingBaselineSkipsFullEnumeration) {
-  GraphSession session(make_erdos_renyi(30, 0.15, 44), indexed_cfg());
+  GraphSession session(make_erdos_renyi(30, 0.15, 44));
   StandingQueryConfig cfg;
   cfg.pattern = Pattern::parse(kTriangle);
   const std::uint64_t first = session.register_standing_query(cfg);
@@ -532,7 +620,7 @@ TEST(MqoSession, SiblingBaselineSkipsFullEnumeration) {
 
 TEST(MqoSession, OnDeltaStreamsExactEmbeddings) {
   const Graph base = make_erdos_renyi(28, 0.15, 71);
-  GraphSession session(base, indexed_cfg());
+  GraphSession session(base);
 
   // Maintain the full embedding set from the stream; it must track full
   // re-enumeration exactly.
@@ -573,7 +661,7 @@ TEST(MqoSession, OnDeltaStreamsExactEmbeddings) {
 }
 
 TEST(MqoSession, RejectsWhatTheLoopRejects) {
-  GraphSession session(make_erdos_renyi(20, 0.2, 2), indexed_cfg());
+  GraphSession session(make_erdos_renyi(20, 0.2, 2));
   StandingQueryConfig cfg;
   cfg.pattern = Pattern::parse(kPath3);
   cfg.plan.induced = Induced::kVertex;
@@ -591,27 +679,49 @@ TEST(MqoSession, RejectsWhatTheLoopRejects) {
 }
 
 TEST(MqoSession, UniqueSubgraphModeMatchesLoopSession) {
+  // A kUniqueSubgraphs registration and an isomorphic kEmbeddings one with
+  // an on_delta subscriber share a group; the per-pattern pipeline in each
+  // mode and full re-enumeration are the oracles.
   const Graph base = make_erdos_renyi(26, 0.18, 17);
-  GraphSession indexed(base, indexed_cfg());
-  GraphSession loop(base);
+  GraphSession session(base);
+  const Pattern tri = Pattern::parse(kTriangle);
   StandingQueryConfig cfg;
-  cfg.pattern = Pattern::parse(kTriangle);
+  cfg.pattern = tri;
   cfg.plan.count_mode = CountMode::kUniqueSubgraphs;
-  const std::uint64_t ii = indexed.register_standing_query(cfg);
-  const std::uint64_t li = loop.register_standing_query(cfg);
+  const std::uint64_t uid = session.register_standing_query(cfg);
+  StandingQueryDelta last;
+  StandingQueryConfig emb;
+  emb.pattern = tri.relabeled({2, 0, 1});
+  emb.on_delta = [&last](const StandingQueryDelta& d) { last = d; };
+  const std::uint64_t eid = session.register_standing_query(emb);
+
+  IncrementalOptions unique_opts;
+  unique_opts.plan = cfg.plan;
+  const IncrementalMatcher unique_matcher(tri, unique_opts);
+  const stream::DeltaStreamer streamer(emb.pattern, PlanOptions{});
 
   Rng rng(2718);
   for (int b = 0; b < 5; ++b) {
-    const UpdateBatch batch = random_batch(*indexed.snapshot(), rng, 5);
-    ASSERT_TRUE(indexed.apply_updates(batch).ok());
-    ASSERT_TRUE(loop.apply_updates(batch).ok());
-    EXPECT_EQ(indexed.standing_query(ii)->count,
-              loop.standing_query(li)->count)
+    const auto from = session.snapshot();
+    const UpdateOutcome out =
+        session.apply_updates(random_batch(*from, rng, 5));
+    ASSERT_TRUE(out.ok());
+    if (out.applied.empty()) continue;
+    ASSERT_EQ(out.updates.size(), 2u);
+    EXPECT_EQ(out.updates[0].delta,
+              unique_matcher.count_delta(from, out.applied).delta)
         << "batch " << b;
+    const stream::DeltaBatch db = streamer.delta(from, out.applied);
+    EXPECT_EQ(last.added, db.added) << "batch " << b;
+    EXPECT_EQ(last.retracted, db.retracted) << "batch " << b;
+    EXPECT_EQ(out.updates[1].delta, 6 * out.updates[0].delta)
+        << "|Aut(triangle)| embeddings per subgraph, batch " << b;
   }
-  EXPECT_EQ(indexed.standing_query(ii)->count,
-            reference_count(indexed.snapshot()->view(), cfg.pattern,
+  EXPECT_EQ(session.standing_query(uid)->count,
+            reference_count(session.snapshot()->view(), tri,
                             {Induced::kEdge, CountMode::kUniqueSubgraphs}));
+  EXPECT_EQ(session.standing_query(eid)->count,
+            reference_count(session.snapshot()->view(), emb.pattern, {}));
 }
 
 }  // namespace

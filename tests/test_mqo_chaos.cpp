@@ -40,7 +40,6 @@ UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
 
 TEST(MqoChaos, UpdateFaultsLeaveIndexedCountsExact) {
   SessionConfig cfg;
-  cfg.standing_index = true;
   cfg.update_fault.seed = 17;
   cfg.update_fault.set_rate(FaultSite::kUpdateApply, 0.3);
   GraphSession session(make_erdos_renyi(30, 0.15, 23), cfg);
@@ -93,7 +92,6 @@ TEST(MqoChaos, FaultedRunReplaysDeterministically) {
   const Graph base = make_erdos_renyi(28, 0.15, 5);
   const auto run = [&base]() {
     SessionConfig cfg;
-    cfg.standing_index = true;
     cfg.update_fault.seed = 9;
     cfg.update_fault.set_rate(FaultSite::kUpdateApply, 0.25);
     GraphSession session(base, cfg);
@@ -126,9 +124,7 @@ TEST(MqoChaos, FaultedRunReplaysDeterministically) {
 }
 
 TEST(MqoChaos, EmitDropRecoveryComposesWithIndexedSession) {
-  SessionConfig cfg;
-  cfg.standing_index = true;
-  GraphSession session(make_erdos_renyi(40, 0.2, 13), cfg);
+  GraphSession session(make_erdos_renyi(40, 0.2, 13));
   StandingQueryConfig sq;
   sq.pattern = triangle();
   const std::uint64_t id = session.register_standing_query(sq);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,12 +95,16 @@ SessionConfig persist_cfg(const std::string& dir) {
   return cfg;
 }
 
-std::uint64_t count_triangles(GraphSession& s) {
+std::uint64_t count_matches(GraphSession& s, const Pattern& pattern) {
   QueryRequest req;
-  req.pattern = triangle();
+  req.pattern = pattern;
   QueryResult r = s.run(req);
   EXPECT_TRUE(r.ok()) << r.error;
   return r.count;
+}
+
+std::uint64_t count_triangles(GraphSession& s) {
+  return count_matches(s, triangle());
 }
 
 // ---------------------------------------------------------------------------
@@ -481,14 +486,9 @@ TEST(PersistSession, StandingQueriesSurviveRestartWithCountsIntact) {
 TEST(PersistSession, IndexedStandingStateSurvivesRestart) {
   ScopedDir dir("standing-indexed");
   const Graph g = seed_graph();
-  const auto indexed_cfg = [&dir]() {
-    SessionConfig cfg = persist_cfg(dir.str());
-    cfg.standing_index = true;
-    return cfg;
-  };
   std::uint64_t id = 0, dup = 0, doomed = 0, count = 0;
   {
-    GraphSession s(g, indexed_cfg());
+    GraphSession s(g, persist_cfg(dir.str()));
     StandingQueryConfig sq;
     sq.pattern = triangle();
     id = s.register_standing_query(sq);
@@ -503,7 +503,7 @@ TEST(PersistSession, IndexedStandingStateSurvivesRestart) {
     for (int k = 3; k < 5; ++k) s.apply_updates(make_batch(k, 60));
     count = s.standing_query(id)->count;
   }
-  GraphSession s(g, indexed_cfg());
+  GraphSession s(g, persist_cfg(dir.str()));
   EXPECT_EQ(s.standing_query(id)->count, count);
   EXPECT_EQ(s.standing_query(dup)->count, count);
   EXPECT_FALSE(s.standing_query(doomed).has_value());
@@ -620,6 +620,75 @@ TEST(PersistSession, NoopAndFailedBatchesAreNotLogged) {
   EXPECT_TRUE(persist::read_wal(wal_file(dir2.str())).records.empty());
 }
 
+/// Rewrites the delta-engine byte of the StandingEntry that ends at
+/// `entry_end` to 1 (kSimt) — what state directories written when standing
+/// queries chose a delta engine may carry — and re-seals the crc stored at
+/// `crc_at`, which covers bytes [payload_begin, payload_end).
+void mark_entry_simt(std::string* bytes, std::size_t entry_end,
+                     std::size_t crc_at, std::size_t payload_begin,
+                     std::size_t payload_end) {
+  // engine u8, then count/epoch/batches/full_ms as four u64s.
+  const std::size_t engine_at = entry_end - 1 - 4 * 8;
+  ASSERT_EQ((*bytes)[engine_at], '\0') << "engine byte is written as 0";
+  (*bytes)[engine_at] = '\1';
+  const std::string_view payload =
+      std::string_view(*bytes).substr(payload_begin, payload_end - payload_begin);
+  persist::BinaryWriter crc;
+  crc.u32(persist::crc32(payload));
+  bytes->replace(crc_at, 4, crc.take());
+}
+
+TEST(PersistSession, LegacySimtEngineByteStillRestores) {
+  ScopedDir dir("legacy-engine");
+  const Graph g = seed_graph();
+  std::uint64_t in_manifest = 0, in_wal = 0, epoch = 0;
+  std::uint64_t manifest_count = 0, wal_count = 0;
+  {
+    GraphSession s(g, persist_cfg(dir.str()));
+    StandingQueryConfig sq;
+    sq.pattern = triangle();
+    in_manifest = s.register_standing_query(sq);
+    for (int k = 0; k < 2; ++k) s.apply_updates(make_batch(k, 60));
+    ASSERT_TRUE(s.checkpoint());
+    StandingQueryConfig path;
+    path.pattern = Pattern::parse("0-1,1-2");
+    in_wal = s.register_standing_query(path);
+    for (int k = 2; k < 4; ++k) s.apply_updates(make_batch(k, 60));
+    manifest_count = s.standing_query(in_manifest)->count;
+    wal_count = s.standing_query(in_wal)->count;
+    epoch = s.epoch();
+  }
+
+  // The newest checkpoint's manifest ends with the triangle's entry...
+  const persist::CheckpointStore store(dir.str(), false, nullptr, 1);
+  const std::string ckpt_path = store.path_for(store.list().back());
+  std::string ckpt = read_file(ckpt_path);
+  mark_entry_simt(&ckpt, ckpt.size(), persist::kCheckpointMagicSize + 4,
+                  persist::kCheckpointMagicSize + 8, ckpt.size());
+  write_file(ckpt_path, ckpt);
+  // ...and the path's registration record ends with its entry.
+  std::string wal = read_file(wal_file(dir.str()));
+  const std::vector<persist::WalRecord> records =
+      persist::read_wal(wal_file(dir.str())).records;
+  ASSERT_EQ(records.front().type, persist::WalRecordType::kRegisterStanding);
+  const auto frame = static_cast<std::size_t>(records.front().file_offset);
+  const auto end = frame + static_cast<std::size_t>(records.front().frame_size);
+  mark_entry_simt(&wal, end, frame + 4, frame + 8, end);
+  write_file(wal_file(dir.str()), wal);
+
+  GraphSession s(g, persist_cfg(dir.str()));
+  EXPECT_TRUE(s.recovery_report().checkpoint_loaded);
+  EXPECT_EQ(s.recovery_report().replayed_registrations, 1u);
+  EXPECT_EQ(s.epoch(), epoch);
+  EXPECT_EQ(s.standing_query(in_manifest)->count, manifest_count);
+  EXPECT_EQ(s.standing_query(in_wal)->count, wal_count);
+  EXPECT_EQ(manifest_count, count_triangles(s));
+  EXPECT_EQ(s.standing_index_stats().registrations, 2u);
+  // Both keep advancing through the one standing-query path.
+  ASSERT_TRUE(s.apply_updates(make_batch(4, 60)).ok());
+  EXPECT_EQ(s.standing_query(in_manifest)->count, count_triangles(s));
+}
+
 TEST(PersistSession, WalExhaustionFailsTheBatchClosed) {
   ScopedDir dir("wal-closed");
   SessionConfig cfg = persist_cfg(dir.str());
@@ -661,12 +730,8 @@ struct KillScenario {
   std::vector<persist::WalRecord> records;
   std::string wal_bytes;
 
-  /// With `standing_index` the scenario runs every session (initial and
-  /// recovered) in indexed mode, so every cut also exercises the trie
-  /// rebuild to the acknowledged registration prefix.
-  explicit KillScenario(bool standing_index = false)
-      : standing_index_(standing_index) {
-    GraphSession s(g, session_cfg(dir.str()));
+  KillScenario() {
+    GraphSession s(g, persist_cfg(dir.str()));
     expected.push_back({0, false, 0});
     StandingQueryConfig sq;
     sq.pattern = triangle();
@@ -688,14 +753,17 @@ struct KillScenario {
 
   /// Reopens from a copy of the state dir whose WAL is replaced by
   /// `bytes`, and asserts the recovered state matches expected[prefix].
+  /// `then`, if given, runs last on the recovered session.
   void check_cut(const std::string& bytes, std::size_t prefix,
-                 const std::string& what) {
+                 const std::string& what,
+                 const std::function<void(GraphSession&, const Expect&)>&
+                     then = nullptr) {
     ScopedDir scratch("kill-cut");
     for (const auto& entry : fs::directory_iterator(dir.str()))
       fs::copy(entry.path(), fs::path(scratch.str()) / entry.path().filename());
     write_file(wal_file(scratch.str()), bytes);
 
-    GraphSession s(g, session_cfg(scratch.str()));
+    GraphSession s(g, persist_cfg(scratch.str()));
     const Expect& e = expected[prefix];
     EXPECT_EQ(s.epoch(), e.epoch) << what;
     const auto info = s.standing_query(standing_id);
@@ -706,40 +774,54 @@ struct KillScenario {
       // recovered graph — the differential oracle for every cut point.
       EXPECT_EQ(info->count, count_triangles(s)) << what;
     }
-    if (standing_index_) {
-      // The trie must be rebuilt bit-identically to the acknowledged
-      // registration prefix: either exactly the triangle's plans or empty.
-      const mqo::IndexStats st = s.standing_index_stats();
-      EXPECT_EQ(st.registrations, e.has_standing ? 1u : 0u) << what;
-      mqo::PatternIndex twin;
-      if (e.has_standing) twin.add(standing_id, triangle(), {}, false);
-      EXPECT_EQ(st.trie.nodes, twin.stats().trie.nodes) << what;
-      EXPECT_EQ(st.trie.terminals, twin.stats().trie.terminals) << what;
-      EXPECT_EQ(st.trie.max_depth, twin.stats().trie.max_depth) << what;
-    }
+    // The trie must be rebuilt bit-identically to the acknowledged
+    // registration prefix: either exactly the triangle's plans or empty.
+    const mqo::IndexStats st = s.standing_index_stats();
+    EXPECT_EQ(st.registrations, e.has_standing ? 1u : 0u) << what;
+    mqo::PatternIndex twin;
+    if (e.has_standing) twin.add(standing_id, triangle(), {}, false);
+    EXPECT_EQ(st.trie.nodes, twin.stats().trie.nodes) << what;
+    EXPECT_EQ(st.trie.terminals, twin.stats().trie.terminals) << what;
+    EXPECT_EQ(st.trie.max_depth, twin.stats().trie.max_depth) << what;
+    if (then) then(s, e);
   }
-
- private:
-  SessionConfig session_cfg(const std::string& state_dir) const {
-    SessionConfig cfg = persist_cfg(state_dir);
-    cfg.standing_index = standing_index_;
-    return cfg;
-  }
-
-  bool standing_index_ = false;
 };
 
 TEST(PersistKillMatrix, IndexedTrieRebuildAtEveryBoundary) {
-  KillScenario sc(/*standing_index=*/true);
+  KillScenario sc;
   ASSERT_EQ(sc.records.size(), 7u);  // 1 registration + 6 batches
-  sc.check_cut(sc.wal_bytes.substr(0, persist::kWalMagicSize), 0,
-               "indexed cut after magic");
+  // Beyond its shape (checked in every cut), the rebuilt trie must stay
+  // live: a registration sharing the triangle's edge prefix merges into it,
+  // and the next batch advances both queries to a full recount.
+  const Pattern path = Pattern::parse("0-1,1-2");
+  const auto extend = [&](GraphSession& s, const KillScenario::Expect& e) {
+    StandingQueryConfig sq;
+    sq.pattern = path;
+    const std::uint64_t path_id = s.register_standing_query(sq);
+    mqo::PatternIndex twin;
+    if (e.has_standing) twin.add(sc.standing_id, triangle(), {}, false);
+    twin.add(path_id, path, {}, false);
+    const mqo::IndexStats st = s.standing_index_stats();
+    EXPECT_EQ(st.registrations, e.has_standing ? 2u : 1u);
+    EXPECT_EQ(st.trie.nodes, twin.stats().trie.nodes);
+    EXPECT_EQ(st.trie.terminals, twin.stats().trie.terminals);
+    const UpdateOutcome out = s.apply_updates(make_batch(6, 60));
+    ASSERT_TRUE(out.ok()) << out.error;
+    EXPECT_EQ(s.standing_query(path_id)->count, count_matches(s, path));
+    if (e.has_standing) {
+      EXPECT_EQ(s.standing_query(sc.standing_id)->count, count_triangles(s));
+    }
+  };
+  const auto cut = [&](std::size_t end, std::size_t prefix,
+                       const std::string& what) {
+    SCOPED_TRACE(what);
+    sc.check_cut(sc.wal_bytes.substr(0, end), prefix, what, extend);
+  };
+  cut(persist::kWalMagicSize, 0, "indexed cut after magic");
   for (std::size_t i = 0; i < sc.records.size(); ++i) {
     const auto& rec = sc.records[i];
-    const std::size_t end =
-        static_cast<std::size_t>(rec.file_offset + rec.frame_size);
-    sc.check_cut(sc.wal_bytes.substr(0, end), i + 1,
-                 "indexed cut after record " + std::to_string(i + 1));
+    cut(static_cast<std::size_t>(rec.file_offset + rec.frame_size), i + 1,
+        "indexed cut after record " + std::to_string(i + 1));
   }
 }
 
