@@ -28,8 +28,9 @@ void BM_RandomCase(benchmark::State& state) {
 BENCHMARK(BM_RandomCase);
 
 void BM_OracleTrial(benchmark::State& state) {
-  // Full differential trial (reference + recursive + host + simt +
-  // incremental replay) on a case stream capped at the given graph size.
+  // Full differential trial (reference + the recursive, host, simt,
+  // incremental, sharded, stream, storage and mqo lanes, under the case's
+  // ISA pin) on a case stream capped at the given graph size.
   WorkloadOptions opts;
   opts.max_vertices = static_cast<VertexId>(state.range(0));
   std::uint64_t stream = 0;

@@ -159,10 +159,7 @@ void check_deletion_consistency(const TestCase& c, Rng& rng,
   if (c.graph.num_edges() == 0) return;
   ++report.checked;
   // Pick a uniformly random undirected edge via the adjacency arrays.
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (VertexId u = 0; u < c.graph.num_vertices(); ++u)
-    for (VertexId v : c.graph.neighbors(u))
-      if (u < v) edges.emplace_back(u, v);
+  const auto edges = edge_list(c.graph);
   const auto [u, v] = edges[rng.next_below(edges.size())];
 
   MutableGraph mutable_graph(c.graph);

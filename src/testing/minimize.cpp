@@ -4,41 +4,12 @@
 #include <utility>
 #include <vector>
 
+#include "testing/lanes.hpp"
 #include "util/check.hpp"
 
 namespace stm::harness {
 
 namespace {
-
-/// Bookkeeping shared by all shrink passes: counts probes against the
-/// budget and applies the predicate.
-class Prober {
- public:
-  Prober(const FailurePredicate& fails, const MinimizeOptions& opts)
-      : fails_(fails), opts_(opts) {}
-
-  bool exhausted() const { return probes_ >= opts_.max_probes; }
-  std::uint64_t probes() const { return probes_; }
-
-  bool still_fails(const TestCase& candidate) {
-    if (exhausted()) return false;
-    ++probes_;
-    // ddmin "unresolved" outcome: a shrink can produce a candidate the
-    // engines reject outright (e.g. a labeled pattern over a graph whose
-    // labeled vertices were all removed). Such a probe is not the failure
-    // being chased, so the chunk is kept.
-    try {
-      return fails_(candidate);
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-
- private:
-  const FailurePredicate& fails_;
-  const MinimizeOptions& opts_;
-  std::uint64_t probes_ = 0;
-};
 
 /// The subgraph induced on the kept vertices, relabeled compactly. Labels
 /// follow their vertices.
@@ -63,86 +34,63 @@ Graph induced_subgraph(const Graph& g, const std::vector<bool>& keep) {
   return sub;
 }
 
-std::vector<std::pair<VertexId, VertexId>> edge_list(const Graph& g) {
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (VertexId u = 0; u < g.num_vertices(); ++u)
-    for (VertexId v : g.neighbors(u))
-      if (u < v) edges.emplace_back(u, v);
-  return edges;
-}
-
-Graph from_edge_list(VertexId n,
-                     const std::vector<std::pair<VertexId, VertexId>>& edges,
-                     const Graph& labels_from) {
-  GraphBuilder builder(n);
-  for (auto [u, v] : edges) builder.add_edge(u, v);
-  Graph g = builder.build();
-  if (labels_from.is_labeled() && n > 0) {
-    std::vector<Label> labels(n);
-    for (VertexId v = 0; v < n; ++v) labels[v] = labels_from.label(v);
-    g = g.with_labels(std::move(labels));
-  }
-  return g;
-}
-
-/// ddmin-style pass: remove chunks of vertices, halving the chunk size.
-bool shrink_vertices(TestCase& c, Prober& prober) {
+/// ddmin-style pass over `count` items (vertices or edges): drops chunks of
+/// them while the case keeps failing, halving the chunk size whenever a
+/// sweep drops nothing. `without(c, begin, end)` is `c` minus items
+/// [begin, end); a drop shifts later items down, so the window is retried.
+template <class Without>
+bool ddmin(TestCase& c, const FailurePredicate& fails, std::size_t count,
+           Without without) {
   bool progress = false;
-  VertexId chunk = std::max<VertexId>(1, c.graph.num_vertices() / 2);
-  while (chunk >= 1 && !prober.exhausted()) {
+  for (std::size_t chunk = std::max<std::size_t>(1, count / 2); chunk >= 1;) {
     bool removed_any = false;
-    for (VertexId start = 0; start < c.graph.num_vertices();) {
-      const VertexId n = c.graph.num_vertices();
-      std::vector<bool> keep(n, true);
-      const VertexId end = std::min<VertexId>(n, start + chunk);
-      for (VertexId v = start; v < end; ++v) keep[v] = false;
-      TestCase candidate = c;
-      candidate.graph = induced_subgraph(c.graph, keep);
-      if (prober.still_fails(candidate)) {
+    for (std::size_t start = 0; start < count;) {
+      const std::size_t end = std::min(count, start + chunk);
+      TestCase candidate = without(c, start, end);
+      if (fails(candidate)) {
         c = std::move(candidate);
+        count -= end - start;
         progress = removed_any = true;
-        // ids shifted down: retry the same window against the new graph
       } else {
         start += chunk;
       }
-      if (prober.exhausted()) break;
     }
     if (!removed_any) chunk /= 2;
   }
   return progress;
 }
 
-bool shrink_edges(TestCase& c, Prober& prober) {
-  bool progress = false;
-  auto edges = edge_list(c.graph);
-  std::size_t chunk = std::max<std::size_t>(1, edges.size() / 2);
-  while (chunk >= 1 && !prober.exhausted()) {
-    bool removed_any = false;
-    for (std::size_t start = 0; start < edges.size();) {
-      std::vector<std::pair<VertexId, VertexId>> kept;
-      kept.reserve(edges.size());
-      const std::size_t end = std::min(edges.size(), start + chunk);
-      for (std::size_t i = 0; i < edges.size(); ++i)
-        if (i < start || i >= end) kept.push_back(edges[i]);
-      TestCase candidate = c;
-      candidate.graph =
-          from_edge_list(c.graph.num_vertices(), kept, c.graph);
-      if (prober.still_fails(candidate)) {
-        c = std::move(candidate);
-        edges = std::move(kept);
-        progress = removed_any = true;
-      } else {
-        start += chunk;
-      }
-      if (prober.exhausted()) break;
-    }
-    if (!removed_any) chunk /= 2;
-  }
-  return progress;
+bool shrink_vertices(TestCase& c, const FailurePredicate& fails) {
+  return ddmin(c, fails, c.graph.num_vertices(),
+               [](const TestCase& t, std::size_t begin, std::size_t end) {
+                 std::vector<bool> keep(t.graph.num_vertices(), true);
+                 for (std::size_t v = begin; v < end; ++v) keep[v] = false;
+                 TestCase candidate = t;
+                 candidate.graph = induced_subgraph(t.graph, keep);
+                 return candidate;
+               });
 }
 
-/// Pattern with vertex `drop` removed (edges re-indexed); empty optional
-/// when the remainder would be disconnected or too small.
+/// Edge drops keep every vertex (and its label).
+bool shrink_edges(TestCase& c, const FailurePredicate& fails) {
+  return ddmin(c, fails, c.graph.num_edges(),
+               [](const TestCase& t, std::size_t begin, std::size_t end) {
+                 auto edges = edge_list(t.graph);
+                 edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(begin),
+                             edges.begin() + static_cast<std::ptrdiff_t>(end));
+                 GraphBuilder builder(t.graph.num_vertices());
+                 for (const auto& [u, v] : edges) builder.add_edge(u, v);
+                 TestCase candidate = t;
+                 candidate.graph = builder.build();
+                 if (t.graph.is_labeled() && t.graph.num_vertices() > 0) {
+                   candidate.graph =
+                       candidate.graph.with_labels(t.graph.labels());
+                 }
+                 return candidate;
+               });
+}
+
+/// Pattern with vertex `drop` removed (edges re-indexed, labels follow).
 Pattern drop_pattern_vertex(const Pattern& p, std::size_t drop) {
   std::vector<std::pair<int, int>> edges;
   for (auto [u, v] : p.edges()) {
@@ -155,127 +103,35 @@ Pattern drop_pattern_vertex(const Pattern& p, std::size_t drop) {
   return Pattern(p.size() - 1, edges, std::move(labels));
 }
 
-bool shrink_pattern(TestCase& c, Prober& prober) {
+/// Drops pattern vertices (the larger reduction) and then pattern edges,
+/// one at a time, while the pattern stays connected and the case fails.
+bool shrink_pattern(TestCase& c, const FailurePredicate& fails) {
   bool progress = false;
-  // Vertex drops first (largest reduction), then edge drops.
-  bool changed = true;
-  while (changed && !prober.exhausted()) {
-    changed = false;
-    for (std::size_t v = 0; v < c.pattern.size() && c.pattern.size() > 2; ++v) {
-      const Pattern smaller = drop_pattern_vertex(c.pattern, v);
-      if (!smaller.is_connected()) continue;
-      TestCase candidate = c;
-      candidate.pattern = smaller;
-      if (prober.still_fails(candidate)) {
-        c = std::move(candidate);
-        progress = changed = true;
-        break;
+  const auto drop_each = [&](auto count, auto without) {
+    for (std::size_t i = 0; i < count();) {
+      Pattern smaller = without(i);
+      if (smaller.is_connected()) {
+        TestCase candidate = c;
+        candidate.pattern = std::move(smaller);
+        if (fails(candidate)) {
+          c = std::move(candidate);
+          progress = true;
+          i = 0;
+          continue;
+        }
       }
+      ++i;
     }
-  }
-  changed = true;
-  while (changed && !prober.exhausted()) {
-    changed = false;
-    const auto edges = c.pattern.edges();
-    for (std::size_t i = 0; i < edges.size() && edges.size() > 1; ++i) {
-      std::vector<std::pair<int, int>> kept;
-      for (std::size_t j = 0; j < edges.size(); ++j)
-        if (j != i) kept.push_back(edges[j]);
-      const Pattern smaller(c.pattern.size(), kept, c.pattern.label_vector());
-      if (!smaller.is_connected()) continue;
-      TestCase candidate = c;
-      candidate.pattern = smaller;
-      if (prober.still_fails(candidate)) {
-        c = std::move(candidate);
-        progress = changed = true;
-        break;
-      }
-    }
-  }
-  return progress;
-}
-
-/// Shrinks the registered-pattern axis of the multi-query lane: drop every
-/// extra standing pattern at once, then one at a time, keeping only what
-/// the failure needs.
-bool shrink_mqo(TestCase& c, Prober& prober) {
-  bool progress = false;
-  if (!c.mqo_patterns.empty() && !prober.exhausted()) {
-    TestCase candidate = c;
-    candidate.mqo_patterns.clear();
-    if (prober.still_fails(candidate)) {
-      c = std::move(candidate);
-      return true;
-    }
-  }
-  bool changed = true;
-  while (changed && !prober.exhausted()) {
-    changed = false;
-    for (std::size_t i = 0; i < c.mqo_patterns.size(); ++i) {
-      TestCase candidate = c;
-      candidate.mqo_patterns.erase(candidate.mqo_patterns.begin() +
-                                   static_cast<std::ptrdiff_t>(i));
-      if (prober.still_fails(candidate)) {
-        c = std::move(candidate);
-        progress = changed = true;
-        break;
-      }
-    }
-  }
-  return progress;
-}
-
-bool shrink_config(TestCase& c, Prober& prober) {
-  bool progress = false;
-  // Each step rewrites one knob to its simplest value (returning false when
-  // it is already there); kept only if the failure survives. Applied in a
-  // fixed order so minimization is stable.
-  const std::vector<std::function<bool(TestCase&)>> steps = {
-      [](TestCase& t) { return std::exchange(t.simt.device.num_blocks, 1u) != 1u; },
-      [](TestCase& t) {
-        return std::exchange(t.simt.device.warps_per_block, 1u) != 1u;
-      },
-      [](TestCase& t) { return std::exchange(t.simt.unroll, 1u) != 1u; },
-      [](TestCase& t) { return std::exchange(t.simt.chunk_size, 1u) != 1u; },
-      [](TestCase& t) { return std::exchange(t.simt.local_steal, false); },
-      [](TestCase& t) { return std::exchange(t.simt.global_steal, false); },
-      [](TestCase& t) { return std::exchange(t.simt.stop_level, 1u) != 1u; },
-      [](TestCase& t) { return std::exchange(t.simt.detect_level, 0u) != 0u; },
-      [](TestCase& t) {
-        return std::exchange(t.host.num_threads, std::size_t{1}) != 1u;
-      },
-      [](TestCase& t) {
-        return std::exchange(t.host.chunk_size, VertexId{1}) != 1u;
-      },
-      [](TestCase& t) { return !std::exchange(t.plan.code_motion, true); },
-      // Storage-backend reset near-last: a failure that survives on the raw
-      // CSR is an engine bug, not a storage bug, and the repro should say so.
-      [](TestCase& t) {
-        const bool changed =
-            t.storage_backend != storage::Backend::kUncompressed ||
-            t.storage_budget_bytes != 0;
-        t.storage_backend = storage::Backend::kUncompressed;
-        t.storage_budget_bytes = 0;
-        return changed;
-      },
-      // ISA-knob reset very last: a failure that survives on the auto
-      // dispatch is not a kernel-table bug; one that only reproduces under
-      // a pinned table is exactly the bit-exactness break the ISA lane
-      // hunts, and the repro must keep the pin.
-      [](TestCase& t) {
-        return std::exchange(t.forced_isa, simd::IsaChoice::kAuto) !=
-               simd::IsaChoice::kAuto;
-      },
   };
-  for (const auto& step : steps) {
-    if (prober.exhausted()) break;
-    TestCase candidate = c;
-    if (!step(candidate)) continue;  // knob already at its simplest value
-    if (prober.still_fails(candidate)) {
-      c = std::move(candidate);
-      progress = true;
-    }
-  }
+  drop_each([&] { return c.pattern.size() > 2 ? c.pattern.size() : 0; },
+            [&](std::size_t v) { return drop_pattern_vertex(c.pattern, v); });
+  drop_each(
+      [&] { return c.pattern.num_edges() > 1 ? c.pattern.num_edges() : 0; },
+      [&](std::size_t e) {
+        auto edges = c.pattern.edges();
+        edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
+        return Pattern(c.pattern.size(), edges, c.pattern.label_vector());
+      });
   return progress;
 }
 
@@ -286,23 +142,35 @@ MinimizeResult minimize(const TestCase& failing, const FailurePredicate& fails,
   STM_CHECK(static_cast<bool>(fails));
   MinimizeResult result;
   result.reduced = failing;
-  Prober prober(fails, opts);
-  if (!prober.still_fails(failing)) {
-    result.probes = prober.probes();
-    return result;  // still_failing = false: nothing to minimize
-  }
-  result.still_failing = true;
-  for (std::uint32_t round = 0; round < opts.max_rounds; ++round) {
+  // Every probe counts against the budget; once it is spent, probes report
+  // "not failing" and the passes wind down without shrinking further.
+  const auto exhausted = [&] { return result.probes >= opts.max_probes; };
+  const FailurePredicate probe = [&](const TestCase& candidate) {
+    if (exhausted()) return false;
+    ++result.probes;
+    // ddmin "unresolved" outcome: a shrink can produce a candidate the
+    // engines reject outright (e.g. a labeled pattern over a graph whose
+    // labeled vertices were all removed). Such a probe is not the failure
+    // being chased, so the chunk is kept.
+    try {
+      return fails(candidate);
+    } catch (const std::exception&) {
+      return false;
+    }
+  };
+  result.still_failing = probe(failing);
+  for (std::uint32_t round = 0; result.still_failing && round < opts.max_rounds;
+       ++round) {
     ++result.rounds;
-    bool progress = false;
-    progress |= shrink_vertices(result.reduced, prober);
-    progress |= shrink_edges(result.reduced, prober);
-    progress |= shrink_pattern(result.reduced, prober);
-    progress |= shrink_mqo(result.reduced, prober);
-    progress |= shrink_config(result.reduced, prober);
-    if (!progress || prober.exhausted()) break;
+    bool progress = shrink_vertices(result.reduced, probe);
+    progress |= shrink_edges(result.reduced, probe);
+    progress |= shrink_pattern(result.reduced, probe);
+    for (const Lane* lane : lanes_by_rank()) {
+      if (lane->shrink != nullptr)
+        progress |= lane->shrink(result.reduced, probe);
+    }
+    if (!progress || exhausted()) break;
   }
-  result.probes = prober.probes();
   return result;
 }
 

@@ -1,10 +1,10 @@
 // Delta-debugging case minimizer.
 //
 // Given a failing TestCase and a predicate that decides "still failing",
-// minimize() greedily shrinks the case along four axes until a fixpoint:
-// graph vertices (ddmin-style chunked removal of induced subsets), graph
-// edges, the pattern (vertex and edge drops that keep it connected), and
-// the engine configuration (stepping every knob toward its simplest value).
+// minimize() greedily shrinks the case until a fixpoint: graph vertices
+// (ddmin-style chunked removal of induced subsets), graph edges, the
+// pattern (vertex and edge drops that keep it connected), then each lane's
+// knobs toward their simplest values (lanes.hpp; the ISA pin last).
 // Every probe rebuilds a complete, self-consistent TestCase, so the result
 // replays through the same oracle as the original and serializes to a
 // .repro file that reproduces the failure on its own.
@@ -23,7 +23,7 @@ namespace stm::harness {
 using FailurePredicate = std::function<bool(const TestCase&)>;
 
 struct MinimizeOptions {
-  /// Full shrink passes over all four axes before giving up on progress.
+  /// Full shrink passes over every axis before giving up on progress.
   std::uint32_t max_rounds = 16;
   /// Hard cap on predicate evaluations (each is a full oracle run).
   std::uint64_t max_probes = 5000;

@@ -8,13 +8,15 @@
 // equal the full count). Exact agreement, never tolerance: counts are
 // integers and the paper's cross-system validation (§VIII) is bit-exact.
 //
-// Engines whose preconditions a case violates (vertex-induced semantics for
-// the incremental path, patterns under two vertices) are skipped and
-// recorded as such, so a disagreement report always lists which executors
-// actually voted.
+// Every executor but the reference is a lane (lanes.hpp); the lanes also
+// cover sharding, streams, storage backends and the multi-query index, all
+// under the case's SIMD pin. Lanes whose preconditions a case violates, or
+// whose size cap it exceeds, are skipped and recorded as such, so a
+// disagreement report always lists which executors actually voted.
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,49 +35,12 @@ enum class EngineKind : std::uint8_t {
   kStorage,        // engines re-run over the case's sampled storage backend
   kMqo,            // shared-prefix multi-query index vs per-pattern matchers
 };
-inline constexpr std::size_t kNumEngineKinds = 9;
 
 const char* to_string(EngineKind kind);
 
 struct OracleOptions {
-  bool run_host = true;
-  bool run_simt = true;
-  bool run_incremental = true;
-  bool run_sharded = true;
-  /// The incremental replay anchors one enumeration per (pattern edge x
-  /// delta edge x orientation); skip it for graphs past this many edges so
-  /// a fuzz trial stays O(engine run), not O(edges x engine run).
-  EdgeId incremental_max_edges = 300;
-  /// Same bound for the sharded lane (its cut-edge term is anchored work of
-  /// the same shape).
-  EdgeId sharded_max_edges = 300;
-  /// Streamed-embedding lane: every engine's drained stream must be
-  /// bit-identical (order included), the multiset must equal the reference
-  /// enumeration, and a paged cursor must concatenate to the full stream
-  /// with no duplicate or loss.
-  bool run_stream = true;
-  /// Skip the stream lane past this many expected matches (it materializes
-  /// every embedding several times over).
-  std::uint64_t stream_max_matches = 200000;
-  /// Storage lane: rebuild the case's graph under its sampled backend
-  /// (compressed / compressed+bitset / spill under a tiny budget) and
-  /// require bit-identical counts from the recursive, host and SIMT engines
-  /// plus a bit-identical reference enumeration order. Cases that sampled
-  /// kUncompressed skip the lane (the store would be the raw CSR).
-  bool run_storage = true;
-  /// Multi-query lane: register the case pattern plus its sampled
-  /// mqo_patterns in one shared-prefix PatternIndex and replay the graph as
-  /// a single batch over an edgeless base; every registration's indexed
-  /// delta must equal its per-pattern IncrementalMatcher delta and the
-  /// brute-force count, and collected embedding lists must equal
-  /// DeltaStreamer's bit for bit.
-  bool run_mqo = true;
-  /// Like incremental_max_edges: the lane's trie walks anchor per delta
-  /// edge, so skip graphs past this many edges.
-  EdgeId mqo_max_edges = 200;
-  /// Skip a registration's embedding-list comparison past this many
-  /// expected matches (the lists materialize every embedding twice over).
-  std::uint64_t mqo_max_matches = 20000;
+  /// Lanes not to run (reported as skipped). The reference always runs.
+  std::set<EngineKind> skip;
 };
 
 struct EngineCount {
@@ -86,9 +51,9 @@ struct EngineCount {
 struct OracleReport {
   /// The reference count (what every other executor must equal).
   std::uint64_t expected = 0;
-  /// One entry per executor that ran (reference first).
+  /// One entry per executor that ran (reference first, then table order).
   std::vector<EngineCount> counts;
-  /// Executors skipped because the case violates their preconditions.
+  /// Executors in OracleOptions::skip or inapplicable to the case.
   std::vector<EngineKind> skipped;
   bool agreed = true;
   /// Human-readable detail on non-count disagreements (stream order /

@@ -1,11 +1,12 @@
 #include "testing/repro.hpp"
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "util/check.hpp"
+#include "testing/lanes.hpp"
 
 namespace stm::harness {
 
@@ -13,88 +14,24 @@ namespace {
 
 constexpr const char* kMagic = "stmatch-repro";
 constexpr int kVersion = 1;
+constexpr PatternKeys kPatternKeys = {"pattern", "pe", "plabels"};
 
-void write_edges(std::ostream& os, const char* key,
-                 const std::vector<std::pair<VertexId, VertexId>>& edges) {
-  for (const auto& [u, v] : edges) os << key << " " << u << " " << v << "\n";
+void write_labels(std::ostream& os, const char* key,
+                  const std::vector<Label>& labels) {
+  os << key;
+  for (const Label l : labels) os << " " << +l;
+  os << "\n";
 }
 
-/// Tokenizing line reader: skips blank lines and `#` comments, splits each
-/// remaining line into whitespace-separated tokens, and remembers the raw
-/// line for error messages.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
-
-  /// Advances to the next non-empty line. Returns false at end of input.
-  bool next() {
-    std::string line;
-    while (std::getline(in_, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty() || line[0] == '#') continue;
-      raw_ = line;
-      tokens_.clear();
-      std::istringstream ls(line);
-      std::string tok;
-      while (ls >> tok) tokens_.push_back(std::move(tok));
-      if (!tokens_.empty()) return true;
-    }
-    return false;
+/// The optional `key l...` line of `count` labels after a graph or pattern;
+/// empty when absent.
+std::vector<Label> read_labels(ReproReader& reader, const char* key,
+                               std::size_t count) {
+  if (!reader.next()) return {};
+  if (!reader.key_is(key)) {
+    reader.unread();
+    return {};
   }
-
-  /// next() that throws instead of returning false.
-  void require_next(const char* what) {
-    STM_CHECK_MSG(next(), "repro ended early: expected " << what);
-  }
-
-  const std::string& raw() const { return raw_; }
-  const std::vector<std::string>& tokens() const { return tokens_; }
-  const std::string& key() const { return tokens_.front(); }
-
-  void expect_key(const char* key) const {
-    STM_CHECK_MSG(key_is(key), "repro: expected '" << key << "' but got \""
-                                                   << raw_ << "\"");
-  }
-  bool key_is(const char* key) const { return tokens_.front() == key; }
-
-  void expect_arity(std::size_t args) const {
-    STM_CHECK_MSG(tokens_.size() == args + 1,
-                  "repro: '" << key() << "' takes " << args
-                             << " value(s) but got \"" << raw_ << "\"");
-  }
-
-  std::uint64_t u64(std::size_t i) const {
-    STM_CHECK_MSG(i < tokens_.size(),
-                  "repro: missing value in \"" << raw_ << "\"");
-    const std::string& tok = tokens_[i];
-    std::uint64_t value = 0;
-    std::size_t used = 0;
-    try {
-      value = std::stoull(tok, &used, 0);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    STM_CHECK_MSG(used == tok.size() && tok[0] != '-',
-                  "repro: \"" << tok << "\" is not a number in \"" << raw_
-                              << "\"");
-    return value;
-  }
-
-  bool boolean(std::size_t i) const {
-    const std::uint64_t value = u64(i);
-    STM_CHECK_MSG(value <= 1, "repro: \"" << tokens_[i]
-                                          << "\" is not 0/1 in \"" << raw_
-                                          << "\"");
-    return value == 1;
-  }
-
- private:
-  std::istringstream in_;
-  std::string raw_;
-  std::vector<std::string> tokens_;
-};
-
-std::vector<Label> parse_labels(const LineReader& reader, std::size_t count) {
   reader.expect_arity(count);
   std::vector<Label> labels(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -109,35 +46,46 @@ std::vector<Label> parse_labels(const LineReader& reader, std::size_t count) {
 
 }  // namespace
 
+void write_pattern(std::ostream& os, const PatternKeys& keys,
+                   const Pattern& p) {
+  const auto edges = p.edges();
+  os << keys.size << " " << p.size() << " " << edges.size() << "\n";
+  for (const auto& [u, v] : edges)
+    os << keys.edge << " " << u << " " << v << "\n";
+  if (p.is_labeled()) write_labels(os, keys.labels, p.label_vector());
+}
+
+Pattern read_pattern(ReproReader& reader, const PatternKeys& keys,
+                     std::size_t min_size) {
+  reader.expect_next(keys.size, 2);
+  const std::uint64_t n = reader.u64(1);
+  const std::uint64_t m = reader.u64(2);
+  STM_CHECK_MSG(n >= min_size && n <= kMaxPatternSize,
+                "repro: " << keys.size << " size " << n << " out of range");
+  std::vector<std::pair<int, int>> edges;
+  for (std::uint64_t i = 0; i < m; ++i) {
+    reader.expect_next(keys.edge, 2);
+    const std::uint64_t u = reader.u64(1);
+    const std::uint64_t v = reader.u64(2);
+    STM_CHECK_MSG(u < n && v < n && u != v,
+                  "repro: bad pattern edge in \"" << reader.raw() << "\"");
+    edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
+  }
+  return Pattern(static_cast<std::size_t>(n), edges,
+                 read_labels(reader, keys.labels, n));
+}
+
 std::string to_repro(const TestCase& c) {
   std::ostringstream os;
   os << kMagic << " " << kVersion << "\n";
   os << "seed " << c.seed << "\n";
   os << "family " << to_string(c.family) << "\n";
-
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (VertexId u = 0; u < c.graph.num_vertices(); ++u)
-    for (VertexId v : c.graph.neighbors(u))
-      if (u < v) edges.emplace_back(u, v);
-  os << "graph " << c.graph.num_vertices() << " " << edges.size() << "\n";
-  write_edges(os, "e", edges);
-  if (c.graph.is_labeled()) {
-    os << "labels";
-    for (const Label l : c.graph.labels()) os << " " << +l;
-    os << "\n";
-  }
-
-  std::vector<std::pair<VertexId, VertexId>> pattern_edges;
-  for (const auto& [u, v] : c.pattern.edges())
-    pattern_edges.emplace_back(static_cast<VertexId>(u),
-                               static_cast<VertexId>(v));
-  os << "pattern " << c.pattern.size() << " " << pattern_edges.size() << "\n";
-  write_edges(os, "pe", pattern_edges);
-  if (c.pattern.is_labeled()) {
-    os << "plabels";
-    for (const Label l : c.pattern.label_vector()) os << " " << +l;
-    os << "\n";
-  }
+  os << "graph " << c.graph.num_vertices() << " " << c.graph.num_edges()
+     << "\n";
+  for (const auto& [u, v] : edge_list(c.graph))
+    os << "e " << u << " " << v << "\n";
+  if (c.graph.is_labeled()) write_labels(os, "labels", c.graph.labels());
+  write_pattern(os, kPatternKeys, c.pattern);
 
   os << "plan " << (c.plan.induced == Induced::kVertex ? "vertex" : "edge")
      << " "
@@ -150,64 +98,31 @@ std::string to_repro(const TestCase& c) {
      << (c.simt.global_steal ? 1 : 0) << " " << c.simt.stop_level << " "
      << c.simt.detect_level << "\n";
   os << "host " << c.host.num_threads << " " << c.host.chunk_size << "\n";
-  // Optional multi-query section (version-1 readers that predate it never
-  // wrote it): the extra standing patterns of the oracle's mqo lane.
-  if (!c.mqo_patterns.empty()) {
-    os << "mqo " << c.mqo_patterns.size() << "\n";
-    for (const Pattern& p : c.mqo_patterns) {
-      const auto mq_edges = p.edges();
-      os << "mq " << p.size() << " " << mq_edges.size() << "\n";
-      for (const auto& [u, v] : mq_edges) os << "mqe " << u << " " << v << "\n";
-      if (p.is_labeled()) {
-        os << "mqlabels";
-        for (const Label l : p.label_vector()) os << " " << +l;
-        os << "\n";
-      }
-    }
-  }
-  // Optional section (version-1 readers that predate it never wrote it):
-  // only non-default storage backends are recorded.
-  if (c.storage_backend != storage::Backend::kUncompressed) {
-    os << "storage " << storage::to_string(c.storage_backend) << " "
-       << c.storage_budget_bytes << "\n";
-  }
-  if (c.forced_isa != simd::IsaChoice::kAuto)
-    os << "isa " << simd::to_string(c.forced_isa) << "\n";
+  for (const Lane* lane : lanes_by_rank())
+    if (lane->write != nullptr) lane->write(os, c);
   os << "end\n";
   return os.str();
 }
 
 TestCase from_repro(const std::string& text) {
-  LineReader reader(text);
+  ReproReader reader(text);
 
-  reader.require_next("the magic line");
-  reader.expect_key(kMagic);
-  reader.expect_arity(1);
+  reader.expect_next(kMagic, 1);
   STM_CHECK_MSG(reader.u64(1) == static_cast<std::uint64_t>(kVersion),
                 "repro: unsupported version in \"" << reader.raw() << "\"");
 
   TestCase c;
-
-  reader.require_next("'seed'");
-  reader.expect_key("seed");
-  reader.expect_arity(1);
+  reader.expect_next("seed", 1);
   c.seed = reader.u64(1);
-
-  reader.require_next("'family'");
-  reader.expect_key("family");
-  reader.expect_arity(1);
+  reader.expect_next("family", 1);
   c.family = graph_family_from_string(reader.tokens()[1]);
 
-  reader.require_next("'graph'");
-  reader.expect_key("graph");
-  reader.expect_arity(2);
+  reader.expect_next("graph", 2);
   const std::uint64_t n = reader.u64(1);
   const std::uint64_t m = reader.u64(2);
   GraphBuilder builder(static_cast<VertexId>(n));
   for (std::uint64_t i = 0; i < m; ++i) {
-    reader.require_next("an 'e u v' edge line");
-    reader.expect_key("e");
-    reader.expect_arity(2);
+    reader.expect_next("e", 2);
     const std::uint64_t u = reader.u64(1);
     const std::uint64_t v = reader.u64(2);
     STM_CHECK_MSG(u < n && v < n, "repro: edge endpoint out of range in \""
@@ -215,42 +130,11 @@ TestCase from_repro(const std::string& text) {
     builder.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v));
   }
   c.graph = builder.build();
+  std::vector<Label> labels = read_labels(reader, "labels", n);
+  if (!labels.empty()) c.graph = c.graph.with_labels(std::move(labels));
+  c.pattern = read_pattern(reader, kPatternKeys, 1);
 
-  reader.require_next("'labels' or 'pattern'");
-  if (reader.key_is("labels")) {
-    c.graph = c.graph.with_labels(parse_labels(reader, n));
-    reader.require_next("'pattern'");
-  }
-
-  reader.expect_key("pattern");
-  reader.expect_arity(2);
-  const std::uint64_t pn = reader.u64(1);
-  const std::uint64_t pm = reader.u64(2);
-  STM_CHECK_MSG(pn >= 1 && pn <= kMaxPatternSize,
-                "repro: pattern size " << pn << " out of range");
-  std::vector<std::pair<int, int>> pattern_edges;
-  for (std::uint64_t i = 0; i < pm; ++i) {
-    reader.require_next("a 'pe u v' pattern edge line");
-    reader.expect_key("pe");
-    reader.expect_arity(2);
-    const std::uint64_t u = reader.u64(1);
-    const std::uint64_t v = reader.u64(2);
-    STM_CHECK_MSG(u < pn && v < pn && u != v,
-                  "repro: bad pattern edge in \"" << reader.raw() << "\"");
-    pattern_edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
-  }
-
-  reader.require_next("'plabels' or 'plan'");
-  std::vector<Label> pattern_labels;
-  if (reader.key_is("plabels")) {
-    pattern_labels = parse_labels(reader, pn);
-    reader.require_next("'plan'");
-  }
-  c.pattern = Pattern(static_cast<std::size_t>(pn), pattern_edges,
-                      std::move(pattern_labels));
-
-  reader.expect_key("plan");
-  reader.expect_arity(3);
+  reader.expect_next("plan", 3);
   const std::string& induced = reader.tokens()[1];
   STM_CHECK_MSG(induced == "edge" || induced == "vertex",
                 "repro: unknown induced mode in \"" << reader.raw() << "\"");
@@ -262,9 +146,7 @@ TestCase from_repro(const std::string& text) {
                                        : CountMode::kEmbeddings;
   c.plan.code_motion = reader.boolean(3);
 
-  reader.require_next("'simt'");
-  reader.expect_key("simt");
-  reader.expect_arity(8);
+  reader.expect_next("simt", 8);
   c.simt.device.num_blocks = static_cast<std::uint32_t>(reader.u64(1));
   c.simt.device.warps_per_block = static_cast<std::uint32_t>(reader.u64(2));
   c.simt.unroll = static_cast<std::uint32_t>(reader.u64(3));
@@ -278,69 +160,25 @@ TestCase from_repro(const std::string& text) {
                     c.simt.chunk_size >= 1,
                 "repro: simt knobs must be >= 1 in \"" << reader.raw() << "\"");
 
-  reader.require_next("'host'");
-  reader.expect_key("host");
-  reader.expect_arity(2);
+  reader.expect_next("host", 2);
   c.host.num_threads = static_cast<std::size_t>(reader.u64(1));
   c.host.chunk_size = static_cast<VertexId>(reader.u64(2));
   STM_CHECK_MSG(c.host.num_threads >= 1 && c.host.chunk_size >= 1,
                 "repro: host knobs must be >= 1 in \"" << reader.raw() << "\"");
 
-  reader.require_next("'mqo', 'storage', 'isa' or 'end'");
-  if (reader.key_is("mqo")) {
-    reader.expect_arity(1);
-    const std::uint64_t count = reader.u64(1);
-    // Each pattern ends with a lookahead read (its optional 'mqlabels'),
-    // so every iteration starts with the current line already loaded.
-    reader.require_next(count > 0 ? "an 'mq n m' line"
-                                  : "'storage', 'isa' or 'end'");
-    for (std::uint64_t k = 0; k < count; ++k) {
-      reader.expect_key("mq");
-      reader.expect_arity(2);
-      const std::uint64_t mqn = reader.u64(1);
-      const std::uint64_t mqm = reader.u64(2);
-      STM_CHECK_MSG(mqn >= 2 && mqn <= kMaxPatternSize,
-                    "repro: mqo pattern size " << mqn << " out of range");
-      std::vector<std::pair<int, int>> mq_edges;
-      for (std::uint64_t i = 0; i < mqm; ++i) {
-        reader.require_next("an 'mqe u v' line");
-        reader.expect_key("mqe");
-        reader.expect_arity(2);
-        const std::uint64_t u = reader.u64(1);
-        const std::uint64_t v = reader.u64(2);
-        STM_CHECK_MSG(u < mqn && v < mqn && u != v,
-                      "repro: bad mqo pattern edge in \"" << reader.raw()
-                                                          << "\"");
-        mq_edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
-      }
-      reader.require_next("'mqlabels', 'mq', 'storage', 'isa' or 'end'");
-      std::vector<Label> mq_labels;
-      if (reader.key_is("mqlabels")) {
-        mq_labels = parse_labels(reader, mqn);
-        reader.require_next("'mq', 'storage', 'isa' or 'end'");
-      }
-      c.mqo_patterns.emplace_back(static_cast<std::size_t>(mqn), mq_edges,
-                                  std::move(mq_labels));
-    }
+  // Lane sections (each optional, at most once, any order), then 'end'.
+  std::set<const Lane*> seen;
+  for (reader.require_next("a lane section or 'end'"); !reader.key_is("end");
+       reader.require_next("a lane section or 'end'")) {
+    const Lane* lane = nullptr;
+    for (const Lane& l : lanes())
+      if (l.section != nullptr && reader.key_is(l.section)) lane = &l;
+    STM_CHECK_MSG(lane != nullptr,
+                  "repro: unknown section in \"" << reader.raw() << "\"");
+    STM_CHECK_MSG(seen.insert(lane).second,
+                  "repro: repeated section in \"" << reader.raw() << "\"");
+    lane->read(reader, c);
   }
-  // Whether or not an mqo section was present, the current line is now the
-  // next section's ('storage', 'isa' or 'end').
-  if (reader.key_is("storage")) {
-    reader.expect_arity(2);
-    STM_CHECK_MSG(
-        storage::backend_from_string(reader.tokens()[1], c.storage_backend),
-        "repro: unknown storage backend in \"" << reader.raw() << "\"");
-    c.storage_budget_bytes = reader.u64(2);
-    reader.require_next("'isa' or 'end'");
-  }
-  if (reader.key_is("isa")) {
-    reader.expect_arity(1);
-    STM_CHECK_MSG(
-        simd::isa_choice_from_string(reader.tokens()[1].c_str(), &c.forced_isa),
-        "repro: unknown isa choice in \"" << reader.raw() << "\"");
-    reader.require_next("'end'");
-  }
-  reader.expect_key("end");
   STM_CHECK_MSG(!reader.next(),
                 "repro: trailing content after 'end': \"" << reader.raw()
                                                           << "\"");

@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/labeling.hpp"
 #include "pattern/matching_order.hpp"
+#include "testing/lanes.hpp"
 #include "util/check.hpp"
 
 namespace stm::harness {
@@ -161,49 +162,82 @@ Pattern tree_plus_edges(Rng& rng, std::size_t size) {
   return Pattern(size, edges);
 }
 
-}  // namespace
-
-GeneratedGraph random_graph(Rng& rng, const WorkloadOptions& opts) {
-  STM_CHECK(opts.min_vertices >= 2 && opts.max_vertices >= opts.min_vertices);
+/// Samples c.graph and c.family; 40% of the graphs are labeled.
+void random_graph(Rng& rng, const WorkloadOptions& opts, TestCase& c) {
+  STM_CHECK(opts.max_vertices >= kMinGraphVertices);
   const auto n = static_cast<VertexId>(
-      opts.min_vertices +
-      rng.next_below(opts.max_vertices - opts.min_vertices + 1));
-  GeneratedGraph result;
+      kMinGraphVertices +
+      rng.next_below(opts.max_vertices - kMinGraphVertices + 1));
   // Family mix: weighted toward the random families, with a steady trickle
   // of corner cases.
   const std::uint64_t pick = rng.next_below(10);
   if (pick < 3) {
-    result.family = GraphFamily::kErdosRenyi;
-    result.graph = make_erdos_renyi(n, 0.05 + 0.25 * rng.next_double(), rng());
+    c.family = GraphFamily::kErdosRenyi;
+    c.graph = make_erdos_renyi(n, 0.05 + 0.25 * rng.next_double(), rng());
   } else if (pick < 6) {
-    result.family = GraphFamily::kPowerLaw;
+    c.family = GraphFamily::kPowerLaw;
     if (rng.next_bool(0.5)) {
-      result.graph = make_barabasi_albert(
+      c.graph = make_barabasi_albert(
           n, 1 + static_cast<VertexId>(rng.next_below(4)), rng());
     } else {
-      result.graph = make_rmat(5 + static_cast<int>(rng.next_below(2)),
-                               3.0 + 3.0 * rng.next_double(), 0.45, 0.22, 0.22,
-                               rng());
+      c.graph = make_rmat(5 + static_cast<int>(rng.next_below(2)),
+                          3.0 + 3.0 * rng.next_double(), 0.45, 0.22, 0.22,
+                          rng());
     }
   } else if (pick < 8) {
-    result.family = GraphFamily::kBipartite;
-    result.graph = random_bipartite(rng, std::max<VertexId>(n, 6));
+    c.family = GraphFamily::kBipartite;
+    c.graph = random_bipartite(rng, std::max<VertexId>(n, 6));
   } else if (pick < 9) {
-    result.family = GraphFamily::kStarHeavy;
-    result.graph = random_star_heavy(rng, std::max<VertexId>(n / 2, 8));
+    c.family = GraphFamily::kStarHeavy;
+    c.graph = random_star_heavy(rng, std::max<VertexId>(n / 2, 8));
   } else {
-    result.family = GraphFamily::kCorner;
-    result.graph = random_corner(rng);
+    c.family = GraphFamily::kCorner;
+    c.graph = random_corner(rng);
   }
-  if (result.graph.num_vertices() > 0 && rng.next_bool(opts.labeled_prob)) {
-    const std::size_t num_labels = 2 + rng.next_below(opts.max_labels - 1);
-    result.graph = with_random_labels(result.graph, num_labels, rng());
+  if (c.graph.num_vertices() > 0 && rng.next_bool(0.4)) {
+    const std::size_t num_labels = 2 + rng.next_below(3);
+    c.graph = with_random_labels(c.graph, num_labels, rng());
   }
-  return result;
 }
 
+/// The matching-semantics knobs (induced / count mode / code motion).
+PlanOptions random_plan_options(Rng& rng) {
+  PlanOptions plan;
+  plan.induced = rng.next_bool(0.3) ? Induced::kVertex : Induced::kEdge;
+  plan.count_mode = rng.next_bool(0.3) ? CountMode::kUniqueSubgraphs
+                                       : CountMode::kEmbeddings;
+  plan.code_motion = !rng.next_bool(0.25);
+  return plan;
+}
+
+/// SIMT device shape, unroll, chunking and steal knobs. The v-range fields
+/// stay at full coverage (the oracle expects complete counts).
+EngineConfig random_engine_config(Rng& rng) {
+  EngineConfig cfg;
+  cfg.device.num_blocks = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+  cfg.device.warps_per_block =
+      1 + static_cast<std::uint32_t>(rng.next_below(6));
+  cfg.unroll = 1u << rng.next_below(4);  // 1, 2, 4, 8
+  cfg.chunk_size = 1 + static_cast<std::uint32_t>(rng.next_below(12));
+  cfg.local_steal = rng.next_bool(0.7);
+  cfg.global_steal = rng.next_bool(0.7);
+  cfg.stop_level = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+  cfg.detect_level = static_cast<std::uint32_t>(rng.next_below(3));
+  return cfg;
+}
+
+/// Host thread count and chunk size.
+HostEngineConfig random_host_config(Rng& rng) {
+  HostEngineConfig cfg;
+  cfg.num_threads = 1 + rng.next_below(4);
+  cfg.chunk_size = 1 + static_cast<VertexId>(rng.next_below(12));
+  return cfg;
+}
+
+}  // namespace
+
 Pattern random_pattern(Rng& rng, const WorkloadOptions& opts) {
-  STM_CHECK(opts.max_pattern_size >= 3 &&
+  STM_CHECK(opts.max_pattern_size >= kMinPatternCap &&
             opts.max_pattern_size <= kMaxPatternSize);
   // Disconnected-rejection probe: plan compilation must refuse disconnected
   // patterns. Running it inside the generator keeps the contract under the
@@ -228,121 +262,38 @@ Pattern random_pattern(Rng& rng, const WorkloadOptions& opts) {
   return p;
 }
 
-PlanOptions random_plan_options(Rng& rng, const WorkloadOptions& opts) {
-  PlanOptions plan;
-  plan.induced = rng.next_bool(opts.vertex_induced_prob) ? Induced::kVertex
-                                                         : Induced::kEdge;
-  plan.count_mode = rng.next_bool(opts.unique_subgraphs_prob)
-                        ? CountMode::kUniqueSubgraphs
-                        : CountMode::kEmbeddings;
-  plan.code_motion = !rng.next_bool(opts.no_code_motion_prob);
-  return plan;
+Pattern label_for_graph(Rng& rng, const Graph& graph, Pattern p) {
+  if (!graph.is_labeled()) return p;
+  std::vector<Label> labels(p.size());
+  for (auto& l : labels)
+    l = static_cast<Label>(
+        rng.next_below(std::max<std::size_t>(graph.num_labels(), 1)));
+  return p.with_labels(labels);
 }
 
-EngineConfig random_engine_config(Rng& rng) {
-  EngineConfig cfg;
-  cfg.device.num_blocks = 1 + static_cast<std::uint32_t>(rng.next_below(8));
-  cfg.device.warps_per_block =
-      1 + static_cast<std::uint32_t>(rng.next_below(6));
-  cfg.unroll = 1u << rng.next_below(4);  // 1, 2, 4, 8
-  cfg.chunk_size = 1 + static_cast<std::uint32_t>(rng.next_below(12));
-  cfg.local_steal = rng.next_bool(0.7);
-  cfg.global_steal = rng.next_bool(0.7);
-  cfg.stop_level = 1 + static_cast<std::uint32_t>(rng.next_below(4));
-  cfg.detect_level = static_cast<std::uint32_t>(rng.next_below(3));
-  return cfg;
-}
-
-HostEngineConfig random_host_config(Rng& rng) {
-  HostEngineConfig cfg;
-  cfg.num_threads = 1 + rng.next_below(4);
-  cfg.chunk_size = 1 + static_cast<VertexId>(rng.next_below(12));
-  return cfg;
+std::vector<std::pair<VertexId, VertexId>> edge_list(const Graph& g) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < g.num_vertices(); ++u)
+    for (VertexId v : g.neighbors(u))
+      if (u < v) edges.emplace_back(u, v);
+  return edges;
 }
 
 TestCase random_case(std::uint64_t seed, const WorkloadOptions& opts) {
   Rng rng(seed);
   TestCase c;
   c.seed = seed;
-  GeneratedGraph g = random_graph(rng, opts);
-  c.family = g.family;
-  c.graph = std::move(g.graph);
-  Pattern p = random_pattern(rng, opts);
-  if (c.graph.is_labeled()) {
-    const std::size_t universe = c.graph.num_labels();
-    std::vector<Label> labels(p.size());
-    for (auto& l : labels)
-      l = static_cast<Label>(rng.next_below(std::max<std::size_t>(universe, 1)));
-    p = p.with_labels(labels);
-  }
-  c.pattern = p;
-  c.plan = random_plan_options(rng, opts);
+  random_graph(rng, opts, c);
+  c.pattern = label_for_graph(rng, c.graph, random_pattern(rng, opts));
+  c.plan = random_plan_options(rng);
   c.simt = random_engine_config(rng);
   c.host = random_host_config(rng);
-  // Sharded-lane knobs from a derived stream, after everything else: the
-  // main stream's draws are untouched, so every pre-existing seed still
-  // yields the same (graph, pattern, knobs) bit for bit.
-  Rng shard_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  static constexpr std::uint32_t kShardCounts[] = {1, 2, 4, 8};
-  c.num_shards = kShardCounts[shard_rng.next_below(4)];
-  c.shard_strategy = static_cast<dist::PartitionStrategy>(
-      shard_rng.next_below(dist::kNumPartitionStrategies));
-  // Storage-lane knobs from a third derived stream, same reasoning: the
-  // backend draw must not perturb the shard draw (or vice versa).
-  Rng storage_rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
-  static constexpr storage::Backend kBackends[] = {
-      storage::Backend::kUncompressed, storage::Backend::kCompressed,
-      storage::Backend::kCompressedBitset, storage::Backend::kSpill};
-  c.storage_backend = kBackends[storage_rng.next_below(4)];
-  if (c.storage_backend == storage::Backend::kSpill)
-    c.storage_budget_bytes = 512ull << storage_rng.next_below(3);
-  // ISA-lane knob from a fourth derived stream: half the cases stay on the
-  // auto dispatch, the rest pin one kernel table (clamped by the oracle if
-  // this machine lacks it).
-  Rng isa_rng(seed ^ 0x165667b19e3779f9ULL);
-  static constexpr simd::IsaChoice kIsaChoices[] = {
-      simd::IsaChoice::kAuto, simd::IsaChoice::kScalar,
-      simd::IsaChoice::kSse42, simd::IsaChoice::kAvx2};
-  c.forced_isa = kIsaChoices[isa_rng.next_below(4)];
-  // Multi-query-lane knobs from a fifth derived stream: the extra standing
-  // patterns the oracle registers next to c.pattern. Duplicates of the case
-  // pattern stress canonical grouping, the prism / K_{3,3} pair stresses
-  // deep shared prefixes that must still diverge, and fresh samples stress
-  // arbitrary trie mixes.
-  Rng mqo_rng(seed ^ 0x94d049bb133111ebULL);
-  const std::size_t extras = mqo_rng.next_below(4);
-  for (std::size_t i = 0; i < extras; ++i) {
-    switch (mqo_rng.next_below(4)) {
-      case 0: {  // canonical-isomorphic relabeling of the case pattern
-        std::vector<std::size_t> perm(c.pattern.size());
-        for (std::size_t v = 0; v < perm.size(); ++v) perm[v] = v;
-        for (std::size_t v = perm.size(); v > 1; --v)
-          std::swap(perm[v - 1], perm[mqo_rng.next_below(v)]);
-        c.mqo_patterns.push_back(c.pattern.relabeled(perm));
-        break;
-      }
-      case 1:
-        c.mqo_patterns.push_back(
-            Pattern::parse("0-1,1-2,2-0,3-4,4-5,5-3,0-3,1-4,2-5"));  // prism
-        break;
-      case 2:
-        c.mqo_patterns.push_back(Pattern::parse(
-            "0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5"));  // K_{3,3}
-        break;
-      default: {
-        Pattern extra = random_pattern(mqo_rng, opts);
-        if (c.graph.is_labeled()) {
-          const std::size_t universe = c.graph.num_labels();
-          std::vector<Label> labels(extra.size());
-          for (auto& l : labels)
-            l = static_cast<Label>(
-                mqo_rng.next_below(std::max<std::size_t>(universe, 1)));
-          extra = extra.with_labels(labels);
-        }
-        c.mqo_patterns.push_back(std::move(extra));
-        break;
-      }
-    }
+  // Lane knobs after everything else, each from its own derived stream: the
+  // main stream's draws are untouched and lanes never perturb each other.
+  for (const Lane& lane : lanes()) {
+    if (lane.sample == nullptr) continue;
+    Rng lane_rng(seed ^ lane.salt);
+    lane.sample(lane_rng, opts, c);
   }
   return c;
 }
@@ -362,15 +313,9 @@ std::string describe(const TestCase& c) {
      << " unroll=" << c.simt.unroll << " blocks=" << c.simt.device.num_blocks
      << " wpb=" << c.simt.device.warps_per_block
      << " steal=" << (c.simt.local_steal ? 1 : 0)
-     << (c.simt.global_steal ? 1 : 0) << " threads=" << c.host.num_threads
-     << " shards=" << c.num_shards << "/"
-     << dist::to_string(c.shard_strategy)
-     << " storage=" << storage::to_string(c.storage_backend);
-  if (c.storage_backend == storage::Backend::kSpill)
-    os << "/" << c.storage_budget_bytes << "B";
-  if (c.forced_isa != simd::IsaChoice::kAuto)
-    os << " isa=" << simd::to_string(c.forced_isa);
-  if (!c.mqo_patterns.empty()) os << " mqo=" << c.mqo_patterns.size();
+     << (c.simt.global_steal ? 1 : 0) << " threads=" << c.host.num_threads;
+  for (const Lane& lane : lanes())
+    if (lane.describe != nullptr) lane.describe(os, c);
   return os.str();
 }
 

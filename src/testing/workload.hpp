@@ -42,26 +42,19 @@ const char* to_string(GraphFamily family);
 /// Inverse of to_string; throws check_error on unknown names.
 GraphFamily graph_family_from_string(const std::string& name);
 
+/// The generator's floors: graphs have at least kMinGraphVertices vertices
+/// (corner cases aside) and sampled patterns at least 3.
+inline constexpr VertexId kMinGraphVertices = 8;
+inline constexpr std::size_t kMinPatternCap = 3;
+
 struct WorkloadOptions {
-  VertexId min_vertices = 8;
+  /// Graph size cap, >= kMinGraphVertices.
   VertexId max_vertices = 64;
   /// Pattern sizes sampled uniformly in [3, max_pattern_size]; a size-2
   /// (single-edge) pattern is mixed in occasionally as its own corner case.
+  /// In [kMinPatternCap, kMaxPatternSize].
   std::size_t max_pattern_size = 6;
-  double labeled_prob = 0.4;
-  std::size_t max_labels = 4;
-  double vertex_induced_prob = 0.3;
-  double unique_subgraphs_prob = 0.3;
-  double no_code_motion_prob = 0.25;
 };
-
-struct GeneratedGraph {
-  Graph graph;
-  GraphFamily family = GraphFamily::kErdosRenyi;
-};
-
-/// One sampled data graph (labels attached per labeled_prob).
-GeneratedGraph random_graph(Rng& rng, const WorkloadOptions& opts = {});
 
 /// A connected pattern with at most opts.max_pattern_size vertices: random
 /// tree-plus-extra-edges shapes mixed with symmetry-rich fixed shapes
@@ -71,15 +64,12 @@ GeneratedGraph random_graph(Rng& rng, const WorkloadOptions& opts = {});
 /// check_error before resampling (a harness bug throws).
 Pattern random_pattern(Rng& rng, const WorkloadOptions& opts = {});
 
-/// Samples the matching-semantics knobs (induced / count mode / code motion).
-PlanOptions random_plan_options(Rng& rng, const WorkloadOptions& opts = {});
+/// `p` with labels drawn from `graph`'s label universe; unchanged (and no
+/// draw made) when the graph is unlabeled.
+Pattern label_for_graph(Rng& rng, const Graph& graph, Pattern p);
 
-/// Samples SIMT device shape, unroll, chunking and steal knobs. The v-range
-/// fields are left at full coverage (the oracle expects complete counts).
-EngineConfig random_engine_config(Rng& rng);
-
-/// Samples host thread count and chunk size.
-HostEngineConfig random_host_config(Rng& rng);
+/// The undirected edges of `g` as (u, v) with u < v, in CSR order.
+std::vector<std::pair<VertexId, VertexId>> edge_list(const Graph& g);
 
 /// One point of the configuration space.
 struct TestCase {
@@ -91,32 +81,25 @@ struct TestCase {
   PlanOptions plan;
   EngineConfig simt;
   HostEngineConfig host;
-  /// Sharded-lane knobs, sampled from an independent derived stream so
-  /// pre-existing seeds keep generating bit-identical cases.
-  std::uint32_t num_shards = 1;  // in {1, 2, 4, 8}
+  // Lane knobs; lanes.cpp samples, checks, minimizes and serializes each.
+  // The defaults are the simplest values: the lane is skipped or pinned to
+  // the raw path, and writes no .repro section.
+  /// Sharded lane: the partition the cross-shard coordinator runs over.
+  std::uint32_t num_shards = 1;
   dist::PartitionStrategy shard_strategy = dist::PartitionStrategy::kContiguous;
-  /// Storage-lane knobs, again from their own derived stream: the backend
-  /// the oracle re-runs the engines under (kUncompressed = lane skipped).
+  /// Storage lane: the backend the engines re-run over, and the spill
+  /// backend's page-cache budget.
   storage::Backend storage_backend = storage::Backend::kUncompressed;
-  /// Spill-backend page-cache budget, deliberately tiny so fuzz-sized
-  /// graphs still churn through eviction.
   std::uint64_t storage_budget_bytes = 0;
-  /// ISA-lane knob (own derived stream): the SIMD kernel table the oracle
-  /// forces for the whole case, so SIMD vs scalar bit-exactness is fuzzed
-  /// on whole-query counts. Sampled uniformly over all choices regardless
-  /// of what this machine supports (generation stays a pure function of the
-  /// seed everywhere); the oracle degrades unsupported levels to kAuto.
+  /// ISA pin: the SIMD kernel table the whole oracle runs under.
   simd::IsaChoice forced_isa = simd::IsaChoice::kAuto;
-  /// Multi-query-lane knob (own derived stream): 0-3 extra standing
-  /// patterns the oracle registers alongside `pattern` in one shared-prefix
-  /// index — canonical-isomorphic relabelings of the case pattern, the
-  /// prism / K_{3,3} near-collider pair, and independently sampled shapes —
-  /// so indexed deltas are fuzzed against the per-pattern matchers.
+  /// Multi-query lane: extra standing patterns registered next to `pattern`.
   std::vector<Pattern> mqo_patterns;
 };
 
 /// The fully derived case of `seed`: same seed, same case, bit for bit.
-/// Pattern labels are only drawn when the graph is labeled.
+/// Pattern labels are only drawn when the graph is labeled; each lane's
+/// knobs come from its own derived stream after the main one.
 TestCase random_case(std::uint64_t seed, const WorkloadOptions& opts = {});
 
 /// One-line human summary (family, sizes, knob settings) for logs.

@@ -3,14 +3,19 @@
 // detection, minimizer behavior, and .repro round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "pattern/canonical.hpp"
 #include "pattern/matching_order.hpp"
 #include "setops/simd.hpp"
+#include "testing/lanes.hpp"
 #include "testing/metamorphic.hpp"
 #include "testing/minimize.hpp"
 #include "testing/oracle.hpp"
@@ -78,7 +83,8 @@ TEST(HarnessWorkload, SameSeedSameCaseBitForBit) {
   for (std::uint64_t seed : {1ull, 99ull, 0xdeadbeefull}) {
     const TestCase a = random_case(seed);
     const TestCase b = random_case(seed);
-    // to_repro serializes every field, so equal text == equal case.
+    // to_repro writes every field (HarnessRepro.RoundTripsEveryField and
+    // HarnessLanes check that), so equal text == equal case.
     EXPECT_EQ(to_repro(a), to_repro(b)) << "seed " << seed;
   }
 }
@@ -268,6 +274,11 @@ TEST(HarnessMinimize, ShrinksSabotagedCaseToMinimalRepro) {
     EXPECT_TRUE(result.still_failing);
     EXPECT_FALSE(run_oracle(result.reduced).agreed)
         << "minimized case must still reproduce the failure";
+    // ...and so must the .repro written for it: every knob the failure
+    // needs has to survive serialization.
+    EXPECT_FALSE(run_oracle(from_repro(to_repro(result.reduced))).agreed)
+        << "minimized case must reproduce after a .repro round trip:\n"
+        << to_repro(result.reduced);
     // ISSUE acceptance bar: the off-by-one shrinks to <= 8 vertices. In
     // practice it lands on one data edge matching a single-edge pattern.
     EXPECT_LE(result.reduced.graph.num_vertices(), 8u)
@@ -354,7 +365,48 @@ TEST(HarnessRepro, RoundTripsEveryField) {
     EXPECT_EQ(back.plan.count_mode, c.plan.count_mode);
     EXPECT_EQ(back.simt.unroll, c.simt.unroll);
     EXPECT_EQ(back.host.num_threads, c.host.num_threads);
+    EXPECT_EQ(back.num_shards, c.num_shards);
+    EXPECT_EQ(back.shard_strategy, c.shard_strategy);
+    EXPECT_EQ(back.storage_backend, c.storage_backend);
+    EXPECT_EQ(back.storage_budget_bytes, c.storage_budget_bytes);
     EXPECT_EQ(back.forced_isa, c.forced_isa);
+    EXPECT_EQ(back.mqo_patterns, c.mqo_patterns);
+  }
+}
+
+TEST(HarnessRepro, FixturesReserializeByteForByte) {
+  // Files written by the format's writer from before the lane table (shard
+  // knobs at their defaults, so no `shards` line): a labeled graph, labeled
+  // and unlabeled mqo patterns, spill and compressed backends, ISA pins.
+  for (const std::uint64_t seed : {94ull, 109ull, 145ull, 160ull, 165ull}) {
+    const std::string path = std::string(STMATCH_TEST_DATA_DIR) +
+                             "/harness/seed-" + std::to_string(seed) +
+                             ".repro";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(to_repro(harness::load_repro(path)), text.str()) << path;
+    EXPECT_EQ(to_repro(random_case(seed)), text.str()) << path;
+  }
+}
+
+TEST(HarnessRepro, LaneSectionsRejectUnknownAndRepeatedKeys) {
+  TestCase c = random_case(7);
+  c.num_shards = 4;
+  c.shard_strategy = dist::PartitionStrategy::kHash;
+  const std::string text = to_repro(c);
+  ASSERT_NE(text.find("shards 4 hash\n"), std::string::npos) << text;
+  const std::size_t end = text.rfind("end\n");
+  EXPECT_THROW(from_repro(text.substr(0, end) + "shards 2 hash\nend\n"),
+               check_error);
+  EXPECT_THROW(from_repro(text.substr(0, end) + "bogus 1\nend\n"),
+               check_error);
+  for (const char* line : {"shards 4 zigzag", "shards 0 hash",
+                           "shards 4294967297 hash"}) {
+    std::string bad = text;
+    bad.replace(bad.find("shards 4 hash"), 13, line);
+    EXPECT_THROW(from_repro(bad), check_error) << line;
   }
 }
 
@@ -432,6 +484,103 @@ TEST(HarnessRepro, FileSaveLoadRoundTrip) {
   EXPECT_EQ(to_repro(back), to_repro(c));
   std::remove(path.c_str());
   EXPECT_THROW(harness::load_repro(path), check_error);
+}
+
+// ---------------------------------------------------------------------------
+// Lane table
+// ---------------------------------------------------------------------------
+
+/// The knobs of every lane that has any, printed, with their simplest
+/// values; listed in the order the minimizer must reset them (ISA last).
+struct LaneKnobs {
+  const char* lane;
+  std::string (*knobs)(const TestCase&);
+  const char* simplest;
+};
+
+const LaneKnobs kLaneKnobs[] = {
+    {"mqo",
+     [](const TestCase& c) {
+       std::string s;
+       for (const Pattern& p : c.mqo_patterns) s += p.to_string() + ";";
+       return s;
+     },
+     ""},
+    {"sharded",
+     [](const TestCase& c) {
+       return std::to_string(c.num_shards) + "/" +
+              dist::to_string(c.shard_strategy);
+     },
+     "1/contiguous"},
+    {"storage",
+     [](const TestCase& c) {
+       return std::string(storage::to_string(c.storage_backend)) + "/" +
+              std::to_string(c.storage_budget_bytes);
+     },
+     "uncompressed/0"},
+    {"isa",
+     [](const TestCase& c) {
+       return std::string(simd::to_string(c.forced_isa));
+     },
+     "auto"},
+};
+
+TEST(HarnessLanes, KnobsRoundTripAndMinimizeToSimplestValues) {
+  // Every lane that writes a .repro section is listed above.
+  for (const harness::Lane& lane : harness::lanes()) {
+    if (lane.section == nullptr) continue;
+    EXPECT_TRUE(std::any_of(std::begin(kLaneKnobs), std::end(kLaneKnobs),
+                            [&lane](const LaneKnobs& k) {
+                              return std::string(k.lane) == lane.name;
+                            }))
+        << lane.name << " has a .repro section but no kLaneKnobs row";
+  }
+
+  const auto always = [](const TestCase&) { return true; };
+  std::set<std::string> exercised;
+  const TestCase* every_lane_off = nullptr;
+  std::vector<TestCase> cases;
+  for (std::uint64_t i = 0; i < 64; ++i)
+    cases.push_back(random_case(derive_seed(0x1a9e, i)));
+  for (const TestCase& c : cases) {
+    const TestCase back = from_repro(to_repro(c));
+    const TestCase reduced = minimize(c, always).reduced;
+    bool all_off = true;
+    for (const LaneKnobs& k : kLaneKnobs) {
+      EXPECT_EQ(k.knobs(back), k.knobs(c))
+          << k.lane << " knobs lost in a .repro round trip, seed " << c.seed;
+      EXPECT_EQ(k.knobs(reduced), k.simplest)
+          << k.lane << " knobs not minimized, seed " << c.seed;
+      if (k.knobs(c) != k.simplest) {
+        exercised.insert(k.lane);
+      } else {
+        all_off = false;
+      }
+    }
+    if (all_off && every_lane_off == nullptr) every_lane_off = &c;
+  }
+  EXPECT_EQ(exercised.size(), std::size(kLaneKnobs));
+
+  // Reset order: each lane's knobs first reach their simplest values in
+  // table order, and the ISA reset is the minimizer's very last probe.
+  ASSERT_NE(every_lane_off, nullptr) << "no seed sets every lane's knobs";
+  std::vector<TestCase> probes;
+  minimize(*every_lane_off, [&probes](const TestCase& t) {
+    probes.push_back(t);
+    return true;
+  });
+  std::size_t previous = 0;
+  for (const LaneKnobs& k : kLaneKnobs) {
+    const auto at = std::find_if(probes.begin(), probes.end(),
+                                 [&k](const TestCase& t) {
+                                   return k.knobs(t) == k.simplest;
+                                 });
+    ASSERT_NE(at, probes.end()) << k.lane;
+    const auto index = static_cast<std::size_t>(at - probes.begin());
+    EXPECT_GT(index, previous) << k.lane << " reset out of order";
+    previous = index;
+  }
+  EXPECT_EQ(previous, probes.size() - 1) << "the ISA reset must run last";
 }
 
 }  // namespace

@@ -682,8 +682,8 @@ TEST(StreamDifferential, OracleStreamLaneAgreesOnFuzzCases) {
   harness::WorkloadOptions wopts;
   wopts.max_vertices = 40;
   harness::OracleOptions oopts;
-  oopts.run_incremental = false;  // covered by its own differential suite
-  oopts.run_sharded = false;
+  // Both are covered by their own differential suites.
+  oopts.skip = {harness::EngineKind::kIncremental, harness::EngineKind::kSharded};
   int lane_ran = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const harness::TestCase c = harness::random_case(seed, wopts);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,8 +41,10 @@ void print_usage() {
       "  --trials=N             cases to sample (default 200)\n"
       "  --seed=S               base seed; STMATCH_FUZZ_SEED overrides\n"
       "                         (default 42)\n"
-      "  --max-vertices=N       graph size cap (default 64)\n"
-      "  --max-pattern=N        pattern size cap, <= 6 (default 6)\n"
+      "  --max-vertices=N       graph size cap, >= " << kMinGraphVertices
+            << " (default 64)\n"
+      "  --max-pattern=N        pattern size cap, in [" << kMinPatternCap
+            << ", " << kMaxPatternSize << "] (default 6)\n"
       "  --metamorphic-every=N  run relation suite every Nth case, 0 = off\n"
       "                         (default 10)\n"
       "  --no-incremental       skip the incremental-replay oracle engine\n"
@@ -73,11 +76,9 @@ std::vector<std::string> join_spaced_args(int argc, char** argv) {
   return args;
 }
 
-int replay(const std::string& path, bool run_incremental) {
+int replay(const std::string& path, const OracleOptions& opts) {
   const TestCase c = load_repro(path);
   std::cout << "replaying " << path << "\n  " << describe(c) << "\n";
-  OracleOptions opts;
-  opts.run_incremental = run_incremental;
   const OracleReport report = run_oracle(c, opts);
   std::cout << report.describe();
   const MetamorphicReport meta = check_metamorphic(c, c.seed);
@@ -127,8 +128,10 @@ int main(int argc, char** argv) {
     }
 
     const bool run_incremental = !options.get_bool("no-incremental", false);
+    OracleOptions oracle_opts;
+    if (!run_incremental) oracle_opts.skip.insert(EngineKind::kIncremental);
     if (options.has("replay"))
-      return replay(options.get("replay", ""), run_incremental);
+      return replay(options.get("replay", ""), oracle_opts);
 
     const std::uint64_t trials =
         static_cast<std::uint64_t>(options.get_int("trials", 200));
@@ -140,18 +143,22 @@ int main(int argc, char** argv) {
     const std::string out_dir = options.get("out", ".");
     const bool quiet = options.get_bool("quiet", false);
 
+    // Checked against the generator's bounds here, before any trial runs.
     WorkloadOptions workload;
-    workload.max_vertices = static_cast<VertexId>(
-        options.get_int("max-vertices", workload.max_vertices));
-    workload.max_pattern_size = static_cast<std::size_t>(
-        options.get_int("max-pattern",
-                        static_cast<std::int64_t>(workload.max_pattern_size)));
-    STM_CHECK_MSG(workload.max_pattern_size >= 2 &&
-                      workload.max_pattern_size <= kMaxPatternSize,
-                  "--max-pattern must be in [2, " << kMaxPatternSize << "]");
-
-    OracleOptions oracle_opts;
-    oracle_opts.run_incremental = run_incremental;
+    const std::int64_t max_vertices =
+        options.get_int("max-vertices", workload.max_vertices);
+    STM_CHECK_MSG(max_vertices >= kMinGraphVertices &&
+                      max_vertices <= std::numeric_limits<VertexId>::max(),
+                  "--max-vertices must be in [" << kMinGraphVertices << ", "
+                      << std::numeric_limits<VertexId>::max() << "]");
+    workload.max_vertices = static_cast<VertexId>(max_vertices);
+    const std::int64_t max_pattern = options.get_int(
+        "max-pattern", static_cast<std::int64_t>(workload.max_pattern_size));
+    STM_CHECK_MSG(max_pattern >= static_cast<std::int64_t>(kMinPatternCap) &&
+                      max_pattern <= static_cast<std::int64_t>(kMaxPatternSize),
+                  "--max-pattern must be in [" << kMinPatternCap << ", "
+                                               << kMaxPatternSize << "]");
+    workload.max_pattern_size = static_cast<std::size_t>(max_pattern);
 
     std::cout << "fuzz_match: " << trials << " trials, base seed " << seed
               << (run_incremental ? "" : ", incremental oracle off") << "\n";
