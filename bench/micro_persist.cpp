@@ -1,8 +1,9 @@
 // Micro-benchmarks of the durability subsystem: apply-path throughput with
-// the WAL off / on (buffered) / on (fsync), checkpoint install cost, and
-// recovery replay speed. The WAL-off vs. WAL-on buffered gap is the
-// write-ahead overhead itself (encode + crc + write); fsync adds the
-// device's flush latency per batch. Baselines recorded in EXPERIMENTS.md.
+// the WAL off / on (buffered) / on (fsync), checkpoint install cost,
+// recovery replay speed, and CRC-32 throughput per kernel. The WAL-off vs.
+// WAL-on buffered gap is the write-ahead overhead itself (encode + crc +
+// write); fsync adds the device's flush latency per batch. Baselines
+// recorded in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
+#include "persist/codec.hpp"
 #include "persist/wal.hpp"
 #include "service/service.hpp"
 
@@ -126,5 +128,27 @@ void BM_WalAppendRaw(benchmark::State& state) {
   fs::remove_all(dir);
 }
 BENCHMARK(BM_WalAppendRaw)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
+
+/// CRC-32 throughput over range(0) bytes of random data (64 B is a small WAL
+/// record, 4-64 KiB the page sizes); range(1) selects 0 = the dispatched
+/// crc32(), 1 = the byte loop.
+void BM_Crc32(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const bool bytewise = state.range(1) == 1;
+  std::string buf(bytes, '\0');
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (char& c : buf) c = static_cast<char>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(buf.data());
+    const std::uint32_t crc = bytewise
+                                  ? persist::detail::crc32_bytewise(0, buf)
+                                  : persist::crc32(buf);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.SetLabel(bytewise ? "bytewise" : persist::crc32_kernel());
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{64, 4096, 16384, 65536}, {0, 1}});
 
 }  // namespace

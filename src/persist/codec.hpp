@@ -18,7 +18,34 @@ namespace stm::persist {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) over `data`.
 /// Matches zlib's crc32() so external tooling can cross-check frames.
+/// Dispatches, once from CPUID, to the PCLMULQDQ folding kernel when the
+/// build and the CPU support it and to the byte-at-a-time table loop
+/// otherwise; both return the same value for every input.
 std::uint32_t crc32(std::string_view data);
+
+/// The kernel crc32() dispatches to: "pclmul" or "bytewise".
+const char* crc32_kernel() noexcept;
+
+// Internal: the two kernels, exposed for the conformance tests and the
+// benchmarks. Both follow zlib's chaining convention:
+// kernel(kernel(0, a), b) == kernel(0, a + b), and kernel(0, x) == crc32(x).
+namespace detail {
+using Crc32Kernel = std::uint32_t (*)(std::uint32_t crc,
+                                      std::string_view data) noexcept;
+
+/// Byte-at-a-time table loop: the portable path, the PCLMUL kernel's tail,
+/// and the reference the PCLMUL kernel is tested against.
+std::uint32_t crc32_bytewise(std::uint32_t crc, std::string_view data) noexcept;
+
+/// The PCLMULQDQ kernel if the build has it and the CPU can execute it,
+/// nullptr otherwise.
+Crc32Kernel crc32_pclmul() noexcept;
+
+/// The PCLMULQDQ kernel as compiled (persist/crc32_clmul.cpp), without the
+/// CPU check; nullptr when the build lacks it (STMATCH_SIMD=OFF, a non-x86
+/// target, or a compiler without -mpclmul).
+Crc32Kernel crc32_pclmul_compiled() noexcept;
+}  // namespace detail
 
 /// Appends little-endian scalars and length-prefixed strings to a buffer.
 class BinaryWriter {

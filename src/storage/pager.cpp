@@ -45,12 +45,9 @@ std::shared_ptr<const std::string> PageCache::fetch_validated(
 
 void PageCache::evict_locked(std::uint32_t keep_page) {
   if (budget_ == 0) return;
-  std::size_t resident = 0;
-  for (const auto& f : frames_)
-    if (f.data) ++resident;
   // Clock sweep: clear reference bits until a victim turns up. Bounded by
   // 2 passes over the table per eviction; always keeps `keep_page`.
-  while (resident_bytes_ > budget_ && resident > 1) {
+  while (resident_bytes_ > budget_ && resident_frames_ > 1) {
     for (std::size_t step = 0; step < 2 * frames_.size(); ++step) {
       Frame& f = frames_[clock_hand_];
       const std::uint32_t victim = clock_hand_;
@@ -62,7 +59,7 @@ void PageCache::evict_locked(std::uint32_t keep_page) {
       }
       resident_bytes_ -= f.data->size();
       f.data.reset();
-      --resident;
+      --resident_frames_;
       evictions_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
@@ -82,6 +79,7 @@ std::shared_ptr<const std::string> PageCache::get_page(std::uint32_t page) {
   f.data = data;
   f.referenced = true;
   resident_bytes_ += data->size();
+  ++resident_frames_;
   evict_locked(page);
   return data;
 }

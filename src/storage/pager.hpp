@@ -67,6 +67,7 @@ class PageCache {
   std::vector<Frame> frames_;
   std::uint32_t clock_hand_ = 0;
   std::uint64_t resident_bytes_ = 0;
+  std::size_t resident_frames_ = 0;  // frames whose data is set
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> faults_{0};
   std::atomic<std::uint64_t> evictions_{0};

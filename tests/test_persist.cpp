@@ -1,6 +1,7 @@
-// Tests for the durability subsystem (DESIGN.md §13): WAL framing and
-// torn-tail semantics, checkpoint atomicity and fallback, session crash
-// recovery, the kill-point matrix, and chaos-injected durability.
+// Tests for the durability subsystem (DESIGN.md §13): CRC-32 kernel
+// conformance, WAL framing and torn-tail semantics, checkpoint atomicity and
+// fallback, session crash recovery, the kill-point matrix, and
+// chaos-injected durability.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "service/service.hpp"
 #include "service/stream.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace stm {
 namespace {
@@ -105,6 +109,62 @@ std::uint64_t count_matches(GraphSession& s, const Pattern& pattern) {
 
 std::uint64_t count_triangles(GraphSession& s) {
   return count_matches(s, triangle());
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 codec
+// ---------------------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial; shares no
+/// table or kernel with the code under test.
+std::uint32_t reference_crc32(std::string_view data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k)
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(PersistCodec, CheckValueAndEmptyInput) {
+  EXPECT_EQ(persist::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(persist::crc32(""), 0u);
+  EXPECT_EQ(persist::detail::crc32_bytewise(0, "123456789"), 0xCBF43926u);
+  const persist::detail::Crc32Kernel pclmul = persist::detail::crc32_pclmul();
+  EXPECT_STREQ(persist::crc32_kernel(), pclmul ? "pclmul" : "bytewise");
+  if (pclmul) {
+    EXPECT_EQ(pclmul(0, "123456789"), 0xCBF43926u);
+    EXPECT_EQ(pclmul(0, ""), 0u);
+  }
+}
+
+TEST(PersistCodec, KernelsMatchBitwiseReferenceAtEveryOffsetAndLength) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n : {4095, 4096, 4097, 16383, 16384, 16385, 65543})
+    lengths.push_back(n);
+  // Compared only where the build and the CPU both support it.
+  const persist::detail::Crc32Kernel pclmul = persist::detail::crc32_pclmul();
+  Rng rng(15);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (const std::size_t n : lengths) {
+      // Exactly sized heap buffer: a kernel reading past data + n is an
+      // ASan heap-buffer-overflow.
+      const auto buf = std::make_unique<char[]>(offset + n);
+      for (std::size_t i = 0; i < offset + n; ++i)
+        buf[i] = static_cast<char>(rng());
+      const std::string_view data(buf.get() + offset, n);
+      const std::uint32_t want = reference_crc32(data);
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                   std::to_string(n));
+      ASSERT_EQ(persist::crc32(data), want);
+      ASSERT_EQ(persist::detail::crc32_bytewise(0, data), want);
+      if (pclmul) {
+        ASSERT_EQ(pclmul(0, data), want);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
