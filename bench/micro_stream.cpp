@@ -1,10 +1,12 @@
 // Micro-benchmarks of the streaming results subsystem: the cost of emitting
 // embeddings vs. counting them, stream throughput as a function of the
-// backpressure buffer, and the producer stall fraction a slow consumer
-// causes (EXPERIMENTS.md records the baseline expectations).
+// backpressure buffer, the producer stall fraction a slow consumer causes,
+// and the cost of a resumed page by stream position (EXPERIMENTS.md records
+// the baseline expectations).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,6 +97,50 @@ void BM_StreamBufferSweep(benchmark::State& state) {
       (after - before) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_StreamBufferSweep)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
+
+/// One 1,000-embedding page resumed at Arg(0) percent of the stream, its
+/// token minted before the timed loop. A resumed page seeks to its position,
+/// so its cost follows what it delivers and how many outer vertices that
+/// spans, not how much of the stream lies before it.
+void BM_ResumedPage(benchmark::State& state) {
+  GraphSession& session = shared_session();
+  constexpr std::uint64_t kPage = 1000;
+  std::uint64_t total = 0;
+  {
+    auto s = session.open_stream(triangle_stream(1, 4096));
+    Embedding e;
+    while (s->next(&e)) ++total;
+  }
+  const std::uint64_t position =
+      total * static_cast<std::uint64_t>(state.range(0)) / 100;
+  std::string token;
+  if (position > 0) {
+    StreamRequest req = triangle_stream(1, 4096);
+    req.stream.limit = position;
+    auto s = session.open_stream(std::move(req));
+    Embedding e;
+    while (s->next(&e)) {
+    }
+    token = s->resume_token();
+  }
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    StreamRequest req = triangle_stream(1, 4096);
+    req.stream.limit = kPage;
+    req.stream.resume_token = token;
+    auto s = session.open_stream(std::move(req));
+    Embedding e;
+    delivered = 0;
+    while (s->next(&e)) {
+      ++delivered;
+      benchmark::DoNotOptimize(e);
+    }
+    benchmark::DoNotOptimize(s->result());
+  }
+  state.counters["position"] = static_cast<double>(position);
+  state.counters["delivered"] = static_cast<double>(delivered);
+}
+BENCHMARK(BM_ResumedPage)->Arg(0)->Arg(25)->Arg(50)->Arg(75)->UseRealTime();
 
 /// Top-k keeps a bounded heap instead of materializing the stream.
 void BM_TopK(benchmark::State& state) {

@@ -2,8 +2,8 @@
 //
 // When an engine runs with a non-null EmbeddingSink it posts every matched
 // embedding, grouped into *buckets* keyed by a deterministic ordering id.
-// A bucket is the engine's natural unit of outer-loop work — a host-engine
-// chunk ordinal, a SIMT outer-loop virtual index — chosen so that
+// Every engine posts one bucket per outer-loop vertex (host and reference:
+// v - v_begin; SIMT: the virtual outer index (v - v_begin) / v_stride), so
 //
 //   (a) bucket ids form a dense range [0, num_buckets) announced via begin(),
 //   (b) concatenating buckets 0, 1, 2, ... yields the extension-tree DFS
@@ -15,7 +15,9 @@
 //
 // The sink (stm::stream::EmitPipeline) re-merges buckets into the single
 // global order; the engine stays ignorant of backpressure policy, fault
-// injection at the transport (kEmitDrop), and vertex-order remapping.
+// injection at the transport (kEmitDrop), vertex-order remapping, and the
+// head bucket a resumed stream puts ahead of the engine's bucket 0 (the rest
+// of the cursor's outer vertex, which the engine's range starts after).
 //
 // Embeddings are posted in *plan order*: embedding[i] is the data vertex
 // matched at plan position i (the reordered pattern's vertex i). The stream

@@ -46,18 +46,13 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
   }
   const VertexId n = g.num_vertices();
   std::atomic<VertexId> cursor{cfg.v_begin};
+  // An emitting run claims one outer vertex per grab, so a bucket is posted
+  // as soon as its vertex is done and is never staged beside its neighbours.
+  const VertexId grab = sink != nullptr ? 1 : cfg.chunk_size;
   // Emission is disabled for the rest of the run once the sink reports the
   // stream aborted/failed; counting continues unaffected.
   std::atomic<bool> emit_stop{false};
-  if (sink != nullptr) {
-    const std::uint64_t num_buckets =
-        cfg.v_begin >= n
-            ? 0
-            : (static_cast<std::uint64_t>(n - cfg.v_begin) + cfg.chunk_size -
-               1) /
-                  cfg.chunk_size;
-    sink->begin(num_buckets);
-  }
+  if (sink != nullptr) sink->begin(cfg.v_begin >= n ? 0 : n - cfg.v_begin);
   std::atomic<bool> interrupted{false};
   std::atomic<bool> budget_exhausted{false};
   std::atomic<std::size_t> active_chunks{0};
@@ -149,9 +144,9 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
           }
           if (!have) {
             const VertexId begin =
-                cursor.fetch_add(cfg.chunk_size, std::memory_order_relaxed);
+                cursor.fetch_add(grab, std::memory_order_relaxed);
             if (begin < n) {
-              chunk = {begin, std::min<VertexId>(n, begin + cfg.chunk_size), 0};
+              chunk = {begin, std::min<VertexId>(n, begin + grab), 0};
               have = true;
             }
           }
@@ -208,9 +203,8 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
             // must not enter the stream (the drained prefix would no longer
             // be bucket-aligned and thus not reproducible).
             if (emitting && (cancel == nullptr || !cancel->expired())) {
-              const std::uint64_t bucket =
-                  (chunk.begin - cfg.v_begin) / cfg.chunk_size;
-              pending.emplace_back(bucket, std::move(staged));
+              pending.emplace_back(chunk.begin - cfg.v_begin,
+                                   std::move(staged));
               flush_pending(/*blocking=*/false);
             }
           }

@@ -21,10 +21,11 @@ namespace stm {
 struct HostEngineConfig {
   /// Worker threads (0 = hardware concurrency).
   std::size_t num_threads = 0;
-  /// Outer-loop vertices claimed per work grab.
+  /// Outer-loop vertices claimed per work grab by a counting run (a run
+  /// with a sink claims one vertex per grab, see host_match).
   VertexId chunk_size = 16;
-  /// First outer-loop vertex (cursor start). Lets a resumed stream skip the
-  /// prefix already delivered to the client.
+  /// First outer-loop vertex (cursor start). A resumed stream starts the
+  /// engine at the vertex after its cursor's (service/stream.hpp).
   VertexId v_begin = 0;
   /// Deterministic fault-injection schedule (off by default). Sites
   /// interpreted here: kHostTask (a chunk's partial work is discarded and
@@ -46,12 +47,14 @@ struct HostMatchResult {
 /// early with the partial count and stats.status = kDeadlineExceeded /
 /// kCancelled.
 ///
-/// With a non-null `sink` the engine also emits every matched embedding:
-/// bucket id = chunk ordinal ((chunk.begin - v_begin) / chunk_size), dense
-/// and ascending in outer-loop vertex, so the sequenced stream is the plan's
-/// DFS order. A chunk's bucket is posted only after the chunk completed
-/// exactly (interrupted or kHostTask-failed chunks are never posted, keeping
-/// the stream exact; a retried chunk posts on its successful attempt).
+/// With a non-null `sink` the engine also emits every matched embedding.
+/// Such a run claims one outer vertex per grab (chunk_size then only governs
+/// counting runs), so bucket id = v - v_begin: dense, ascending in outer-loop
+/// vertex, and the same bucket space as the SIMT and reference producers.
+/// The sequenced stream is the plan's DFS order. A vertex's bucket is posted
+/// only after it enumerated exactly (interrupted or kHostTask-failed units
+/// are never posted, keeping the stream exact; a retried unit posts on its
+/// successful attempt).
 /// Workers never block on backpressure while claimable work (including retry
 /// chunks) exists — completed buckets park in a per-worker pending list and
 /// are flushed opportunistically, with a final blocking flush at exit.

@@ -59,6 +59,24 @@ class RecExec {
     return recurse(2);
   }
 
+  /// Seek walk: the stack is set on `after`'s path, each level starting at
+  /// lower_bound(after[l]) of its candidate list, so the walk visits exactly
+  /// the embeddings of outer vertex after[0] that follow `after` in DFS order.
+  std::uint64_t run_after(const std::vector<VertexId>& after,
+                          const EmbeddingVisitor* visit) {
+    STM_CHECK(after.size() == k_);
+    visit_ = visit;
+    stopped_ = false;
+    const VertexId v0 = after[0];
+    if (k_ == 1 || v0 >= g_.num_vertices() ||
+        !label_ok(plan_.exact_mask(0), v0))
+      return 0;
+    matched_[0] = v0;
+    bump_partials(0);
+    materialize_entry(1);
+    return seek(1, after);
+  }
+
   std::vector<std::pair<VertexId, VertexId>> seeds() {
     std::vector<std::pair<VertexId, VertexId>> out;
     const auto mask = plan_.exact_mask(0);
@@ -171,11 +189,31 @@ class RecExec {
     return recurse(1);
   }
 
-  std::uint64_t recurse(std::size_t l) {
+  /// Level l of the seek walk: `after[l]` itself continues on the path (a
+  /// leaf is strictly after it), every larger candidate is walked in full.
+  std::uint64_t seek(std::size_t l, const std::vector<VertexId>& after) {
+    const auto& c = cand(l);
+    std::size_t idx = static_cast<std::size_t>(
+        std::lower_bound(c.begin(), c.end(), after[l]) - c.begin());
+    std::uint64_t total = 0;
+    if (idx < c.size() && c[idx] == after[l]) {
+      if (l + 1 < k_ && choice_ok(l, after[l])) {
+        matched_[l] = after[l];
+        bump_partials(l);
+        materialize_entry(l + 1);
+        total = seek(l + 1, after);
+      }
+      ++idx;
+    }
+    return stopped_ ? total : total + recurse(l, idx);
+  }
+
+  std::uint64_t recurse(std::size_t l, std::size_t first = 0) {
     const auto& c = cand(l);
     if (l == k_ - 1) {
       std::uint64_t found = 0;
-      for (VertexId v : c) {
+      for (std::size_t idx = first; idx < c.size(); ++idx) {
+        const VertexId v = c[idx];
         if (!choice_ok(l, v)) continue;
         ++found;
         if (visit_ != nullptr) {
@@ -197,7 +235,7 @@ class RecExec {
     // Index-based iteration: deeper recursion only materializes nodes with
     // mat_level > l, so this level's candidate vector is never reallocated
     // underneath us.
-    for (std::size_t idx = 0; idx < c.size() && !stopped_; ++idx) {
+    for (std::size_t idx = first; idx < c.size() && !stopped_; ++idx) {
       if (poller_.fired()) {
         stopped_ = true;
         break;
@@ -242,6 +280,15 @@ std::uint64_t recursive_enumerate_range(GraphView g, const MatchingPlan& plan,
                                         const CancelToken* cancel) {
   RecExec exec(g, plan, counters, cancel);
   return exec.run_range(v_begin, v_end, &visit);
+}
+
+std::uint64_t recursive_enumerate_after(GraphView g, const MatchingPlan& plan,
+                                        const std::vector<VertexId>& after,
+                                        const EmbeddingVisitor& visit,
+                                        RecursiveCounters* counters,
+                                        const CancelToken* cancel) {
+  RecExec exec(g, plan, counters, cancel);
+  return exec.run_after(after, &visit);
 }
 
 std::uint64_t recursive_count_seed(GraphView g, const MatchingPlan& plan,

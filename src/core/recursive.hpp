@@ -68,6 +68,20 @@ std::uint64_t recursive_enumerate_range(GraphView g, const MatchingPlan& plan,
                                         RecursiveCounters* counters = nullptr,
                                         const CancelToken* cancel = nullptr);
 
+/// Seek walk: invokes `visit` on the embeddings of outer vertex after[0]
+/// that come strictly after `after` (a plan-order tuple of plan.size()
+/// vertices) in DFS order. It is the paper's explicit stack (§IV) used as a
+/// resumable state: every level on after's path starts at
+/// lower_bound(after[l]) of its candidate list, so the walk touches none of
+/// the subtree before `after`. `after` need not be an embedding; the walk
+/// then yields the embeddings lexicographically greater than it. Stops
+/// early, counts and polls `cancel` as recursive_enumerate_range does.
+std::uint64_t recursive_enumerate_after(GraphView g, const MatchingPlan& plan,
+                                        const std::vector<VertexId>& after,
+                                        const EmbeddingVisitor& visit,
+                                        RecursiveCounters* counters = nullptr,
+                                        const CancelToken* cancel = nullptr);
+
 /// Executes the plan with levels 0 and 1 pre-matched to (v0, v1): the
 /// edge-based work decomposition used by Dryadic-style CPU systems.
 /// (v0, v1) must satisfy the level-0/1 filters; returns the match count

@@ -41,83 +41,158 @@ std::uint64_t stream_fingerprint(const QueryRequest& req) {
   return h;
 }
 
-/// Token layout: "stm1.<epoch>.<fingerprint hex>.<v0>.<skip>.<total>" — the
-/// stream position "after `skip` embeddings of outer vertex v0, with `total`
-/// embeddings delivered on earlier pages".
-std::string encode_resume(std::uint64_t epoch, std::uint64_t fp, VertexId v0,
-                          std::uint64_t skip, std::uint64_t total) {
+/// Token layout: "stm2.<epoch>.<fingerprint hex>.<total>[.<u_0>...<u_k-1>]"
+/// — `total` embeddings were delivered on earlier pages, the last of them
+/// (u_0, ..., u_k-1) in the caller's pattern-vertex order. Without the
+/// vertex fields the position is the start of the stream.
+std::string encode_resume(std::uint64_t epoch, std::uint64_t fp,
+                          std::uint64_t total, const Embedding& last) {
   std::ostringstream os;
-  os << "stm1." << epoch << '.' << std::hex << fp << std::dec << '.' << v0
-     << '.' << skip << '.' << total;
+  os << "stm2." << epoch << '.' << std::hex << fp << std::dec << '.' << total;
+  for (const VertexId u : last) os << '.' << u;
   return os.str();
 }
 
-bool parse_u64(const std::string& s, int base, std::uint64_t* out) {
+/// Strict unsigned parse: digits only, and no value above 2^64 - 1.
+bool parse_u64(const std::string& s, std::uint64_t base,
+               std::uint64_t* out) noexcept {
   if (s.empty()) return false;
   std::uint64_t value = 0;
   for (const char c : s) {
-    int digit;
+    std::uint64_t digit;
     if (c >= '0' && c <= '9') {
-      digit = c - '0';
+      digit = static_cast<std::uint64_t>(c - '0');
     } else if (base == 16 && c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
+      digit = static_cast<std::uint64_t>(c - 'a' + 10);
     } else {
       return false;
     }
-    value = value * static_cast<std::uint64_t>(base) +
-            static_cast<std::uint64_t>(digit);
+    if (value > (~std::uint64_t{0} - digit) / base) return false;
+    value = value * base + digit;
   }
   *out = value;
   return true;
 }
 
+/// The stream position a token names.
+struct ResumePoint {
+  std::uint64_t total = 0;  // embeddings delivered on earlier pages
+  Embedding last;           // stm2: the last of them, caller's vertex order
+  VertexId v0 = 0;          // stm1: "after `skip` embeddings of vertex v0"
+  std::uint64_t skip = 0;
+};
+
+/// Decodes a token minted for a `k`-vertex pattern on an `n`-vertex graph.
+/// Also accepts the earlier "stm1.<epoch>.<fp>.<v0>.<skip>.<total>" layout.
+/// Fingerprint and epoch are checked before the position fields, so a token
+/// of another pattern reads as stale, not as malformed.
 bool decode_resume(const std::string& token, std::uint64_t epoch,
-                   std::uint64_t fp, VertexId* v0, std::uint64_t* skip,
-                   std::uint64_t* total, std::string* error) {
-  std::vector<std::string> fields;
-  std::string cur;
+                   std::uint64_t fp, std::size_t k, VertexId n,
+                   ResumePoint* at, std::string* error) {
+  std::vector<std::string> fields(1);
   for (const char c : token) {
     if (c == '.') {
-      fields.push_back(cur);
-      cur.clear();
+      fields.emplace_back();
     } else {
-      cur.push_back(c);
+      fields.back().push_back(c);
     }
   }
-  fields.push_back(cur);
-
-  std::uint64_t tok_epoch = 0, tok_fp = 0, tok_v0 = 0;
-  if (fields.size() != 6 || fields[0] != "stm1" ||
-      !parse_u64(fields[1], 10, &tok_epoch) ||
-      !parse_u64(fields[2], 16, &tok_fp) ||
-      !parse_u64(fields[3], 10, &tok_v0) || !parse_u64(fields[4], 10, skip) ||
-      !parse_u64(fields[5], 10, total)) {
+  const bool legacy = fields[0] == "stm1";
+  const auto malformed = [&] {
     // A parse failure means the caller corrupted the token; stale tokens
     // (below) parse fine and get a diagnosable expected-vs-observed error.
-    *error =
-        "malformed resume token: expected "
-        "\"stm1.<epoch>.<fingerprint>.<v0>.<skip>.<total>\", got \"" +
-        token + "\"";
+    const std::string layout =
+        legacy ? "stm1.<epoch>.<fingerprint>.<v0>.<skip>.<total>"
+               : "stm2.<epoch>.<fingerprint>.<total>[.<u_0>...<u_" +
+                     std::to_string(k - 1) + ">]";
+    *error = "malformed resume token: expected \"" + layout +
+             "\" with vertex ids below " + std::to_string(n) + ", got \"" +
+             token + "\"";
     return false;
-  }
-  if (tok_fp != fp) {
+  };
+
+  std::vector<std::uint64_t> num(fields.size());
+  bool ok = legacy ? fields.size() == 6
+                   : fields[0] == "stm2" && fields.size() >= 4;
+  for (std::size_t i = 1; ok && i < fields.size(); ++i)
+    ok = parse_u64(fields[i], i == 2 ? 16 : 10, &num[i]);
+  if (!ok) return malformed();
+  if (num[2] != fp) {
     std::ostringstream os;
     os << "stale resume token: issued for pattern fingerprint " << std::hex
-       << tok_fp << " but this query's fingerprint is " << fp << std::dec
+       << num[2] << " but this query's fingerprint is " << fp << std::dec
        << " (different pattern or plan options)";
     *error = os.str();
     return false;
   }
-  if (tok_epoch != epoch) {
+  if (num[1] != epoch) {
     std::ostringstream os;
-    os << "stale resume token: issued at graph epoch " << tok_epoch
+    os << "stale resume token: issued at graph epoch " << num[1]
        << " but the graph has moved on to epoch " << epoch
        << " (the stream order is only defined within one epoch)";
     *error = os.str();
     return false;
   }
-  *v0 = static_cast<VertexId>(tok_v0);
+  // The vertex fields: stm1's v0, or stm2's k embedding vertices (or none).
+  const std::size_t vbegin = legacy ? 3 : 4;
+  const std::size_t vend = legacy ? 4 : fields.size();
+  ok = legacy || vend == vbegin || vend - vbegin == k;
+  for (std::size_t i = vbegin; ok && i < vend; ++i) ok = num[i] < n;
+  if (!ok) return malformed();
+  if (legacy) {
+    at->v0 = static_cast<VertexId>(num[3]);
+    at->skip = num[4];
+    at->total = num[5];
+  } else {
+    at->total = num[3];
+    for (std::size_t i = vbegin; i < vend; ++i)
+      at->last.push_back(static_cast<VertexId>(num[i]));
+  }
   return true;
+}
+
+/// An stm1 position, "after `skip` embeddings of outer vertex v0": a
+/// counting walk over v0's subtree recovers that embedding (plan order),
+/// which then seeds the same seek as an stm2 token. False when v0 has fewer
+/// than `skip` embeddings.
+bool legacy_position(GraphView g, const MatchingPlan& plan, VertexId v0,
+                     std::uint64_t skip, Embedding* after) {
+  std::uint64_t seen = 0;
+  recursive_enumerate_range(g, plan, v0, v0 + 1,
+                            [&](const std::vector<VertexId>& m) {
+                              if (++seen < skip) return true;
+                              *after = m;
+                              return false;
+                            });
+  return seen == skip;
+}
+
+/// Head bucket of a resumed page: the seek walk posts the rest of the
+/// cursor's outer vertex, stopping at the page limit. True when the engine
+/// must still run from the next outer vertex (the walk completed and the
+/// page has room left).
+bool post_resume_head(GraphView g, const MatchingPlan& plan,
+                      const Embedding& after, std::uint64_t limit,
+                      const CancelToken& token, stream::EmitPipeline& pipe,
+                      QueryStats* stats) {
+  std::vector<Embedding> head;
+  RecursiveCounters counters;
+  Timer timer;
+  recursive_enumerate_after(
+      g, plan, after,
+      [&head, limit](const std::vector<VertexId>& m) {
+        head.push_back(m);
+        return limit == 0 || head.size() < limit;
+      },
+      &counters, &token);
+  stats->engine_ms = timer.elapsed_ms();
+  stats->scalar_ops = counters.scalar_ops;
+  stats->sets_built = counters.sets_built;
+  // Like every bucket, the head is posted only once it is exact: complete,
+  // or cut at the limit, where the page ends anyway.
+  if (token.expired()) return false;
+  const bool full = limit > 0 && head.size() >= limit;
+  return pipe.post_head(std::move(head)) && !full;
 }
 
 /// The stream's reference lane: the sequential recursive executor, one
@@ -172,6 +247,10 @@ struct GraphSession::StreamState {
   bool plan_cache_hit = false;
   std::uint64_t fingerprint = 0;
 
+  /// Resume position: the engine runs from the vertex after after[0] once
+  /// the seek walk has posted the rest of after[0]'s subtree (plan order);
+  /// without `after` it runs from start_v0 (0, or an stm1 cursor's v0).
+  Embedding after;
   VertexId start_v0 = 0;
   std::uint64_t resumed_total = 0;  // delivered on earlier pages
 
@@ -186,14 +265,12 @@ struct GraphSession::StreamState {
 
   // Consumer-thread state. The handle is single-consumer; the finalizer is
   // serialized behind the once-flag and joins the producer first.
-  std::uint64_t skip_left = 0;
+  Embedding last;  // last delivered embedding, caller's vertex order
   // delivered / limit_reached / drained are written by the consumer thread
   // in next() and read by whichever thread runs the finalizer — including
   // the session destructor sweeping live streams while a consumer is still
   // pulling. Atomics keep that teardown race benign (and TSan-clean).
   std::atomic<std::uint64_t> delivered{0};
-  VertexId cursor_v0 = 0;         // outer vertex of the stream position
-  std::uint64_t cursor_skip = 0;  // embeddings delivered at cursor_v0
   std::atomic<bool> limit_reached{false};
   std::atomic<bool> drained{false};  // consumer observed end-of-stream
   std::atomic<bool> cancel_requested{false};
@@ -240,24 +317,43 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
   const std::uint64_t fp = stream_fingerprint(req.query);
 
-  VertexId start_v0 = 0;
-  std::uint64_t skip = 0;
-  std::uint64_t resumed_total = 0;
+  ResumePoint at;
   if (!req.stream.resume_token.empty()) {
     std::string err;
-    if (!decode_resume(req.stream.resume_token, snap->epoch(), fp, &start_v0,
-                       &skip, &resumed_total, &err)) {
+    if (!decode_resume(req.stream.resume_token, snap->epoch(), fp,
+                       req.query.pattern.size(), snap->num_vertices(), &at,
+                       &err)) {
       return reject_stream(req, QueryStatus::kInvalidArgument, std::move(err));
     }
   }
 
   bool cache_hit = false;
   std::shared_ptr<const MatchingPlan> plan;
+  std::vector<std::size_t> order;
+  Embedding after;  // the token's last embedding, in plan order
+  bool positioned = true;
   try {
     plan = plan_cache_.get_or_compile(req.query.pattern, req.query.plan,
                                       snap->epoch(), &cache_hit);
+    order = matching_order(req.query.pattern);
+    if (!at.last.empty()) {
+      after.resize(order.size());
+      for (std::size_t i = 0; i < order.size(); ++i)
+        after[i] = at.last[order[i]];
+    } else if (at.skip > 0) {
+      const auto lease = snap->storage_lease();
+      positioned =
+          legacy_position(snap->view(), *plan, at.v0, at.skip, &after);
+    }
   } catch (const check_error& e) {
     return reject_stream(req, QueryStatus::kInvalidArgument, e.what());
+  }
+  if (!positioned) {
+    std::ostringstream os;
+    os << "malformed resume token: outer vertex " << at.v0
+       << " has fewer than " << at.skip << " embeddings, got \""
+       << req.stream.resume_token << '"';
+    return reject_stream(req, QueryStatus::kInvalidArgument, os.str());
   }
 
   auto token = std::make_shared<CancelToken>();
@@ -276,12 +372,10 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   st->plan = std::move(plan);
   st->plan_cache_hit = cache_hit;
   st->fingerprint = fp;
-  st->order = matching_order(st->req.pattern);
-  st->start_v0 = start_v0;
-  st->skip_left = skip;
-  st->cursor_v0 = start_v0;
-  st->cursor_skip = skip;
-  st->resumed_total = resumed_total;
+  st->order = std::move(order);
+  st->after = std::move(after);
+  st->start_v0 = at.v0;
+  st->resumed_total = at.total;
   st->pipe = std::make_unique<stream::EmitPipeline>(st->seq, st->order,
                                                     st->opts.emit_fault);
 
@@ -325,34 +419,47 @@ void GraphSession::run_stream(const std::shared_ptr<StreamState>& st) {
     // keeps the backend's decoded lists stable until the producer exits.
     const auto storage_lease = st->snap->storage_lease();
     const GraphView g = st->snap->view();
-    switch (st->req.engine) {
-      case EngineKind::kHost: {
-        HostEngineConfig host = st->req.host;
-        if (host.num_threads == 0) {
-          host.num_threads =
-              std::max<std::size_t>(1, cfg_.host_threads_per_query);
+    // A resumed page first finishes its cursor's outer vertex (the head
+    // bucket), then runs the engine from the next one.
+    VertexId start = st->start_v0;
+    bool run_engine = true;
+    if (!st->after.empty()) {
+      start = st->after[0] + 1;
+      run_engine = post_resume_head(g, *st->plan, st->after, st->opts.limit,
+                                    *st->token, *st->pipe, &stats);
+      if (!run_engine && st->token->expired()) status = st->token->status();
+    }
+    if (run_engine) {
+      QueryStats engine;
+      switch (st->req.engine) {
+        case EngineKind::kHost: {
+          HostEngineConfig host = st->req.host;
+          if (host.num_threads == 0) {
+            host.num_threads =
+                std::max<std::size_t>(1, cfg_.host_threads_per_query);
+          }
+          host.v_begin = start;
+          engine = host_match(g, *st->plan, host, st->token.get(),
+                              st->pipe.get())
+                       .stats;
+          break;
         }
-        host.v_begin = st->start_v0;
-        const HostMatchResult r =
-            host_match(g, *st->plan, host, st->token.get(), st->pipe.get());
-        stats = r.stats;
-        status = r.stats.status;
-        break;
+        case EngineKind::kSimt: {
+          EngineConfig simt = st->req.simt;
+          simt.v_begin = start;
+          engine = stmatch_match(g, *st->plan, simt, st->token.get(),
+                                 st->pipe.get())
+                       .query;
+          break;
+        }
+        case EngineKind::kReference: {
+          engine.status = run_reference_stream(g, *st->plan, start,
+                                               *st->token, *st->pipe, &engine);
+          break;
+        }
       }
-      case EngineKind::kSimt: {
-        EngineConfig simt = st->req.simt;
-        simt.v_begin = st->start_v0;
-        const MatchResult r = stmatch_match(g, *st->plan, simt,
-                                            st->token.get(), st->pipe.get());
-        stats = r.query;
-        status = r.query.status;
-        break;
-      }
-      case EngineKind::kReference: {
-        status = run_reference_stream(g, *st->plan, st->start_v0, *st->token,
-                                      *st->pipe, &stats);
-        break;
-      }
+      stats += engine;
+      status = engine.status;
     }
   } catch (const check_error& e) {
     status = QueryStatus::kInvalidArgument;
@@ -490,29 +597,13 @@ bool EmbeddingStream::next(Embedding* out) {
     return false;
   }
   Embedding e;
-  for (;;) {
-    if (!st.seq.next(&e)) {
-      st.drained = true;
-      finalize();
-      return false;
-    }
-    if (st.skip_left > 0) {
-      // Resumed page: the engine restarted at the cursor's outer vertex;
-      // discard the embeddings the previous page already delivered for it.
-      --st.skip_left;
-      continue;
-    }
-    break;
+  if (!st.seq.next(&e)) {
+    st.drained = true;
+    finalize();
+    return false;
   }
   ++st.delivered;
-  const std::size_t pos0 = st.order.empty() ? 0 : st.order[0];
-  const VertexId v0 = e[pos0];
-  if (v0 == st.cursor_v0) {
-    ++st.cursor_skip;
-  } else {
-    st.cursor_v0 = v0;
-    st.cursor_skip = 1;
-  }
+  st.last = e;
   if (st.opts.limit > 0 && st.delivered >= st.opts.limit) {
     st.limit_reached = true;
     st.token->cancel();
@@ -534,8 +625,11 @@ std::string EmbeddingStream::resume_token() const {
       !st.limit_reached) {
     return std::string();  // exhausted: there is nothing to resume to
   }
-  return encode_resume(st.snap->epoch(), st.fingerprint, st.cursor_v0,
-                       st.cursor_skip, st.resumed_total + st.delivered);
+  if (st.delivered == 0 && !st.opts.resume_token.empty()) {
+    return st.opts.resume_token;  // nothing delivered: the same position
+  }
+  return encode_resume(st.snap->epoch(), st.fingerprint,
+                       st.resumed_total + st.delivered, st.last);
 }
 
 void EmbeddingStream::cancel() {

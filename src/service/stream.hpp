@@ -48,7 +48,10 @@ struct StreamOptions {
   /// Opaque token from a previous page's resume_token(); empty starts from
   /// the beginning. A token is only valid against the same pattern/options
   /// and the same graph epoch (kInvalidArgument otherwise) but is engine-
-  /// independent — a stream may be resumed on a different engine.
+  /// independent — a stream may be resumed on a different engine. It names
+  /// the last embedding delivered, and a resumed page seeks to the position
+  /// after it, so a page costs about what it delivers wherever it starts.
+  /// Tokens of the earlier "stm1" layout still resume.
   std::string resume_token;
   /// Backpressure bound: embeddings buffered between producers and the
   /// consumer before engine workers block.
@@ -85,14 +88,17 @@ class EmbeddingStream {
 
   /// Terminal result of the stream: count = embeddings delivered to this
   /// handle, status/error say why the stream ended (kOk for completion or a
-  /// reached limit), stats = the engine's execution counters. Calling this
-  /// before the stream ended closes it (the delivered prefix stays valid).
+  /// reached limit), stats = the engine's execution counters (on a resumed
+  /// page, including the seek walk's). Calling this before the stream ended
+  /// closes it (the delivered prefix stays valid).
   const QueryResult& result();
 
   /// Cursor for the next page. Empty when the stream is exhausted (resuming
-  /// past the last embedding yields nothing). Valid after any prefix —
-  /// including a cancelled or deadline-expired page, whose delivered prefix
-  /// the token continues from.
+  /// past the last embedding yields nothing); a page cut by its limit cannot
+  /// tell whether it took the last embedding, so its token is never empty.
+  /// Valid after any prefix — including a cancelled or deadline-expired
+  /// page, whose delivered prefix the token continues from (a page that
+  /// delivered nothing returns the token it was opened with).
   std::string resume_token() const;
 
   /// Requests cancellation: producers stop, next() returns false after the

@@ -13,7 +13,7 @@ EmitPipeline::EmitPipeline(OutputSequencer& seq,
     : seq_(seq), plan_to_orig_(std::move(plan_to_orig)), injector_(fault) {}
 
 void EmitPipeline::begin(std::uint64_t num_buckets) {
-  seq_.begin(num_buckets);
+  seq_.begin(num_buckets + head_);
 }
 
 void EmitPipeline::remap(std::vector<Embedding>& batch) const {
@@ -60,7 +60,17 @@ void EmitPipeline::fail_stream(std::uint64_t bucket) {
   seq_.abort(QueryStatus::kInternalError, std::move(msg));
 }
 
+bool EmitPipeline::post_head(std::vector<Embedding>&& batch) {
+  head_ = 1;
+  return forward(0, std::move(batch));
+}
+
 bool EmitPipeline::post(std::uint64_t bucket, std::vector<Embedding>&& batch) {
+  return forward(bucket + head_, std::move(batch));
+}
+
+bool EmitPipeline::forward(std::uint64_t bucket,
+                           std::vector<Embedding>&& batch) {
   if (failed()) return false;
   if (resolve_drops(bucket) < 0) {
     fail_stream(bucket);
@@ -79,6 +89,7 @@ bool EmitPipeline::post(std::uint64_t bucket, std::vector<Embedding>&& batch) {
 
 EmbeddingSink::TryPost EmitPipeline::try_post(std::uint64_t bucket,
                                               std::vector<Embedding>& batch) {
+  bucket += head_;
   if (failed()) return TryPost::kAborted;
   if (resolve_drops(bucket) < 0) {
     fail_stream(bucket);

@@ -43,6 +43,13 @@ class EmitPipeline : public EmbeddingSink {
   bool post(std::uint64_t bucket, std::vector<Embedding>&& batch) override;
   TryPost try_post(std::uint64_t bucket, std::vector<Embedding>& batch) override;
 
+  /// Head bucket of a resumed stream: posts `batch` (plan order, the rest of
+  /// the cursor's outer vertex after the seek walk) as sequencer bucket 0 and
+  /// shifts every engine bucket b to b + 1, so an engine run from the next
+  /// outer vertex keeps its own dense bucket space. At most once, before the
+  /// engine runs (and so before begin()).
+  bool post_head(std::vector<Embedding>&& batch);
+
   /// True once the kEmitDrop retry budget was exhausted for some bucket; the
   /// sequencer has then been aborted with kInternalError.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
@@ -58,6 +65,7 @@ class EmitPipeline : public EmbeddingSink {
   }
 
  private:
+  bool forward(std::uint64_t bucket, std::vector<Embedding>&& batch);
   void remap(std::vector<Embedding>& batch) const;
   /// Number of transport drops bucket `bucket` suffers before landing, or
   /// a negative value when the attempt budget is exhausted. Deterministic;
@@ -68,6 +76,7 @@ class EmitPipeline : public EmbeddingSink {
 
   OutputSequencer& seq_;
   std::vector<std::size_t> plan_to_orig_;
+  std::uint64_t head_ = 0;  // 1 once post_head() took sequencer bucket 0
   FaultInjector injector_;
   std::atomic<bool> failed_{false};
   std::atomic<std::uint64_t> emitted_{0};

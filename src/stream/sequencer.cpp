@@ -1,6 +1,7 @@
 #include "stream/sequencer.hpp"
 
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "util/check.hpp"
@@ -89,9 +90,17 @@ void OutputSequencer::abort(QueryStatus status, std::string error) {
   pending_.clear();
 }
 
+namespace {
+/// Yields the consumer takes before it parks on an empty head. Engines post
+/// one bucket per outer vertex, every few microseconds on a sparse stretch
+/// of the graph; parking on each would cost a sleep and a wake-up per
+/// bucket, more than the bucket's own hand-off.
+constexpr int kYieldsBeforePark = 64;
+}  // namespace
+
 bool OutputSequencer::next(Embedding* out) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
+  for (int yields = 0;;) {
     if (aborted_) return false;
     if (!current_.empty()) {
       *out = std::move(current_.front());
@@ -104,6 +113,12 @@ bool OutputSequencer::next(Embedding* out) {
     // End-of-stream: every bucket released, or the producer side finished
     // and the next bucket never arrived (valid shorter prefix).
     if (next_release_ >= num_buckets_ || ended_) return false;
+    if (yields++ < kYieldsBeforePark) {
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+      continue;
+    }
     cv_consumer_.wait(lock);
   }
 }

@@ -51,7 +51,8 @@ class OutputSequencer {
                            const CancelToken* token = nullptr)
       : cfg_(cfg), token_(token) {}
 
-  /// Announces the dense bucket space. Must precede any post.
+  /// Announces the dense bucket space; until then it is unbounded, so a
+  /// resumed stream's head bucket (EmitPipeline::post_head) may come first.
   void begin(std::uint64_t num_buckets);
 
   /// Blocking post of one complete bucket (head-exempt backpressure).
@@ -73,7 +74,9 @@ class OutputSequencer {
   void abort(QueryStatus status, std::string error);
 
   /// Next embedding in global order. Blocks until one is available or the
-  /// stream ends; returns false at end-of-stream.
+  /// stream ends (yielding a few times before it parks, since buckets
+  /// arrive every few microseconds on sparse stretches); returns false at
+  /// end-of-stream.
   bool next(Embedding* out);
 
   /// Terminal status/error recorded by finish/abort (kOk until then).

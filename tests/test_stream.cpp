@@ -11,6 +11,7 @@
 
 #include "baselines/reference.hpp"
 #include "graph/generators.hpp"
+#include "graph/labeling.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
 #include "service/service.hpp"
@@ -364,6 +365,99 @@ TEST(StreamTokens, MalformedErrorEchoesExpectedLayoutAndToken) {
   EXPECT_NE(r.error.find("stm1.not-a-number"), std::string::npos) << r.error;
 }
 
+// Field values a token parser must not wrap: 2^32 + 2 truncates to vertex 2
+// and 2^64 + 1 overflows to 1.
+TEST(StreamTokens, OutOfRangeFieldsAreMalformed) {
+  GraphSession session(make_erdos_renyi(40, 0.2, 3));
+  StreamRequest req = stream_request(triangle());
+  req.stream.limit = 3;
+  QueryResult r;
+  std::string token;
+  drain(session, req, &r, &token);
+  ASSERT_FALSE(token.empty());
+  // "<epoch>.<fingerprint>" of a genuine token: only the position is forged.
+  const std::size_t tag = token.find('.');
+  const std::size_t fp_end = token.find('.', token.find('.', tag + 1) + 1);
+  const std::string stamp = token.substr(tag + 1, fp_end - tag - 1);
+  ASSERT_EQ(stamp.substr(0, 2), "0.");
+
+  const std::string fp = stamp.substr(2);
+  for (const std::string& bad : {
+           "stm1." + stamp + ".4294967298.10.30",            // v0 >= 2^32
+           "stm1." + stamp + ".3.18446744073709551617.30",   // skip > 2^64-1
+           "stm1." + stamp + ".40.1.1",                      // v0 == n
+           "stm1." + stamp + ".0.1000000.5",                 // skip past v0
+           "stm1.18446744073709551616." + fp + ".0.1.1",     // epoch > 2^64-1
+           "stm2." + stamp + ".3.4294967298.1.2",            // u_0 >= 2^32
+           "stm2." + stamp + ".3.0.40.1",                    // u_1 == n
+           "stm2." + stamp + ".18446744073709551616.0.1.2",  // total overflow
+           "stm2.0.1" + fp + ".3",                           // 17 hex digits
+           "stm2." + stamp + ".3.0.1",                       // 2 of 3 vertices
+       }) {
+    StreamRequest rest = stream_request(triangle());
+    rest.stream.resume_token = bad;
+    const std::vector<Embedding> got = drain(session, rest, &r);
+    EXPECT_TRUE(got.empty()) << bad;
+    EXPECT_EQ(r.status, QueryStatus::kInvalidArgument) << bad;
+    EXPECT_NE(r.error.find("malformed resume token"), std::string::npos)
+        << bad << ": " << r.error;
+  }
+}
+
+// Tokens in the earlier "stm1.<epoch>.<fp>.<v0>.<skip>.<total>" layout, as
+// minted by that layout's implementation for this graph (host engine, one
+// thread): each names the position after `position` embeddings, and still
+// resumes there, on a whole drain and on a page whose own token continues.
+TEST(StreamTokens, LegacyStm1TokensResume) {
+  struct Legacy {
+    const char* pattern;
+    std::size_t position;
+    const char* token;
+  };
+  const Legacy kTokens[] = {
+      {"0-1,1-2,2-0", 0, "stm1.0.df6fc5cc4500f662.0.0.0"},
+      {"0-1,1-2,2-0", 1, "stm1.0.df6fc5cc4500f662.0.1.1"},
+      {"0-1,1-2,2-0", 9, "stm1.0.df6fc5cc4500f662.0.9.9"},
+      {"0-1,1-2,2-0", 117, "stm1.0.df6fc5cc4500f662.3.33.117"},
+      {"0-1,1-2,2-0", 150, "stm1.0.df6fc5cc4500f662.6.2.150"},
+      {"0-1,1-2,2-0", 233, "stm1.0.df6fc5cc4500f662.29.3.233"},
+      {"0-1,1-2,2-0", 234, "stm1.0.df6fc5cc4500f662.29.4.234"},
+      {"0-1,1-2,2-3,3-0", 0, "stm1.0.4cd600cee098e467.0.0.0"},
+      {"0-1,1-2,2-3,3-0", 7, "stm1.0.4cd600cee098e467.0.7.7"},
+      {"0-1,1-2,2-3,3-0", 150, "stm1.0.4cd600cee098e467.1.56.150"},
+      {"0-1,1-2,2-3,3-0", 684, "stm1.0.4cd600cee098e467.4.62.684"},
+      {"0-1,1-2,2-3,3-0", 1367, "stm1.0.4cd600cee098e467.29.19.1367"},
+  };
+  GraphSession session(make_barabasi_albert(30, 3, 7));
+  for (const Legacy& t : kTokens) {
+    const Pattern p = Pattern::parse(t.pattern);
+    QueryResult r;
+    const std::vector<Embedding> full = drain(session, stream_request(p), &r);
+    ASSERT_LE(t.position, full.size()) << t.token;
+    const std::vector<Embedding> suffix(
+        full.begin() + static_cast<std::ptrdiff_t>(t.position), full.end());
+
+    StreamRequest rest = stream_request(p);
+    rest.stream.resume_token = t.token;
+    EXPECT_EQ(drain(session, rest, &r), suffix) << t.token;
+    EXPECT_EQ(r.status, QueryStatus::kOk) << t.token << ": " << r.error;
+
+    StreamRequest page = stream_request(p, EngineKind::kSimt);
+    page.stream.resume_token = t.token;
+    page.stream.limit = 5;
+    std::string token;
+    std::vector<Embedding> paged = drain(session, page, &r, &token);
+    ASSERT_EQ(r.status, QueryStatus::kOk) << t.token << ": " << r.error;
+    if (!token.empty()) {
+      StreamRequest tail = stream_request(p);
+      tail.stream.resume_token = token;
+      const std::vector<Embedding> more = drain(session, tail, &r);
+      paged.insert(paged.end(), more.begin(), more.end());
+    }
+    EXPECT_EQ(paged, suffix) << t.token;
+  }
+}
+
 TEST(StreamCursor, RangeKnobsAreReservedForTheStream) {
   GraphSession session(make_clique(6));
   StreamRequest req = stream_request(triangle());
@@ -372,6 +466,165 @@ TEST(StreamCursor, RangeKnobsAreReservedForTheStream) {
   drain(session, req, &r);
   EXPECT_EQ(r.status, QueryStatus::kInvalidArgument);
   EXPECT_FALSE(r.error.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Resume positions: the seek walk and the head bucket
+// ---------------------------------------------------------------------------
+
+/// A small power-law graph (its early vertices are hubs) with two labels, so
+/// one session serves the unlabeled and the labeled shapes.
+Graph hub_graph() {
+  return with_random_labels(make_barabasi_albert(22, 2, 7), 2, 3);
+}
+
+struct Shape {
+  const char* name;
+  Pattern pattern;
+  PlanOptions plan;
+};
+
+std::vector<Shape> resume_shapes() {
+  PlanOptions induced;
+  induced.induced = Induced::kVertex;
+  return {{"triangle", triangle(), {}},
+          {"4-cycle", square(), {}},
+          {"induced 4-cycle", square(), induced},
+          {"labeled tailed triangle",
+           Pattern::parse("0-1,1-2,2-0,2-3").with_labels({0, 1, 0, 1}),
+           {}}};
+}
+
+struct ResumeLane {
+  const char* name;
+  EngineKind engine;
+  std::size_t threads;
+};
+
+constexpr ResumeLane kResumeLanes[] = {
+    {"host x1", EngineKind::kHost, 1},
+    {"host x3", EngineKind::kHost, 3},
+    {"simt", EngineKind::kSimt, 0},
+    {"reference", EngineKind::kReference, 0}};
+
+StreamRequest resume_request(const Shape& shape, const ResumeLane& lane,
+                             std::uint64_t limit, std::string token) {
+  StreamRequest req = stream_request(shape.pattern, lane.engine);
+  req.query.plan = shape.plan;
+  req.query.host.num_threads = lane.threads;
+  req.stream.limit = limit;
+  req.stream.resume_token = std::move(token);
+  return req;
+}
+
+std::vector<Embedding> slice(const std::vector<Embedding>& v, std::size_t from,
+                             std::size_t to) {
+  to = std::min(to, v.size());
+  return {v.begin() + static_cast<std::ptrdiff_t>(from),
+          v.begin() + static_cast<std::ptrdiff_t>(to)};
+}
+
+/// [begin, end) of the largest outer-vertex bucket of a drained stream.
+std::pair<std::size_t, std::size_t> hub_bucket(const std::vector<Embedding>& s,
+                                               const Pattern& p) {
+  const std::size_t pos0 = matching_order(p)[0];
+  std::pair<std::size_t, std::size_t> best{0, 0};
+  for (std::size_t b = 0, e = 0; b < s.size(); b = e) {
+    e = b;
+    while (e < s.size() && s[e][pos0] == s[b][pos0]) ++e;
+    if (e - b > best.second - best.first) best = {b, e};
+  }
+  return best;
+}
+
+TEST(StreamCursor, ResumeFromEveryPosition) {
+  GraphSession session(hub_graph());
+  for (const Shape& shape : resume_shapes()) {
+    QueryResult r;
+    const std::vector<Embedding> full = drain(
+        session, resume_request(shape, kResumeLanes[3], 0, ""), &r);
+    ASSERT_EQ(r.status, QueryStatus::kOk) << shape.name;
+    const auto [hub_begin, hub_end] = hub_bucket(full, shape.pattern);
+    ASSERT_GE(hub_end - hub_begin, 6u) << shape.name << ": no hub bucket";
+    ASSERT_LT(full.size(), 300u) << shape.name << ": keep the sweep small";
+
+    for (const ResumeLane& lane : kResumeLanes) {
+      const std::string where =
+          std::string(shape.name) + " on " + lane.name + " at ";
+      // tokens[p] names position p; one-embedding pages mint the chain.
+      std::vector<std::string> tokens{""};
+      for (std::size_t p = 0; p < full.size(); ++p) {
+        std::string token;
+        EXPECT_EQ(drain(session, resume_request(shape, lane, 1, tokens[p]),
+                        &r, &token),
+                  slice(full, p, p + 1))
+            << where << p;
+        ASSERT_EQ(r.status, QueryStatus::kOk) << where << p << r.error;
+        ASSERT_FALSE(token.empty()) << where << p;
+        tokens.push_back(std::move(token));
+      }
+      for (std::size_t p = 0; p <= full.size(); ++p) {
+        std::string token;
+        EXPECT_EQ(drain(session, resume_request(shape, lane, 3, tokens[p]),
+                        &r, &token),
+                  slice(full, p, p + 3))
+            << where << p;
+        EXPECT_EQ(r.status, QueryStatus::kOk) << where << p << r.error;
+        // A page cut by its limit cannot know it took the last embedding.
+        EXPECT_EQ(token.empty(), p + 3 > full.size()) << where << p;
+      }
+
+      // Inside the hub's bucket: a resumed page cancelled after its first
+      // embedding, and one cancelled before it, keep their position.
+      const std::size_t p = hub_begin + (hub_end - hub_begin) / 2;
+      auto s = session.open_stream(resume_request(shape, lane, 0, tokens[p]));
+      std::vector<Embedding> got;
+      Embedding e;
+      ASSERT_TRUE(s->next(&e)) << where << p;
+      got.push_back(e);
+      s->cancel();
+      while (s->next(&e)) got.push_back(e);
+      EXPECT_EQ(s->result().status, QueryStatus::kCancelled) << where << p;
+      const std::vector<Embedding> tail = drain(
+          session, resume_request(shape, lane, 0, s->resume_token()), &r);
+      got.insert(got.end(), tail.begin(), tail.end());
+      EXPECT_EQ(got, slice(full, p, full.size())) << where << p;
+
+      auto idle =
+          session.open_stream(resume_request(shape, lane, 0, tokens[p]));
+      idle->cancel();
+      EXPECT_EQ(idle->resume_token(), tokens[p]) << where << p;
+    }
+  }
+}
+
+// A resumed drain forwards only what follows its position: the seek walk
+// skips the delivered part of the hub's subtree instead of enumerating it
+// for the consumer to drop.
+TEST(StreamCursor, ResumedDrainForwardsOnlyTheRemainder) {
+  GraphSession session(hub_graph());
+  const Shape shape = resume_shapes()[1];
+  QueryResult r;
+  const std::vector<Embedding> full =
+      drain(session, resume_request(shape, kResumeLanes[3], 0, ""), &r);
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+  const auto [hub_begin, hub_end] = hub_bucket(full, shape.pattern);
+  const std::size_t position = hub_begin + (hub_end - hub_begin) / 2;
+  ASSERT_GT(position, hub_begin);
+
+  std::string token;
+  drain(session, resume_request(shape, kResumeLanes[0], position, ""), &r,
+        &token);
+  ASSERT_FALSE(token.empty());
+  Counter& emitted = session.metrics().counter("stream_emitted_total");
+  for (const ResumeLane& lane : kResumeLanes) {
+    const std::uint64_t before = emitted.value();
+    EXPECT_EQ(drain(session, resume_request(shape, lane, 0, token), &r),
+              slice(full, position, full.size()))
+        << lane.name;
+    EXPECT_EQ(r.status, QueryStatus::kOk) << lane.name;
+    EXPECT_EQ(emitted.value() - before, full.size() - position) << lane.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
