@@ -1,6 +1,7 @@
 // Micro-benchmarks of the matching engines themselves (google-benchmark,
 // real wall-clock): recursive executor, host-parallel engine, and the SIMT
-// simulator overhead, on small dataset proxies.
+// simulator overhead, on small dataset proxies; plus one GraphSession count
+// per e2e_bench query_mix pattern and the unique-subgraph walk beneath it.
 #include <benchmark/benchmark.h>
 
 #include "core/engine.hpp"
@@ -9,6 +10,7 @@
 #include "graph/datasets.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
+#include "service/service.hpp"
 
 namespace {
 
@@ -81,6 +83,52 @@ void BM_PlanCompilation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanCompilation)->Arg(8)->Arg(16)->Arg(24);
+
+const Graph& mico() {
+  static const Graph g = make_dataset("mico");
+  return g;
+}
+
+/// One client's embeddings-mode count through a GraphSession, plan cached:
+/// the per-query work of e2e_bench's query_mix, without its second client.
+void BM_SessionCount(benchmark::State& state) {
+  static GraphSession session{Graph(mico())};
+  QueryRequest req;
+  req.pattern = query(static_cast<int>(state.range(0)));
+  req.deadline_ms = -1.0;
+  std::uint64_t count = session.run(req).count;  // compiles the plan
+  for (auto _ : state) {
+    count = session.run(req).count;
+    benchmark::DoNotOptimize(count);
+  }
+  state.counters["matches"] = static_cast<double>(count);
+}
+BENCHMARK(BM_SessionCount)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int q : {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 21, 22,
+                    23, 24})
+        b->Arg(q);
+    })
+    ->UseRealTime()  // the dispatcher thread does the work, not this one
+    ->Unit(benchmark::kMillisecond);
+
+/// The sequential walk of a unique-subgraph plan (one subgraph per
+/// automorphism class) on the query_mix graph.
+void BM_UniqueWalk(benchmark::State& state) {
+  const Graph& g = mico();
+  PlanOptions opts;
+  opts.count_mode = CountMode::kUniqueSubgraphs;
+  MatchingPlan plan(reorder_for_matching(query(static_cast<int>(state.range(0)))),
+                    opts);
+  std::uint64_t count = 0;
+  for (auto _ : state) {
+    count = recursive_count_range(g, plan, 0, g.num_vertices());
+    benchmark::DoNotOptimize(count);
+  }
+  state.counters["matches"] = static_cast<double>(count);
+}
+BENCHMARK(BM_UniqueWalk)->Arg(1)->Arg(3)->Arg(11)->Arg(21)->Unit(
+    benchmark::kMillisecond);
 
 }  // namespace
 

@@ -210,6 +210,16 @@ class RecExec {
 
   std::uint64_t recurse(std::size_t l, std::size_t first = 0) {
     const auto& c = cand(l);
+    // Symmetry constraints want v_l above every v_smaller: the candidates up
+    // to the largest of them would all fail choice_ok, so start past it.
+    const auto& smaller = plan_.constraints_at(l);
+    if (!smaller.empty()) {
+      VertexId bound = 0;
+      for (std::uint8_t j : smaller) bound = std::max(bound, matched_[j]);
+      first = std::max(first, static_cast<std::size_t>(
+                                  std::upper_bound(c.begin(), c.end(), bound) -
+                                  c.begin()));
+    }
     if (l == k_ - 1) {
       std::uint64_t found = 0;
       for (std::size_t idx = first; idx < c.size(); ++idx) {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "baselines/reference.hpp"
 #include "core/engine.hpp"
 #include "core/recursive.hpp"
+#include "pattern/symmetry.hpp"
 #include "util/check.hpp"
 
 namespace stm {
@@ -52,21 +52,6 @@ bool label_ok(GraphView g, std::uint64_t mask, VertexId v) {
 
 }  // namespace
 
-Graph pattern_as_graph(const Pattern& p) {
-  GraphBuilder builder(static_cast<VertexId>(p.size()));
-  for (std::size_t u = 0; u < p.size(); ++u)
-    for (std::size_t v = u + 1; v < p.size(); ++v)
-      if (p.has_edge(u, v))
-        builder.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v));
-  Graph g = builder.build();
-  if (p.is_labeled()) {
-    std::vector<Label> labels(p.size());
-    for (std::size_t v = 0; v < p.size(); ++v) labels[v] = p.label(v);
-    g = g.with_labels(std::move(labels));
-  }
-  return g;
-}
-
 AnchoredEnumerator::AnchoredEnumerator(const Pattern& pattern,
                                        const PlanOptions& base,
                                        DeltaEngine engine,
@@ -93,15 +78,8 @@ AnchoredEnumerator::AnchoredEnumerator(const Pattern& pattern,
         anchor_perms_.push_back(std::move(perm));
       }
 
-  if (base.count_mode == CountMode::kUniqueSubgraphs) {
-    // |Aut(p)| = injective edge-preserving self-maps; with |V| and |E|
-    // equal on both sides every such map is an automorphism, so the
-    // edge-induced embedding count of p in itself is exactly |Aut(p)|.
-    automorphisms_ = reference_count(
-        pattern_as_graph(pattern_), pattern_,
-        {Induced::kEdge, CountMode::kEmbeddings});
-    STM_CHECK(automorphisms_ >= 1);
-  }
+  if (base.count_mode == CountMode::kUniqueSubgraphs)
+    automorphisms_ = automorphism_count(pattern_);
 }
 
 std::uint64_t AnchoredEnumerator::count_containing(GraphView g, VertexId u,

@@ -140,8 +140,4 @@ class IncrementalMatcher {
   AnchoredEnumerator enumerator_;
 };
 
-/// The pattern interpreted as a data graph (vertices [0, size), its edges,
-/// its labels); used for automorphism counting and handy in tests.
-Graph pattern_as_graph(const Pattern& p);
-
 }  // namespace stm

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "baselines/reference.hpp"
-#include "dynamic/incremental.hpp"
 #include "pattern/canonical.hpp"
+#include "pattern/symmetry.hpp"
 #include "util/check.hpp"
 
 namespace stm::mqo {
@@ -37,12 +36,8 @@ std::uint32_t PatternIndex::ensure_group(const Pattern& pattern,
   Group& g = groups_[slot];
   g.canon = canon;
   g.rep = pattern.relabeled(canonical_permutation(pattern));
-  // |Aut| via the edge-induced embedding count of the pattern in itself
-  // (every injective edge-preserving self-map is an automorphism); computed
-  // once per group, consulted by every kUniqueSubgraphs projection.
-  g.aut = reference_count(pattern_as_graph(g.rep), g.rep,
-                          {Induced::kEdge, CountMode::kEmbeddings});
-  STM_CHECK(g.aut >= 1);
+  // Computed once per group, consulted by every kUniqueSubgraphs projection.
+  g.aut = automorphism_count(g.rep);
   g.embed_refs = 0;
   g.members.clear();
   g.terminal_nodes.clear();

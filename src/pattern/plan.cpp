@@ -145,7 +145,8 @@ MatchingPlan::MatchingPlan(const Pattern& reordered, const PlanOptions& opts)
   }
 
   if (opts_.count_mode == CountMode::kUniqueSubgraphs) {
-    constraints_ = symmetry_breaking_constraints(pattern_);
+    constraints_ =
+        symmetry_breaking_constraints(pattern_, &automorphism_count_);
     for (const auto& c : constraints_) constraints_at_[c.larger].push_back(c.smaller);
   }
 }

@@ -114,6 +114,9 @@ class MatchingPlan {
   const std::vector<SymmetryConstraint>& constraints() const {
     return constraints_;
   }
+  /// Embeddings each counted match stands for: |Aut(Q)| in unique-subgraph
+  /// mode, 1 in embeddings mode.
+  std::uint64_t automorphism_count() const { return automorphism_count_; }
   /// The `smaller` sides of constraints whose larger side is `level`; checked
   /// when v_level is chosen.
   const std::vector<std::uint8_t>& constraints_at(std::size_t level) const {
@@ -134,6 +137,7 @@ class MatchingPlan {
   std::array<std::vector<std::int16_t>, kMaxPatternSize> at_entry_;
   std::array<std::int16_t, kMaxPatternSize> candidate_{};
   std::vector<SymmetryConstraint> constraints_;
+  std::uint64_t automorphism_count_ = 1;
   std::array<std::vector<std::uint8_t>, kMaxPatternSize> constraints_at_;
 };
 

@@ -8,50 +8,56 @@
 
 namespace stm {
 
+namespace {
+
+/// Whether perm maps p's edges onto edges and non-edges onto non-edges, and
+/// keeps every label.
+bool preserves(const Pattern& p, const Permutation& perm) {
+  for (std::size_t u = 0; u < p.size(); ++u) {
+    if (p.is_labeled() && p.label(u) != p.label(perm[u])) return false;
+    for (std::size_t v = u + 1; v < p.size(); ++v)
+      if (p.has_edge(u, v) != p.has_edge(perm[u], perm[v])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::vector<Permutation> automorphisms(const Pattern& p) {
-  const std::size_t n = p.size();
-  Permutation perm(n);
+  Permutation perm(p.size());
   std::iota(perm.begin(), perm.end(), 0);
   std::vector<Permutation> autos;
   do {
-    bool ok = true;
-    for (std::size_t u = 0; ok && u < n; ++u) {
-      if (p.is_labeled() && p.label(u) != p.label(perm[u])) {
-        ok = false;
-        break;
-      }
-      for (std::size_t v = u + 1; v < n; ++v) {
-        if (p.has_edge(u, v) != p.has_edge(perm[u], perm[v])) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) autos.push_back(perm);
+    if (preserves(p, perm)) autos.push_back(perm);
   } while (std::next_permutation(perm.begin(), perm.end()));
   STM_CHECK(!autos.empty());  // identity is always present
   return autos;
 }
 
+std::uint64_t automorphism_count(const Pattern& p) {
+  std::uint64_t order = 0;
+  symmetry_breaking_constraints(p, &order);
+  return order;
+}
+
 std::vector<SymmetryConstraint> symmetry_breaking_constraints(
-    const Pattern& p) {
-  std::vector<Permutation> group = automorphisms(p);
+    const Pattern& p, std::uint64_t* group_order) {
+  Permutation perm(p.size());
+  std::iota(perm.begin(), perm.end(), 0);
   std::set<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t v = 0; v < p.size(); ++v) {
-    // Record v's nontrivial orbit under the current (pointwise) stabilizer of
-    // 0..v-1, then descend to the stabilizer of v.
-    std::vector<Permutation> stabilizer;
-    for (const auto& sigma : group) {
-      if (sigma[v] == v) {
-        stabilizer.push_back(sigma);
-      } else {
-        // sigma fixes 0..v-1, so sigma[v] > v.
-        STM_CHECK(sigma[v] > v);
-        pairs.emplace(v, sigma[v]);
-      }
-    }
-    group = std::move(stabilizer);
-  }
+  std::uint64_t order = 0;
+  do {
+    if (!preserves(p, perm)) continue;
+    ++order;
+    // sigma lies in the pointwise stabilizer of 0..v-1 but not of v exactly
+    // when v is its first moved point; then sigma[v] > v is in v's orbit
+    // under that stabilizer.
+    std::size_t v = 0;
+    while (v < perm.size() && perm[v] == v) ++v;
+    if (v < perm.size()) pairs.emplace(v, perm[v]);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  STM_CHECK(order >= 1);  // identity is always present
+  if (group_order != nullptr) *group_order = order;
   std::vector<SymmetryConstraint> out;
   out.reserve(pairs.size());
   for (auto [a, b] : pairs)

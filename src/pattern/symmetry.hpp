@@ -17,8 +17,13 @@ namespace stm {
 using Permutation = std::vector<std::size_t>;
 
 /// All automorphisms of p (edge- and label-preserving). Always contains the
-/// identity. Pattern sizes are <= 8, so brute force over k! is cheap.
+/// identity. Pattern sizes are <= 8, so brute force over k! is cheap. The
+/// matching code never stores the group: this is the reference that tests
+/// and the harness's automorphism-divisibility relation check against.
 std::vector<Permutation> automorphisms(const Pattern& p);
+
+/// |Aut(p)|: the embeddings of p per subgraph it matches.
+std::uint64_t automorphism_count(const Pattern& p);
 
 /// An order constraint: the data vertex matched to `smaller` must have a
 /// smaller id than the one matched to `larger`; `smaller < larger` always
@@ -31,7 +36,10 @@ struct SymmetryConstraint {
 
 /// Stabilizer-chain symmetry breaking: under the returned constraints the
 /// number of valid embeddings equals embeddings / |Aut(Q)| (each unique
-/// subgraph counted once).
-std::vector<SymmetryConstraint> symmetry_breaking_constraints(const Pattern& p);
+/// subgraph counted once). One sweep over the k! vertex permutations builds
+/// the whole chain without storing the group; `group_order` (optional)
+/// receives |Aut(Q)|.
+std::vector<SymmetryConstraint> symmetry_breaking_constraints(
+    const Pattern& p, std::uint64_t* group_order = nullptr);
 
 }  // namespace stm

@@ -779,9 +779,15 @@ void GraphSession::execute(QueryJob& job) {
       // Neighbor spans a compressed backend hands out stay valid while this
       // lease is held (the decode cache cannot be trimmed under the query).
       const auto storage_lease = snap->storage_lease();
+      // Every count walks one subgraph per automorphism class; an
+      // embeddings count is that times |Aut| (DESIGN.md §6).
+      const bool embeddings =
+          job.req.plan.count_mode == CountMode::kEmbeddings;
+      job.req.plan.count_mode = CountMode::kUniqueSubgraphs;
       auto plan = plan_cache_.get_or_compile(job.req.pattern, job.req.plan,
                                              snap->epoch(), &cache_hit);
       result = execute_resilient(job.req, *plan, *snap, job.token);
+      if (embeddings) result.count *= plan->automorphism_count();
       result.plan_cache_hit = cache_hit;
       result.graph_epoch = snap->epoch();
     }
@@ -1061,12 +1067,17 @@ std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
                 ? embeddings / aut
                 : embeddings;
   } else {
-    auto plan = plan_cache_.get_or_compile(cfg.pattern, cfg.plan, snap->epoch());
+    // Counted like a query: unique subgraphs, times |Aut| for embeddings.
+    PlanOptions unique = cfg.plan;
+    unique.count_mode = CountMode::kUniqueSubgraphs;
+    auto plan = plan_cache_.get_or_compile(cfg.pattern, unique, snap->epoch());
     HostEngineConfig host;
     host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
     Timer full_timer;
     const auto storage_lease = snap->storage_lease();
     count = host_match(snap->view(), *plan, host).count;
+    if (cfg.plan.count_mode == CountMode::kEmbeddings)
+      count *= plan->automorphism_count();
     full_ms = full_timer.elapsed_ms();
   }
 

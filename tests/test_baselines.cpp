@@ -2,6 +2,8 @@
 // cuTS/GSI models and multi-device execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/dryadic.hpp"
 #include "baselines/reference.hpp"
 #include "baselines/subgraph_centric.hpp"
@@ -88,6 +90,49 @@ TEST(Recursive, SeedsCoverEdgeDecomposition) {
   std::uint64_t total = 0;
   for (auto [v0, v1] : seeds) total += recursive_count_seed(g, plan, v0, v1);
   EXPECT_EQ(total, recursive_count_range(g, plan, 0, g.num_vertices()));
+}
+
+TEST(RecursiveExecutor, UniqueWalkIsTheConstrainedEmbeddingOrder) {
+  // A unique plan starts each constrained level past its bound; that must
+  // skip only candidates the constraints reject, in the seek walk too. The
+  // graph is small because seeking from every position is quadratic.
+  const Graph g = make_erdos_renyi(12, 0.4, 31);
+  using Walk = std::vector<std::vector<VertexId>>;
+  const auto collector = [](Walk* out) {
+    return [out](const std::vector<VertexId>& m) {
+      out->push_back(m);
+      return true;
+    };
+  };
+  for (int q = 1; q <= num_queries(); ++q) {
+    const Pattern p = reorder_for_matching(query(q));
+    for (Induced induced : {Induced::kEdge, Induced::kVertex}) {
+      const MatchingPlan all(p, {induced, true, CountMode::kEmbeddings});
+      const MatchingPlan unique(p, {induced, true, CountMode::kUniqueSubgraphs});
+      Walk every, want, got;
+      recursive_enumerate_range(g, all, 0, g.num_vertices(), collector(&every));
+      for (const auto& m : every)
+        if (std::all_of(unique.constraints().begin(),
+                        unique.constraints().end(),
+                        [&m](const SymmetryConstraint& c) {
+                          return m[c.smaller] < m[c.larger];
+                        }))
+          want.push_back(m);
+      recursive_enumerate_range(g, unique, 0, g.num_vertices(),
+                                collector(&got));
+      ASSERT_EQ(got, want) << query_name(q);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        Walk rest;
+        recursive_enumerate_after(g, unique, got[i], collector(&rest));
+        const auto same_v0_end = std::find_if(
+            got.begin() + static_cast<std::ptrdiff_t>(i), got.end(),
+            [&](const auto& m) { return m[0] != got[i][0]; });
+        ASSERT_EQ(rest, Walk(got.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                             same_v0_end))
+            << query_name(q) << " after #" << i;
+      }
+    }
+  }
 }
 
 TEST(Recursive, InvalidSeedRejected) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
 #include "pattern/queries.hpp"
 #include "pattern/symmetry.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace stm {
 namespace {
@@ -192,6 +194,64 @@ TEST(Symmetry, AsymmetricPatternHasNoConstraints) {
   Pattern p = Pattern::parse("0-1,0-2,1-2,2-3,3-4,1-5");
   EXPECT_EQ(automorphisms(p).size(), 1u);
   EXPECT_TRUE(symmetry_breaking_constraints(p).empty());
+}
+
+/// The stabilizer chain as first written: store the group, then descend
+/// through the pointwise stabilizers of 0..v-1, recording each level's orbit.
+std::vector<SymmetryConstraint> stored_group_chain(const Pattern& p) {
+  std::vector<Permutation> group = automorphisms(p);
+  std::set<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t v = 0; v < p.size(); ++v) {
+    std::vector<Permutation> stabilizer;
+    for (const auto& sigma : group) {
+      if (sigma[v] == v)
+        stabilizer.push_back(sigma);
+      else
+        pairs.emplace(v, sigma[v]);
+    }
+    group = std::move(stabilizer);
+  }
+  std::vector<SymmetryConstraint> out;
+  for (auto [a, b] : pairs)
+    out.push_back({static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)});
+  return out;
+}
+
+TEST(Symmetry, OnePassChainMatchesStabilizerChain) {
+  std::vector<Pattern> patterns;
+  for (int i = 1; i <= num_queries(); ++i) {
+    const Pattern q = query(i);
+    std::vector<Label> mod2(q.size()), mod3(q.size());
+    for (std::size_t v = 0; v < q.size(); ++v) {
+      mod2[v] = static_cast<Label>(v % 2);
+      mod3[v] = static_cast<Label>(v % 3);
+    }
+    patterns.push_back(q);
+    patterns.push_back(q.with_labels(mod2));
+    patterns.push_back(q.with_labels(mod3));
+  }
+  // Random connected patterns: a random spanning tree plus extra edges.
+  Rng rng(1801);
+  for (int i = 0; i < 200; ++i) {
+    const auto n = static_cast<std::size_t>(rng.next_in(2, 8));
+    const double extra = rng.next_double();
+    std::vector<std::pair<int, int>> edges;
+    for (std::size_t v = 1; v < n; ++v) {
+      const std::uint64_t parent = rng.next_below(v);
+      for (std::size_t u = 0; u < v; ++u)
+        if (u == parent || rng.next_bool(extra))
+          edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
+    }
+    patterns.emplace_back(n, edges);
+  }
+  for (const Pattern& p : patterns) {
+    ASSERT_TRUE(p.is_connected()) << p.to_string();
+    std::uint64_t order = 0;
+    EXPECT_EQ(symmetry_breaking_constraints(p, &order), stored_group_chain(p))
+        << p.to_string();
+    EXPECT_EQ(order, automorphisms(p).size()) << p.to_string();
+    EXPECT_EQ(automorphism_count(p), order) << p.to_string();
+  }
 }
 
 TEST(Symmetry, TadpoleHasMirrorSymmetry) {

@@ -14,6 +14,7 @@
 #include "core/host_engine.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "graph/labeling.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
 #include "service/admission.hpp"
@@ -257,6 +258,73 @@ TEST(ServiceCache, WarmHitReturnsIdenticalCounts) {
 
   EXPECT_EQ(session.plan_cache().stats().hits, 2u);
   EXPECT_EQ(session.plan_cache().stats().misses, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Counting: one walk per automorphism class
+// ---------------------------------------------------------------------------
+
+TEST(ServiceCount, EmbeddingCountsWalkTheUniquePlan) {
+  // An embeddings count is served as unique subgraphs x |Aut|: it must equal
+  // the reference, and build exactly the sets of the unique request.
+  const Graph plain = make_erdos_renyi(20, 0.3, 31);
+  SessionConfig three_shards;
+  three_shards.sharding.num_shards = 3;
+  for (const bool labeled : {false, true}) {
+    const Graph g = labeled ? with_random_labels(plain, 2, 31) : plain;
+    GraphSession single{Graph(g)};
+    GraphSession sharded{Graph(g), three_shards};
+    for (int q = 1; q <= num_queries(); ++q) {
+      Pattern p = query(q);
+      if (labeled) {
+        std::vector<Label> labels(p.size());
+        for (std::size_t v = 0; v < p.size(); ++v)
+          labels[v] = static_cast<Label>(v % 2);
+        p = p.with_labels(std::move(labels));
+      }
+      for (Induced induced : {Induced::kEdge, Induced::kVertex}) {
+        const std::uint64_t want =
+            reference_count(g, p, {induced, CountMode::kEmbeddings});
+        // Only edge-induced queries are sharded. A sharded SIMT query
+        // simulates kernels per cut edge (tens of ms each here), so it runs
+        // on the size-5 queries only.
+        std::vector<std::pair<GraphSession*, EngineKind>> lanes = {
+            {&single, EngineKind::kHost},
+            {&single, EngineKind::kSimt},
+            {&single, EngineKind::kReference}};
+        if (induced == Induced::kEdge) {
+          lanes.emplace_back(&sharded, EngineKind::kHost);
+          if (p.size() == 5) lanes.emplace_back(&sharded, EngineKind::kSimt);
+        }
+        for (const auto& [session, engine] : lanes) {
+          QueryRequest req = host_request(p);
+          req.plan.induced = induced;
+          req.engine = engine;
+          const QueryResult emb = session->run(req);
+          req.plan.count_mode = CountMode::kUniqueSubgraphs;
+          const QueryResult uniq = session->run(req);
+          const std::string what =
+              query_name(q) + " " + to_string(engine) +
+              (labeled ? " labeled" : "") +
+              (session == &sharded ? " sharded" : "") +
+              (induced == Induced::kVertex ? " vertex" : " edge");
+          ASSERT_EQ(emb.status, QueryStatus::kOk) << what << emb.error;
+          ASSERT_EQ(uniq.status, QueryStatus::kOk) << what << uniq.error;
+          EXPECT_EQ(emb.count, want) << what;
+          EXPECT_EQ(emb.stats.sets_built, uniq.stats.sets_built) << what;
+        }
+        if (induced != Induced::kEdge) continue;
+        // A standing registration's baseline is counted the same way.
+        StandingQueryConfig standing;
+        standing.pattern = p;
+        const auto info =
+            single.standing_query(single.register_standing_query(standing));
+        ASSERT_TRUE(info.has_value());
+        EXPECT_EQ(info->count, want) << query_name(q);
+      }
+    }
+    EXPECT_GT(sharded.metrics().counter("sharded_queries").value(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
