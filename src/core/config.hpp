@@ -36,10 +36,6 @@ struct EngineConfig {
   /// Step between outer-loop vertices: device d of D takes v_begin = d,
   /// v_stride = D for a skew-balanced interleaved division of V.
   VertexId v_stride = 1;
-  /// When != kNoVertex, level 1 of the matching order is pinned to this data
-  /// vertex (combined with v_begin/v_end = u/u+1 this anchors enumeration on
-  /// a single data edge, the seeding mode of the incremental matcher).
-  VertexId pin_v1 = kNoVertex;
   /// Deterministic fault-injection schedule (all sites off by default).
   /// Sites interpreted here: kWarpAbort, kSlabAlloc, kStealLoss,
   /// kEngineThrow; multi-device runs additionally honor kDeviceFail.

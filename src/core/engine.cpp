@@ -185,7 +185,6 @@ class StackEngine {
   /// Injectivity + symmetry-order filters for choosing v_l (labels are
   /// already enforced by the candidate set's mask).
   bool choice_ok(const WarpState& w, std::size_t l, VertexId v) const {
-    if (l == 1 && cfg_.pin_v1 != kNoVertex && v != cfg_.pin_v1) return false;
     for (std::size_t j = 0; j < l; ++j)
       if (w.matched[j] == v) return false;
     for (std::uint8_t smaller : plan_.constraints_at(l))

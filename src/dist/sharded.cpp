@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 
 #include "baselines/reference.hpp"
 #include "core/engine.hpp"
 #include "core/recursive.hpp"
 #include "dist/scheduler.hpp"
 #include "dynamic/dynamic_graph.hpp"
+#include "mqo/evaluator.hpp"
 #include "pattern/matching_order.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -45,11 +47,8 @@ struct LocalOutcome {
 /// One cut-edge chunk's contribution (always embeddings).
 struct ChunkOutcome {
   std::uint64_t embeddings = 0;
-  std::uint64_t anchored_runs = 0;
-  std::uint64_t faults_injected = 0;
   std::uint64_t units_recovered = 0;
   QueryStatus status = QueryStatus::kOk;
-  std::uint32_t attempts = 0;
 };
 
 }  // namespace
@@ -58,8 +57,9 @@ ShardedMatcher::ShardedMatcher(const Pattern& pattern,
                                const ShardedOptions& opts)
     : pattern_(pattern), opts_(opts) {
   STM_CHECK_MSG(pattern_.size() >= 1, "pattern must have at least one vertex");
+  // Default PlanOptions: edge-induced, counting embeddings.
   if (opts_.plan.induced == Induced::kEdge && pattern_.size() >= 2)
-    enumerator_.emplace(pattern_, opts_.plan, opts_.anchor_engine, opts_.simt);
+    cut_index_.add(kCutQuery, pattern_, PlanOptions{}, false);
 }
 
 ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
@@ -74,6 +74,10 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   STM_CHECK_MSG(opts_.plan.induced == Induced::kEdge || num_shards == 1,
                 "vertex-induced matching cannot be sharded: an induced match "
                 "can cross shards without containing a cut edge");
+  // The shard-local engines would throw this inside a pool task, and the
+  // cut-term walk would match nothing.
+  STM_CHECK_MSG(!pattern_.is_labeled() || g.is_labeled(),
+                "labeled pattern requires a labeled data graph");
 
   ShardedResult result;
   result.cut_edges = partition.cut_edges.size();
@@ -114,48 +118,58 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         continue;  // the unit died before completing; re-run it
       std::uint64_t count = 0;
       QueryStats q;
-      switch (opts_.local_engine) {
-        case LocalEngine::kHost: {
-          HostEngineConfig cfg = opts_.host;
-          cfg.fault.incarnation = opts_.host.fault.incarnation + attempt + a;
-          const HostMatchResult r =
-              host_match(shard.local, local_plan, cfg, cancel);
-          count = r.count;
-          q = r.stats;
-          break;
+      try {
+        switch (opts_.local_engine) {
+          case LocalEngine::kHost: {
+            HostEngineConfig cfg = opts_.host;
+            cfg.fault.incarnation = opts_.host.fault.incarnation + attempt + a;
+            const HostMatchResult r =
+                host_match(shard.local, local_plan, cfg, cancel);
+            count = r.count;
+            q = r.stats;
+            break;
+          }
+          case LocalEngine::kSimt: {
+            EngineConfig cfg = opts_.simt;
+            cfg.v_begin = 0;
+            cfg.v_end = 0;
+            cfg.v_stride = 1;
+            cfg.fault.incarnation = opts_.simt.fault.incarnation + attempt + a;
+            const MatchResult r =
+                stmatch_match(shard.local, local_plan, cfg, cancel);
+            count = r.count;
+            q = r.query;
+            break;
+          }
+          case LocalEngine::kRecursive: {
+            RecursiveCounters rc;
+            count = recursive_count_range(shard.local, local_plan, 0,
+                                          shard.local.num_vertices(), &rc,
+                                          cancel);
+            q.scalar_ops = rc.scalar_ops;
+            q.sets_built = rc.sets_built;
+            if (cancel != nullptr && cancel->expired())
+              q.status = cancel->status();
+            break;
+          }
+          case LocalEngine::kReference: {
+            count = reference_count(
+                shard.local, pattern_,
+                {opts_.plan.induced, opts_.plan.count_mode}, cancel);
+            if (cancel != nullptr && cancel->expired())
+              q.status = cancel->status();
+            break;
+          }
         }
-        case LocalEngine::kSimt: {
-          EngineConfig cfg = opts_.simt;
-          cfg.v_begin = 0;
-          cfg.v_end = 0;
-          cfg.v_stride = 1;
-          cfg.pin_v1 = kNoVertex;
-          cfg.fault.incarnation = opts_.simt.fault.incarnation + attempt + a;
-          const MatchResult r = stmatch_match(shard.local, local_plan, cfg, cancel);
-          count = r.count;
-          q = r.query;
-          break;
-        }
-        case LocalEngine::kRecursive: {
-          RecursiveCounters rc;
-          count = recursive_count_range(shard.local, local_plan, 0,
-                                        shard.local.num_vertices(), &rc, cancel);
-          q.scalar_ops = rc.scalar_ops;
-          q.sets_built = rc.sets_built;
-          if (cancel != nullptr && cancel->expired()) q.status = cancel->status();
-          break;
-        }
-        case LocalEngine::kReference: {
-          count = reference_count(
-              shard.local, pattern_,
-              {opts_.plan.induced, opts_.plan.count_mode}, cancel);
-          if (cancel != nullptr && cancel->expired()) q.status = cancel->status();
-          break;
-        }
+      } catch (const FaultInjectedError&) {
+        // The engine call itself threw (FaultSite::kEngineThrow).
+        q.status = QueryStatus::kInternalError;
+        q.faults_injected = 1;
       }
       if (q.status == QueryStatus::kInternalError) {
-        // The inner engine's own recovery budget ran out; treat the whole
-        // shard run as a failed unit and re-run with a new incarnation.
+        // The inner engine failed or its own recovery budget ran out; treat
+        // the whole shard run as a failed unit and re-run with a new
+        // incarnation.
         out.query.faults_injected += q.faults_injected;
         continue;
       }
@@ -187,12 +201,14 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   // --- Cut-edge anchor chunks --------------------------------------------
   // Checkpoint k = G_intra + all cut edges of chunks < k, built once,
   // sequentially; a chunk's worker layers a transient DeltaOverlay on its
-  // checkpoint and counts after each of its own edges, realizing the prefix
-  // identity independently of scheduling order.
+  // checkpoint and walks the trie after each of its own edges, realizing the
+  // prefix identity independently of scheduling order. Concurrent walks only
+  // read the index.
   const auto& cut = partition.cut_edges;
+  const mqo::MultiQueryEvaluator evaluator(cut_index_);
   const std::uint32_t chunk_size = std::max<std::uint32_t>(1, opts_.cut_chunk_size);
   const std::size_t num_chunks =
-      enumerator_.has_value() ? (cut.size() + chunk_size - 1) / chunk_size : 0;
+      cut_index_.empty() ? 0 : (cut.size() + chunk_size - 1) / chunk_size;
   std::vector<ChunkOutcome> chunks(num_chunks);
   std::optional<MutableGraph> intra;
   std::vector<std::shared_ptr<const GraphSnapshot>> checkpoints;
@@ -225,7 +241,6 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = std::min(cut.size(), lo + chunk_size);
     for (std::uint32_t a = 0; a < fault_cfg.max_unit_attempts; ++a) {
-      ++out.attempts;
       if (cancel != nullptr && cancel->expired()) {
         out.status = cancel->status();
         return;
@@ -233,16 +248,15 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
       if (chaos && injector.should_fail(FaultSite::kShardFailure,
                                         unit_key(kChunkUnit, c, a)))
         continue;
-      std::uint64_t embeddings = 0;
-      std::uint64_t runs = 0;
+      mqo::EvalResult walk;
+      walk.groups.resize(cut_index_.num_group_slots());
       DeltaOverlay overlay(checkpoints[c]);
       for (std::size_t i = lo; i < hi; ++i) {
         const auto& [u, v] = cut[i];
         overlay.add_edge(u, v);
-        embeddings += enumerator_->count_containing(overlay.view(), u, v, &runs);
+        evaluator.accumulate(overlay.view(), u, v, +1, &walk);
       }
-      out.embeddings = embeddings;
-      out.anchored_runs = runs;
+      out.embeddings = static_cast<std::uint64_t>(walk.groups[0].embeddings);
       if (a > 0) ++out.units_recovered;
       return;
     }
@@ -254,12 +268,12 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = std::min(cut.size(), lo + chunk_size);
     // Anchored work per cut edge scales with the endpoint degrees, the
-    // anchor count, and both seed orientations.
+    // anchor count (one per pattern edge), and both seed orientations.
     double est = static_cast<double>(cost.kernel_launch);
     for (std::size_t i = lo; i < hi; ++i) {
       const auto& [u, v] = cut[i];
       est += static_cast<double>(g.degree(u) + g.degree(v)) *
-             static_cast<double>(2 * enumerator_->num_anchors()) *
+             static_cast<double>(2 * pattern_.num_edges()) *
              static_cast<double>(cost.wave_overhead);
     }
     scheduler.add({partition.cut_owner(cut[lo].first, cut[lo].second), est,
@@ -289,9 +303,7 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   std::uint64_t cut_embeddings = 0;
   for (const ChunkOutcome& c : chunks) {
     cut_embeddings += c.embeddings;
-    result.anchored_runs += c.anchored_runs;
     result.units_recovered += c.units_recovered;
-    result.faults_injected += c.faults_injected;
     if (c.status != QueryStatus::kOk && merged.status == QueryStatus::kOk)
       merged.status = c.status;
   }

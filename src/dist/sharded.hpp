@@ -11,15 +11,15 @@
 // and counts of connected patterns are additive over a disjoint union, so
 // every existing engine runs each shard's standalone `local` Graph
 // unchanged. The second term is the prefix inclusion–exclusion identity the
-// incremental matcher already uses for delta edges (every embedding missing
-// from G_intra contains at least one cut edge and is counted exactly once,
-// at the largest-index cut edge it contains), executed by the shared
-// AnchoredEnumerator. Anchored plans are always compiled in kEmbeddings
-// mode; for kUniqueSubgraphs the cut term is divided by |Aut(pattern)|
-// (cut-containing embeddings are closed under automorphisms). Vertex-induced
-// matching is rejected for more than one shard — an induced match can cross
-// shards without containing any cut edge via a non-edge constraint — the
-// same reason the incremental matcher rejects it.
+// standing queries use for delta edges (every embedding missing from
+// G_intra contains at least one cut edge and is counted exactly once, at the
+// largest-index cut edge it contains), counted by the standing-query trie
+// walk (mqo/evaluator.hpp) over a one-registration PatternIndex. The
+// registration counts embeddings; for kUniqueSubgraphs the cut term is
+// divided by |Aut(pattern)| (cut-containing embeddings are closed under
+// automorphisms). Vertex-induced matching is rejected for more than one
+// shard — an induced match can cross shards without containing any cut edge
+// via a non-edge constraint — the same reason the standing index rejects it.
 //
 // Cut edges are processed in chunks so the shard scheduler can steal them:
 // chunk k runs against a checkpoint snapshot (G_intra plus all edges of
@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,14 +39,14 @@
 #include "core/host_engine.hpp"
 #include "core/query_stats.hpp"
 #include "dist/partition.hpp"
-#include "dynamic/incremental.hpp"
+#include "mqo/pattern_index.hpp"
 #include "pattern/pattern.hpp"
 #include "pattern/plan.hpp"
 
 namespace stm::dist {
 
-/// Engine executing the shard-local enumerations (anchored cut-edge runs
-/// use DeltaEngine from dynamic/incremental.hpp).
+/// Engine executing the shard-local enumerations (the cut-edge term always
+/// runs the standing-query trie walk).
 enum class LocalEngine : std::uint8_t {
   kHost = 0,   // host-parallel engine (production CPU path)
   kSimt,       // simulated-GPU stack engine
@@ -62,9 +61,7 @@ struct ShardedOptions {
   /// than one shard.
   PlanOptions plan;
   LocalEngine local_engine = LocalEngine::kHost;
-  /// Engine of the anchored cut-edge enumerations.
-  DeltaEngine anchor_engine = DeltaEngine::kHost;
-  /// Inner-engine configurations (v-range/pin fields are overwritten).
+  /// Inner-engine configurations (v-range fields are overwritten).
   HostEngineConfig host;
   EngineConfig simt;
   /// Scheduler workers (0 = one per shard).
@@ -97,8 +94,6 @@ struct ShardedResult {
   /// Cut-edge term after automorphism division (requested mode).
   std::uint64_t cut_total = 0;
   std::uint64_t cut_edges = 0;
-  /// Anchored engine invocations issued.
-  std::uint64_t anchored_runs = 0;
   /// Third-level steals (whole units run by a foreign shard's worker).
   std::uint64_t chunk_steals = 0;
   std::uint64_t faults_injected = 0;
@@ -111,14 +106,15 @@ struct ShardedResult {
   std::string error;
 };
 
-/// Compiles the pattern-dependent state (anchored plans, |Aut|) once; the
-/// shard-local MatchingPlan is passed per match() call so a session-level
-/// plan cache can be shared across shards and epochs.
+/// Registers the pattern's anchored paths (and |Aut|) once; the shard-local
+/// MatchingPlan is passed per match() call so a session-level plan cache can
+/// be shared across shards and epochs.
 class ShardedMatcher {
  public:
-  /// Throws check_error for patterns with no vertices. Anchored plans are
-  /// compiled only for edge-induced options and patterns with >= 2 vertices
-  /// (otherwise the cut term is zero / unsupported, checked at match()).
+  /// Throws check_error for patterns with no vertices. The pattern is
+  /// registered only for edge-induced options and patterns with >= 2
+  /// vertices (otherwise the cut term is zero / unsupported, checked at
+  /// match()).
   ShardedMatcher(const Pattern& pattern, const ShardedOptions& opts);
 
   /// Exact count over `partition` of the graph version `g`. `g` must be the
@@ -127,7 +123,8 @@ class ShardedMatcher {
   /// reorder_for_matching(pattern) with opts.plan. `attempt` offsets the
   /// fault incarnation (the service bumps it per engine retry). A non-null
   /// `cancel` token is polled between units and inside the inner engines.
-  /// Throws check_error for vertex-induced options on > 1 shard.
+  /// Throws check_error for vertex-induced options on > 1 shard and for a
+  /// labeled pattern over an unlabeled graph.
   ShardedResult match(GraphView g, const Partition& partition,
                       const MatchingPlan& local_plan,
                       std::uint64_t attempt = 0,
@@ -135,15 +132,19 @@ class ShardedMatcher {
 
   const Pattern& pattern() const { return pattern_; }
   const ShardedOptions& options() const { return opts_; }
+  /// |Aut(pattern)|: the embeddings-per-subgraph factor of the cut term.
   std::uint64_t automorphisms() const {
-    return enumerator_ ? enumerator_->automorphisms() : 1;
+    return cut_index_.empty() ? 1 : cut_index_.automorphisms(kCutQuery);
   }
 
  private:
+  static constexpr std::uint64_t kCutQuery = 0;
+
   Pattern pattern_;
   ShardedOptions opts_;
-  /// Null for single-vertex patterns and vertex-induced options.
-  std::optional<AnchoredEnumerator> enumerator_;
+  /// The pattern as registration kCutQuery, counting embeddings; empty for
+  /// single-vertex patterns and vertex-induced options.
+  mqo::PatternIndex cut_index_;
 };
 
 /// Convenience one-shot wrapper: partitions `g`, compiles the local plan,

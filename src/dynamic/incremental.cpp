@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/engine.hpp"
 #include "core/recursive.hpp"
 #include "pattern/symmetry.hpp"
 #include "util/check.hpp"
@@ -53,10 +52,8 @@ bool label_ok(GraphView g, std::uint64_t mask, VertexId v) {
 }  // namespace
 
 AnchoredEnumerator::AnchoredEnumerator(const Pattern& pattern,
-                                       const PlanOptions& base,
-                                       DeltaEngine engine,
-                                       const EngineConfig& simt)
-    : pattern_(pattern), engine_(engine), simt_(simt) {
+                                       const PlanOptions& base)
+    : pattern_(pattern) {
   STM_CHECK_MSG(base.induced == Induced::kEdge,
                 "anchored enumeration supports edge-induced semantics only: "
                 "a vertex-induced match can change without containing the "
@@ -93,16 +90,7 @@ std::uint64_t AnchoredEnumerator::count_containing(GraphView g, VertexId u,
           !label_ok(g, plan.exact_mask(1), s1))
         continue;
       ++*runs;
-      if (engine_ == DeltaEngine::kHost) {
-        total += recursive_count_seed(g, plan, s0, s1);
-      } else {
-        EngineConfig cfg = simt_;
-        cfg.v_begin = s0;
-        cfg.v_end = s0 + 1;
-        cfg.v_stride = 1;
-        cfg.pin_v1 = s1;
-        total += stmatch_match(g, plan, cfg).count;
-      }
+      total += recursive_count_seed(g, plan, s0, s1);
     }
   }
   return total;
@@ -135,9 +123,8 @@ std::uint64_t AnchoredEnumerator::enumerate_containing(
 }
 
 IncrementalMatcher::IncrementalMatcher(const Pattern& pattern,
-                                       IncrementalOptions opts)
-    : opts_(opts),
-      enumerator_(pattern, opts.plan, opts.engine, opts.simt) {}
+                                       const PlanOptions& plan)
+    : count_mode_(plan.count_mode), enumerator_(pattern, plan) {}
 
 DeltaMatchResult IncrementalMatcher::count_delta(
     const std::shared_ptr<const GraphSnapshot>& from,
@@ -182,7 +169,7 @@ DeltaMatchResult IncrementalMatcher::count_delta(
   }
 
   std::int64_t delta = plus - minus;
-  if (opts_.plan.count_mode == CountMode::kUniqueSubgraphs) {
+  if (count_mode_ == CountMode::kUniqueSubgraphs) {
     const auto aut = static_cast<std::int64_t>(automorphisms());
     STM_CHECK_MSG(delta % aut == 0,
                   "embedding delta " << delta << " not divisible by |Aut| "

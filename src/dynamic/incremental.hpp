@@ -5,7 +5,7 @@
 // without re-enumerating the whole graph. Enumeration is anchored on delta
 // edges only: every pattern edge takes a turn as the anchor (relabeled so
 // the anchor spans levels 0 and 1), and for each delta edge both seed
-// orientations run through the unmodified host or SIMT engine against a
+// orientations run through the seeded host recursion against a
 // prefix-hybrid overlay graph. Inclusion–exclusion over old/new adjacency
 // is realized by the prefix construction (see count_delta in the .cpp),
 // which counts every affected match exactly once — cumulative deltas agree
@@ -16,6 +16,11 @@
 // commute with anchoring). Vertex-induced matching is rejected: an induced
 // match can appear or vanish without containing any delta edge (a non-edge
 // constraint elsewhere flips), so delta-edge anchoring cannot be exact.
+//
+// No production path runs these classes: standing queries, WAL replay and
+// the sharded cut term all walk the plan trie (mqo/evaluator.hpp).
+// IncrementalMatcher, AnchoredEnumerator and the DeltaStreamer built on it
+// stay as the per-pattern oracles that walk is checked against.
 #pragma once
 
 #include <cstdint>
@@ -23,28 +28,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/host_engine.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "pattern/pattern.hpp"
 #include "pattern/plan.hpp"
 
 namespace stm {
-
-/// Which engine executes the anchored enumerations.
-enum class DeltaEngine : std::uint8_t {
-  kHost = 0,  // sequential seeded recursion (production CPU path)
-  kSimt,      // simulated-GPU stack engine with a pinned level-0/1 seed
-};
-
-struct IncrementalOptions {
-  /// Matching semantics of the standing count. induced must be kEdge.
-  PlanOptions plan;
-  DeltaEngine engine = DeltaEngine::kHost;
-  /// SIMT-path device configuration for engine == kSimt (v_begin/v_end and
-  /// pin_v1 are overwritten per anchored run).
-  EngineConfig simt;
-};
 
 /// The outcome of one batch's delta computation.
 struct DeltaMatchResult {
@@ -61,21 +49,19 @@ struct DeltaMatchResult {
 /// Edge-anchored enumeration: counts the embeddings of a pattern that
 /// contain a given data edge. Every pattern edge takes a turn as the anchor
 /// (relabeled so the anchor spans levels 0 and 1), and for each data edge
-/// both seed orientations run through the unmodified host or SIMT engine.
-/// Plans are always compiled in kEmbeddings mode — symmetry breaking does
-/// not commute with a forced anchor — so callers counting unique subgraphs
-/// divide aggregated totals by automorphisms().
+/// both seed orientations run through the seeded host recursion. Plans are
+/// always compiled in kEmbeddings mode — symmetry breaking does not commute
+/// with a forced anchor — so callers counting unique subgraphs divide
+/// aggregated totals by automorphisms().
 ///
-/// Shared by IncrementalMatcher (anchors = delta edges) and the sharded
-/// coordinator in dist/ (anchors = cut edges): both realize the same
-/// prefix inclusion–exclusion identity over an ordered edge set.
+/// Shared by IncrementalMatcher (counts) and DeltaStreamer (embeddings):
+/// both realize the prefix inclusion–exclusion identity over an ordered
+/// edge set.
 class AnchoredEnumerator {
  public:
   /// Compiles one anchored plan per pattern edge. Throws check_error for
   /// vertex-induced options or patterns with fewer than two vertices.
-  AnchoredEnumerator(const Pattern& pattern, const PlanOptions& base,
-                     DeltaEngine engine = DeltaEngine::kHost,
-                     const EngineConfig& simt = {});
+  AnchoredEnumerator(const Pattern& pattern, const PlanOptions& base);
 
   /// Embeddings containing data edge (u, v) in `g`, summed over all anchors
   /// and both orientations. Increments *runs per engine invocation issued
@@ -90,10 +76,7 @@ class AnchoredEnumerator {
   /// Enumerates (rather than counts) the embeddings containing (u, v). Each
   /// such embedding is visited exactly once — an injective map puts exactly
   /// one pattern edge onto the data edge, so exactly one (anchor,
-  /// orientation) pair finds it. Enumeration always rides the seeded host
-  /// recursion regardless of the configured DeltaEngine (the engines agree
-  /// bit-exactly; recursion is the one with a visitor). Backs the
-  /// standing-query delta streams.
+  /// orientation) pair finds it. Backs DeltaStreamer.
   std::uint64_t enumerate_containing(GraphView g, VertexId u, VertexId v,
                                      const AnchoredVisitor& visit,
                                      std::uint64_t* runs) const;
@@ -101,13 +84,10 @@ class AnchoredEnumerator {
   /// |Aut(pattern)| — the embeddings-per-subgraph factor (1 unless the base
   /// options requested kUniqueSubgraphs).
   std::uint64_t automorphisms() const { return automorphisms_; }
-  std::size_t num_anchors() const { return anchors_.size(); }
   const Pattern& pattern() const { return pattern_; }
 
  private:
   Pattern pattern_;
-  DeltaEngine engine_;
-  EngineConfig simt_;
   std::vector<MatchingPlan> anchors_;  // anchor edge at levels 0/1
   /// anchor_perms_[a][i] = original pattern vertex at position i of anchored
   /// plan a; inverts the anchor relabeling when emitting embeddings.
@@ -120,7 +100,7 @@ class IncrementalMatcher {
   /// Compiles one anchored plan per pattern edge. Throws check_error for
   /// vertex-induced options or patterns with fewer than two vertices.
   explicit IncrementalMatcher(const Pattern& pattern,
-                              IncrementalOptions opts = {});
+                              const PlanOptions& plan = {});
 
   /// Exact match-count change caused by applying `applied` to the version
   /// `from` (i.e. count(from + applied) - count(from)). `applied` must be
@@ -131,12 +111,11 @@ class IncrementalMatcher {
       const DeltaEdges& applied) const;
 
   const Pattern& pattern() const { return enumerator_.pattern(); }
-  const IncrementalOptions& options() const { return opts_; }
   /// |Aut(pattern)| — the embeddings-per-subgraph factor.
   std::uint64_t automorphisms() const { return enumerator_.automorphisms(); }
 
  private:
-  IncrementalOptions opts_;
+  CountMode count_mode_;
   AnchoredEnumerator enumerator_;
 };
 

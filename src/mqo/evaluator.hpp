@@ -48,8 +48,9 @@ class MultiQueryEvaluator {
   /// One edge's contribution: walks the trie for data edge (u, v) — both
   /// orientations — over `g`, crediting counts (and embeddings for
   /// collecting groups) into *out with polarity `sign` (+1 inserted-pass,
-  /// -1 deleted-pass). (u, v) must be an edge of `g`. Exposed for tests and
-  /// tools; evaluate() is the batch entry point.
+  /// -1 deleted-pass). (u, v) must be an edge of `g`. evaluate() is the
+  /// batch entry point; the sharded coordinator (dist/sharded.hpp) calls this
+  /// once per cut edge, from concurrent chunks that only read the index.
   void accumulate(GraphView g, VertexId u, VertexId v, int sign,
                   EvalResult* out) const;
 

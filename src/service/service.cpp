@@ -462,8 +462,6 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
   opts.plan = req.plan;
   opts.local_engine = kind == EngineKind::kSimt ? dist::LocalEngine::kSimt
                                                 : dist::LocalEngine::kHost;
-  opts.anchor_engine =
-      kind == EngineKind::kSimt ? DeltaEngine::kSimt : DeltaEngine::kHost;
   // One engine thread per scheduler unit: cross-shard parallelism comes from
   // the shard scheduler's workers, not from nested host threads. Per-request
   // engine knobs (req.host / req.simt) do not reach the sharded path — the

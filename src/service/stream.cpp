@@ -306,12 +306,12 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
 
   const EngineConfig& sc = req.query.simt;
   if (req.query.host.v_begin != 0 || sc.v_begin != 0 || sc.v_end != 0 ||
-      sc.v_stride != 1 || sc.pin_v1 != kNoVertex) {
+      sc.v_stride != 1) {
     return reject_stream(
         req, QueryStatus::kInvalidArgument,
         "stream requests must leave the engine outer-loop range knobs "
-        "(host.v_begin, simt.v_begin/v_end/v_stride/pin_v1) at their "
-        "defaults; the stream cursor owns them");
+        "(host.v_begin, simt.v_begin/v_end/v_stride) at their defaults; the "
+        "stream cursor owns them");
   }
 
   const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();

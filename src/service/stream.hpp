@@ -66,8 +66,8 @@ struct StreamRequest {
   /// Engine / plan / deadline knobs. Streams execute a single attempt on
   /// req.engine (no retry or fallback: a degraded re-run could not splice
   /// into an already-delivered prefix) and bypass sharded execution.
-  /// The outer-loop range knobs (host.v_begin, simt.v_begin/v_end/v_stride/
-  /// pin_v1) must be left at their defaults; the stream owns them.
+  /// The outer-loop range knobs (host.v_begin, simt.v_begin/v_end/v_stride)
+  /// must be left at their defaults; the stream owns them.
   QueryRequest query;
   StreamOptions stream;
 };

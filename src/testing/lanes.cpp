@@ -166,11 +166,9 @@ bool incremental_applies(const TestCase& c, std::uint64_t) {
 void check_incremental(const TestCase& c, const MatchingPlan&,
                        OracleReport& report) {
   const auto [from, applied] = replay_as_one_batch(c.graph);
-  IncrementalOptions opts;  // host delta engine
-  opts.plan = c.plan;
   const std::int64_t delta =  // an empty batch has a zero delta
       applied.empty() ? 0
-                      : IncrementalMatcher(c.pattern, opts)
+                      : IncrementalMatcher(c.pattern, c.plan)
                             .count_delta(from, applied).delta;
   STM_CHECK_MSG(delta >= 0, "replay over an empty base produced a negative"
                             " delta of " << delta);
@@ -274,7 +272,6 @@ void check_stream(const TestCase& c, const MatchingPlan&,
     q.simt.v_begin = 0;
     q.simt.v_end = 0;
     q.simt.v_stride = 1;
-    q.simt.pin_v1 = kNoVertex;
     q.simt.fault = FaultConfig{};
     return req;
   };
@@ -560,11 +557,9 @@ void check_mqo(const TestCase& c, const MatchingPlan&, OracleReport& report) {
                        " != reference count " + std::to_string(expected[i]));
       continue;
     }
-    IncrementalOptions iopts;
-    iopts.plan = c.plan;
     const std::int64_t loop =
         applied.empty() ? 0
-                        : IncrementalMatcher(patterns[i], iopts)
+                        : IncrementalMatcher(patterns[i], c.plan)
                               .count_delta(from, applied).delta;
     if (qd.delta != loop) {
       fail(report, who + " indexed delta " + std::to_string(qd.delta) +

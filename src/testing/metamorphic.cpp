@@ -168,9 +168,7 @@ void check_deletion_consistency(const TestCase& c, Rng& rng,
   batch.deletions = {{u, v}};
   ApplyResult applied = mutable_graph.apply(batch);
 
-  IncrementalOptions opts;
-  opts.plan = c.plan;
-  const IncrementalMatcher matcher(c.pattern, opts);
+  const IncrementalMatcher matcher(c.pattern, c.plan);
   const std::int64_t delta = matcher.count_delta(from, applied.applied).delta;
   const std::uint64_t after =
       count(applied.snapshot->compacted(), c.pattern, c.plan);

@@ -43,18 +43,13 @@ UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
 /// Applies `num_batches` random batches, tracking the count incrementally,
 /// and checks the cumulative count against full re-enumeration of the
 /// compacted graph after every batch. Returns the number of batches checked.
-int run_differential(const Pattern& pattern, DeltaEngine engine,
-                     std::uint64_t seed, int num_batches, int batch_edges) {
+int run_differential(const Pattern& pattern, std::uint64_t seed,
+                     int num_batches, int batch_edges) {
   Graph base = make_erdos_renyi(36, 0.15, seed);
   MutableGraph g(base);
 
-  IncrementalOptions opts;
-  opts.engine = engine;
-  IncrementalMatcher matcher(pattern, opts);
-
-  ReferenceOptions ref;
-  ref.induced = opts.plan.induced;
-  ref.count_mode = opts.plan.count_mode;
+  IncrementalMatcher matcher(pattern);
+  const ReferenceOptions ref;
 
   Rng rng(seed * 7919 + 13);
   std::int64_t count = static_cast<std::int64_t>(
@@ -69,8 +64,7 @@ int run_differential(const Pattern& pattern, DeltaEngine engine,
     const std::uint64_t full =
         reference_count(GraphView(applied.snapshot->compacted()), pattern, ref);
     EXPECT_EQ(count, static_cast<std::int64_t>(full))
-        << "engine=" << static_cast<int>(engine) << " seed=" << seed
-        << " batch=" << i;
+        << "seed=" << seed << " batch=" << i;
     if (count != static_cast<std::int64_t>(full)) return checked;
     ++checked;
   }
@@ -94,18 +88,9 @@ TEST(IncrementalDifferential, HostEngineMatchesFullReenumeration) {
   int total = 0;
   for (const char* p : kPatterns)
     for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}})
-      total += run_differential(Pattern::parse(p), DeltaEngine::kHost, seed,
+      total += run_differential(Pattern::parse(p), seed,
                                 /*num_batches=*/6, /*batch_edges=*/6);
   EXPECT_EQ(total, 3 * 2 * 6);  // 36 batches checked
-}
-
-TEST(IncrementalDifferential, SimtEngineMatchesFullReenumeration) {
-  int total = 0;
-  for (const char* p : kPatterns)
-    total += run_differential(Pattern::parse(p), DeltaEngine::kSimt,
-                              /*seed=*/3, /*num_batches=*/4,
-                              /*batch_edges=*/6);
-  EXPECT_EQ(total, 3 * 4);  // 12 batches checked
 }
 
 TEST(IncrementalDifferential, UniqueSubgraphCounts) {
@@ -114,9 +99,9 @@ TEST(IncrementalDifferential, UniqueSubgraphCounts) {
   Graph base = make_erdos_renyi(32, 0.18, 17);
   MutableGraph g(base);
 
-  IncrementalOptions opts;
-  opts.plan.count_mode = CountMode::kUniqueSubgraphs;
-  IncrementalMatcher matcher(triangle, opts);
+  PlanOptions plan;
+  plan.count_mode = CountMode::kUniqueSubgraphs;
+  IncrementalMatcher matcher(triangle, plan);
   EXPECT_EQ(matcher.automorphisms(), 6u);
 
   ReferenceOptions ref;
@@ -143,9 +128,9 @@ TEST(IncrementalDifferential, EmptyDeltaIsZero) {
 }
 
 TEST(IncrementalMatcher, RejectsVertexInducedSemantics) {
-  IncrementalOptions opts;
-  opts.plan.induced = Induced::kVertex;
-  EXPECT_THROW(IncrementalMatcher(Pattern::parse("0-1,1-2"), opts),
+  PlanOptions plan;
+  plan.induced = Induced::kVertex;
+  EXPECT_THROW(IncrementalMatcher(Pattern::parse("0-1,1-2"), plan),
                check_error);
 }
 

@@ -1,4 +1,4 @@
-// Deep incremental-matching sweep: the full 216-batch differential run that
+// Deep incremental-matching sweep: the full 144-batch differential run that
 // used to dominate the default ctest wall clock. Lives in the `slow` CTest
 // tier (see tests/CMakeLists.txt) and self-skips unless STMATCH_SLOW=1 is
 // set, so `ctest -L slow` plus the environment variable runs it and a plain
@@ -47,18 +47,13 @@ UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
 /// Same contract as test_incremental.cpp's run_differential: apply random
 /// batches, track the count through deltas, check against full
 /// re-enumeration after every batch.
-int run_differential(const Pattern& pattern, DeltaEngine engine,
-                     std::uint64_t seed, int num_batches, int batch_edges) {
+int run_differential(const Pattern& pattern, std::uint64_t seed,
+                     int num_batches, int batch_edges) {
   Graph base = make_erdos_renyi(36, 0.15, seed);
   MutableGraph g(base);
 
-  IncrementalOptions opts;
-  opts.engine = engine;
-  IncrementalMatcher matcher(pattern, opts);
-
-  ReferenceOptions ref;
-  ref.induced = opts.plan.induced;
-  ref.count_mode = opts.plan.count_mode;
+  IncrementalMatcher matcher(pattern);
+  const ReferenceOptions ref;
 
   Rng rng(seed * 7919 + 13);
   std::int64_t count = static_cast<std::int64_t>(
@@ -73,8 +68,7 @@ int run_differential(const Pattern& pattern, DeltaEngine engine,
     const std::uint64_t full =
         reference_count(GraphView(applied.snapshot->compacted()), pattern, ref);
     EXPECT_EQ(count, static_cast<std::int64_t>(full))
-        << "engine=" << static_cast<int>(engine) << " seed=" << seed
-        << " batch=" << i;
+        << "seed=" << seed << " batch=" << i;
     if (count != static_cast<std::int64_t>(full)) return checked;
     ++checked;
   }
@@ -93,19 +87,9 @@ TEST(DeepSweep, DeltaCpuEngineFullReenumeration) {
   int total = 0;
   for (const char* p : kPatterns)
     for (std::uint64_t seed : kSeeds)
-      total += run_differential(Pattern::parse(p), DeltaEngine::kHost, seed,
+      total += run_differential(Pattern::parse(p), seed,
                                 /*num_batches=*/16, /*batch_edges=*/6);
   EXPECT_EQ(total, 3 * 3 * 16);  // 144 batches checked
-}
-
-TEST(DeepSweep, DeltaSimtFullReenumeration) {
-  STMATCH_REQUIRE_SLOW();
-  int total = 0;
-  for (const char* p : kPatterns)
-    for (std::uint64_t seed : kSeeds)
-      total += run_differential(Pattern::parse(p), DeltaEngine::kSimt, seed,
-                                /*num_batches=*/8, /*batch_edges=*/6);
-  EXPECT_EQ(total, 3 * 3 * 8);  // 72 batches checked (216 with the other run)
 }
 
 }  // namespace

@@ -394,10 +394,8 @@ TEST(MqoDifferential, UniqueSubgraphModeDividesByAutomorphisms) {
   std::vector<std::int64_t> counts;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     index.add(i + 1, patterns[i], unique, false);
-    IncrementalOptions opts;
-    opts.plan = unique;
     matchers.push_back(
-        std::make_unique<IncrementalMatcher>(patterns[i], opts));
+        std::make_unique<IncrementalMatcher>(patterns[i], unique));
     counts.push_back(static_cast<std::int64_t>(reference_count(
         g.snapshot()->view(), patterns[i],
         {Induced::kEdge, CountMode::kUniqueSubgraphs})));
@@ -695,9 +693,7 @@ TEST(MqoSession, UniqueSubgraphModeMatchesLoopSession) {
   emb.on_delta = [&last](const StandingQueryDelta& d) { last = d; };
   const std::uint64_t eid = session.register_standing_query(emb);
 
-  IncrementalOptions unique_opts;
-  unique_opts.plan = cfg.plan;
-  const IncrementalMatcher unique_matcher(tri, unique_opts);
+  const IncrementalMatcher unique_matcher(tri, cfg.plan);
   const stream::DeltaStreamer streamer(emb.pattern, PlanOptions{});
 
   Rng rng(2718);

@@ -285,16 +285,14 @@ TEST(ServiceCount, EmbeddingCountsWalkTheUniquePlan) {
       for (Induced induced : {Induced::kEdge, Induced::kVertex}) {
         const std::uint64_t want =
             reference_count(g, p, {induced, CountMode::kEmbeddings});
-        // Only edge-induced queries are sharded. A sharded SIMT query
-        // simulates kernels per cut edge (tens of ms each here), so it runs
-        // on the size-5 queries only.
+        // Only edge-induced queries are sharded.
         std::vector<std::pair<GraphSession*, EngineKind>> lanes = {
             {&single, EngineKind::kHost},
             {&single, EngineKind::kSimt},
             {&single, EngineKind::kReference}};
         if (induced == Induced::kEdge) {
           lanes.emplace_back(&sharded, EngineKind::kHost);
-          if (p.size() == 5) lanes.emplace_back(&sharded, EngineKind::kSimt);
+          lanes.emplace_back(&sharded, EngineKind::kSimt);
         }
         for (const auto& [session, engine] : lanes) {
           QueryRequest req = host_request(p);

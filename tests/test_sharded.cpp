@@ -4,8 +4,9 @@
 // across graph families, patterns, shard counts {1,2,4,8}, strategies and
 // count modes, through SIMT lanes, labeled graphs, and dynamic-update
 // partition refreshes (differential tier).
-// ShardChaos.* — exact counts under >= 10% injected kShardFailure, fail-
-// closed on budget exhaustion, deterministic fault replay (chaos tier).
+// ShardChaos.* — exact counts under >= 10% injected kShardFailure and
+// under throwing SIMT engine calls, fail-closed on budget exhaustion,
+// deterministic fault replay (chaos tier).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -124,14 +125,13 @@ TEST(ShardedDifferential, SingleEdgeAndSquarePatterns) {
   }
 }
 
-TEST(ShardedDifferential, SimtLocalAndAnchorEngines) {
+TEST(ShardedDifferential, SimtLocalEngine) {
   const Graph g = make_barabasi_albert(30, 3, 12);
   const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
   const std::uint64_t expected = reference(g, triangle);
   for (std::uint32_t shards : {1u, 4u}) {
     dist::ShardedOptions opts;
     opts.local_engine = dist::LocalEngine::kSimt;
-    opts.anchor_engine = DeltaEngine::kSimt;
     const dist::ShardedResult r = dist::sharded_match(
         g, triangle, pconfig(shards, PartitionStrategy::kDegreeBalanced),
         opts);
@@ -326,6 +326,36 @@ TEST(ShardedService, ExportsPerShardLabeledMetrics) {
             std::string::npos);
 }
 
+TEST(ShardedService, LabeledPatternOnUnlabeledGraphIsInvalidArgument) {
+  // The unsharded engines reject this pattern with kInvalidArgument; the
+  // coordinator must do the same before it schedules a unit, not let an
+  // engine throw inside a pool task.
+  const Graph g = make_barabasi_albert(40, 3, 12);
+  const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
+  SessionConfig cfg;
+  cfg.sharding.num_shards = 2;
+  GraphSession session(g, cfg);
+  for (EngineKind engine : {EngineKind::kHost, EngineKind::kSimt}) {
+    QueryRequest req;
+    req.pattern = triangle.with_labels({0, 1, 0});
+    req.engine = engine;
+    req.deadline_ms = -1.0;
+    const QueryResult r = session.run(req);
+    EXPECT_EQ(r.status, QueryStatus::kInvalidArgument) << to_string(engine);
+    EXPECT_FALSE(r.error.empty()) << to_string(engine);
+  }
+  QueryRequest valid;
+  valid.pattern = triangle;
+  valid.deadline_ms = -1.0;
+  const QueryResult ok = session.run(valid);
+  ASSERT_EQ(ok.status, QueryStatus::kOk) << ok.error;
+  EXPECT_EQ(ok.count, reference(g, triangle));
+
+  EXPECT_THROW(dist::sharded_match(g, triangle.with_labels({0, 1, 0}),
+                                   pconfig(2, PartitionStrategy::kContiguous)),
+               check_error);
+}
+
 TEST(ShardedService, VertexInducedQueriesUseTheUnshardedPath) {
   SessionConfig cfg;
   cfg.sharding.num_shards = 4;
@@ -379,6 +409,38 @@ TEST(ShardChaos, ExhaustedRecoveryBudgetFailsClosed) {
   opts.fault.set_rate(FaultSite::kShardFailure, 1.0);
   const dist::ShardedResult r = dist::sharded_match(
       g, wedge, pconfig(2, PartitionStrategy::kContiguous), opts);
+  EXPECT_EQ(r.status, QueryStatus::kInternalError);
+  EXPECT_FALSE(r.error.empty());
+}
+
+TEST(ShardChaos, SimtEngineThrowInAShardUnitIsRetried) {
+  // FaultSite::kEngineThrow makes the SIMT engine call itself throw; a shard
+  // unit counts that as a failed attempt and re-runs with the next
+  // incarnation.
+  const Graph g = make_barabasi_albert(40, 3, 12);
+  const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
+  const std::uint64_t expected = reference(g, triangle);
+  std::uint64_t faults = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    dist::ShardedOptions opts;
+    opts.local_engine = dist::LocalEngine::kSimt;
+    opts.simt.fault.seed = seed;
+    opts.simt.fault.set_rate(FaultSite::kEngineThrow, 0.3);
+    const dist::ShardedResult r = dist::sharded_match(
+        g, triangle, pconfig(4, PartitionStrategy::kContiguous), opts);
+    ASSERT_EQ(r.status, QueryStatus::kOk) << "seed=" << seed << " " << r.error;
+    EXPECT_EQ(r.count, expected) << "seed=" << seed;
+    faults += r.faults_injected;
+  }
+  EXPECT_GT(faults, 0u);
+
+  // A unit whose every attempt throws fails closed.
+  dist::ShardedOptions opts;
+  opts.local_engine = dist::LocalEngine::kSimt;
+  opts.simt.fault.set_rate(FaultSite::kEngineThrow, 1.0);
+  opts.fault.max_unit_attempts = 3;
+  const dist::ShardedResult r = dist::sharded_match(
+      g, triangle, pconfig(4, PartitionStrategy::kContiguous), opts);
   EXPECT_EQ(r.status, QueryStatus::kInternalError);
   EXPECT_FALSE(r.error.empty());
 }

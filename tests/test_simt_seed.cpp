@@ -1,110 +1,23 @@
-// SIMT engine seeding: pin_v1 + v-range restriction.
+// SIMT engine outer-loop ranges: the v_begin/v_end restriction.
 //
-// The incremental matcher drives the SIMT engine one data edge at a time by
-// setting v_begin = s0, v_end = s0 + 1, pin_v1 = s1 (engine.cpp honors the
-// pin at level 1). These tests nail that contract against
-// recursive_count_seed over every seed pair enumerate_seeds produces, plus
-// the boundary shapes: v1 = 0, v1 = the max-degree hub, empty v-ranges, and
-// pins that are not adjacent to the outer vertex.
+// Multi-device partitioning and resumed streams run the SIMT engine over a
+// slice [v_begin, v_end) of the outermost loop. These tests nail that
+// contract against recursive_count_range: every single-vertex range matches
+// the recursive executor, the ranges partition the full count at every
+// unroll factor, and an empty range yields zero.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "core/recursive.hpp"
 #include "graph/generators.hpp"
-#include "graph/labeling.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
 #include "util/rng.hpp"
 
 namespace stm {
 namespace {
-
-EngineConfig pinned_config(VertexId v0, VertexId v1) {
-  EngineConfig cfg;
-  cfg.device.num_blocks = 2;
-  cfg.device.warps_per_block = 2;
-  cfg.v_begin = v0;
-  cfg.v_end = v0 + 1;
-  cfg.v_stride = 1;
-  cfg.pin_v1 = v1;
-  return cfg;
-}
-
-/// For every seed pair of `plan` over `g`: the pinned SIMT run must equal
-/// recursive_count_seed, and the pinned runs must sum to the full count.
-void check_all_seeds(const Graph& g, const Pattern& p) {
-  const MatchingPlan plan(reorder_for_matching(p), {});
-  const auto seeds = enumerate_seeds(g, plan);
-  std::uint64_t sum = 0;
-  for (const auto& [v0, v1] : seeds) {
-    const std::uint64_t expected = recursive_count_seed(g, plan, v0, v1);
-    const std::uint64_t got = stmatch_match(g, plan, pinned_config(v0, v1)).count;
-    ASSERT_EQ(got, expected) << "seed pair (" << v0 << ", " << v1 << ")";
-    sum += got;
-  }
-  EXPECT_EQ(sum, recursive_count_range(g, plan, 0, g.num_vertices()))
-      << "pinned seed counts must partition the full count";
-}
-
-TEST(SimtSeed, PinnedCountsMatchRecursiveSeedOnCliques) {
-  check_all_seeds(make_clique(6), Pattern::parse("0-1,1-2,2-0"));
-}
-
-TEST(SimtSeed, PinnedCountsMatchRecursiveSeedOnRandomGraphs) {
-  Rng rng(0x51337);
-  for (int i = 0; i < 3; ++i) {
-    const Graph g = make_erdos_renyi(24, 0.2, rng());
-    check_all_seeds(g, Pattern::parse("0-1,1-2,2-0"));
-    check_all_seeds(g, Pattern::parse("0-1,1-2,2-3"));
-  }
-}
-
-TEST(SimtSeed, PinnedCountsOnLabeledGraph) {
-  Rng rng(0xbeef);
-  Graph g = with_random_labels(make_erdos_renyi(20, 0.25, rng()), 3, rng());
-  Pattern p = Pattern::parse("0-1,1-2,2-0").with_labels({0, 1, 2});
-  check_all_seeds(g, p);
-}
-
-TEST(SimtSeed, PinAtVertexZero) {
-  // v1 = 0 is a valid pin (boundary of the id space): star hub 0 pinned as
-  // the second level vertex of a path pattern.
-  const Graph g = make_star(8);  // hub = vertex 0
-  const MatchingPlan plan(reorder_for_matching(Pattern::parse("0-1,1-2")), {});
-  for (VertexId leaf = 1; leaf < g.num_vertices(); ++leaf) {
-    EXPECT_EQ(stmatch_match(g, plan, pinned_config(leaf, 0)).count,
-              recursive_count_seed(g, plan, leaf, 0))
-        << "leaf " << leaf << " pinned to hub 0";
-  }
-}
-
-TEST(SimtSeed, PinAtMaxDegreeVertex) {
-  Rng rng(0xd06);
-  const Graph g = make_barabasi_albert(30, 3, rng());
-  VertexId hub = 0;
-  for (VertexId v = 1; v < g.num_vertices(); ++v)
-    if (g.degree(v) > g.degree(hub)) hub = v;
-  ASSERT_GT(g.degree(hub), 0u);
-  const MatchingPlan plan(reorder_for_matching(Pattern::parse("0-1,1-2,2-0")),
-                          {});
-  std::uint64_t sum = 0;
-  for (const VertexId v0 : g.neighbors(hub)) {
-    const std::uint64_t expected = recursive_count_seed(g, plan, v0, hub);
-    EXPECT_EQ(stmatch_match(g, plan, pinned_config(v0, hub)).count, expected)
-        << "v0=" << v0 << " pinned to max-degree hub " << hub;
-    sum += expected;
-  }
-  // Embeddings through the hub at level 1 are exactly the pinned sums.
-  std::uint64_t through_hub = 0;
-  for (const auto& [v0, v1] : enumerate_seeds(g, plan))
-    if (v1 == hub) through_hub += recursive_count_seed(g, plan, v0, v1);
-  EXPECT_EQ(sum, through_hub);
-}
 
 TEST(SimtSeed, EmptyVertexRangeYieldsZero) {
   const Graph g = make_clique(6);
@@ -114,23 +27,9 @@ TEST(SimtSeed, EmptyVertexRangeYieldsZero) {
   cfg.v_begin = 3;
   cfg.v_end = 3;  // nonzero v_begin == v_end: deliberately empty, not "all"
   EXPECT_EQ(stmatch_match(g, plan, cfg).count, 0u);
-  cfg.pin_v1 = 0;  // a pin cannot resurrect an empty outer range
-  EXPECT_EQ(stmatch_match(g, plan, cfg).count, 0u);
 }
 
-TEST(SimtSeed, NonAdjacentPinYieldsZero) {
-  // Two disjoint edges: pinning v1 to a vertex not adjacent to v0 must
-  // produce no matches.
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  const Graph g = b.build();
-  const MatchingPlan plan(reorder_for_matching(Pattern::parse("0-1")), {});
-  EXPECT_EQ(stmatch_match(g, plan, pinned_config(0, 2)).count, 0u);
-  EXPECT_EQ(stmatch_match(g, plan, pinned_config(0, 1)).count, 1u);
-}
-
-TEST(SimtSeed, SeedSumPartitionsFullCountAcrossConfigs) {
+TEST(SimtSeed, SingleVertexRangesPartitionFullCountAcrossConfigs) {
   // The partition property must hold regardless of device shape / unroll.
   Rng rng(0xcafe);
   const Graph g = make_erdos_renyi(22, 0.25, rng());
@@ -138,12 +37,20 @@ TEST(SimtSeed, SeedSumPartitionsFullCountAcrossConfigs) {
       reorder_for_matching(Pattern::parse("0-1,1-2,2-3,3-0")), {});
   const std::uint64_t full = recursive_count_range(g, plan, 0,
                                                    g.num_vertices());
+  ASSERT_GT(full, 0u);
   for (const std::uint32_t unroll : {1u, 4u, 8u}) {
     std::uint64_t sum = 0;
-    for (const auto& [v0, v1] : enumerate_seeds(g, plan)) {
-      EngineConfig cfg = pinned_config(v0, v1);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EngineConfig cfg;
+      cfg.device.num_blocks = 2;
+      cfg.device.warps_per_block = 2;
       cfg.unroll = unroll;
-      sum += stmatch_match(g, plan, cfg).count;
+      cfg.v_begin = v;
+      cfg.v_end = v + 1;
+      const std::uint64_t got = stmatch_match(g, plan, cfg).count;
+      ASSERT_EQ(got, recursive_count_range(g, plan, v, v + 1))
+          << "unroll=" << unroll << " v=" << v;
+      sum += got;
     }
     EXPECT_EQ(sum, full) << "unroll=" << unroll;
   }

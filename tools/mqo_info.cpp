@@ -179,9 +179,8 @@ int selftest() {
   const mqo::EvalResult res = mqo::MultiQueryEvaluator(index).evaluate(from, applied);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const mqo::QueryDelta qd = index.project(i + 1, res);
-    IncrementalOptions iopts;
     const std::int64_t loop =
-        IncrementalMatcher(patterns[i], iopts).count_delta(from, applied).delta;
+        IncrementalMatcher(patterns[i]).count_delta(from, applied).delta;
     if (qd.delta != loop) {
       std::cerr << "selftest: pattern " << patterns[i].to_string()
                 << " indexed delta " << qd.delta << " != per-pattern loop "
