@@ -37,10 +37,9 @@ struct MultiGpuResult {
 };
 
 /// Runs `plan` over `num_devices` simulated devices, dividing the outer loop
-/// into interleaved slices of V. `cfg.fault` drives both the per-device
-/// engine chaos and the kDeviceFail site handled here. A facade over
-/// dist::run_replicated with an ownership-only interleaved partition, so the
-/// slice/recovery semantics are shared with the sharded subsystem.
+/// into interleaved slices of V: device d runs v_begin = d, v_end = |V|,
+/// v_stride = num_devices over the full graph. `cfg.fault` drives both the
+/// per-device engine chaos and the kDeviceFail site handled here.
 MultiGpuResult stmatch_match_multi_gpu(const Graph& g, const MatchingPlan& plan,
                                        std::size_t num_devices,
                                        const EngineConfig& cfg = {});

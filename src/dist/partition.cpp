@@ -40,7 +40,7 @@ std::vector<std::uint32_t> assign_owners(const Graph& g,
   std::vector<std::uint32_t> owner(n, 0);
   switch (cfg.strategy) {
     case PartitionStrategy::kContiguous: {
-      // Ranges [n*s/S, n*(s+1)/S) — the same boundaries outer_slice reports.
+      // Ranges [n*s/S, n*(s+1)/S).
       std::uint32_t s = 0;
       for (VertexId v = 0; v < n; ++v) {
         while (v >= static_cast<VertexId>(static_cast<std::uint64_t>(n) *
@@ -92,60 +92,34 @@ std::shared_ptr<const Shard> build_shard(GraphView view,
   auto shard = std::make_shared<Shard>();
   shard->id = id;
   const VertexId n = view.num_vertices();
-  for (VertexId v = 0; v < n; ++v)
-    if (owner[v] == id) shard->to_global.push_back(v);
-
-  // Global -> local for owned vertices; ghosts are discovered below.
   std::vector<VertexId> local_of(n, kNoVertex);
-  for (VertexId l = 0; l < shard->num_owned(); ++l)
-    local_of[shard->to_global[l]] = l;
-
-  for (VertexId v : shard->to_global)
-    for (VertexId w : view.neighbors(v))
-      if (owner[w] != id && local_of[w] == kNoVertex) {
-        shard->ghosts.push_back(w);
-        local_of[w] = 0;  // marker; real halo ids assigned after the sort
-      }
-  std::sort(shard->ghosts.begin(), shard->ghosts.end());
-  for (VertexId i = 0; i < static_cast<VertexId>(shard->ghosts.size()); ++i)
-    local_of[shard->ghosts[i]] = shard->num_owned() + i;
+  for (VertexId v = 0; v < n; ++v)
+    if (owner[v] == id) {
+      local_of[v] = shard->num_owned();
+      shard->to_global.push_back(v);
+    }
 
   GraphBuilder local_b(shard->num_owned());
-  GraphBuilder halo_b(shard->num_owned() +
-                      static_cast<VertexId>(shard->ghosts.size()));
   for (VertexId v : shard->to_global) {
     for (VertexId w : view.neighbors(v)) {
       if (owner[w] == id) {
-        if (v < w) {
-          local_b.add_edge(local_of[v], local_of[w]);
-          halo_b.add_edge(local_of[v], local_of[w]);
-        }
-      } else {
-        // Owned–ghost boundary edge: present in the halo only. Each cut edge
-        // is visited once from its owned side (w is not iterated here), so
-        // recording the normalized pair yields no duplicates.
-        halo_b.add_edge(local_of[v], local_of[w]);
-        if (id == std::min(owner[v], owner[w]))
-          shard->cut_edges.emplace_back(std::min(v, w), std::max(v, w));
+        if (v < w) local_b.add_edge(local_of[v], local_of[w]);
+      } else if (id < owner[w]) {
+        // A cut edge belongs to its smaller endpoint shard and is visited
+        // once from the owned side, so the normalized pair is unique.
+        shard->cut_edges.emplace_back(std::min(v, w), std::max(v, w));
       }
     }
   }
   std::sort(shard->cut_edges.begin(), shard->cut_edges.end());
 
-  Graph local = local_b.build();
-  Graph halo = halo_b.build();
+  shard->local = local_b.build();
   if (view.is_labeled()) {
-    std::vector<Label> local_labels(shard->num_owned());
+    std::vector<Label> labels(shard->num_owned());
     for (VertexId l = 0; l < shard->num_owned(); ++l)
-      local_labels[l] = view.label(shard->to_global[l]);
-    std::vector<Label> halo_labels = local_labels;
-    halo_labels.reserve(local_labels.size() + shard->ghosts.size());
-    for (VertexId gv : shard->ghosts) halo_labels.push_back(view.label(gv));
-    local = local.with_labels(std::move(local_labels));
-    halo = halo.with_labels(std::move(halo_labels));
+      labels[l] = view.label(shard->to_global[l]);
+    shard->local = shard->local.with_labels(std::move(labels));
   }
-  shard->local = std::move(local);
-  shard->halo = std::move(halo);
   return shard;
 }
 
@@ -169,80 +143,27 @@ Partition partition_graph(const Graph& g, const PartitionConfig& cfg) {
   p.config = cfg;
   p.num_vertices = g.num_vertices();
   p.num_edges = g.num_edges();
-  if (g.num_vertices() == 0) {
-    p.owner.clear();
-    if (cfg.materialize) {
-      for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
-        auto shard = std::make_shared<Shard>();
-        shard->id = s;
-        p.shards.push_back(std::move(shard));
-      }
-    }
-    return p;
-  }
   p.owner = assign_owners(g, cfg);
-  if (cfg.materialize) {
-    const GraphView view(g);
-    for (std::uint32_t s = 0; s < cfg.num_shards; ++s)
-      p.shards.push_back(build_shard(view, p.owner, s));
-    collect_cut_edges(p);
-  }
+  const GraphView view(g);
+  for (std::uint32_t s = 0; s < cfg.num_shards; ++s)
+    p.shards.push_back(build_shard(view, p.owner, s));
+  collect_cut_edges(p);
   return p;
-}
-
-OuterSlice outer_slice(const Partition& p, std::uint32_t shard) {
-  STM_CHECK(shard < p.num_shards());
-  OuterSlice slice;
-  switch (p.config.strategy) {
-    case PartitionStrategy::kInterleaved:
-      slice.v_begin = shard;
-      slice.v_end = p.num_vertices;
-      slice.v_stride = p.num_shards();
-      break;
-    case PartitionStrategy::kContiguous:
-      slice.v_begin = static_cast<VertexId>(
-          static_cast<std::uint64_t>(p.num_vertices) * shard / p.num_shards());
-      slice.v_end = static_cast<VertexId>(static_cast<std::uint64_t>(
-                                              p.num_vertices) *
-                                          (shard + 1) / p.num_shards());
-      slice.v_stride = 1;
-      break;
-    default:
-      STM_CHECK_MSG(false, "outer_slice requires a range-describable strategy "
-                           "(contiguous or interleaved), got "
-                               << to_string(p.config.strategy));
-  }
-  return slice;
 }
 
 Partition refresh_partition(const Partition& p, GraphView view,
                             const DeltaEdges& delta,
                             std::vector<std::uint32_t>* touched) {
-  STM_CHECK_MSG(p.config.materialize,
-                "refresh_partition requires a materialized partition");
   STM_CHECK(view.num_vertices() == p.num_vertices);
 
-  // A shard must be rebuilt when it owns a delta endpoint (its local/halo
-  // graphs change) or ghost-replicates one (its halo changes). The ghost
-  // case is detected from the *post-apply* adjacency plus the old ghost
-  // lists: a shard that replicated an endpoint before the delta, or that
-  // owns a neighbor of one now, sees a halo-visible change.
+  // A shard's local graph and cut edges read only its owned vertices'
+  // adjacency, which a delta edge changes at its two endpoints.
   std::vector<bool> rebuild(p.num_shards(), false);
-  auto mark_endpoint = [&](VertexId v) {
-    rebuild[p.owner_of(v)] = true;
-    for (VertexId w : view.neighbors(v)) rebuild[p.owner_of(w)] = true;
-    for (const auto& shard : p.shards)
-      if (std::binary_search(shard->ghosts.begin(), shard->ghosts.end(), v))
-        rebuild[shard->id] = true;
-  };
-  for (const auto& [u, v] : delta.inserted) {
-    mark_endpoint(u);
-    mark_endpoint(v);
-  }
-  for (const auto& [u, v] : delta.deleted) {
-    mark_endpoint(u);
-    mark_endpoint(v);
-  }
+  for (const auto* edges : {&delta.inserted, &delta.deleted})
+    for (const auto& [u, v] : *edges) {
+      rebuild[p.owner_of(u)] = true;
+      rebuild[p.owner_of(v)] = true;
+    }
 
   Partition next;
   next.config = p.config;

@@ -1,25 +1,19 @@
 // Graph partitioning for the sharded execution subsystem (DESIGN.md §11).
 //
 // A Partition splits the data graph's vertex set into disjoint ownership
-// ranges ("shards") and materializes each shard as a standalone CSR Graph
-// plus a vertex remap, so every existing engine (SIMT, host, recursive,
-// reference) runs on a shard unchanged via GraphView. Two graphs are built
-// per shard:
-//   * `local` — the induced subgraph on the owned vertices only. Enumerating
-//     on it counts exactly the matches whose vertices are all owned by the
-//     shard (the Σ-term of the sharded count decomposition).
-//   * `halo`  — the owned vertices plus their 1-hop ghost replicas: every
-//     out-of-shard neighbor of an owned vertex appears as a ghost, and every
-//     edge incident to an owned vertex is present (owned–owned and
-//     owned–ghost; ghost–ghost adjacency is NOT replicated). Halo invariant:
-//     for every owned vertex v, halo-degree(v) == global degree(v).
+// ranges ("shards") and materializes each shard's `local` graph: the induced
+// subgraph on its owned vertices, as a standalone CSR Graph plus a vertex
+// remap, so every existing engine (SIMT, host, recursive, reference) runs on
+// a shard unchanged via GraphView. Enumerating on `local` counts exactly the
+// matches whose vertices are all owned by the shard (the Σ-term of the
+// sharded count decomposition).
 // Edges whose endpoints live in different shards are *cut edges*; each is
 // owned by the smaller of its two endpoint shards (the min-shard rule), the
 // ownership-based deduplication that makes the cross-shard count exact.
 //
 // Strategies: contiguous vertex ranges, degree-balanced greedy (LPT over the
-// degree sequence), hash (splitmix64 ownership), and interleaved (v mod S —
-// the paper's Fig. 11 outer-loop slicing, used by the multi-GPU facade).
+// degree sequence), hash (splitmix64 ownership), and interleaved (v mod S,
+// the paper's Fig. 11 outer-loop division).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +35,7 @@ enum class PartitionStrategy : std::uint8_t {
   kContiguous = 0,     // vertex ranges [n*s/S, n*(s+1)/S)
   kDegreeBalanced,     // greedy LPT over the degree sequence
   kHash,               // splitmix64(v ^ salt) % S
-  kInterleaved,        // v % S (paper Fig. 11 outer-loop slicing)
+  kInterleaved,        // v % S (paper Fig. 11 outer-loop division)
 };
 inline constexpr std::size_t kNumPartitionStrategies = 4;
 
@@ -54,24 +48,15 @@ struct PartitionConfig {
   PartitionStrategy strategy = PartitionStrategy::kContiguous;
   /// Salt of the kHash strategy (distinct salts give distinct partitions).
   std::uint64_t hash_salt = 0;
-  /// Build the per-shard local/halo graphs and the cut-edge list. The
-  /// multi-GPU facade runs replicated (every device sees the full graph)
-  /// and only needs the ownership vector, so it skips materialization.
-  bool materialize = true;
 };
 
-/// One shard: an ownership range materialized as standalone graphs.
+/// One shard: an ownership range materialized as a standalone graph.
 struct Shard {
   std::uint32_t id = 0;
   /// Induced subgraph on the owned vertices (local ids, labels preserved).
   Graph local;
-  /// Owned vertices plus 1-hop ghosts; local ids [0, num_owned()) are the
-  /// owned vertices (same numbering as `local`), the rest are ghosts.
-  Graph halo;
   /// Local id -> global id for `local` (ascending).
   std::vector<VertexId> to_global;
-  /// Ghost global ids (ascending); halo id num_owned()+i is ghosts[i].
-  std::vector<VertexId> ghosts;
   /// Cut edges owned by this shard under the min-shard rule (global ids,
   /// u < v, sorted).
   std::vector<std::pair<VertexId, VertexId>> cut_edges;
@@ -79,15 +64,9 @@ struct Shard {
   VertexId num_owned() const {
     return static_cast<VertexId>(to_global.size());
   }
-  /// Global id of a halo-local id (owned or ghost).
-  VertexId halo_global(VertexId local) const {
-    return local < num_owned()
-               ? to_global[local]
-               : ghosts[static_cast<std::size_t>(local) - num_owned()];
-  }
 };
 
-/// A full ownership assignment plus (when materialized) the shard graphs.
+/// A full ownership assignment plus the shard graphs.
 /// Shards are shared_ptrs so an incremental refresh after a dynamic update
 /// batch copies only the shards the batch touched.
 struct Partition {
@@ -96,7 +75,6 @@ struct Partition {
   EdgeId num_edges = 0;
   /// Global vertex -> owning shard.
   std::vector<std::uint32_t> owner;
-  /// Materialized shards (empty when config.materialize is false).
   std::vector<std::shared_ptr<const Shard>> shards;
   /// All cut edges in owner-major order (shard 0's cut edges first, each
   /// owner's block sorted by (u, v)) — the fixed global order the cross-
@@ -110,30 +88,21 @@ struct Partition {
     return std::min(owner[u], owner[v]);
   }
   /// Balance report over the current ownership (delegates to
-  /// graph/degree_stats; usable whether or not shards are materialized).
+  /// graph/degree_stats).
   BalanceReport balance(const Graph& g) const;
 };
 
-/// Assigns every vertex an owner and (by default) materializes the shards.
+/// Assigns every vertex an owner and materializes the shards.
 /// num_shards >= 1; shards may be empty when num_shards > num_vertices.
 Partition partition_graph(const Graph& g, const PartitionConfig& cfg);
 
-/// The outer-loop slice of a shard for replicated execution (engine
-/// v_begin/v_end/v_stride). Only the kInterleaved and kContiguous
-/// strategies describe their ownership as a slice; others throw.
-struct OuterSlice {
-  VertexId v_begin = 0;
-  VertexId v_end = 0;
-  VertexId v_stride = 1;
-};
-OuterSlice outer_slice(const Partition& p, std::uint32_t shard);
-
 /// Rebuilds the shards affected by a dynamic update delta, reading the new
 /// adjacency from `view` (the post-apply snapshot view). Ownership is sticky
-/// — vertices never migrate — so only shards owning a delta endpoint (or
-/// ghost-replicating one, for halo refresh) are rebuilt; all other shards
-/// are shared with the input partition. Returns the refreshed partition and
-/// reports the set of rebuilt shard ids through `touched` (optional).
+/// (vertices never migrate) and a shard's local graph and cut edges depend
+/// only on its owned vertices' adjacency, so exactly the shards owning a
+/// delta endpoint are rebuilt; all other shards are shared with the input
+/// partition. Returns the refreshed partition and reports the rebuilt shard
+/// ids, ascending, through `touched` (optional).
 Partition refresh_partition(const Partition& p, GraphView view,
                             const DeltaEdges& delta,
                             std::vector<std::uint32_t>* touched = nullptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
 
 #include "baselines/reference.hpp"
 #include "core/engine.hpp"
@@ -37,6 +36,10 @@ constexpr std::uint64_t unit_key(std::uint64_t kind, std::uint64_t index,
 constexpr std::uint64_t kLocalUnit = 0;
 constexpr std::uint64_t kChunkUnit = 1;
 
+/// Cut edges per schedulable anchor chunk. Fewer, larger chunks would build
+/// fewer checkpoints but coarsen the units the scheduler steals.
+constexpr std::size_t kCutChunkSize = 16;
+
 /// The shard-local term of one shard, in the requested count mode.
 struct LocalOutcome {
   std::uint64_t count = 0;
@@ -67,6 +70,11 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
                                     std::uint64_t attempt,
                                     const CancelToken* cancel) const {
   const auto t0 = std::chrono::steady_clock::now();
+  auto elapsed_ms = [t0] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
   const std::uint32_t num_shards = partition.num_shards();
   STM_CHECK_MSG(!partition.shards.empty(),
                 "sharded matching requires a materialized partition");
@@ -98,6 +106,50 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   FaultInjector injector(fault_cfg);
   const bool chaos = fault_cfg.enabled();
   std::atomic<bool> exhausted{false};
+
+  // --- Cut-term checkpoints ----------------------------------------------
+  // Checkpoint k = G_intra + all cut edges of chunks < k, built once,
+  // sequentially, before any unit is scheduled; a chunk's worker layers a
+  // transient DeltaOverlay on its checkpoint and walks the trie after each of
+  // its own edges, realizing the prefix identity independently of
+  // scheduling order. Concurrent walks only read the index.
+  const auto& cut = partition.cut_edges;
+  const mqo::MultiQueryEvaluator evaluator(cut_index_);
+  const std::size_t num_chunks =
+      cut_index_.empty() ? 0 : (cut.size() + kCutChunkSize - 1) / kCutChunkSize;
+  std::vector<ChunkOutcome> chunks(num_chunks);
+  std::vector<std::shared_ptr<const GraphSnapshot>> checkpoints;
+  if (num_chunks > 0) {
+    GraphBuilder intra_b(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      for (VertexId w : g.neighbors(v))
+        if (v < w && partition.owner_of(v) == partition.owner_of(w))
+          intra_b.add_edge(v, w);
+    Graph intra_g = intra_b.build();
+    if (g.is_labeled()) {
+      std::vector<Label> labels(g.num_vertices());
+      for (VertexId v = 0; v < g.num_vertices(); ++v) labels[v] = g.label(v);
+      intra_g = intra_g.with_labels(std::move(labels));
+    }
+    MutableGraph intra(std::move(intra_g));
+    checkpoints.reserve(num_chunks);
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      checkpoints.push_back(intra.snapshot());
+      if (c + 1 == num_chunks) break;  // no chunk reads G_intra + every cut edge
+      if (cancel != nullptr && cancel->expired()) {
+        result.status = cancel->status();
+        result.error = std::string("cut-term checkpoint chain stopped: ") +
+                       to_string(result.status);
+        result.wall_ms = elapsed_ms();
+        return result;
+      }
+      UpdateBatch batch;
+      const std::size_t lo = c * kCutChunkSize;
+      const std::size_t hi = std::min(cut.size(), lo + kCutChunkSize);
+      batch.insertions.assign(cut.begin() + lo, cut.begin() + hi);
+      intra.apply(batch);
+    }
+  }
 
   // --- Shard-local units -------------------------------------------------
   std::vector<LocalOutcome> locals(num_shards);
@@ -198,48 +250,10 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     scheduler.add({s, est, [&run_local, s] { run_local(s); }});
   }
 
-  // --- Cut-edge anchor chunks --------------------------------------------
-  // Checkpoint k = G_intra + all cut edges of chunks < k, built once,
-  // sequentially; a chunk's worker layers a transient DeltaOverlay on its
-  // checkpoint and walks the trie after each of its own edges, realizing the
-  // prefix identity independently of scheduling order. Concurrent walks only
-  // read the index.
-  const auto& cut = partition.cut_edges;
-  const mqo::MultiQueryEvaluator evaluator(cut_index_);
-  const std::uint32_t chunk_size = std::max<std::uint32_t>(1, opts_.cut_chunk_size);
-  const std::size_t num_chunks =
-      cut_index_.empty() ? 0 : (cut.size() + chunk_size - 1) / chunk_size;
-  std::vector<ChunkOutcome> chunks(num_chunks);
-  std::optional<MutableGraph> intra;
-  std::vector<std::shared_ptr<const GraphSnapshot>> checkpoints;
-  if (num_chunks > 0) {
-    GraphBuilder intra_b(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      for (VertexId w : g.neighbors(v))
-        if (v < w && partition.owner_of(v) == partition.owner_of(w))
-          intra_b.add_edge(v, w);
-    Graph intra_g = intra_b.build();
-    if (g.is_labeled()) {
-      std::vector<Label> labels(g.num_vertices());
-      for (VertexId v = 0; v < g.num_vertices(); ++v) labels[v] = g.label(v);
-      intra_g = intra_g.with_labels(std::move(labels));
-    }
-    intra.emplace(std::move(intra_g));
-    checkpoints.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      checkpoints.push_back(intra->snapshot());
-      UpdateBatch batch;
-      const std::size_t lo = c * chunk_size;
-      const std::size_t hi = std::min(cut.size(), lo + chunk_size);
-      batch.insertions.assign(cut.begin() + lo, cut.begin() + hi);
-      intra->apply(batch);
-    }
-  }
-
   auto run_chunk = [&](std::size_t c) {
     ChunkOutcome& out = chunks[c];
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(cut.size(), lo + chunk_size);
+    const std::size_t lo = c * kCutChunkSize;
+    const std::size_t hi = std::min(cut.size(), lo + kCutChunkSize);
     for (std::uint32_t a = 0; a < fault_cfg.max_unit_attempts; ++a) {
       if (cancel != nullptr && cancel->expired()) {
         out.status = cancel->status();
@@ -265,8 +279,8 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   };
 
   for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(cut.size(), lo + chunk_size);
+    const std::size_t lo = c * kCutChunkSize;
+    const std::size_t hi = std::min(cut.size(), lo + kCutChunkSize);
     // Anchored work per cut edge scales with the endpoint degrees, the
     // anchor count (one per pattern edge), and both seed orientations.
     double est = static_cast<double>(cost.kernel_launch);
@@ -328,10 +342,7 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     result.status = QueryStatus::kInternalError;
     result.error = "a sharded unit exhausted its recovery budget";
   }
-  result.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
+  result.wall_ms = elapsed_ms();
   return result;
 }
 

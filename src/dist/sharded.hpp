@@ -21,8 +21,8 @@
 // shard — an induced match can cross shards without containing any cut edge
 // via a non-edge constraint — the same reason the standing index rejects it.
 //
-// Cut edges are processed in chunks so the shard scheduler can steal them:
-// chunk k runs against a checkpoint snapshot (G_intra plus all edges of
+// Cut edges are processed in chunks of 16 so the shard scheduler can steal
+// them: chunk k runs against a checkpoint snapshot (G_intra plus all edges of
 // chunks < k) plus a transient DeltaOverlay adding its own edges in order.
 // Chunks and shard-local runs are retryable units under the kShardFailure
 // fault site, keyed by unit identity with per-attempt incarnation bumps —
@@ -66,8 +66,6 @@ struct ShardedOptions {
   EngineConfig simt;
   /// Scheduler workers (0 = one per shard).
   std::uint32_t num_workers = 0;
-  /// Cut edges per schedulable anchor chunk.
-  std::uint32_t cut_chunk_size = 16;
   /// Chaos schedule for FaultSite::kShardFailure (and, via incarnation
   /// bumps, the inner engines' own sites).
   FaultConfig fault;
@@ -122,7 +120,10 @@ class ShardedMatcher {
   /// partition) and `local_plan` a plan compiled from
   /// reorder_for_matching(pattern) with opts.plan. `attempt` offsets the
   /// fault incarnation (the service bumps it per engine retry). A non-null
-  /// `cancel` token is polled between units and inside the inner engines.
+  /// `cancel` token is polled before each cut-term checkpoint is built,
+  /// between units and inside the inner engines; when it fires before the
+  /// checkpoints are complete, the result carries its status and an error
+  /// and no unit runs.
   /// Throws check_error for vertex-induced options on > 1 shard and for a
   /// labeled pattern over an unlabeled graph.
   ShardedResult match(GraphView g, const Partition& partition,

@@ -43,9 +43,8 @@ std::uint64_t GraphSnapshot::memory_bytes() const {
   std::uint64_t total = store_ != nullptr ? store_->stats().resident_bytes
                                           : base_->memory_bytes();
   total += slot_of_.capacity() * sizeof(std::int32_t);
-  for (const auto* tables : {&merged_, &adds_, &dels_})
-    for (const auto& list : *tables)
-      total += list.capacity() * sizeof(VertexId) + sizeof(list);
+  for (const auto& list : merged_)
+    total += list.capacity() * sizeof(VertexId) + sizeof(list);
   return total;
 }
 
@@ -151,56 +150,25 @@ ApplyResult MutableGraph::apply(
                      result.applied.deleted.size();
   next->slot_of_ = cur.slot_of_;
   next->merged_ = cur.merged_;
-  next->adds_ = cur.adds_;
-  next->dels_ = cur.dels_;
 
   const Graph& base = *next->base_;
-  auto slot = [&](VertexId v) -> std::int32_t {
+  auto merged = [&](VertexId v) -> std::vector<VertexId>& {
     std::int32_t s = next->slot_of_[v];
     if (s < 0) {
       s = static_cast<std::int32_t>(next->merged_.size());
       next->slot_of_[v] = s;
       const auto nbrs = base.neighbors(v);
       next->merged_.emplace_back(nbrs.begin(), nbrs.end());
-      next->adds_.emplace_back();
-      next->dels_.emplace_back();
     }
-    return s;
-  };
-  auto connect = [&](VertexId u, VertexId v) {
-    const auto s = static_cast<std::size_t>(slot(u));
-    sorted_insert(next->merged_[s], v);
-    if (base.has_edge(u, v))
-      sorted_erase(next->dels_[s], v);  // re-insert of a tombstoned base edge
-    else
-      sorted_insert(next->adds_[s], v);
-  };
-  auto disconnect = [&](VertexId u, VertexId v) {
-    const auto s = static_cast<std::size_t>(slot(u));
-    sorted_erase(next->merged_[s], v);
-    if (base.has_edge(u, v))
-      sorted_insert(next->dels_[s], v);
-    else
-      sorted_erase(next->adds_[s], v);  // deletion of a previously added edge
+    return next->merged_[static_cast<std::size_t>(s)];
   };
   for (const auto& [u, v] : result.applied.inserted) {
-    connect(u, v);
-    connect(v, u);
+    sorted_insert(merged(u), v);
+    sorted_insert(merged(v), u);
   }
   for (const auto& [u, v] : result.applied.deleted) {
-    disconnect(u, v);
-    disconnect(v, u);
-  }
-
-  // Delta vs base, recomputed from the per-vertex lists (each undirected
-  // edge appears in both endpoints' lists; keep the u < v copy).
-  for (VertexId u = 0; u < n; ++u) {
-    const std::int32_t s = next->slot_of_[u];
-    if (s < 0) continue;
-    for (VertexId v : next->adds_[static_cast<std::size_t>(s)])
-      if (u < v) next->delta_from_base_.inserted.emplace_back(u, v);
-    for (VertexId v : next->dels_[static_cast<std::size_t>(s)])
-      if (u < v) next->delta_from_base_.deleted.emplace_back(u, v);
+    sorted_erase(merged(u), v);
+    sorted_erase(merged(v), u);
   }
 
   if (injector_.has_value() &&
@@ -225,7 +193,7 @@ ApplyResult MutableGraph::apply(
 std::shared_ptr<const GraphSnapshot> MutableGraph::compact() {
   std::lock_guard<std::mutex> lock(mu_);
   const GraphSnapshot& cur = *current_;
-  if (cur.delta_from_base_.empty()) return current_;  // already compact
+  if (cur.is_compact()) return current_;
   auto base = std::make_shared<const Graph>(cur.compacted());
   auto next = std::make_shared<GraphSnapshot>(GraphSnapshot{});
   next->base_ = base;

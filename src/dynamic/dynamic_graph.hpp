@@ -2,15 +2,15 @@
 //
 // A MutableGraph layers batched edge insertions/deletions over the loaded
 // CSR. Mutation never touches the base arrays: every applied batch publishes
-// a fresh immutable GraphSnapshot holding per-vertex sorted delta adjacency
-// (adds + tombstones) and a pre-merged neighbor list for each dirty vertex.
+// a fresh immutable GraphSnapshot holding a merged, sorted neighbor list for
+// each dirty vertex.
 // In-flight queries keep the shared_ptr of the snapshot they started on and
 // therefore read an epoch-consistent version while writers apply the next
 // batch — snapshot state is never written after publication, so concurrent
 // readers are race-free by construction.
 //
-// `compact()` rebuilds the CSR from the current version (folding the deltas
-// in) without changing the logical graph, so the epoch is kept; `apply()`
+// `compact()` rebuilds the CSR from the current version (folding the merged
+// lists in) without changing the logical graph, so the epoch is kept; `apply()`
 // bumps the monotone epoch, which keys plan-cache entries (a matching order
 // tuned to stale degrees is never reused after heavy updates).
 #pragma once
@@ -86,9 +86,10 @@ class GraphSnapshot {
   /// call without pinning the decode cache first.
   bool has_edge(VertexId u, VertexId v) const;
 
-  /// Normalized delta of this version relative to its CSR base (empty right
-  /// after construction or compact()).
-  const DeltaEdges& delta_from_base() const { return delta_from_base_; }
+  /// True when no vertex has a merged list, so every list is read from the
+  /// base (right after construction or compact()). A batch that nets to
+  /// nothing still leaves its endpoints dirty.
+  bool is_compact() const { return merged_.empty(); }
 
   /// The CSR this version layers over.
   const Graph& base() const { return *base_; }
@@ -105,7 +106,7 @@ class GraphSnapshot {
   }
 
   /// Resident bytes of this version's base representation (store or CSR)
-  /// plus the per-vertex delta tables.
+  /// plus the slot table and merged lists.
   std::uint64_t memory_bytes() const;
 
   /// Materializes a standalone CSR Graph equal to this version (labels
@@ -121,12 +122,9 @@ class GraphSnapshot {
   std::uint64_t epoch_ = 0;
   EdgeId num_edges_ = 0;
   /// slot_of_[v] >= 0: v is dirty and merged_[slot] is its full merged
-  /// neighbor list; adds_/dels_[slot] are its delta vs the base (sorted).
+  /// neighbor list.
   std::vector<std::int32_t> slot_of_;
   std::vector<std::vector<VertexId>> merged_;
-  std::vector<std::vector<VertexId>> adds_;
-  std::vector<std::vector<VertexId>> dels_;
-  DeltaEdges delta_from_base_;
 };
 
 struct ApplyResult {
@@ -175,9 +173,10 @@ class MutableGraph {
                     const std::function<void(const ApplyResult&)>&
                         pre_publish = nullptr);
 
-  /// Rebuilds the CSR from the current version. The logical graph and epoch
-  /// are unchanged; the returned snapshot has an empty delta. Live readers
-  /// of older snapshots are unaffected (they share the old base).
+  /// Rebuilds the CSR from the current version (a no-op when it is already
+  /// compact). The logical graph and epoch are unchanged; the returned
+  /// snapshot has no merged lists. Live readers of older snapshots are
+  /// unaffected (they share the old base).
   std::shared_ptr<const GraphSnapshot> compact();
 
   /// Installs a fault-injection schedule (FaultSite::kUpdateApply fires a

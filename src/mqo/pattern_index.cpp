@@ -120,18 +120,6 @@ std::uint64_t PatternIndex::automorphisms(std::uint64_t id) const {
   return groups_[regs_.at(id).group].aut;
 }
 
-bool PatternIndex::wants_embeddings(std::uint64_t id) const {
-  return regs_.at(id).wants_embeddings;
-}
-
-const Pattern& PatternIndex::pattern_of(std::uint64_t id) const {
-  return regs_.at(id).pattern;
-}
-
-CountMode PatternIndex::count_mode(std::uint64_t id) const {
-  return regs_.at(id).mode;
-}
-
 bool PatternIndex::group_collects(std::size_t slot) const {
   return slot < groups_.size() && groups_[slot].occupied &&
          groups_[slot].embed_refs > 0;

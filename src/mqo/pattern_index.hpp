@@ -104,9 +104,6 @@ class PatternIndex {
 
   /// |Aut| of the registration's pattern.
   std::uint64_t automorphisms(std::uint64_t id) const;
-  bool wants_embeddings(std::uint64_t id) const;
-  const Pattern& pattern_of(std::uint64_t id) const;
-  CountMode count_mode(std::uint64_t id) const;
 
   QueryDelta project(std::uint64_t id, const EvalResult& result) const;
 

@@ -469,7 +469,6 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
   // valid across requests.
   opts.host.num_threads = 1;
   opts.num_workers = cfg_.sharding.num_workers;
-  opts.cut_chunk_size = cfg_.sharding.cut_chunk_size;
   opts.fault = cfg_.sharding.fault;
   auto matcher =
       std::make_shared<const dist::ShardedMatcher>(req.pattern, opts);
@@ -480,9 +479,9 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
 
 void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
                                   const DeltaEdges* delta) {
-  // Both branches read store-backed adjacency (halo refresh via snap->view(),
-  // full build via compacted()); a query completing concurrently must not
-  // trim the decode cache mid-read.
+  // Both branches read store-backed adjacency (shard refresh via
+  // snap->view(), full build via compacted()); a query completing
+  // concurrently must not trim the decode cache mid-read.
   const auto storage_lease = snap->storage_lease();
   std::shared_ptr<const dist::Partition> next;
   if (delta != nullptr) {
@@ -503,10 +502,10 @@ void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
     // Partition the version we are pairing with — not the seed CSR, which a
     // recovered session has long moved past. The full build only runs at
     // construction (or first enable), where the snapshot is compact; fold
-    // any delta in defensively rather than silently dropping those edges.
+    // any merged lists in defensively rather than silently dropping edges.
     const Graph* base = &snap->base();
     Graph materialized;
-    if (!snap->delta_from_base().empty()) {
+    if (!snap->is_compact()) {
       materialized = snap->compacted();
       base = &materialized;
     }
@@ -946,8 +945,9 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   edges_inserted_.inc(applied.stats.inserted);
   edges_deleted_.inc(applied.stats.deleted);
   graph_epoch_.set(static_cast<double>(out.epoch));
-  // Keep the partition paired with the newest snapshot (halo refresh of the
-  // touched shards only); queries pin the pair atomically under shard_mu_.
+  // Keep the partition paired with the newest snapshot (only the shards
+  // owning a delta endpoint are rebuilt); queries pin the pair atomically
+  // under shard_mu_.
   if (cfg_.sharding.enabled()) rebuild_shards(applied.snapshot, &applied.applied);
 
   apply_standing_deltas(from, applied.applied, out.epoch, &out);

@@ -218,10 +218,10 @@ struct ResilienceConfig {
 
 /// Sharded execution mode of a session (DESIGN.md §11). With num_shards > 0
 /// the session partitions the graph at construction, keeps the partition in
-/// sync with applied update batches (halo refresh of the touched shards),
-/// and serves edge-induced kSimt/kHost queries through the cross-shard
-/// coordinator; other queries (vertex-induced, kReference, 1-vertex-graph
-/// corner cases) transparently use the unsharded path.
+/// sync with applied update batches (rebuilding the shards that own a delta
+/// endpoint), and serves edge-induced kSimt/kHost queries through the
+/// cross-shard coordinator; other queries (vertex-induced, kReference,
+/// 1-vertex-graph corner cases) transparently use the unsharded path.
 struct ShardingConfig {
   /// 0 disables sharded execution.
   std::uint32_t num_shards = 0;
@@ -229,8 +229,6 @@ struct ShardingConfig {
   std::uint64_t hash_salt = 0;
   /// Shard-scheduler workers (0 = one per shard).
   std::uint32_t num_workers = 0;
-  /// Cut edges per stealable anchor chunk.
-  std::uint32_t cut_chunk_size = 16;
   /// Chaos for FaultSite::kShardFailure (shard-local runs and anchor chunks
   /// re-run with bumped incarnations).
   FaultConfig fault;

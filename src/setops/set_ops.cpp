@@ -97,36 +97,6 @@ void set_op_into(SetOpKind op, SetView lhs, SetView rhs,
     set_difference_into(lhs, rhs, out);
 }
 
-void apply_delta_into(SetView base, SetView adds, SetView dels,
-                      std::vector<VertexId>& out) {
-  out.clear();
-  out.reserve(base.size() + adds.size());
-  std::size_t i = 0, a = 0, d = 0;
-  while (i < base.size() || a < adds.size()) {
-    // Emit the smaller head of base/adds; tombstones only suppress base
-    // elements (dels ⊆ base and dels ∩ adds = ∅ by precondition).
-    if (a >= adds.size() || (i < base.size() && base[i] < adds[a])) {
-      const VertexId v = base[i++];
-      while (d < dels.size() && dels[d] < v) ++d;
-      if (d < dels.size() && dels[d] == v) {
-        ++d;
-        continue;
-      }
-      out.push_back(v);
-    } else {
-      out.push_back(adds[a++]);
-    }
-  }
-}
-
-std::size_t delta_intersect_count(SetView base, SetView adds, SetView dels,
-                                  SetView other) {
-  std::size_t count = set_intersect_count(base, other) +
-                      set_intersect_count(adds, other);
-  count -= set_intersect_count(dels, other);  // dels ⊆ base, disjoint from adds
-  return count;
-}
-
 std::uint32_t bsearch_steps(std::size_t set_size) {
   // ceil(log2(n)) + 1 probe steps; degenerate sets still cost one step.
   std::uint32_t ceil_log2 = 0;

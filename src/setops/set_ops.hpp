@@ -61,20 +61,6 @@ std::size_t set_difference_count(SetView a, SetView b);
 void set_op_into(SetOpKind op, SetView lhs, SetView rhs,
                  std::vector<VertexId>& out);
 
-/// Delta-aware adjacency merge for the dynamic-graph subsystem:
-/// out = (base ∪ adds) \ dels, in one linear pass. `adds` and `dels` must be
-/// disjoint (an edge cannot be simultaneously inserted and tombstoned);
-/// `adds` must be disjoint from `base` and `dels` ⊆ base — i.e. the
-/// normalized per-vertex delta adjacency + tombstone lists a GraphSnapshot
-/// maintains. Out is cleared first.
-void apply_delta_into(SetView base, SetView adds, SetView dels,
-                      std::vector<VertexId>& out);
-
-/// Delta-aware intersection without materializing the merged adjacency:
-/// |((base ∪ adds) \ dels) ∩ other|, same preconditions as apply_delta_into.
-std::size_t delta_intersect_count(SetView base, SetView adds, SetView dels,
-                                  SetView other);
-
 /// Number of binary-search probe steps for an element lookup in a set of the
 /// given size (the simulator's per-lane cost unit): ceil(log2(n)) + 1.
 std::uint32_t bsearch_steps(std::size_t set_size);

@@ -106,7 +106,6 @@ bool OutputSequencer::next(Embedding* out) {
       *out = std::move(current_.front());
       current_.pop_front();
       if (buffered_ > 0) --buffered_;
-      ++released_;
       cv_producers_.notify_all();
       return true;
     }
@@ -136,11 +135,6 @@ std::string OutputSequencer::final_error() const {
 double OutputSequencer::stall_ms() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stall_ms_;
-}
-
-std::uint64_t OutputSequencer::released() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return released_;
 }
 
 }  // namespace stm::stream

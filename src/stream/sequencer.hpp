@@ -85,8 +85,6 @@ class OutputSequencer {
 
   /// Total wall-clock time producers spent blocked on backpressure.
   double stall_ms() const;
-  /// Embeddings handed to the consumer so far.
-  std::uint64_t released() const;
 
  private:
   bool can_admit_locked(std::uint64_t bucket, std::size_t n) const {
@@ -106,7 +104,6 @@ class OutputSequencer {
   std::uint64_t num_buckets_ = ~std::uint64_t{0};
   std::uint64_t next_release_ = 0;
   std::size_t buffered_ = 0;
-  std::uint64_t released_ = 0;
   bool ended_ = false;    // finish or abort happened
   bool aborted_ = false;  // consumer-side termination: discard, unblock
   QueryStatus status_ = QueryStatus::kOk;

@@ -2,16 +2,40 @@
 // engines at tiny scale, plus skewed-variant properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "baselines/reference.hpp"
 #include "core/engine.hpp"
 #include "core/host_engine.hpp"
-#include "graph/components.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generators.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
 
 namespace stm {
 namespace {
+
+/// Vertex count of the largest connected component (one BFS per
+/// component).
+std::size_t largest_component_size(const Graph& g) {
+  std::vector<bool> seen(g.num_vertices(), false);
+  std::vector<VertexId> frontier;
+  std::size_t largest = 0;
+  for (VertexId root = 0; root < g.num_vertices(); ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    frontier.assign(1, root);
+    for (std::size_t head = 0; head < frontier.size(); ++head)
+      for (VertexId w : g.neighbors(frontier[head]))
+        if (!seen[w]) {
+          seen[w] = true;
+          frontier.push_back(w);
+        }
+    largest = std::max(largest, frontier.size());
+  }
+  return largest;
+}
 
 TEST(DatasetIntegration, CliqueQueriesHaveMatchesOnEveryProxy) {
   // The planted dense cores guarantee non-zero clique counts (paper Table II
@@ -56,6 +80,11 @@ TEST(DatasetIntegration, ProxiesMostlyConnected) {
               static_cast<std::size_t>(g.num_vertices()) * 9 / 10)
         << name;
   }
+}
+
+TEST(Components, BaGraphIsConnected) {
+  const Graph g = make_barabasi_albert(500, 3, 77);
+  EXPECT_EQ(largest_component_size(g), g.num_vertices());
 }
 
 TEST(SkewedDatasets, BuildDeterministicallyWithHighHubs) {

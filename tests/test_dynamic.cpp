@@ -175,7 +175,7 @@ TEST(DynamicGraph, CompactPreservesGraphAndEpoch) {
 
   auto compacted = g.compact();
   EXPECT_EQ(compacted->epoch(), epoch);  // same logical graph
-  EXPECT_TRUE(compacted->delta_from_base().empty());
+  EXPECT_TRUE(compacted->is_compact());
   EXPECT_EQ(edge_set(compacted->base()), before_edges);
   EXPECT_EQ(compacted->num_edges(), before_edges.size());
 
@@ -185,6 +185,28 @@ TEST(DynamicGraph, CompactPreservesGraphAndEpoch) {
   ApplyResult r = g.apply(more);
   EXPECT_EQ(r.snapshot->epoch(), epoch + 1);
   EXPECT_TRUE(r.snapshot->has_edge(1, 2));
+}
+
+TEST(DynamicGraph, CompactFoldsBatchesThatCancelOut) {
+  // An edge inserted and deleted again leaves the graph equal to its base,
+  // but its endpoints still carry merged lists; compact() folds them.
+  MutableGraph g(path4());
+  const auto base_edges = edge_set(g.snapshot()->compacted());
+  UpdateBatch insert;
+  insert.insertions = {{0, 2}};
+  g.apply(insert);
+  UpdateBatch remove;
+  remove.deletions = {{0, 2}};
+  const ApplyResult removed = g.apply(remove);
+  EXPECT_FALSE(removed.snapshot->is_compact());
+  const std::uint64_t epoch = g.epoch();
+
+  auto compacted = g.compact();
+  EXPECT_TRUE(compacted->is_compact());
+  EXPECT_EQ(compacted->epoch(), epoch);
+  EXPECT_EQ(edge_set(compacted->base()), base_edges);
+  EXPECT_EQ(edge_set(compacted->compacted()), base_edges);
+  EXPECT_EQ(compacted->num_edges(), base_edges.size());
 }
 
 TEST(DynamicGraph, DeltaOverlayLayersOnSnapshot) {

@@ -1,19 +1,15 @@
-// Tests for reordering, connected components, the bitmap index, and the
-// embedding-listing executor.
+// Tests for reordering and the embedding-listing executor.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "baselines/reference.hpp"
 #include "core/recursive.hpp"
-#include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/labeling.hpp"
 #include "graph/reorder.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
-#include "setops/bitmap_index.hpp"
-#include "util/rng.hpp"
 
 namespace stm {
 namespace {
@@ -67,83 +63,6 @@ TEST(Reorder, RejectsNonPermutation) {
   Graph g = make_cycle(4);
   EXPECT_THROW(apply_reorder(g, {0, 0, 1, 2}), check_error);
   EXPECT_THROW(apply_reorder(g, {0, 1, 2}), check_error);
-}
-
-TEST(Components, SingleComponent) {
-  EXPECT_EQ(num_components(make_cycle(10)), 1u);
-  EXPECT_EQ(largest_component_size(make_cycle(10)), 10u);
-}
-
-TEST(Components, MultipleComponents) {
-  GraphBuilder b(10);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(4, 5);
-  Graph g = b.build();  // {0,1,2}, {4,5}, and 5 isolated vertices
-  EXPECT_EQ(num_components(g), 7u);
-  EXPECT_EQ(largest_component_size(g), 3u);
-  Graph big = largest_component(g);
-  EXPECT_EQ(big.num_vertices(), 3u);
-  EXPECT_EQ(big.num_edges(), 2u);
-}
-
-TEST(Components, EmptyGraph) {
-  Graph g = GraphBuilder(0).build();
-  EXPECT_EQ(num_components(g), 0u);
-  EXPECT_EQ(largest_component_size(g), 0u);
-}
-
-TEST(Components, LabelsPreservedInExtraction) {
-  GraphBuilder b(6);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  Graph g = b.build().with_labels({9, 8, 7, 6, 5, 4});
-  Graph big = largest_component(g);
-  ASSERT_EQ(big.num_vertices(), 3u);
-  EXPECT_EQ(big.label(0), 7);  // old vertex 2
-  EXPECT_EQ(big.label(2), 5);  // old vertex 4
-}
-
-TEST(Components, BaGraphIsConnected) {
-  EXPECT_EQ(num_components(make_barabasi_albert(500, 3, 77)), 1u);
-}
-
-TEST(BitmapIndexTest, AdjacencyMatchesGraph) {
-  Graph g = make_barabasi_albert(150, 5, 13);
-  BitmapIndex index(g, /*degree_threshold=*/1);  // index everything
-  for (VertexId u = 0; u < g.num_vertices(); u += 7) {
-    ASSERT_TRUE(index.has_bitmap(u));
-    for (VertexId v = 0; v < g.num_vertices(); v += 3)
-      EXPECT_EQ(index.adjacent(u, v), g.has_edge(u, v));
-  }
-}
-
-TEST(BitmapIndexTest, ThresholdSelectsHubs) {
-  Graph g = make_star(40);
-  BitmapIndex index(g, 10);
-  EXPECT_TRUE(index.has_bitmap(0));
-  EXPECT_FALSE(index.has_bitmap(1));
-  EXPECT_EQ(index.num_indexed(), 1u);
-  EXPECT_GT(index.memory_bytes(), 0u);
-}
-
-TEST(BitmapIndexTest, IntersectMatchesScalarKernels) {
-  Rng rng(21);
-  Graph g = make_barabasi_albert(200, 6, 31);
-  BitmapIndex index(g, 12);
-  std::vector<VertexId> out_bitmap, out_scalar;
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto u = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const auto w = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    auto base = g.neighbors(w);
-    index.intersect_with_neighbors(base, u, out_bitmap);
-    set_intersect_into(base, g.neighbors(u), out_scalar);
-    EXPECT_EQ(out_bitmap, out_scalar);
-    index.subtract_neighbors(base, u, out_bitmap);
-    set_difference_into(base, g.neighbors(u), out_scalar);
-    EXPECT_EQ(out_bitmap, out_scalar);
-  }
 }
 
 TEST(Enumerate, VisitsEveryEmbedding) {

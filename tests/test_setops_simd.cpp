@@ -22,8 +22,7 @@
 
 #include "setops/set_ops.hpp"
 #include "setops/simd.hpp"
-#include "setops/storage_ops.hpp"
-#include "storage/encoding.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace stm {
@@ -320,93 +319,6 @@ TEST(SetopsSimdConformance, DifferenceTailCarriesBlockVerdicts) {
     const std::vector<VertexId> a2{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
     const std::vector<VertexId> b2{5, 6, 7, 8, 9};
     check_all_kernels(k, a2, b2, 0);
-  }
-}
-
-// --- storage_ops: decode-on-intersect cursor paths -------------------------
-
-struct EncodedList {
-  std::vector<std::uint8_t> bytes;
-  std::vector<VertexId> values;
-
-  storage::ListCursor cursor() const {
-    return storage::ListCursor(bytes.data(), bytes.data() + bytes.size(),
-                               storage::kDefaultBlockSize);
-  }
-};
-
-EncodedList encode(const std::vector<VertexId>& values) {
-  EncodedList e;
-  e.values = values;
-  storage::encode_adjacency(values.data(), values.size(),
-                            storage::kDefaultBlockSize, e.bytes);
-  return e;
-}
-
-// The hybrid decode-run path and the per-element seek path must both match
-// the naive oracle under every level, across list shapes that cross anchor
-// boundaries (degree > 32) and operand sizes on both sides of the
-// prefer-seeks skew gate.
-TEST(SetopsSimdConformance, CursorOpsAcrossAnchorBoundaries) {
-  Rng rng(5150);
-  const std::size_t kDegrees[] = {0, 1, 31, 32, 33, 64, 96, 129, 400};
-  for (const simd::IsaLevel level : available_levels()) {
-    const simd::Kernels& k = simd::kernels_for(level);
-    for (const std::size_t degree : kDegrees) {
-      const auto list = encode(random_set(rng, degree, degree * 3 + 8, 0));
-      // Operand sizes: tiny (forces the seek path for big lists), around the
-      // degree (hybrid), and much bigger (hybrid, list exhausts first).
-      for (const std::size_t osize :
-           {std::size_t{0}, std::size_t{2}, degree / 2, degree,
-            degree * 2 + 5}) {
-        const auto other = random_set(rng, osize, degree * 3 + 16, 0);
-        const auto want_inter = naive_intersect(other, list.values);
-        const auto want_diff = naive_difference(other, list.values);
-
-        std::vector<VertexId> got;
-        auto c1 = list.cursor();
-        storage::cursor_intersect_into(c1, other, got, &k);
-        EXPECT_EQ(got, want_inter) << "degree=" << degree << " other=" << osize
-                                   << " @" << simd::to_string(level);
-        auto c2 = list.cursor();
-        EXPECT_EQ(storage::cursor_intersect_count(c2, other, &k),
-                  want_inter.size());
-        auto c3 = list.cursor();
-        storage::cursor_difference_into(c3, other, got, &k);
-        EXPECT_EQ(got, want_diff) << "degree=" << degree << " other=" << osize
-                                  << " @" << simd::to_string(level);
-        auto c4 = list.cursor();
-        EXPECT_EQ(storage::cursor_difference_count(c4, other, &k),
-                  want_diff.size());
-      }
-    }
-  }
-}
-
-// Regression: a decode run ends exactly at an anchor boundary and the next
-// operand element equals the first value of the next block — the seek that
-// opens the next run must not skip it (off-by-one on the run seam).
-TEST(SetopsSimdConformance, CursorRunSeamExactBoundary) {
-  // 4 * kDefaultBlockSize elements per run: make the list exactly two runs
-  // long with consecutive values so every block seam has adjacent matches.
-  const std::size_t n = 8 * storage::kDefaultBlockSize;
-  std::vector<VertexId> values(n);
-  for (std::size_t i = 0; i < n; ++i)
-    values[i] = static_cast<VertexId>(2 * i);  // gaps so seeks do real work
-  const auto list = encode(values);
-  // `other` = every list value plus the odd values between them.
-  std::vector<VertexId> other(2 * n);
-  for (std::size_t i = 0; i < 2 * n; ++i) other[i] = static_cast<VertexId>(i);
-  for (const simd::IsaLevel level : available_levels()) {
-    const simd::Kernels& k = simd::kernels_for(level);
-    std::vector<VertexId> got;
-    auto c1 = list.cursor();
-    storage::cursor_intersect_into(c1, other, got, &k);
-    EXPECT_EQ(got, values) << "@" << simd::to_string(level);
-    auto c2 = list.cursor();
-    storage::cursor_difference_into(c2, other, got, &k);
-    const auto want = naive_difference(other, values);
-    EXPECT_EQ(got, want) << "@" << simd::to_string(level);
   }
 }
 

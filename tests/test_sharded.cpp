@@ -373,6 +373,31 @@ TEST(ShardedService, VertexInducedQueriesUseTheUnshardedPath) {
   EXPECT_EQ(session.metrics().counter("sharded_queries").value(), 0u);
 }
 
+TEST(ShardedService, DeadlineCutsTheCheckpointChain) {
+  // A 4-shard contiguous split of a sparse random graph cuts most of its
+  // edges, so the cut term builds thousands of checkpoints before any unit
+  // runs (seconds of work on one worker). The chain polls the deadline
+  // before each checkpoint and fails closed near it.
+  const VertexId n = 10000;
+  SessionConfig cfg;
+  cfg.sharding.num_shards = 4;
+  cfg.sharding.num_workers = 1;
+  GraphSession session(make_erdos_renyi(n, 8.0 / (n - 1), 1), cfg);
+  QueryRequest req;
+  req.pattern = Pattern(3, {{0, 1}, {1, 2}, {0, 2}});
+  req.engine = EngineKind::kHost;
+  req.deadline_ms = 100.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const QueryResult r = session.run(req);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_NE(r.status, QueryStatus::kOk);
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_LT(wall_ms, 2 * req.deadline_ms) << to_string(r.status);
+  EXPECT_GE(session.metrics().counter("sharded_queries").value(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos tier
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 // Tests for the compressed & out-of-core storage subsystem (DESIGN.md §14):
-// delta/varint encoding + skip-anchor cursors, decode-on-intersect set ops,
-// the page file / clock pager, GraphStore backend equivalence, compressed
+// delta/varint encoding + skip-anchor cursors, the page file / clock pager, GraphStore backend equivalence, compressed
 // checkpoints, the service-layer wiring, and the chaos / differential
 // suites (StorageChaos, StorageDifferential, StorageSpillGate run under
 // their own ctest labels).
@@ -22,8 +21,6 @@
 #include "pattern/pattern.hpp"
 #include "persist/checkpoint.hpp"
 #include "service/service.hpp"
-#include "setops/set_ops.hpp"
-#include "setops/storage_ops.hpp"
 #include "storage/compressed.hpp"
 #include "storage/encoding.hpp"
 #include "storage/pagefile.hpp"
@@ -184,87 +181,6 @@ TEST(StorageCompressed, PowerLawGraphCompresses) {
   const Graph g = make_barabasi_albert(2000, 8, 23);
   const storage::CompressedGraph comp(g, 32, 0);
   EXPECT_GT(comp.stats().compression_ratio(), 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// StorageSetOps: decode-on-intersect, bit-exact vs the scalar kernels
-// ---------------------------------------------------------------------------
-
-TEST(StorageSetOps, CursorOpsMatchScalarOps) {
-  Rng rng(0x5706);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t da = 1 + rng.next_below(300);
-    const std::size_t db = 1 + rng.next_below(300);
-    const auto universe = static_cast<VertexId>(64 + rng.next_below(4000));
-    const std::vector<VertexId> a = sorted_unique_list(rng, da, universe);
-    const std::vector<VertexId> b = sorted_unique_list(rng, db, universe);
-    std::vector<std::uint8_t> bytes;
-    encode_adjacency(a.data(), a.size(), 32, bytes);
-    const auto fresh = [&] {
-      return ListCursor(bytes.data(), bytes.data() + bytes.size(), 32);
-    };
-
-    std::vector<VertexId> want, got;
-    set_intersect_into(a, b, want);
-    ListCursor c1 = fresh();
-    storage::cursor_intersect_into(c1, b, got);
-    EXPECT_EQ(got, want) << "trial " << trial;
-    ListCursor c2 = fresh();
-    EXPECT_EQ(storage::cursor_intersect_count(c2, b), want.size());
-
-    // Engine operand order: candidate set minus adjacency list.
-    set_difference_into(b, a, want);
-    ListCursor c3 = fresh();
-    storage::cursor_difference_into(c3, b, got);
-    EXPECT_EQ(got, want) << "trial " << trial;
-    ListCursor c4 = fresh();
-    EXPECT_EQ(storage::cursor_difference_count(c4, b), want.size());
-  }
-}
-
-TEST(StorageSetOps, BitsetOpsMatchScalarOps) {
-  Rng rng(0x5707);
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto universe = static_cast<VertexId>(64 + rng.next_below(2000));
-    const std::vector<VertexId> a =
-        sorted_unique_list(rng, 1 + rng.next_below(400), universe);
-    const std::vector<VertexId> b =
-        sorted_unique_list(rng, 1 + rng.next_below(400), universe);
-    DynamicBitset bits(universe);
-    for (const VertexId v : a) bits.set(v);
-
-    std::vector<VertexId> want, got;
-    set_intersect_into(a, b, want);
-    storage::bitset_intersect_into(bits, b, got);
-    EXPECT_EQ(got, want) << "trial " << trial;
-    EXPECT_EQ(storage::bitset_intersect_count(bits, b), want.size());
-
-    set_difference_into(b, a, want);
-    storage::bitset_difference_into(bits, b, got);
-    EXPECT_EQ(got, want) << "trial " << trial;
-    EXPECT_EQ(storage::bitset_difference_count(bits, b), want.size());
-  }
-}
-
-TEST(StorageSetOps, AdjacencyDispatchCoversBitsetAndCursorRows) {
-  const Graph g = make_barabasi_albert(300, 6, 31);
-  const storage::CompressedGraph comp(g, 32, /*bitset_min_degree=*/20);
-  ASSERT_GT(comp.stats().num_bitset_rows, 0u);
-  Rng rng(0x5708);
-  const std::vector<VertexId> operand =
-      sorted_unique_list(rng, 80, g.num_vertices());
-  std::vector<VertexId> want, got;
-  bool saw_bitset = false, saw_cursor = false;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    (comp.has_bitset(v) ? saw_bitset : saw_cursor) = true;
-    set_intersect_into(neighbors_of(g, v), operand, want);
-    storage::adjacency_intersect_into(comp, v, operand, got);
-    EXPECT_EQ(got, want) << "v=" << v;
-    EXPECT_EQ(storage::adjacency_intersect_count(comp, v, operand),
-              want.size());
-  }
-  EXPECT_TRUE(saw_bitset);
-  EXPECT_TRUE(saw_cursor);
 }
 
 // ---------------------------------------------------------------------------
