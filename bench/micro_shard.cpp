@@ -2,7 +2,9 @@
 // 2/4/8-shard wall time of the cross-shard coordinator on ER and power-law
 // graphs, with the partition's imbalance and cut fraction reported as
 // counters, plus 4- and 5-cycle rows at 4 shards, where the cut-edge term
-// rather than the checkpoint build dominates. The acceptance target
+// rather than the checkpoint build dominates, and a size sweep of the 4-shard
+// ER triangle count on one worker, which shows how the cut term's checkpoint
+// chain grows with the number of cut edges. The acceptance target
 // (EXPERIMENTS.md) is a measurable speedup over the single-shard host run on
 // >= 4 shards for at least one power-law workload — on multi-core hosts;
 // a 1-core container only shows the coordination overhead, which these
@@ -39,14 +41,16 @@ Pattern cycle(int k) {
   return Pattern(static_cast<std::size_t>(k), edges);
 }
 
+/// `num_workers` scheduler workers (0 = one per shard).
 void run_sharded(benchmark::State& state, const Graph& g,
                  dist::PartitionStrategy strategy, const Pattern& pattern,
-                 std::uint32_t num_shards) {
+                 std::uint32_t num_shards, std::uint32_t num_workers = 0) {
   dist::PartitionConfig pcfg;
   pcfg.num_shards = num_shards;
   pcfg.strategy = strategy;
   dist::ShardedOptions opts;
   opts.local_engine = dist::LocalEngine::kHost;
+  opts.num_workers = num_workers;
 
   std::uint64_t count = 0;
   double imbalance = 1.0;
@@ -97,6 +101,17 @@ void BM_ShardedCycle_PowerLaw_DegreeBalanced(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedCycle_PowerLaw_DegreeBalanced)
     ->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+
+/// Triangles on ER(n, 8/(n-1)) at 4 contiguous shards and one worker, with
+/// n = state.range(0): most edges are cut, so the checkpoint chain dominates.
+void BM_ShardedTriangles_ER_SizeSweep(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  const Graph g = make_erdos_renyi(n, 8.0 / (n - 1), 1);
+  run_sharded(state, g, dist::PartitionStrategy::kContiguous, cycle(3), 4, 1);
+}
+BENCHMARK(BM_ShardedTriangles_ER_SizeSweep)
+    ->Arg(2000)->Arg(5000)->Arg(10000)->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PartitionBuild_PowerLaw(benchmark::State& state) {
   const auto num_shards = static_cast<std::uint32_t>(state.range(0));

@@ -33,7 +33,7 @@ PartitionStrategy partition_strategy_from_string(const std::string& name) {
 
 namespace {
 
-std::vector<std::uint32_t> assign_owners(const Graph& g,
+std::vector<std::uint32_t> assign_owners(GraphView g,
                                          const PartitionConfig& cfg) {
   const VertexId n = g.num_vertices();
   const std::uint32_t s_count = cfg.num_shards;
@@ -137,16 +137,15 @@ BalanceReport Partition::balance(const Graph& g) const {
   return balance_report(g, owner, config.num_shards);
 }
 
-Partition partition_graph(const Graph& g, const PartitionConfig& cfg) {
+Partition partition_graph(GraphView g, const PartitionConfig& cfg) {
   STM_CHECK_MSG(cfg.num_shards >= 1, "a partition needs at least one shard");
   Partition p;
   p.config = cfg;
   p.num_vertices = g.num_vertices();
-  p.num_edges = g.num_edges();
+  p.num_edges = g.num_adjacency_entries() / 2;
   p.owner = assign_owners(g, cfg);
-  const GraphView view(g);
   for (std::uint32_t s = 0; s < cfg.num_shards; ++s)
-    p.shards.push_back(build_shard(view, p.owner, s));
+    p.shards.push_back(build_shard(g, p.owner, s));
   collect_cut_edges(p);
   return p;
 }

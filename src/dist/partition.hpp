@@ -92,9 +92,11 @@ struct Partition {
   BalanceReport balance(const Graph& g) const;
 };
 
-/// Assigns every vertex an owner and materializes the shards.
+/// Assigns every vertex of `g` an owner and materializes the shards. `g` is
+/// any adjacency view: a CSR Graph converts implicitly, and a session passes
+/// its snapshot's view (hold the snapshot's storage lease for the call).
 /// num_shards >= 1; shards may be empty when num_shards > num_vertices.
-Partition partition_graph(const Graph& g, const PartitionConfig& cfg);
+Partition partition_graph(GraphView g, const PartitionConfig& cfg);
 
 /// Rebuilds the shards affected by a dynamic update delta, reading the new
 /// adjacency from `view` (the post-apply snapshot view). Ownership is sticky

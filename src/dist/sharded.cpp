@@ -108,11 +108,12 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   std::atomic<bool> exhausted{false};
 
   // --- Cut-term checkpoints ----------------------------------------------
-  // Checkpoint k = G_intra + all cut edges of chunks < k, built once,
-  // sequentially, before any unit is scheduled; a chunk's worker layers a
-  // transient DeltaOverlay on its checkpoint and walks the trie after each of
-  // its own edges, realizing the prefix identity independently of
-  // scheduling order. Concurrent walks only read the index.
+  // Checkpoint k = G_intra + all cut edges of chunks < k: one GraphEdit adds
+  // the chunks in order and publishes a version before each, sequentially,
+  // before any unit is scheduled. Consecutive checkpoints share every page
+  // their chunk did not touch. A chunk's worker edits its own checkpoint and
+  // walks the trie after each of its own edges, realizing the prefix identity
+  // independently of scheduling order. Concurrent walks only read the index.
   const auto& cut = partition.cut_edges;
   const mqo::MultiQueryEvaluator evaluator(cut_index_);
   const std::size_t num_chunks =
@@ -131,10 +132,10 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
       for (VertexId v = 0; v < g.num_vertices(); ++v) labels[v] = g.label(v);
       intra_g = intra_g.with_labels(std::move(labels));
     }
-    MutableGraph intra(std::move(intra_g));
+    GraphEdit chain(MutableGraph(std::move(intra_g)).snapshot());
     checkpoints.reserve(num_chunks);
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      checkpoints.push_back(intra.snapshot());
+      checkpoints.push_back(chain.publish(c));
       if (c + 1 == num_chunks) break;  // no chunk reads G_intra + every cut edge
       if (cancel != nullptr && cancel->expired()) {
         result.status = cancel->status();
@@ -143,11 +144,10 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         result.wall_ms = elapsed_ms();
         return result;
       }
-      UpdateBatch batch;
       const std::size_t lo = c * kCutChunkSize;
       const std::size_t hi = std::min(cut.size(), lo + kCutChunkSize);
-      batch.insertions.assign(cut.begin() + lo, cut.begin() + hi);
-      intra.apply(batch);
+      for (std::size_t i = lo; i < hi; ++i)
+        chain.add_edge(cut[i].first, cut[i].second);
     }
   }
 
@@ -264,11 +264,11 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         continue;
       mqo::EvalResult walk;
       walk.groups.resize(cut_index_.num_group_slots());
-      DeltaOverlay overlay(checkpoints[c]);
+      GraphEdit edit(checkpoints[c]);
       for (std::size_t i = lo; i < hi; ++i) {
         const auto& [u, v] = cut[i];
-        overlay.add_edge(u, v);
-        evaluator.accumulate(overlay.view(), u, v, +1, &walk);
+        edit.add_edge(u, v);
+        evaluator.accumulate(edit.view(), u, v, +1, &walk);
       }
       out.embeddings = static_cast<std::uint64_t>(walk.groups[0].embeddings);
       if (a > 0) ++out.units_recovered;

@@ -23,7 +23,9 @@
 //
 // Cut edges are processed in chunks of 16 so the shard scheduler can steal
 // them: chunk k runs against a checkpoint snapshot (G_intra plus all edges of
-// chunks < k) plus a transient DeltaOverlay adding its own edges in order.
+// chunks < k) and adds its own edges in order with a GraphEdit. One GraphEdit
+// builds the whole checkpoint chain, publishing once per chunk, so a
+// checkpoint costs the adjacency pages its chunk's endpoints fall on.
 // Chunks and shard-local runs are retryable units under the kShardFailure
 // fault site, keyed by unit identity with per-attempt incarnation bumps —
 // PR 2's recovery scheme, one level up.

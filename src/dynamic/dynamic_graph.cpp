@@ -27,24 +27,15 @@ std::vector<EdgePair> normalize_edges(
   return out;
 }
 
-void sorted_insert(std::vector<VertexId>& list, VertexId v) {
-  list.insert(std::lower_bound(list.begin(), list.end(), v), v);
-}
-
-void sorted_erase(std::vector<VertexId>& list, VertexId v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  STM_CHECK(it != list.end() && *it == v);
-  list.erase(it);
-}
-
 }  // namespace
 
 std::uint64_t GraphSnapshot::memory_bytes() const {
   std::uint64_t total = store_ != nullptr ? store_->stats().resident_bytes
                                           : base_->memory_bytes();
-  total += slot_of_.capacity() * sizeof(std::int32_t);
-  for (const auto& list : merged_)
-    total += list.capacity() * sizeof(VertexId) + sizeof(list);
+  total += pages_.capacity() * sizeof(pages_[0]);
+  for (const auto& page : pages_)
+    if (page != nullptr)
+      total += sizeof(AdjPage) + page->adj.capacity() * sizeof(VertexId);
   return total;
 }
 
@@ -77,7 +68,6 @@ MutableGraph::MutableGraph(Graph base, std::uint64_t start_epoch,
     snap->store_ = storage::GraphStore::build(seed_, storage_policy_);
   snap->epoch_ = start_epoch;
   snap->num_edges_ = seed_->num_edges();
-  snap->slot_of_.assign(seed_->num_vertices(), -1);
   current_ = std::move(snap);
 }
 
@@ -142,34 +132,10 @@ ApplyResult MutableGraph::apply(
 
   // Build the successor version off to the side; `current_` is published
   // only after the whole batch (and the fault check) succeeded.
-  auto next = std::make_shared<GraphSnapshot>(GraphSnapshot{});
-  next->base_ = cur.base_;
-  next->store_ = cur.store_;  // base unchanged: successor shares the backend
-  next->epoch_ = cur.epoch_ + 1;
-  next->num_edges_ = cur.num_edges_ + result.applied.inserted.size() -
-                     result.applied.deleted.size();
-  next->slot_of_ = cur.slot_of_;
-  next->merged_ = cur.merged_;
-
-  const Graph& base = *next->base_;
-  auto merged = [&](VertexId v) -> std::vector<VertexId>& {
-    std::int32_t s = next->slot_of_[v];
-    if (s < 0) {
-      s = static_cast<std::int32_t>(next->merged_.size());
-      next->slot_of_[v] = s;
-      const auto nbrs = base.neighbors(v);
-      next->merged_.emplace_back(nbrs.begin(), nbrs.end());
-    }
-    return next->merged_[static_cast<std::size_t>(s)];
-  };
-  for (const auto& [u, v] : result.applied.inserted) {
-    sorted_insert(merged(u), v);
-    sorted_insert(merged(v), u);
-  }
-  for (const auto& [u, v] : result.applied.deleted) {
-    sorted_erase(merged(u), v);
-    sorted_erase(merged(v), u);
-  }
+  GraphEdit edit(current_);
+  for (const auto& [u, v] : result.applied.inserted) edit.add_edge(u, v);
+  for (const auto& [u, v] : result.applied.deleted) edit.remove_edge(u, v);
+  std::shared_ptr<const GraphSnapshot> next = edit.publish(cur.epoch_ + 1);
 
   if (injector_.has_value() &&
       injector_->should_fail(FaultSite::kUpdateApply, apply_seq_++)) {
@@ -201,43 +167,87 @@ std::shared_ptr<const GraphSnapshot> MutableGraph::compact() {
     next->store_ = storage::GraphStore::build(base, storage_policy_);
   next->epoch_ = cur.epoch_;  // same logical graph, same epoch
   next->num_edges_ = cur.num_edges_;
-  next->slot_of_.assign(cur.num_vertices(), -1);
   current_ = std::move(next);
   return current_;
 }
 
-DeltaOverlay::DeltaOverlay(std::shared_ptr<const GraphSnapshot> snap)
-    : snap_(std::move(snap)),
-      lease_(snap_->storage_lease()),
-      slots_(snap_->num_vertices(), -1) {}
+GraphEdit::GraphEdit(std::shared_ptr<const GraphSnapshot> from)
+    : from_(std::move(from)),
+      lease_(from_->storage_lease()),
+      num_edges_(from_->num_edges_),
+      pages_(from_->pages_),
+      owned_(pages_.size(), nullptr) {}
 
-std::vector<VertexId>& DeltaOverlay::touch(VertexId v) {
-  STM_CHECK(v < snap_->num_vertices());
-  std::int32_t s = slots_[v];
-  if (s < 0) {
-    s = static_cast<std::int32_t>(lists_.size());
-    // Resolve through the snapshot layer once; afterwards the overlay list
-    // fully shadows it (GraphView consults the inner layer first).
-    const auto nbrs = snap_->view().neighbors(v);
-    lists_.emplace_back(nbrs.begin(), nbrs.end());
-    slots_[v] = s;
+AdjPage& GraphEdit::own(std::size_t p) {
+  if (pages_.empty()) {  // first edit of a compact version
+    pages_.resize((from_->num_vertices() + kAdjPageSize - 1) / kAdjPageSize);
+    owned_.resize(pages_.size(), nullptr);
   }
-  return lists_[static_cast<std::size_t>(s)];
+  if (owned_[p] == nullptr) {
+    auto page = std::make_shared<AdjPage>();
+    if (const AdjPage* shared = pages_[p].get()) {
+      page->dirty = shared->dirty;
+      page->offsets = shared->offsets;
+      // Room for a few edits before the flat array has to grow.
+      page->adj.reserve(shared->adj.size() + kAdjPageSize);
+      page->adj.assign(shared->adj.begin(), shared->adj.end());
+    }
+    owned_[p] = page.get();
+    pages_[p] = std::move(page);
+  }
+  return *owned_[p];
 }
 
-void DeltaOverlay::add_edge(VertexId u, VertexId v) {
-  STM_CHECK(u != v);
-  std::vector<VertexId>& nu = touch(u);
-  STM_CHECK_MSG(!std::binary_search(nu.begin(), nu.end(), v),
-                "overlay add of a present edge " << u << "-" << v);
-  sorted_insert(nu, v);
-  sorted_insert(touch(v), u);
+void GraphEdit::update(VertexId v, VertexId w, bool add) {
+  AdjPage& page = own(v / kAdjPageSize);
+  const VertexId slot = v % kAdjPageSize;
+  const bool dirty = page.has(slot);
+  const auto cur = dirty ? page.list(slot) : from_->base_view().neighbors(v);
+  const auto it = std::lower_bound(cur.begin(), cur.end(), w);
+  const bool present = it != cur.end() && *it == w;
+  const auto at = it - cur.begin();
+  STM_CHECK_MSG(present != add, (add ? "graph edit adds a present edge "
+                                      : "graph edit removes an absent edge ")
+                                     << v << "-" << w);
+  // v's first edit copies its base list into its empty range of the page.
+  const EdgeId old_size = dirty ? cur.size() : 0;
+  const EdgeId new_size = add ? cur.size() + 1 : cur.size() - 1;
+  auto first =
+      page.adj.begin() + static_cast<std::ptrdiff_t>(page.offsets[slot]);
+  if (!dirty) first = page.adj.insert(first, cur.begin(), cur.end());
+  if (add)
+    page.adj.insert(first + at, w);
+  else
+    page.adj.erase(first + at);
+  for (VertexId s = slot + 1; s <= kAdjPageSize; ++s)
+    page.offsets[s] = page.offsets[s] - old_size + new_size;
+  page.dirty |= std::uint64_t{1} << slot;
 }
 
-void DeltaOverlay::remove_edge(VertexId u, VertexId v) {
-  STM_CHECK(u != v);
-  sorted_erase(touch(u), v);
-  sorted_erase(touch(v), u);
+void GraphEdit::add_edge(VertexId u, VertexId v) {
+  STM_CHECK(u != v && std::max(u, v) < from_->num_vertices());
+  update(u, v, true);
+  update(v, u, true);
+  ++num_edges_;
+}
+
+void GraphEdit::remove_edge(VertexId u, VertexId v) {
+  STM_CHECK(u != v && std::max(u, v) < from_->num_vertices());
+  update(u, v, false);
+  update(v, u, false);
+  --num_edges_;
+}
+
+std::shared_ptr<const GraphSnapshot> GraphEdit::publish(std::uint64_t epoch) {
+  auto next = std::make_shared<GraphSnapshot>(GraphSnapshot{});
+  next->base_ = from_->base_;
+  next->store_ = from_->store_;  // base unchanged: versions share the backend
+  next->epoch_ = epoch;
+  next->num_edges_ = num_edges_;
+  next->pages_ = pages_;
+  // Every page is now part of `next`: the next write to one copies it.
+  std::fill(owned_.begin(), owned_.end(), nullptr);
+  return next;
 }
 
 }  // namespace stm

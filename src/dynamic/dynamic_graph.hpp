@@ -2,15 +2,18 @@
 //
 // A MutableGraph layers batched edge insertions/deletions over the loaded
 // CSR. Mutation never touches the base arrays: every applied batch publishes
-// a fresh immutable GraphSnapshot holding a merged, sorted neighbor list for
-// each dirty vertex.
-// In-flight queries keep the shared_ptr of the snapshot they started on and
-// therefore read an epoch-consistent version while writers apply the next
-// batch — snapshot state is never written after publication, so concurrent
-// readers are race-free by construction.
+// a fresh immutable GraphSnapshot, the base plus one AdjPage (graph/view.hpp)
+// per kAdjPageSize vertices holding the merged, sorted neighbor lists of its
+// dirty vertices. A version shares every page its batch did not touch with
+// its predecessor. In-flight queries keep the shared_ptr of the snapshot they
+// started on and therefore read an epoch-consistent version while writers
+// apply the next batch — a page is never written after publication, so
+// concurrent readers are race-free by construction. GraphEdit builds every
+// version: session batches, the standing walk's prefix graphs and the
+// sharded cut term's checkpoints.
 //
-// `compact()` rebuilds the CSR from the current version (folding the merged
-// lists in) without changing the logical graph, so the epoch is kept; `apply()`
+// `compact()` rebuilds the CSR from the current version (folding the pages
+// in) without changing the logical graph, so the epoch is kept; `apply()`
 // bumps the monotone epoch, which keys plan-cache entries (a matching order
 // tuned to stale degrees is never reused after heavy updates).
 #pragma once
@@ -61,21 +64,17 @@ struct DeltaEdges {
 };
 
 /// One immutable version of the evolving graph: the CSR base plus merged
-/// adjacency for every vertex whose neighborhood differs from it. Create via
-/// MutableGraph; all members are written once during construction and only
-/// read afterwards.
+/// adjacency pages for the vertices whose neighborhood may differ from it.
+/// Create via MutableGraph or GraphEdit; all members are written once during
+/// construction and only read afterwards.
 class GraphSnapshot {
  public:
   /// The engines' adjacency interface over this version. The view borrows
-  /// this snapshot's tables: keep the snapshot (shared_ptr) alive while any
-  /// engine run uses the view. When a storage backend is attached, clean
+  /// this snapshot's page table: keep the snapshot (shared_ptr) alive while
+  /// any engine run uses the view. When a storage backend is attached, clean
   /// vertices read through it (compressed / bitset / spill) and dirty
-  /// vertices read their merged lists — engines can't tell the difference.
-  GraphView view() const {
-    const GraphView base_view =
-        store_ != nullptr ? store_->view() : GraphView(*base_);
-    return GraphView(base_view, slot_of_.data(), &merged_);
-  }
+  /// vertices read their pages — engines can't tell the difference.
+  GraphView view() const { return base_view().with_pages(pages_); }
 
   std::uint64_t epoch() const { return epoch_; }
   VertexId num_vertices() const { return base_->num_vertices(); }
@@ -87,9 +86,10 @@ class GraphSnapshot {
   bool has_edge(VertexId u, VertexId v) const;
 
   /// True when no vertex has a merged list, so every list is read from the
-  /// base (right after construction or compact()). A batch that nets to
-  /// nothing still leaves its endpoints dirty.
-  bool is_compact() const { return merged_.empty(); }
+  /// base and view() has no page table (right after construction or
+  /// compact()). A batch that nets to nothing still leaves its endpoints
+  /// dirty.
+  bool is_compact() const { return pages_.empty(); }
 
   /// The CSR this version layers over.
   const Graph& base() const { return *base_; }
@@ -106,7 +106,8 @@ class GraphSnapshot {
   }
 
   /// Resident bytes of this version's base representation (store or CSR)
-  /// plus the slot table and merged lists.
+  /// plus its page table and pages (pages shared with other versions
+  /// included).
   std::uint64_t memory_bytes() const;
 
   /// Materializes a standalone CSR Graph equal to this version (labels
@@ -115,16 +116,63 @@ class GraphSnapshot {
 
  private:
   friend class MutableGraph;
+  friend class GraphEdit;
   GraphSnapshot() = default;
+
+  GraphView base_view() const {
+    return store_ != nullptr ? store_->view() : GraphView(*base_);
+  }
 
   std::shared_ptr<const Graph> base_;
   std::shared_ptr<const storage::GraphStore> store_;  // null = raw CSR base
   std::uint64_t epoch_ = 0;
   EdgeId num_edges_ = 0;
-  /// slot_of_[v] >= 0: v is dirty and merged_[slot] is its full merged
-  /// neighbor list.
-  std::vector<std::int32_t> slot_of_;
-  std::vector<std::vector<VertexId>> merged_;
+  /// One entry per kAdjPageSize vertices (null = the page is clean); empty
+  /// when compact. Pages are immutable and shared between versions.
+  std::vector<std::shared_ptr<const AdjPage>> pages_;
+};
+
+/// The builder of graph versions: the edge edits on top of `from`, copying a
+/// page the first time it writes to it after construction or a publish, so
+/// every version it publishes shares its untouched pages with `from` and
+/// with each other. Not thread-safe; cheap to create per delta computation.
+class GraphEdit {
+ public:
+  explicit GraphEdit(std::shared_ptr<const GraphSnapshot> from);
+
+  /// Adds/removes an undirected edge. A self-loop, an endpoint outside the
+  /// graph, adding a present edge or removing an absent one is a checked
+  /// precondition violation.
+  void add_edge(VertexId u, VertexId v);
+  void remove_edge(VertexId u, VertexId v);
+
+  bool has_edge(VertexId u, VertexId v) const { return view().has_edge(u, v); }
+
+  /// Adjacency view over `from` plus the edits so far. Borrow only between
+  /// mutations: add/remove may reallocate a page's lists.
+  GraphView view() const { return from_->base_view().with_pages(pages_); }
+
+  /// Freezes the edits so far into an immutable version at `epoch`; later
+  /// edits copy the pages they write to and leave it untouched.
+  std::shared_ptr<const GraphSnapshot> publish(std::uint64_t epoch);
+
+ private:
+  /// Page p, copied unless this edit allocated it since the last publish.
+  AdjPage& own(std::size_t p);
+  /// Inserts (`add`) or erases w in v's merged list.
+  void update(VertexId v, VertexId w, bool add);
+
+  std::shared_ptr<const GraphSnapshot> from_;
+  /// Clean vertices read through `from`'s store on every view(); the edit
+  /// pins the decode cache for its whole lifetime.
+  storage::GraphStore::Lease lease_;
+  EdgeId num_edges_ = 0;
+  /// `from`'s page table with this edit's pages swapped in (empty until the
+  /// first edit of a compact version).
+  std::vector<std::shared_ptr<const AdjPage>> pages_;
+  /// owned_[p]: page p as allocated by this edit since the last publish,
+  /// writable; null when pages_[p] may be shared with another version.
+  std::vector<AdjPage*> owned_;
 };
 
 struct ApplyResult {
@@ -183,11 +231,6 @@ class MutableGraph {
   /// FaultInjectedError after batch validation, before publication).
   void set_fault(const FaultConfig& cfg);
 
-  /// The storage policy snapshots are built under.
-  const storage::StoragePolicy& storage_policy() const {
-    return storage_policy_;
-  }
-
  private:
   std::shared_ptr<const Graph> seed_;
   storage::StoragePolicy storage_policy_;
@@ -195,36 +238,6 @@ class MutableGraph {
   std::shared_ptr<const GraphSnapshot> current_;
   std::optional<FaultInjector> injector_;
   std::uint64_t apply_seq_ = 0;  // fault-decision key
-};
-
-/// A transient, copy-on-write edge overlay on top of a snapshot: the
-/// prefix-hybrid graphs of the incremental matcher (G_common plus the first
-/// i delta edges). Not thread-safe; cheap to create per delta computation.
-/// Vertices are materialized lazily — untouched vertices read the snapshot.
-class DeltaOverlay {
- public:
-  explicit DeltaOverlay(std::shared_ptr<const GraphSnapshot> snap);
-
-  /// Adds/removes an undirected edge. Adding a present edge or removing an
-  /// absent one is a checked precondition violation.
-  void add_edge(VertexId u, VertexId v);
-  void remove_edge(VertexId u, VertexId v);
-
-  bool has_edge(VertexId u, VertexId v) const { return view().has_edge(u, v); }
-
-  /// Adjacency view over snapshot + overlay. Borrow only between mutations:
-  /// add/remove may reallocate the overlay tables.
-  GraphView view() const { return GraphView(snap_->view(), slots_.data(), &lists_); }
-
- private:
-  std::vector<VertexId>& touch(VertexId v);
-
-  std::shared_ptr<const GraphSnapshot> snap_;
-  /// Untouched vertices read through the snapshot's store on every view();
-  /// the overlay pins the decode cache for its whole lifetime.
-  storage::GraphStore::Lease lease_;
-  std::vector<std::int32_t> slots_;
-  std::vector<std::vector<VertexId>> lists_;
 };
 
 }  // namespace stm

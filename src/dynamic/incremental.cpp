@@ -147,28 +147,16 @@ DeltaMatchResult IncrementalMatcher::count_delta(
   // count(G_old) - count(G_common), and the difference of the two sums is
   // the exact delta — inclusion–exclusion realized by prefix construction,
   // with no per-embedding filtering.
-  std::int64_t plus = 0;
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.inserted) {
-      overlay.add_edge(u, v);
-      plus += static_cast<std::int64_t>(enumerator_.count_containing(
-          overlay.view(), u, v, &result.anchored_runs));
+  std::int64_t delta = 0;
+  for (const int sign : {+1, -1}) {
+    GraphEdit edit(from);
+    for (const auto& [u, v] : applied.deleted) edit.remove_edge(u, v);
+    for (const auto& [u, v] : sign > 0 ? applied.inserted : applied.deleted) {
+      edit.add_edge(u, v);
+      delta += sign * static_cast<std::int64_t>(enumerator_.count_containing(
+                          edit.view(), u, v, &result.anchored_runs));
     }
   }
-  std::int64_t minus = 0;
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.deleted) {
-      overlay.add_edge(u, v);
-      minus += static_cast<std::int64_t>(enumerator_.count_containing(
-          overlay.view(), u, v, &result.anchored_runs));
-    }
-  }
-
-  std::int64_t delta = plus - minus;
   if (count_mode_ == CountMode::kUniqueSubgraphs) {
     const auto aut = static_cast<std::int64_t>(automorphisms());
     STM_CHECK_MSG(delta % aut == 0,

@@ -1,24 +1,27 @@
 // Snapshot-backed adjacency view.
 //
 // GraphView is the adjacency interface the engines execute against: a
-// non-owning handle over a base adjacency provider plus up to two override
-// layers that remap individual vertices to externally owned merged neighbor
-// lists. The base is either a raw CSR (a plain Graph converts implicitly, so
-// every existing engine call site keeps working) or an AdjacencySource — the
-// seam the storage subsystem plugs compressed / bitset / spill backends into
+// non-owning handle over a base adjacency provider plus, optionally, one
+// page table that remaps individual vertices to merged neighbor lists. The
+// base is either a raw CSR (a plain Graph converts implicitly, so every
+// existing engine call site keeps working) or an AdjacencySource — the seam
+// the storage subsystem plugs compressed / bitset / spill backends into
 // without any engine knowing which representation it is reading.
 //
-// The dynamic-graph subsystem builds views whose dirty vertices read
-// base-plus-delta adjacency without rebuilding the CSR (GraphSnapshot =
-// layer 1, a transient DeltaOverlay = layer 0 on top).
+// The dynamic-graph subsystem builds its versions as the base plus one
+// copy-on-write AdjPage per kAdjPageSize vertices (GraphSnapshot, GraphEdit):
+// a version's view reads a dirty vertex from its page and every other vertex
+// from the base, without rebuilding the CSR. A compact version has no page
+// table at all.
 //
 // A view is valid only while its backing storage (the Graph or
-// AdjacencySource, and the snapshot/overlay that owns the override tables)
-// stays alive; views are cheap value types meant to be created per engine
-// run.
+// AdjacencySource, and the snapshot or edit that owns the page table) stays
+// alive; views are cheap value types meant to be created per engine run.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,16 +53,28 @@ class AdjacencySource {
   virtual const Label* source_labels() const = 0;
 };
 
+/// Vertices per adjacency page of a graph version.
+inline constexpr VertexId kAdjPageSize = 64;
+
+/// The merged adjacency of the dirty vertices among kAdjPageSize consecutive
+/// ids. Vertex page * kAdjPageSize + i is dirty when bit i of `dirty` is set,
+/// and its sorted list is adj[offsets[i], offsets[i + 1]); a clean vertex has
+/// an empty range and reads the base. The dirty lists sit back to back in one
+/// array, so copying a page copies one array, not one list per vertex.
+struct AdjPage {
+  std::uint64_t dirty = 0;
+  std::array<EdgeId, kAdjPageSize + 1> offsets{};
+  std::vector<VertexId> adj;
+
+  bool has(VertexId slot) const { return ((dirty >> slot) & 1u) != 0; }
+  std::span<const VertexId> list(VertexId slot) const {
+    return {adj.data() + offsets[slot],
+            static_cast<std::size_t>(offsets[slot + 1] - offsets[slot])};
+  }
+};
+
 class GraphView {
  public:
-  /// One override layer: slots[v] >= 0 redirects v's adjacency to
-  /// (*lists)[slots[v]] (sorted ascending); -1 falls through.
-  struct OverrideLayer {
-    const std::int32_t* slots = nullptr;
-    const std::vector<std::vector<VertexId>>* lists = nullptr;
-    bool active() const { return slots != nullptr; }
-  };
-
   GraphView() = default;
 
   /// Implicit: a plain CSR graph with no overrides.
@@ -75,40 +90,22 @@ class GraphView {
         n_(src.source_num_vertices()),
         source_(&src) {}
 
-  /// Stacks an override layer on top of `base`. At most two layers deep: an
-  /// overlay over a snapshot view is the deepest supported composition.
-  GraphView(const GraphView& base, const std::int32_t* slots,
-            const std::vector<std::vector<VertexId>>* lists)
-      : row_ptr_(base.row_ptr_),
-        col_idx_(base.col_idx_),
-        labels_(base.labels_),
-        n_(base.n_),
-        inner_{slots, lists},
-        outer_(base.inner_),
-        source_(base.source_) {
-    STM_CHECK_MSG(!base.outer_.active(),
-                  "GraphView supports at most two override layers");
+  /// This view's base with `pages` in front of it: one entry per
+  /// kAdjPageSize vertices, null where no vertex of the page is dirty, or no
+  /// entry at all. The table is borrowed, not copied.
+  GraphView with_pages(
+      const std::vector<std::shared_ptr<const AdjPage>>& pages) const {
+    GraphView paged = *this;
+    paged.pages_ = pages.empty() ? nullptr : pages.data();
+    return paged;
   }
 
   VertexId num_vertices() const { return n_; }
 
-  /// Sorted neighbor list of v, resolved through the override layers.
+  /// Sorted neighbor list of v, read from its page when v is dirty.
   std::span<const VertexId> neighbors(VertexId v) const {
     STM_CHECK(v < n_);
-    if (inner_.active()) {
-      const std::int32_t s = inner_.slots[v];
-      if (s >= 0) {
-        const auto& l = (*inner_.lists)[static_cast<std::size_t>(s)];
-        return {l.data(), l.size()};
-      }
-    }
-    if (outer_.active()) {
-      const std::int32_t s = outer_.slots[v];
-      if (s >= 0) {
-        const auto& l = (*outer_.lists)[static_cast<std::size_t>(s)];
-        return {l.data(), l.size()};
-      }
-    }
+    if (const AdjPage* page = page_of(v)) return page->list(v % kAdjPageSize);
     if (source_ != nullptr) return source_->source_neighbors(v);
     return {col_idx_ + row_ptr_[v],
             static_cast<std::size_t>(row_ptr_[v + 1] - row_ptr_[v])};
@@ -118,15 +115,16 @@ class GraphView {
   /// neighbor list.
   EdgeId degree(VertexId v) const {
     STM_CHECK(v < n_);
-    if (overridden(v) || source_ == nullptr) return neighbors(v).size();
+    if (page_of(v) != nullptr || source_ == nullptr)
+      return neighbors(v).size();
     return source_->source_degree(v);
   }
 
-  /// Adjacency test: O(log deg) on raw/override lists; O(1) bitset probe or
+  /// Adjacency test: O(log deg) on raw/paged lists; O(1) bitset probe or
   /// anchored seek on storage-backed bases.
   bool has_edge(VertexId u, VertexId v) const {
     STM_CHECK(u < n_);
-    if (source_ != nullptr && !overridden(u)) {
+    if (source_ != nullptr && page_of(u) == nullptr) {
       return source_->source_has_edge(u, v);
     }
     const auto nbrs = neighbors(u);
@@ -148,9 +146,9 @@ class GraphView {
     return best;
   }
 
-  /// Directed adjacency entries (2 x undirected edges); O(n) when overridden.
+  /// Directed adjacency entries (2 x undirected edges); O(n) when paged.
   EdgeId num_adjacency_entries() const {
-    if (!inner_.active() && !outer_.active()) {
+    if (pages_ == nullptr) {
       if (source_ != nullptr) return source_->source_num_adjacency_entries();
       if (n_ > 0) return row_ptr_[n_];
     }
@@ -159,22 +157,20 @@ class GraphView {
     return total;
   }
 
-  /// The storage backend this view reads through (nullptr = raw CSR).
-  const AdjacencySource* adjacency_source() const { return source_; }
-
  private:
-  bool overridden(VertexId v) const {
-    return (inner_.active() && inner_.slots[v] >= 0) ||
-           (outer_.active() && outer_.slots[v] >= 0);
+  /// The page holding v's merged list, or null when v reads the base.
+  const AdjPage* page_of(VertexId v) const {
+    if (pages_ == nullptr) return nullptr;
+    const AdjPage* page = pages_[v / kAdjPageSize].get();
+    return page != nullptr && page->has(v % kAdjPageSize) ? page : nullptr;
   }
 
   const EdgeId* row_ptr_ = nullptr;
   const VertexId* col_idx_ = nullptr;
   const Label* labels_ = nullptr;
   VertexId n_ = 0;
-  OverrideLayer inner_;  // consulted first (newest deltas)
-  OverrideLayer outer_;
-  const AdjacencySource* source_ = nullptr;  // consulted after overrides
+  const std::shared_ptr<const AdjPage>* pages_ = nullptr;  // null = no pages
+  const AdjacencySource* source_ = nullptr;  // consulted after the pages
 };
 
 }  // namespace stm

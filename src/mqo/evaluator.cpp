@@ -237,22 +237,14 @@ EvalResult MultiQueryEvaluator::evaluate(
   // The per-pattern inclusion–exclusion, verbatim (see
   // IncrementalMatcher::count_delta): walk the inserted edges over
   // G_common + {d_1..d_i} crediting +1, the deleted edges over their own
-  // prefix overlays crediting -1. Each affected embedding of each group is
+  // prefix versions crediting -1. Each affected embedding of each group is
   // credited exactly once, at the largest-index delta edge it contains.
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.inserted) {
-      overlay.add_edge(u, v);
-      accumulate(overlay.view(), u, v, +1, &result);
-    }
-  }
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.deleted) {
-      overlay.add_edge(u, v);
-      accumulate(overlay.view(), u, v, -1, &result);
+  for (const int sign : {+1, -1}) {
+    GraphEdit edit(from);
+    for (const auto& [u, v] : applied.deleted) edit.remove_edge(u, v);
+    for (const auto& [u, v] : sign > 0 ? applied.inserted : applied.deleted) {
+      edit.add_edge(u, v);
+      accumulate(edit.view(), u, v, sign, &result);
     }
   }
   return result;

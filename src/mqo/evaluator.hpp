@@ -3,12 +3,13 @@
 // MultiQueryEvaluator computes, in one shot, what the per-pattern loop
 // computes with one IncrementalMatcher/DeltaStreamer per standing query: the
 // exact per-query count and embedding deltas caused by one applied batch.
-// It rides the same prefix inclusion–exclusion identity (two DeltaOverlay
-// passes, one per delta-edge polarity; see IncrementalMatcher::count_delta),
-// but where the per-pattern loop issues |patterns| x |anchors| seeded
-// enumerations per delta edge, this evaluator issues ONE walk over the
-// PlanTrie per (delta edge, orientation): shared prefixes are extended once,
-// and enumeration fans out into per-group suffixes only at divergence nodes.
+// It rides the same prefix inclusion–exclusion identity (two GraphEdit
+// passes over unpublished prefix versions, one per delta-edge polarity; see
+// IncrementalMatcher::count_delta), but where the per-pattern loop issues
+// |patterns| x |anchors| seeded enumerations per delta edge, this evaluator
+// issues ONE walk over the PlanTrie per (delta edge, orientation): shared
+// prefixes are extended once, and enumeration fans out into per-group
+// suffixes only at divergence nodes.
 // Arriving at a node credits every terminal attached to it — the anchored
 // plan of some pattern group completes there — so a single partial embedding
 // feeds every registered query it matches. Within one root-to-leaf path the

@@ -479,9 +479,8 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
 
 void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
                                   const DeltaEdges* delta) {
-  // Both branches read store-backed adjacency (shard refresh via
-  // snap->view(), full build via compacted()); a query completing
-  // concurrently must not trim the decode cache mid-read.
+  // Both branches read store-backed adjacency through snap->view(); a query
+  // completing concurrently must not trim the decode cache mid-read.
   const auto storage_lease = snap->storage_lease();
   std::shared_ptr<const dist::Partition> next;
   if (delta != nullptr) {
@@ -500,17 +499,9 @@ void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
     pcfg.strategy = cfg_.sharding.strategy;
     pcfg.hash_salt = cfg_.sharding.hash_salt;
     // Partition the version we are pairing with — not the seed CSR, which a
-    // recovered session has long moved past. The full build only runs at
-    // construction (or first enable), where the snapshot is compact; fold
-    // any merged lists in defensively rather than silently dropping edges.
-    const Graph* base = &snap->base();
-    Graph materialized;
-    if (!snap->is_compact()) {
-      materialized = snap->compacted();
-      base = &materialized;
-    }
+    // recovered session has long moved past.
     next = std::make_shared<const dist::Partition>(
-        dist::partition_graph(*base, pcfg));
+        dist::partition_graph(snap->view(), pcfg));
   }
 
   // Publish the balance gauges from the materialized shards: labeled

@@ -24,23 +24,13 @@ DeltaBatch DeltaStreamer::delta(
     return AnchoredEnumerator::AnchoredVisitor(
         [&into](const std::vector<VertexId>& emb) { into.push_back(emb); });
   };
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    const auto visit = collect(out.added);
-    for (const auto& [u, v] : applied.inserted) {
-      overlay.add_edge(u, v);
-      enumerator_.enumerate_containing(overlay.view(), u, v, visit,
-                                       &out.anchored_runs);
-    }
-  }
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    const auto visit = collect(out.retracted);
-    for (const auto& [u, v] : applied.deleted) {
-      overlay.add_edge(u, v);
-      enumerator_.enumerate_containing(overlay.view(), u, v, visit,
+  for (const bool inserted : {true, false}) {
+    GraphEdit edit(from);
+    for (const auto& [u, v] : applied.deleted) edit.remove_edge(u, v);
+    const auto visit = collect(inserted ? out.added : out.retracted);
+    for (const auto& [u, v] : inserted ? applied.inserted : applied.deleted) {
+      edit.add_edge(u, v);
+      enumerator_.enumerate_containing(edit.view(), u, v, visit,
                                        &out.anchored_runs);
     }
   }

@@ -1,11 +1,12 @@
 // Tests for the dynamic graph subsystem: MutableGraph batch application,
-// GraphSnapshot versioning/isolation, DeltaOverlay, apply-path fault
-// injection, and edge-list load validation.
+// GraphSnapshot versioning/isolation, GraphEdit and its copy-on-write pages,
+// apply-path fault injection, and edge-list load validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -38,6 +39,34 @@ std::vector<std::pair<VertexId, VertexId>> edge_set(const Graph& g) {
     for (VertexId v : g.neighbors(u))
       if (u < v) edges.emplace_back(u, v);
   return edges;
+}
+
+/// A balanced churn batch on `snap`: `half` deletions of present edges and
+/// `half` insertions of absent ones, endpoints drawn uniformly.
+UpdateBatch churn_batch(const GraphSnapshot& snap, std::size_t half, Rng& rng) {
+  const GraphView view = snap.view();
+  const VertexId n = snap.num_vertices();
+  UpdateBatch b;
+  auto fresh = [](const std::vector<std::pair<VertexId, VertexId>>& edges,
+                  VertexId u, VertexId v) {
+    return std::find(edges.begin(), edges.end(),
+                     std::pair{std::min(u, v), std::max(u, v)}) == edges.end();
+  };
+  while (b.deletions.size() < half) {
+    const auto u = static_cast<VertexId>(rng() % n);
+    const auto nbrs = view.neighbors(u);
+    if (nbrs.empty()) continue;
+    const VertexId v = nbrs[rng() % nbrs.size()];
+    if (fresh(b.deletions, u, v))
+      b.deletions.emplace_back(std::min(u, v), std::max(u, v));
+  }
+  while (b.insertions.size() < half) {
+    const auto u = static_cast<VertexId>(rng() % n);
+    const auto v = static_cast<VertexId>(rng() % n);
+    if (u != v && !view.has_edge(u, v) && fresh(b.insertions, u, v))
+      b.insertions.emplace_back(std::min(u, v), std::max(u, v));
+  }
+  return b;
 }
 
 // ---------------------------------------------------------------------------
@@ -209,24 +238,68 @@ TEST(DynamicGraph, CompactFoldsBatchesThatCancelOut) {
   EXPECT_EQ(compacted->num_edges(), base_edges.size());
 }
 
-TEST(DynamicGraph, DeltaOverlayLayersOnSnapshot) {
+TEST(DynamicGraph, GraphEditLayersOnSnapshot) {
   MutableGraph g(path4());
   UpdateBatch batch;
   batch.insertions = {{0, 2}};
   auto snap = g.apply(batch).snapshot;
 
-  DeltaOverlay overlay(snap);
-  EXPECT_TRUE(overlay.has_edge(0, 2));  // reads through to the snapshot
-  overlay.add_edge(0, 3);
-  overlay.remove_edge(1, 2);
-  EXPECT_TRUE(overlay.has_edge(0, 3));
-  EXPECT_FALSE(overlay.has_edge(1, 2));
+  GraphEdit edit(snap);
+  EXPECT_TRUE(edit.has_edge(0, 2));  // reads through to the snapshot
+  edit.add_edge(0, 3);
+  edit.remove_edge(1, 2);
+  EXPECT_TRUE(edit.has_edge(0, 3));
+  EXPECT_FALSE(edit.has_edge(1, 2));
   // The snapshot is untouched.
   EXPECT_FALSE(snap->has_edge(0, 3));
   EXPECT_TRUE(snap->has_edge(1, 2));
   // Adding a present edge / removing an absent one is misuse.
-  EXPECT_THROW(overlay.add_edge(0, 1), check_error);
-  EXPECT_THROW(overlay.remove_edge(1, 2), check_error);
+  EXPECT_THROW(edit.add_edge(0, 1), check_error);
+  EXPECT_THROW(edit.remove_edge(1, 2), check_error);
+
+  // A published version keeps the edits so far; later edits leave it be.
+  const auto published = edit.publish(7);
+  EXPECT_EQ(published->epoch(), 7u);
+  EXPECT_EQ(published->num_edges(), snap->num_edges());
+  edit.add_edge(1, 2);
+  EXPECT_TRUE(published->has_edge(0, 3));
+  EXPECT_FALSE(published->has_edge(1, 2));
+}
+
+TEST(DynamicGraph, BatchRewritesOnlyItsEndpointPages) {
+  // A batch copies the pages that hold its endpoints and shares every other
+  // page with its predecessor, so the vertices whose list moved in memory
+  // are bounded by those pages, whatever n and however aged the graph: an
+  // exact count, at n and 8n, fresh and after 400 churn batches.
+  for (const VertexId n : {VertexId{2000}, VertexId{16000}}) {
+    MutableGraph g(make_barabasi_albert(n, 6, 17));
+    Rng rng(n);
+    for (const int aged : {0, 400}) {
+      for (int i = 0; i < aged; ++i)
+        g.apply(churn_batch(*g.snapshot(), 16, rng));
+      const auto before = g.snapshot();
+      const UpdateBatch batch = churn_batch(*before, 16, rng);
+      const auto after = g.apply(batch).snapshot;
+      ASSERT_EQ(after->epoch(), before->epoch() + 1);
+
+      std::set<VertexId> endpoints;
+      std::set<VertexId> pages;
+      for (const auto* edges : {&batch.insertions, &batch.deletions})
+        for (const auto& [u, v] : *edges)
+          for (const VertexId x : {u, v}) {
+            endpoints.insert(x);
+            pages.insert(x / kAdjPageSize);
+          }
+      const GraphView a = before->view();
+      const GraphView b = after->view();
+      std::size_t moved = 0;
+      for (VertexId v = 0; v < n; ++v)
+        if (a.neighbors(v).data() != b.neighbors(v).data()) ++moved;
+      EXPECT_GE(moved, endpoints.size()) << "n " << n << ", aged " << aged;
+      EXPECT_LE(moved, kAdjPageSize * pages.size())
+          << "n " << n << ", aged " << aged;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +421,53 @@ TEST(SnapshotIsolation, ConcurrentReadersSeeEpochConsistentCounts) {
   for (auto& r : readers) r.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(g.epoch(), static_cast<std::uint64_t>(expected.size() - 1));
+}
+
+TEST(SnapshotIsolation, HeldVersionsSurviveLaterBatchesAcrossPages) {
+  // Consecutive versions share every page a batch does not write. Hold the
+  // version of every epoch while 40 batches insert and delete across four
+  // pages: each must still count as it did at its own epoch, for readers
+  // racing the batches (the TSan target) and after the last one.
+  const VertexId n = 4 * kAdjPageSize;
+  MutableGraph g(make_erdos_renyi(n, 0.03, 11));
+  const Pattern wedge = Pattern::parse("0-1,1-2");
+  const Pattern triangle = Pattern::parse("0-1,1-2,2-0");
+  auto counts = [&](const GraphSnapshot& snap) {
+    return std::pair{reference_count(snap.view(), wedge, {}),
+                     reference_count(snap.view(), triangle, {})};
+  };
+  constexpr int kBatches = 40;
+  std::vector<std::shared_ptr<const GraphSnapshot>> held(kBatches + 1);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> at_epoch(kBatches + 1);
+  held[0] = g.snapshot();
+  at_epoch[0] = counts(*held[0]);
+  std::atomic<int> published{1};
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = t; !done.load(std::memory_order_acquire); ++i) {
+        const int k = i % published.load(std::memory_order_acquire);
+        if (counts(*held[k]) != at_epoch[k])
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  Rng rng(5);
+  for (int i = 1; i <= kBatches; ++i) {
+    held[i] = g.apply(churn_batch(*g.snapshot(), 4, rng)).snapshot;
+    at_epoch[i] = counts(*held[i]);
+    published.store(i + 1, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (int i = 0; i <= kBatches; ++i) {
+    EXPECT_EQ(held[i]->epoch(), static_cast<std::uint64_t>(i));
+    EXPECT_EQ(counts(*held[i]), at_epoch[i]) << "epoch " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

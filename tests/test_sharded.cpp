@@ -270,38 +270,45 @@ TEST(ShardedService, CountsMatchUnshardedAcrossEnginesAndUpdates) {
   const Graph g = make_barabasi_albert(50, 3, 33);
   const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
 
-  GraphSession plain(g, SessionConfig{});
+  // The partition reads the session's snapshot view, which a compressed
+  // backend serves through its store.
+  for (const storage::Backend backend :
+       {storage::Backend::kUncompressed, storage::Backend::kCompressed}) {
+    SCOPED_TRACE(storage::to_string(backend));
+    GraphSession plain(g, SessionConfig{});
 
-  SessionConfig cfg;
-  cfg.sharding.num_shards = 4;
-  cfg.sharding.strategy = PartitionStrategy::kDegreeBalanced;
-  GraphSession sharded(g, cfg);
+    SessionConfig cfg;
+    cfg.sharding.num_shards = 4;
+    cfg.sharding.strategy = PartitionStrategy::kDegreeBalanced;
+    cfg.storage.backend = backend;
+    GraphSession sharded(g, cfg);
 
-  for (EngineKind engine : {EngineKind::kHost, EngineKind::kSimt}) {
+    for (EngineKind engine : {EngineKind::kHost, EngineKind::kSimt}) {
+      QueryRequest req;
+      req.pattern = triangle;
+      req.engine = engine;
+      req.deadline_ms = -1.0;
+      const QueryResult expected = plain.run(req);
+      const QueryResult got = sharded.run(req);
+      ASSERT_EQ(got.status, QueryStatus::kOk) << got.error;
+      EXPECT_EQ(got.count, expected.count) << to_string(engine);
+    }
+    EXPECT_GE(sharded.metrics().counter("sharded_queries").value(), 2u);
+
+    // Updates refresh the partition; post-update queries stay exact.
+    UpdateBatch batch;
+    batch.insertions = {{0, 25}, {1, 26}, {2, 27}};
+    ASSERT_TRUE(plain.apply_updates(batch).ok());
+    ASSERT_TRUE(sharded.apply_updates(batch).ok());
     QueryRequest req;
     req.pattern = triangle;
-    req.engine = engine;
     req.deadline_ms = -1.0;
     const QueryResult expected = plain.run(req);
     const QueryResult got = sharded.run(req);
     ASSERT_EQ(got.status, QueryStatus::kOk) << got.error;
-    EXPECT_EQ(got.count, expected.count) << to_string(engine);
+    EXPECT_EQ(got.count, expected.count);
+    EXPECT_EQ(got.graph_epoch, 1u);
   }
-  EXPECT_GE(sharded.metrics().counter("sharded_queries").value(), 2u);
-
-  // Updates refresh the partition; post-update queries stay exact.
-  UpdateBatch batch;
-  batch.insertions = {{0, 25}, {1, 26}, {2, 27}};
-  ASSERT_TRUE(plain.apply_updates(batch).ok());
-  ASSERT_TRUE(sharded.apply_updates(batch).ok());
-  QueryRequest req;
-  req.pattern = triangle;
-  req.deadline_ms = -1.0;
-  const QueryResult expected = plain.run(req);
-  const QueryResult got = sharded.run(req);
-  ASSERT_EQ(got.status, QueryStatus::kOk) << got.error;
-  EXPECT_EQ(got.count, expected.count);
-  EXPECT_EQ(got.graph_epoch, 1u);
 }
 
 TEST(ShardedService, ExportsPerShardLabeledMetrics) {
@@ -376,9 +383,11 @@ TEST(ShardedService, VertexInducedQueriesUseTheUnshardedPath) {
 TEST(ShardedService, DeadlineCutsTheCheckpointChain) {
   // A 4-shard contiguous split of a sparse random graph cuts most of its
   // edges, so the cut term builds thousands of checkpoints before any unit
-  // runs (seconds of work on one worker). The chain polls the deadline
-  // before each checkpoint and fails closed near it.
-  const VertexId n = 10000;
+  // runs. A checkpoint costs only the pages its chunk touches, so the whole
+  // count at n = 10,000 takes about 100-150 ms on one worker and can finish
+  // inside the deadline; at n = 40,000 the chain alone outlasts it. The
+  // chain polls the deadline before each checkpoint and fails closed near it.
+  const VertexId n = 40000;
   SessionConfig cfg;
   cfg.sharding.num_shards = 4;
   cfg.sharding.num_workers = 1;

@@ -340,10 +340,10 @@ TEST(StorageStore, MutationPathsHoldLeasesAgainstTrim) {
   ASSERT_NE(store, nullptr);
 
   {
-    // A DeltaOverlay resolves untouched vertices through the store lazily
-    // for its whole lifetime, so it must pin the decode cache on its own.
-    DeltaOverlay overlay(dyn.snapshot());
-    ASSERT_TRUE(overlay.has_edge(0, 1) || !overlay.has_edge(0, 1));
+    // A GraphEdit resolves untouched vertices through the store lazily for
+    // its whole lifetime, so it must pin the decode cache on its own.
+    GraphEdit edit(dyn.snapshot());
+    ASSERT_TRUE(edit.has_edge(0, 1) || !edit.has_edge(0, 1));
     EXPECT_FALSE(store->trim_decoded());
   }
   EXPECT_TRUE(store->trim_decoded());
