@@ -49,7 +49,7 @@ void run_sharded(benchmark::State& state, const Graph& g,
   pcfg.num_shards = num_shards;
   pcfg.strategy = strategy;
   dist::ShardedOptions opts;
-  opts.local_engine = dist::LocalEngine::kHost;
+  opts.engine = EngineKind::kHost;
   opts.num_workers = num_workers;
 
   std::uint64_t count = 0;

@@ -5,7 +5,6 @@
 
 #include "core/fault.hpp"
 #include "core/query_stats.hpp"
-#include "graph/types.hpp"
 #include "simt/cost_model.hpp"
 #include "simt/device.hpp"
 
@@ -29,13 +28,6 @@ struct EngineConfig {
   std::uint32_t detect_level = 1;
   /// Level-0 vertices grabbed per chunk request.
   std::uint32_t chunk_size = 8;
-  /// Restrict the outermost loop to data vertices [v_begin, v_end); v_end = 0
-  /// means "to the end". Used for multi-device partitioning (paper Fig. 11).
-  VertexId v_begin = 0;
-  VertexId v_end = 0;
-  /// Step between outer-loop vertices: device d of D takes v_begin = d,
-  /// v_stride = D for a skew-balanced interleaved division of V.
-  VertexId v_stride = 1;
   /// Deterministic fault-injection schedule (all sites off by default).
   /// Sites interpreted here: kWarpAbort, kSlabAlloc, kStealLoss,
   /// kEngineThrow; multi-device runs additionally honor kDeviceFail.

@@ -3,7 +3,8 @@
 // When an engine runs with a non-null EmbeddingSink it posts every matched
 // embedding, grouped into *buckets* keyed by a deterministic ordering id.
 // Every engine posts one bucket per outer-loop vertex (host and reference:
-// v - v_begin; SIMT: the virtual outer index (v - v_begin) / v_stride), so
+// v - start; SIMT: the virtual index (v - begin) / stride of its
+// OuterRange), so
 //
 //   (a) bucket ids form a dense range [0, num_buckets) announced via begin(),
 //   (b) concatenating buckets 0, 1, 2, ... yields the extension-tree DFS

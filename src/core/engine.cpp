@@ -98,10 +98,10 @@ struct WarpState {
 class StackEngine {
  public:
   StackEngine(GraphView g, const MatchingPlan& plan, const EngineConfig& cfg,
-              const CancelToken* cancel = nullptr,
-              EmbeddingSink* sink = nullptr)
-      : g_(g), plan_(plan), cfg_(cfg), poller_(cancel), sink_(sink),
-        k_(plan.size()) {
+              const CancelToken* cancel, EmbeddingSink* sink,
+              OuterRange range)
+      : g_(g), plan_(plan), cfg_(cfg), range_(range), poller_(cancel),
+        sink_(sink), k_(plan.size()) {
     cfg_.device.validate();
     STM_CHECK(cfg_.unroll >= 1 && cfg_.unroll <= kWarpWidth);
     STM_CHECK(cfg_.stop_level >= 1);
@@ -117,15 +117,15 @@ class StackEngine {
             << shared_per_warp_ * cfg_.device.warps_per_block << " > "
             << cfg_.device.shared_mem_bytes
             << " bytes (reduce unroll or warps_per_block)");
-    STM_CHECK(cfg_.v_stride >= 1);
+    STM_CHECK(range_.stride >= 1);
     const VertexId range_end =
-        (cfg_.v_end == 0) ? g_.num_vertices()
-                          : std::min<VertexId>(cfg_.v_end, g_.num_vertices());
-    // The outer loop walks virtual indices i -> v_begin + i * v_stride.
+        (range_.end == 0) ? g_.num_vertices()
+                          : std::min<VertexId>(range_.end, g_.num_vertices());
+    // The outer loop walks virtual indices i -> begin + i * stride.
     v_cursor_ = 0;
-    v_end_ = (range_end > cfg_.v_begin)
-                 ? (range_end - cfg_.v_begin + cfg_.v_stride - 1) /
-                       cfg_.v_stride
+    v_end_ = (range_end > range_.begin)
+                 ? (range_end - range_.begin + range_.stride - 1) /
+                       range_.stride
                  : 0;
     if (cfg_.fault.enabled()) {
       STM_CHECK(cfg_.fault.max_unit_attempts >= 1);
@@ -333,7 +333,7 @@ class StackEngine {
 
   // --- embedding emission --------------------------------------------------
   std::uint64_t idx_of(VertexId v) const {
-    return (v - cfg_.v_begin) / cfg_.v_stride;
+    return (v - range_.begin) / range_.stride;
   }
 
   /// Stages a matched embedding into its outer-index bucket. `w.matched[0..
@@ -412,7 +412,7 @@ class StackEngine {
     w.c0.clear();
     const LabelFilter filter = filter_for(plan_.exact_mask(0));
     for (VertexId i = begin; i < end; ++i) {
-      const VertexId v = cfg_.v_begin + i * cfg_.v_stride;
+      const VertexId v = range_.begin + i * range_.stride;
       if (filter.keep(v)) w.c0.push_back(v);
     }
     w.iter[0] = 0;
@@ -741,6 +741,7 @@ class StackEngine {
   const GraphView g_;
   const MatchingPlan& plan_;
   EngineConfig cfg_;
+  const OuterRange range_;
   CancelPoller poller_;
   EmbeddingSink* sink_ = nullptr;
   std::size_t k_;
@@ -877,7 +878,7 @@ MatchResult StackEngine::run() {
 
 MatchResult stmatch_match(GraphView g, const MatchingPlan& plan,
                           const EngineConfig& cfg, const CancelToken* cancel,
-                          EmbeddingSink* sink) {
+                          EmbeddingSink* sink, OuterRange range) {
   if (cfg.fault.enabled()) {
     // Whole-engine-call failure: thrown (not returned) so the service layer's
     // exception boundary and fallback chain are exercised end to end.
@@ -886,7 +887,7 @@ MatchResult stmatch_match(GraphView g, const MatchingPlan& plan,
       throw FaultInjectedError("injected fault: SIMT engine call failed");
     }
   }
-  StackEngine engine(g, plan, cfg, cancel, sink);
+  StackEngine engine(g, plan, cfg, cancel, sink, range);
   return engine.run();
 }
 

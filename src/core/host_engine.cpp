@@ -30,7 +30,8 @@ struct RetryChunk {
 
 HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
                            const HostEngineConfig& cfg,
-                           const CancelToken* cancel, EmbeddingSink* sink) {
+                           const CancelToken* cancel, EmbeddingSink* sink,
+                           VertexId v_begin) {
   STM_CHECK(cfg.chunk_size >= 1);
   std::optional<FaultInjector> injector;
   if (cfg.fault.enabled()) {
@@ -45,14 +46,14 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   const VertexId n = g.num_vertices();
-  std::atomic<VertexId> cursor{cfg.v_begin};
+  std::atomic<VertexId> cursor{v_begin};
   // An emitting run claims one outer vertex per grab, so a bucket is posted
   // as soon as its vertex is done and is never staged beside its neighbours.
   const VertexId grab = sink != nullptr ? 1 : cfg.chunk_size;
   // Emission is disabled for the rest of the run once the sink reports the
   // stream aborted/failed; counting continues unaffected.
   std::atomic<bool> emit_stop{false};
-  if (sink != nullptr) sink->begin(cfg.v_begin >= n ? 0 : n - cfg.v_begin);
+  if (sink != nullptr) sink->begin(v_begin >= n ? 0 : n - v_begin);
   std::atomic<bool> interrupted{false};
   std::atomic<bool> budget_exhausted{false};
   std::atomic<std::size_t> active_chunks{0};
@@ -203,7 +204,7 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
             // must not enter the stream (the drained prefix would no longer
             // be bucket-aligned and thus not reproducible).
             if (emitting && (cancel == nullptr || !cancel->expired())) {
-              pending.emplace_back(chunk.begin - cfg.v_begin,
+              pending.emplace_back(chunk.begin - v_begin,
                                    std::move(staged));
               flush_pending(/*blocking=*/false);
             }

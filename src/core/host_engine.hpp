@@ -24,9 +24,6 @@ struct HostEngineConfig {
   /// Outer-loop vertices claimed per work grab by a counting run (a run
   /// with a sink claims one vertex per grab, see host_match).
   VertexId chunk_size = 16;
-  /// First outer-loop vertex (cursor start). A resumed stream starts the
-  /// engine at the vertex after its cursor's (service/stream.hpp).
-  VertexId v_begin = 0;
   /// Deterministic fault-injection schedule (off by default). Sites
   /// interpreted here: kHostTask (a chunk's partial work is discarded and
   /// the chunk re-enqueued, bounded by max_unit_attempts) and kEngineThrow
@@ -42,10 +39,11 @@ struct HostMatchResult {
   QueryStats stats;
 };
 
-/// Counts matches of the plan on real threads. A non-null `cancel` token is
-/// polled cooperatively by every worker; when it fires, the run returns
-/// early with the partial count and stats.status = kDeadlineExceeded /
-/// kCancelled.
+/// Counts matches of the plan on real threads over outer-loop vertices
+/// v_begin and up (a resumed stream starts after its cursor's vertex, see
+/// service/stream.hpp). A non-null `cancel` token is polled cooperatively by
+/// every worker; when it fires, the run returns early with the partial count
+/// and stats.status = kDeadlineExceeded / kCancelled.
 ///
 /// With a non-null `sink` the engine also emits every matched embedding.
 /// Such a run claims one outer vertex per grab (chunk_size then only governs
@@ -61,6 +59,7 @@ struct HostMatchResult {
 HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
                            const HostEngineConfig& cfg = {},
                            const CancelToken* cancel = nullptr,
-                           EmbeddingSink* sink = nullptr);
+                           EmbeddingSink* sink = nullptr,
+                           VertexId v_begin = 0);
 
 }  // namespace stm

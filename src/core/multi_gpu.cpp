@@ -20,10 +20,9 @@ MultiGpuResult stmatch_match_multi_gpu(const Graph& g, const MatchingPlan& plan,
   for (std::size_t d = 0; d < num_devices; ++d) {
     // The paper's interleaved division of V: device d takes d, d+D, d+2D,
     // ..., balancing the degree skew of real graphs.
+    const OuterRange slice{static_cast<VertexId>(d), g.num_vertices(),
+                           static_cast<VertexId>(num_devices)};
     EngineConfig device_cfg = cfg;
-    device_cfg.v_begin = static_cast<VertexId>(d);
-    device_cfg.v_end = g.num_vertices();
-    device_cfg.v_stride = static_cast<VertexId>(num_devices);
 
     // A slice is the whole recovery unit at this level: a failed device's
     // partial count is discarded and the slice re-run from scratch, so the
@@ -32,7 +31,8 @@ MultiGpuResult stmatch_match_multi_gpu(const Graph& g, const MatchingPlan& plan,
     double device_ms = 0.0;
     std::uint32_t attempt = 0;
     for (;;) {
-      MatchResult r = stmatch_match(g, plan, device_cfg);
+      MatchResult r =
+          stmatch_match(g, plan, device_cfg, nullptr, nullptr, slice);
       device_ms += r.stats.sim_ms;
       const bool engine_failed = r.query.status == QueryStatus::kInternalError;
       const bool device_failed =

@@ -37,8 +37,8 @@ struct MultiGpuResult {
 };
 
 /// Runs `plan` over `num_devices` simulated devices, dividing the outer loop
-/// into interleaved slices of V: device d runs v_begin = d, v_end = |V|,
-/// v_stride = num_devices over the full graph. `cfg.fault` drives both the
+/// into interleaved slices of V: device d runs OuterRange{d, |V|,
+/// num_devices} over the full graph. `cfg.fault` drives both the
 /// per-device engine chaos and the kDeviceFail site handled here.
 MultiGpuResult stmatch_match_multi_gpu(const Graph& g, const MatchingPlan& plan,
                                        std::size_t num_devices,

@@ -4,9 +4,6 @@
 #include <atomic>
 #include <chrono>
 
-#include "baselines/reference.hpp"
-#include "core/engine.hpp"
-#include "core/recursive.hpp"
 #include "dist/scheduler.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "mqo/evaluator.hpp"
@@ -15,16 +12,6 @@
 #include "util/thread_pool.hpp"
 
 namespace stm::dist {
-
-const char* to_string(LocalEngine e) {
-  switch (e) {
-    case LocalEngine::kHost: return "host";
-    case LocalEngine::kSimt: return "simt";
-    case LocalEngine::kRecursive: return "recursive";
-    case LocalEngine::kReference: return "reference";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -168,65 +155,24 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
       if (chaos && injector.should_fail(FaultSite::kShardFailure,
                                         unit_key(kLocalUnit, s, a)))
         continue;  // the unit died before completing; re-run it
-      std::uint64_t count = 0;
-      QueryStats q;
+      EngineRun r;
       try {
-        switch (opts_.local_engine) {
-          case LocalEngine::kHost: {
-            HostEngineConfig cfg = opts_.host;
-            cfg.fault.incarnation = opts_.host.fault.incarnation + attempt + a;
-            const HostMatchResult r =
-                host_match(shard.local, local_plan, cfg, cancel);
-            count = r.count;
-            q = r.stats;
-            break;
-          }
-          case LocalEngine::kSimt: {
-            EngineConfig cfg = opts_.simt;
-            cfg.v_begin = 0;
-            cfg.v_end = 0;
-            cfg.v_stride = 1;
-            cfg.fault.incarnation = opts_.simt.fault.incarnation + attempt + a;
-            const MatchResult r =
-                stmatch_match(shard.local, local_plan, cfg, cancel);
-            count = r.count;
-            q = r.query;
-            break;
-          }
-          case LocalEngine::kRecursive: {
-            RecursiveCounters rc;
-            count = recursive_count_range(shard.local, local_plan, 0,
-                                          shard.local.num_vertices(), &rc,
-                                          cancel);
-            q.scalar_ops = rc.scalar_ops;
-            q.sets_built = rc.sets_built;
-            if (cancel != nullptr && cancel->expired())
-              q.status = cancel->status();
-            break;
-          }
-          case LocalEngine::kReference: {
-            count = reference_count(
-                shard.local, pattern_,
-                {opts_.plan.induced, opts_.plan.count_mode}, cancel);
-            if (cancel != nullptr && cancel->expired())
-              q.status = cancel->status();
-            break;
-          }
-        }
+        r = run_engine(opts_.engine, shard.local, local_plan, opts_.host,
+                       opts_.simt, attempt + a, cancel);
       } catch (const FaultInjectedError&) {
         // The engine call itself threw (FaultSite::kEngineThrow).
-        q.status = QueryStatus::kInternalError;
-        q.faults_injected = 1;
+        r.stats.status = QueryStatus::kInternalError;
+        r.stats.faults_injected = 1;
       }
-      if (q.status == QueryStatus::kInternalError) {
+      if (r.stats.status == QueryStatus::kInternalError) {
         // The inner engine failed or its own recovery budget ran out; treat
         // the whole shard run as a failed unit and re-run with a new
         // incarnation.
-        out.query.faults_injected += q.faults_injected;
+        out.query.faults_injected += r.stats.faults_injected;
         continue;
       }
-      out.count = count;
-      out.query += q;
+      out.count = r.count;
+      out.query += r.stats;
       if (a > 0) ++out.query.units_recovered;
       return;
     }
@@ -341,6 +287,9 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   if (exhausted.load(std::memory_order_relaxed)) {
     result.status = QueryStatus::kInternalError;
     result.error = "a sharded unit exhausted its recovery budget";
+  } else if (result.status != QueryStatus::kOk) {
+    result.error = std::string("sharded units stopped: ") +
+                   to_string(result.status) + " (count is partial)";
   }
   result.wall_ms = elapsed_ms();
   return result;

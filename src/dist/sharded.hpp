@@ -40,6 +40,7 @@
 #include "core/fault.hpp"
 #include "core/host_engine.hpp"
 #include "core/query_stats.hpp"
+#include "core/run.hpp"
 #include "dist/partition.hpp"
 #include "mqo/pattern_index.hpp"
 #include "pattern/pattern.hpp"
@@ -47,23 +48,14 @@
 
 namespace stm::dist {
 
-/// Engine executing the shard-local enumerations (the cut-edge term always
-/// runs the standing-query trie walk).
-enum class LocalEngine : std::uint8_t {
-  kHost = 0,   // host-parallel engine (production CPU path)
-  kSimt,       // simulated-GPU stack engine
-  kRecursive,  // sequential recursive executor
-  kReference,  // brute-force baseline (tests)
-};
-
-const char* to_string(LocalEngine e);
-
 struct ShardedOptions {
   /// Matching semantics. induced must be kEdge when the partition has more
   /// than one shard.
   PlanOptions plan;
-  LocalEngine local_engine = LocalEngine::kHost;
-  /// Inner-engine configurations (v-range fields are overwritten).
+  /// Engine of the shard-local units, which run through run_engine (the
+  /// cut-edge term always runs the standing-query trie walk).
+  EngineKind engine = EngineKind::kHost;
+  /// Inner-engine configurations.
   HostEngineConfig host;
   EngineConfig simt;
   /// Scheduler workers (0 = one per shard).
@@ -124,8 +116,8 @@ class ShardedMatcher {
   /// fault incarnation (the service bumps it per engine retry). A non-null
   /// `cancel` token is polled before each cut-term checkpoint is built,
   /// between units and inside the inner engines; when it fires before the
-  /// checkpoints are complete, the result carries its status and an error
-  /// and no unit runs.
+  /// checkpoints are complete, no unit runs. Every non-kOk result names its
+  /// status in `error`.
   /// Throws check_error for vertex-induced options on > 1 shard and for a
   /// labeled pattern over an unlabeled graph.
   ShardedResult match(GraphView g, const Partition& partition,

@@ -65,16 +65,4 @@ void CircuitBreaker::record_failure() {
   }
 }
 
-const char* to_string(CircuitBreaker::State s) {
-  switch (s) {
-    case CircuitBreaker::State::kClosed:
-      return "closed";
-    case CircuitBreaker::State::kOpen:
-      return "open";
-    case CircuitBreaker::State::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 }  // namespace stm

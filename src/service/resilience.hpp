@@ -81,6 +81,4 @@ class CircuitBreaker {
   std::uint64_t trips_ = 0;
 };
 
-const char* to_string(CircuitBreaker::State s);
-
 }  // namespace stm

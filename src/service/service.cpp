@@ -6,24 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/reference.hpp"
-#include "core/engine.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
 namespace stm {
-
-const char* to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSimt:
-      return "simt";
-    case EngineKind::kHost:
-      return "host";
-    case EngineKind::kReference:
-      return "reference";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -460,8 +446,7 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
   }
   dist::ShardedOptions opts;
   opts.plan = req.plan;
-  opts.local_engine = kind == EngineKind::kSimt ? dist::LocalEngine::kSimt
-                                                : dist::LocalEngine::kHost;
+  opts.engine = kind;
   // One engine thread per scheduler unit: cross-shard parallelism comes from
   // the shard scheduler's workers, not from nested host threads. Per-request
   // engine knobs (req.host / req.simt) do not reach the sharded path — the
@@ -544,78 +529,26 @@ void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
   shard_state_ = std::move(state);
 }
 
-QueryResult GraphSession::execute_engine(EngineKind kind,
-                                         const QueryRequest& req,
-                                         const MatchingPlan& plan,
-                                         const GraphSnapshot& snap,
-                                         const CancelToken& token,
-                                         std::uint32_t attempt) {
-  QueryResult result;
-  if (shardable(kind, req)) {
-    std::shared_ptr<const ShardState> state;
-    {
-      std::lock_guard<std::mutex> lock(shard_mu_);
-      state = shard_state_;
-    }
-    // The coordinator must run on the exact graph version its partition was
-    // built from; a query racing an update's partition refresh falls back to
-    // the unsharded path for its pinned snapshot instead.
-    if (state != nullptr && state->snapshot->epoch() == snap.epoch()) {
-      // The partition's snapshot can predate a compact() (same epoch, its
-      // own backend), so it needs its own lease.
-      const auto shard_lease = state->snapshot->storage_lease();
-      const auto matcher = sharded_matcher(kind, req);
-      const dist::ShardedResult r = matcher->match(
-          state->snapshot->view(), *state->partition, plan, attempt, &token);
-      sharded_queries_.inc();
-      shard_chunk_steals_.inc(r.chunk_steals);
-      result.count = r.count;
-      for (const dist::ShardStats& st : r.shards) result.stats += st.query;
-      // r's totals also cover the anchored chunks and the coordinator's own
-      // injector; they supersede the per-shard sums.
-      result.stats.faults_injected = r.faults_injected;
-      result.stats.units_recovered = r.units_recovered;
-      result.stats.status = r.status;
-      result.status = r.status;
-      result.error = r.error;
-      return result;
-    }
+QueryStatus GraphSession::exception_status(const std::string& context,
+                                           std::string* error) {
+  try {
+    throw;
+  } catch (const check_error& e) {
+    // Precondition violation: the query (not the engine) is at fault.
+    *error = e.what();
+    return QueryStatus::kInvalidArgument;
+  } catch (const std::exception& e) {
+    error->assign(context).append(": ").append(e.what());
+  } catch (...) {
+    error->assign(context).append(" a non-standard exception");
   }
-  const GraphView g = snap.view();
-  switch (kind) {
-    case EngineKind::kSimt: {
-      MatchResult r = stmatch_match(g, plan, req.simt, &token);
-      result.count = r.count;
-      result.stats = r.query;
-      // Simulated engine time is not wall time; report wall latency fields
-      // from the service clocks below, but keep the engine's own view here.
-      break;
-    }
-    case EngineKind::kHost: {
-      HostEngineConfig host = req.host;
-      if (host.num_threads == 0) {
-        host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
-      }
-      HostMatchResult r = host_match(g, plan, host, &token);
-      result.count = r.count;
-      result.stats = r.stats;
-      break;
-    }
-    case EngineKind::kReference: {
-      // Last-resort path: shares no candidate-set machinery with the
-      // optimized engines, so faults rooted there cannot follow us here.
-      ReferenceOptions opts;
-      opts.induced = req.plan.induced;
-      opts.count_mode = req.plan.count_mode;
-      Timer engine_timer;
-      result.count = reference_count(g, req.pattern, opts, &token);
-      result.stats.engine_ms = engine_timer.elapsed_ms();
-      if (token.expired()) result.stats.status = token.status();
-      break;
-    }
-  }
-  result.status = result.stats.status;
-  return result;
+  return QueryStatus::kInternalError;
+}
+
+HostEngineConfig GraphSession::host_config(HostEngineConfig host) const {
+  if (host.num_threads == 0)
+    host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
+  return host;
 }
 
 QueryResult GraphSession::try_engine(EngineKind kind, const QueryRequest& req,
@@ -625,30 +558,48 @@ QueryResult GraphSession::try_engine(EngineKind kind, const QueryRequest& req,
                                      std::uint32_t attempt) {
   QueryResult result;
   try {
-    // A fresh fault incarnation per attempt: the injected-failure schedule
-    // is a pure function of (seed, incarnation, site, key), so transient
-    // faults clear deterministically on retry instead of repeating forever.
-    QueryRequest attempt_req = req;
-    attempt_req.simt.fault.incarnation = req.simt.fault.incarnation + attempt;
-    attempt_req.host.fault.incarnation = req.host.fault.incarnation + attempt;
-    result = execute_engine(kind, attempt_req, plan, snap, token, attempt);
-  } catch (const check_error& e) {
-    // Precondition violation: the query (not the engine) is at fault.
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInvalidArgument;
-    result.error = e.what();
-  } catch (const std::exception& e) {
+    if (shardable(kind, req)) {
+      std::shared_ptr<const ShardState> state;
+      {
+        std::lock_guard<std::mutex> lock(shard_mu_);
+        state = shard_state_;
+      }
+      // The coordinator must run on the exact graph version its partition
+      // was built from; a query racing an update's partition refresh falls
+      // back to the unsharded path for its pinned snapshot instead.
+      if (state != nullptr && state->snapshot->epoch() == snap.epoch()) {
+        // The partition's snapshot can predate a compact() (same epoch, its
+        // own backend), so it needs its own lease.
+        const auto shard_lease = state->snapshot->storage_lease();
+        const auto matcher = sharded_matcher(kind, req);
+        const dist::ShardedResult r = matcher->match(
+            state->snapshot->view(), *state->partition, plan, attempt, &token);
+        sharded_queries_.inc();
+        shard_chunk_steals_.inc(r.chunk_steals);
+        result.count = r.count;
+        for (const dist::ShardStats& st : r.shards) result.stats += st.query;
+        // r's totals also cover the anchored chunks and the coordinator's
+        // own injector; they supersede the per-shard sums.
+        result.stats.faults_injected = r.faults_injected;
+        result.stats.units_recovered = r.units_recovered;
+        result.stats.status = r.status;
+        result.status = r.status;
+        result.error = r.error;
+        return result;
+      }
+    }
+    const EngineRun r = run_engine(kind, snap.view(), plan,
+                                   host_config(req.host), req.simt, attempt,
+                                   &token);
+    result.count = r.count;
+    result.stats = r.stats;
+    result.status = r.stats.status;
+  } catch (...) {
     // Engine-call boundary (DESIGN.md §9): a throwing engine must not take
     // down the dispatcher thread or strand the admission slot.
     result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = std::string("engine ") + to_string(kind) +
-                   " threw: " + e.what();
-  } catch (...) {
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = std::string("engine ") + to_string(kind) +
-                   " threw a non-standard exception";
+    result.status = result.stats.status = exception_status(
+        std::string("engine ") + to_string(kind) + " threw", &result.error);
   }
   return result;
 }
@@ -780,20 +731,12 @@ void GraphSession::execute(QueryJob& job) {
       result.graph_epoch = snap->epoch();
     }
     cache_hit_rate_.set(plan_cache_.stats().hit_rate());
-  } catch (const check_error& e) {
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInvalidArgument;
-    result.error = e.what();
-  } catch (const std::exception& e) {
+  } catch (...) {
     // Last line of defense (DESIGN.md §9): nothing may escape into the
     // dispatcher pool, where it would std::terminate the process.
     result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = std::string("query execution threw: ") + e.what();
-  } catch (...) {
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = "query execution threw a non-standard exception";
+    result.status = result.stats.status =
+        exception_status("query execution threw", &result.error);
   }
   watchdog_.unwatch(job.token);
 
@@ -1060,11 +1003,11 @@ std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
     PlanOptions unique = cfg.plan;
     unique.count_mode = CountMode::kUniqueSubgraphs;
     auto plan = plan_cache_.get_or_compile(cfg.pattern, unique, snap->epoch());
-    HostEngineConfig host;
-    host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
     Timer full_timer;
     const auto storage_lease = snap->storage_lease();
-    count = host_match(snap->view(), *plan, host).count;
+    const EngineRun full = run_engine(EngineKind::kHost, snap->view(), *plan,
+                                      host_config({}), {});
+    count = full.count;
     if (cfg.plan.count_mode == CountMode::kEmbeddings)
       count *= plan->automorphism_count();
     full_ms = full_timer.elapsed_ms();

@@ -48,6 +48,7 @@
 #include "core/fault.hpp"
 #include "core/host_engine.hpp"
 #include "core/query_stats.hpp"
+#include "core/run.hpp"
 #include "dist/partition.hpp"
 #include "dist/sharded.hpp"
 #include "dynamic/dynamic_graph.hpp"
@@ -70,17 +71,6 @@ class EmbeddingStream;
 struct StreamRequest;
 struct TopKOptions;
 struct TopKResult;
-
-/// Which execution path serves the query. The order doubles as the
-/// degradation order: fallback moves strictly to the right.
-enum class EngineKind : std::uint8_t {
-  kSimt = 0,   // simulated-GPU STMatch engine
-  kHost,       // real threads (production CPU path)
-  kReference,  // single-threaded brute-force enumerator (last resort)
-};
-inline constexpr std::size_t kNumEngineKinds = 3;
-
-const char* to_string(EngineKind kind);
 
 struct QueryRequest {
   Pattern pattern;
@@ -412,15 +402,20 @@ class GraphSession {
   };
 
   void execute(QueryJob& job);
-  /// One engine call on `kind`, exceptions contained (check_error →
-  /// kInvalidArgument, anything else → kInternalError).
+  /// One engine call on `kind` (sharded when shardable, run_engine
+  /// otherwise), exceptions contained by exception_status.
   QueryResult try_engine(EngineKind kind, const QueryRequest& req,
                          const MatchingPlan& plan, const GraphSnapshot& snap,
                          const CancelToken& token, std::uint32_t attempt);
-  QueryResult execute_engine(EngineKind kind, const QueryRequest& req,
-                             const MatchingPlan& plan,
-                             const GraphSnapshot& snap,
-                             const CancelToken& token, std::uint32_t attempt);
+  /// Maps the exception being handled (call from a catch block) to a
+  /// status and its detail: check_error means the query is at fault
+  /// (kInvalidArgument, its message); anything else is kInternalError,
+  /// described as "<context>: <what>" or "<context> a non-standard
+  /// exception".
+  static QueryStatus exception_status(const std::string& context,
+                                      std::string* error);
+  /// `host` with num_threads = 0 resolved to host_threads_per_query.
+  HostEngineConfig host_config(HostEngineConfig host) const;
   /// Sharded-mode eligibility for (kind, req) — see ShardingConfig.
   bool shardable(EngineKind kind, const QueryRequest& req) const;
   /// Cached cross-shard coordinator for the request's pattern/options.

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/host_engine.hpp"
 #include "core/recursive.hpp"
 #include "pattern/matching_order.hpp"
 #include "stream/emit.hpp"
@@ -195,41 +193,6 @@ bool post_resume_head(GraphView g, const MatchingPlan& plan,
   return pipe.post_head(std::move(head)) && !full;
 }
 
-/// The stream's reference lane: the sequential recursive executor, one
-/// bucket per outer-loop vertex, posted in order. Shares the plan (hence
-/// the order) with the optimized engines but none of their scheduling — the
-/// oracle compares the engines' drained streams against this one.
-QueryStatus run_reference_stream(GraphView g, const MatchingPlan& plan,
-                                 VertexId start, const CancelToken& token,
-                                 stream::EmitPipeline& pipe,
-                                 QueryStats* stats) {
-  const VertexId n = g.num_vertices();
-  const VertexId begin = std::min(start, n);
-  pipe.begin(n - begin);
-  RecursiveCounters counters;
-  Timer engine_timer;
-  std::vector<Embedding> staged;
-  for (VertexId v0 = begin; v0 < n; ++v0) {
-    staged.clear();
-    recursive_enumerate_range(
-        g, plan, v0, v0 + 1,
-        [&staged](const std::vector<VertexId>& m) {
-          staged.push_back(m);
-          return true;
-        },
-        &counters, &token);
-    // A fired token may have cut the bucket short; an incomplete bucket is
-    // never posted (the stream ends at the previous, complete one).
-    if (token.expired()) break;
-    if (!pipe.post(v0 - begin, std::move(staged))) break;
-    staged = {};
-  }
-  stats->engine_ms = engine_timer.elapsed_ms();
-  stats->scalar_ops = counters.scalar_ops;
-  stats->sets_built = counters.sets_built;
-  return token.expired() ? token.status() : QueryStatus::kOk;
-}
-
 }  // namespace
 
 struct GraphSession::StreamState {
@@ -303,16 +266,6 @@ std::unique_ptr<EmbeddingStream> GraphSession::reject_stream(
 
 std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   queries_submitted_.inc();
-
-  const EngineConfig& sc = req.query.simt;
-  if (req.query.host.v_begin != 0 || sc.v_begin != 0 || sc.v_end != 0 ||
-      sc.v_stride != 1) {
-    return reject_stream(
-        req, QueryStatus::kInvalidArgument,
-        "stream requests must leave the engine outer-loop range knobs "
-        "(host.v_begin, simt.v_begin/v_end/v_stride) at their defaults; the "
-        "stream cursor owns them");
-  }
 
   const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
   const std::uint64_t fp = stream_fingerprint(req.query);
@@ -422,56 +375,24 @@ void GraphSession::run_stream(const std::shared_ptr<StreamState>& st) {
     // A resumed page first finishes its cursor's outer vertex (the head
     // bucket), then runs the engine from the next one.
     VertexId start = st->start_v0;
-    bool run_engine = true;
+    bool more = true;
     if (!st->after.empty()) {
       start = st->after[0] + 1;
-      run_engine = post_resume_head(g, *st->plan, st->after, st->opts.limit,
-                                    *st->token, *st->pipe, &stats);
-      if (!run_engine && st->token->expired()) status = st->token->status();
+      more = post_resume_head(g, *st->plan, st->after, st->opts.limit,
+                              *st->token, *st->pipe, &stats);
+      if (!more && st->token->expired()) status = st->token->status();
     }
-    if (run_engine) {
-      QueryStats engine;
-      switch (st->req.engine) {
-        case EngineKind::kHost: {
-          HostEngineConfig host = st->req.host;
-          if (host.num_threads == 0) {
-            host.num_threads =
-                std::max<std::size_t>(1, cfg_.host_threads_per_query);
-          }
-          host.v_begin = start;
-          engine = host_match(g, *st->plan, host, st->token.get(),
-                              st->pipe.get())
-                       .stats;
-          break;
-        }
-        case EngineKind::kSimt: {
-          EngineConfig simt = st->req.simt;
-          simt.v_begin = start;
-          engine = stmatch_match(g, *st->plan, simt, st->token.get(),
-                                 st->pipe.get())
-                       .query;
-          break;
-        }
-        case EngineKind::kReference: {
-          engine.status = run_reference_stream(g, *st->plan, start,
-                                               *st->token, *st->pipe, &engine);
-          break;
-        }
-      }
-      stats += engine;
-      status = engine.status;
+    if (more) {
+      const EngineRun r =
+          run_engine(st->req.engine, g, *st->plan, host_config(st->req.host),
+                     st->req.simt, 0, st->token.get(), st->pipe.get(), start);
+      stats += r.stats;
+      status = r.stats.status;
     }
-  } catch (const check_error& e) {
-    status = QueryStatus::kInvalidArgument;
-    error = e.what();
-  } catch (const std::exception& e) {
-    status = QueryStatus::kInternalError;
-    error = std::string("stream engine ") + to_string(st->req.engine) +
-            " threw: " + e.what();
   } catch (...) {
-    status = QueryStatus::kInternalError;
-    error = std::string("stream engine ") + to_string(st->req.engine) +
-            " threw a non-standard exception";
+    status = exception_status(
+        std::string("stream engine ") + to_string(st->req.engine) + " threw",
+        &error);
   }
   if (st->pipe->failed()) {
     // kEmitDrop budget exhausted: the pipeline already aborted the sequencer
@@ -637,8 +558,6 @@ void EmbeddingStream::cancel() {
   st_->token->cancel();
   st_->seq.abort(QueryStatus::kCancelled, "stream cancelled by caller");
 }
-
-std::uint64_t EmbeddingStream::delivered() const { return st_->delivered; }
 
 TopKResult GraphSession::top_k(const QueryRequest& req,
                                const TopKOptions& opts) {

@@ -66,8 +66,6 @@ struct StreamRequest {
   /// Engine / plan / deadline knobs. Streams execute a single attempt on
   /// req.engine (no retry or fallback: a degraded re-run could not splice
   /// into an already-delivered prefix) and bypass sharded execution.
-  /// The outer-loop range knobs (host.v_begin, simt.v_begin/v_end/v_stride)
-  /// must be left at their defaults; the stream owns them.
   QueryRequest query;
   StreamOptions stream;
 };
@@ -104,9 +102,6 @@ class EmbeddingStream {
   /// Requests cancellation: producers stop, next() returns false after the
   /// already-released embeddings. Safe from any thread, idempotent.
   void cancel();
-
-  /// Embeddings delivered so far (consumer-thread view).
-  std::uint64_t delivered() const;
 
  private:
   friend class GraphSession;

@@ -294,8 +294,4 @@ IsaChoice forced_isa() {
   return runtime_force().load(std::memory_order_relaxed);
 }
 
-namespace detail {
-const Kernels& scalar_kernels() { return kScalarKernels; }
-}  // namespace detail
-
 }  // namespace stm::simd

@@ -155,7 +155,6 @@ inline constexpr std::size_t kGallopSkewRatio = 32;
 namespace detail {
 const Kernels* sse42_kernels();
 const Kernels* avx2_kernels();
-const Kernels& scalar_kernels();
 }  // namespace detail
 
 }  // namespace stm::simd

@@ -266,12 +266,8 @@ void check_stream(const TestCase& c, const MatchingPlan&,
     q.engine = kind;
     q.host = c.host;
     q.simt = c.simt;
-    // The stream owns the outer-loop range knobs; chaos is its own suite.
-    q.host.v_begin = 0;
+    // Chaos is its own suite.
     q.host.fault = FaultConfig{};
-    q.simt.v_begin = 0;
-    q.simt.v_end = 0;
-    q.simt.v_stride = 1;
     q.simt.fault = FaultConfig{};
     return req;
   };

@@ -4,6 +4,7 @@
 
 #include "baselines/reference.hpp"
 #include "core/engine.hpp"
+#include "core/run.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/labeling.hpp"
@@ -165,15 +166,32 @@ TEST(Engine, PartitionedRangesSumToWhole) {
   // Multi-GPU partitioning (paper Fig. 11): outermost iterations divided.
   Graph g = small_graph();
   const auto expected = reference_count(g, query(12));
+  const MatchingPlan plan(reorder_for_matching(query(12)), {});
   const VertexId n = g.num_vertices();
   std::uint64_t total = 0;
   for (VertexId part = 0; part < 3; ++part) {
-    EngineConfig cfg = tiny_device();
-    cfg.v_begin = part * n / 3;
-    cfg.v_end = (part + 1) * n / 3;
-    total += stmatch_match_pattern(g, query(12), {}, cfg).count;
+    const OuterRange range{part * n / 3, (part + 1) * n / 3};
+    total += stmatch_match(g, plan, tiny_device(), nullptr, nullptr, range)
+                 .count;
   }
   EXPECT_EQ(total, expected);
+}
+
+TEST(Engine, RunEngineCountsCoverEveryOuterVertex) {
+  // Only a stream starts the outer loop past vertex 0: a count that skipped
+  // vertices would come back partial with status kOk.
+  Graph g = small_graph();
+  const MatchingPlan plan(reorder_for_matching(query(12)), {});
+  for (EngineKind kind :
+       {EngineKind::kSimt, EngineKind::kHost, EngineKind::kReference}) {
+    EXPECT_THROW(run_engine(kind, g, plan, {}, tiny_device(), 0, nullptr,
+                            nullptr, g.num_vertices() / 2),
+                 check_error)
+        << to_string(kind);
+    EXPECT_EQ(run_engine(kind, g, plan, {}, tiny_device()).count,
+              reference_count(g, query(12)))
+        << to_string(kind);
+  }
 }
 
 // ---- labeled matching -------------------------------------------------------

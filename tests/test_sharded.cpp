@@ -131,7 +131,7 @@ TEST(ShardedDifferential, SimtLocalEngine) {
   const std::uint64_t expected = reference(g, triangle);
   for (std::uint32_t shards : {1u, 4u}) {
     dist::ShardedOptions opts;
-    opts.local_engine = dist::LocalEngine::kSimt;
+    opts.engine = EngineKind::kSimt;
     const dist::ShardedResult r = dist::sharded_match(
         g, triangle, pconfig(shards, PartitionStrategy::kDegreeBalanced),
         opts);
@@ -140,19 +140,36 @@ TEST(ShardedDifferential, SimtLocalEngine) {
   }
 }
 
-TEST(ShardedDifferential, RecursiveAndReferenceLocalEngines) {
+TEST(ShardedDifferential, ReferenceLocalEngine) {
   const Graph g = make_erdos_renyi(24, 0.2, 15);
   const Pattern wedge(3, {{0, 1}, {1, 2}});
   const std::uint64_t expected = reference(g, wedge);
-  for (dist::LocalEngine engine :
-       {dist::LocalEngine::kRecursive, dist::LocalEngine::kReference}) {
-    dist::ShardedOptions opts;
-    opts.local_engine = engine;
-    const dist::ShardedResult r = dist::sharded_match(
-        g, wedge, pconfig(4, PartitionStrategy::kHash), opts);
-    ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
-    EXPECT_EQ(r.count, expected) << dist::to_string(engine);
-  }
+  dist::ShardedOptions opts;
+  opts.engine = EngineKind::kReference;
+  const dist::ShardedResult r = dist::sharded_match(
+      g, wedge, pconfig(4, PartitionStrategy::kHash), opts);
+  ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
+  EXPECT_EQ(r.count, expected);
+}
+
+TEST(ShardedDifferential, CancelledUnitsReportAnError) {
+  // One shard has no cut edges, so no checkpoint chain runs: the token is
+  // seen by the shard-local unit alone, and the result must still say why
+  // it failed.
+  const Graph g = make_erdos_renyi(400, 0.03, 7);
+  const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
+  const dist::ShardedMatcher matcher(triangle, {});
+  const dist::Partition p =
+      dist::partition_graph(g, pconfig(1, PartitionStrategy::kContiguous));
+  const MatchingPlan plan(reorder_for_matching(triangle), {});
+  CancelToken token;
+  token.cancel();
+  const dist::ShardedResult r = matcher.match(g, p, plan, 0, &token);
+  EXPECT_EQ(r.status, QueryStatus::kCancelled);
+  EXPECT_NE(r.error.find(to_string(QueryStatus::kCancelled)),
+            std::string::npos)
+      << r.error;
+  EXPECT_NE(r.error.find("partial"), std::string::npos) << r.error;
 }
 
 TEST(ShardedDifferential, LabeledGraphAndPattern) {
@@ -457,7 +474,7 @@ TEST(ShardChaos, SimtEngineThrowInAShardUnitIsRetried) {
   std::uint64_t faults = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     dist::ShardedOptions opts;
-    opts.local_engine = dist::LocalEngine::kSimt;
+    opts.engine = EngineKind::kSimt;
     opts.simt.fault.seed = seed;
     opts.simt.fault.set_rate(FaultSite::kEngineThrow, 0.3);
     const dist::ShardedResult r = dist::sharded_match(
@@ -470,7 +487,7 @@ TEST(ShardChaos, SimtEngineThrowInAShardUnitIsRetried) {
 
   // A unit whose every attempt throws fails closed.
   dist::ShardedOptions opts;
-  opts.local_engine = dist::LocalEngine::kSimt;
+  opts.engine = EngineKind::kSimt;
   opts.simt.fault.set_rate(FaultSite::kEngineThrow, 1.0);
   opts.fault.max_unit_attempts = 3;
   const dist::ShardedResult r = dist::sharded_match(

@@ -1,7 +1,7 @@
-// SIMT engine outer-loop ranges: the v_begin/v_end restriction.
+// SIMT engine outer-loop ranges: the OuterRange argument of stmatch_match.
 //
 // Multi-device partitioning and resumed streams run the SIMT engine over a
-// slice [v_begin, v_end) of the outermost loop. These tests nail that
+// slice [begin, end) of the outermost loop. These tests nail that
 // contract against recursive_count_range: every single-vertex range matches
 // the recursive executor, the ranges partition the full count at every
 // unroll factor, and an empty range yields zero.
@@ -23,10 +23,9 @@ TEST(SimtSeed, EmptyVertexRangeYieldsZero) {
   const Graph g = make_clique(6);
   const MatchingPlan plan(reorder_for_matching(Pattern::parse("0-1,1-2,2-0")),
                           {});
-  EngineConfig cfg;
-  cfg.v_begin = 3;
-  cfg.v_end = 3;  // nonzero v_begin == v_end: deliberately empty, not "all"
-  EXPECT_EQ(stmatch_match(g, plan, cfg).count, 0u);
+  // Nonzero begin == end: deliberately empty, not "all".
+  const OuterRange range{3, 3};
+  EXPECT_EQ(stmatch_match(g, plan, {}, nullptr, nullptr, range).count, 0u);
 }
 
 TEST(SimtSeed, SingleVertexRangesPartitionFullCountAcrossConfigs) {
@@ -45,9 +44,8 @@ TEST(SimtSeed, SingleVertexRangesPartitionFullCountAcrossConfigs) {
       cfg.device.num_blocks = 2;
       cfg.device.warps_per_block = 2;
       cfg.unroll = unroll;
-      cfg.v_begin = v;
-      cfg.v_end = v + 1;
-      const std::uint64_t got = stmatch_match(g, plan, cfg).count;
+      const std::uint64_t got =
+          stmatch_match(g, plan, cfg, nullptr, nullptr, {v, v + 1}).count;
       ASSERT_EQ(got, recursive_count_range(g, plan, v, v + 1))
           << "unroll=" << unroll << " v=" << v;
       sum += got;

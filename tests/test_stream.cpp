@@ -458,16 +458,6 @@ TEST(StreamTokens, LegacyStm1TokensResume) {
   }
 }
 
-TEST(StreamCursor, RangeKnobsAreReservedForTheStream) {
-  GraphSession session(make_clique(6));
-  StreamRequest req = stream_request(triangle());
-  req.query.host.v_begin = 2;
-  QueryResult r;
-  drain(session, req, &r);
-  EXPECT_EQ(r.status, QueryStatus::kInvalidArgument);
-  EXPECT_FALSE(r.error.empty());
-}
-
 // ---------------------------------------------------------------------------
 // Resume positions: the seek walk and the head bucket
 // ---------------------------------------------------------------------------
