@@ -1,14 +1,13 @@
 // Micro-benchmarks of the sharded execution subsystem: single-shard vs
 // 2/4/8-shard wall time of the cross-shard coordinator on ER and power-law
 // graphs, with the partition's imbalance and cut fraction reported as
-// counters, plus 4- and 5-cycle rows at 4 shards, where the cut-edge term
-// rather than the checkpoint build dominates, and a size sweep of the 4-shard
-// ER triangle count on one worker, which shows how the cut term's checkpoint
-// chain grows with the number of cut edges. The acceptance target
-// (EXPERIMENTS.md) is a measurable speedup over the single-shard host run on
-// >= 4 shards for at least one power-law workload — on multi-core hosts;
-// a 1-core container only shows the coordination overhead, which these
-// benchmarks then bound.
+// counters, plus 4- and 5-cycle rows at 4 shards, where the cut-edge term's
+// walks dominate, and a size sweep of the 4-shard ER triangle count on one
+// worker, which shows how the cut term grows with the number of cut edges.
+// The acceptance target (EXPERIMENTS.md) is a measurable speedup over the
+// single-shard host run on >= 4 shards for at least one power-law workload
+// — on multi-core hosts; a 1-core container only shows the coordination
+// overhead, which these benchmarks then bound.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -103,7 +102,7 @@ BENCHMARK(BM_ShardedCycle_PowerLaw_DegreeBalanced)
     ->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 
 /// Triangles on ER(n, 8/(n-1)) at 4 contiguous shards and one worker, with
-/// n = state.range(0): most edges are cut, so the checkpoint chain dominates.
+/// n = state.range(0): most edges are cut, so the cut-edge term dominates.
 void BM_ShardedTriangles_ER_SizeSweep(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));
   const Graph g = make_erdos_renyi(n, 8.0 / (n - 1), 1);

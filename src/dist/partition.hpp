@@ -77,8 +77,9 @@ struct Partition {
   std::vector<std::uint32_t> owner;
   std::vector<std::shared_ptr<const Shard>> shards;
   /// All cut edges in owner-major order (shard 0's cut edges first, each
-  /// owner's block sorted by (u, v)) — the fixed global order the cross-
-  /// shard inclusion–exclusion prefixes over.
+  /// owner's block sorted by (u, v)). This order only decides which edges
+  /// share a cut-term chunk; the count itself orders cut edges by their
+  /// (u, v) pair (dist/sharded.hpp).
   std::vector<std::pair<VertexId, VertexId>> cut_edges;
 
   std::uint32_t num_shards() const { return config.num_shards; }

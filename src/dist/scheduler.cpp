@@ -16,14 +16,7 @@ ShardScheduler::ShardScheduler(std::uint32_t num_shards)
 void ShardScheduler::add(WorkUnit unit) {
   STM_CHECK(unit.home_shard < num_shards_);
   remaining_cost_[unit.home_shard] += unit.est_cost;
-  auto& q = queues_[unit.home_shard];
-  // Keep the queue sorted ascending by cost so back() is the costliest
-  // (LPT: big units first shortens the makespan tail).
-  q.insert(std::upper_bound(q.begin(), q.end(), unit,
-                            [](const WorkUnit& a, const WorkUnit& b) {
-                              return a.est_cost < b.est_cost;
-                            }),
-           std::move(unit));
+  queues_[unit.home_shard].push_back(std::move(unit));
 }
 
 bool ShardScheduler::pop(std::uint32_t worker, std::uint32_t num_workers,
@@ -62,6 +55,15 @@ bool ShardScheduler::pop(std::uint32_t worker, std::uint32_t num_workers,
 SchedulerStats ShardScheduler::run(ThreadPool& pool,
                                    std::uint32_t num_workers) {
   STM_CHECK(num_workers >= 1);
+  // Sort each queue ascending by cost so back() is the costliest (LPT: big
+  // units first shortens the makespan tail). Sorting once keeps add() O(1),
+  // not quadratic; stable, so equal costs keep their insertion order.
+  for (auto& q : queues_) {
+    std::stable_sort(q.begin(), q.end(),
+                     [](const WorkUnit& a, const WorkUnit& b) {
+                       return a.est_cost < b.est_cost;
+                     });
+  }
   SchedulerStats stats;
   stats.per_shard_executed.assign(num_shards_, 0);
   stats.per_shard_stolen.assign(num_shards_, 0);

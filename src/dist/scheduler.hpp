@@ -72,7 +72,8 @@ class ShardScheduler {
 
   std::uint32_t num_shards_;
   std::mutex mu_;
-  /// Sorted ascending by est_cost; pop_back takes the costliest.
+  /// Sorted ascending by est_cost when run() starts; pop_back takes the
+  /// costliest.
   std::vector<std::vector<WorkUnit>> queues_;
   std::vector<double> remaining_cost_;
 };

@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "dist/scheduler.hpp"
-#include "dynamic/dynamic_graph.hpp"
 #include "mqo/evaluator.hpp"
 #include "pattern/matching_order.hpp"
 #include "util/check.hpp"
@@ -23,8 +22,7 @@ constexpr std::uint64_t unit_key(std::uint64_t kind, std::uint64_t index,
 constexpr std::uint64_t kLocalUnit = 0;
 constexpr std::uint64_t kChunkUnit = 1;
 
-/// Cut edges per schedulable anchor chunk. Fewer, larger chunks would build
-/// fewer checkpoints but coarsen the units the scheduler steals.
+/// Cut edges per schedulable anchor chunk: the unit the scheduler steals.
 constexpr std::size_t kCutChunkSize = 16;
 
 /// The shard-local term of one shard, in the requested count mode.
@@ -54,14 +52,11 @@ ShardedMatcher::ShardedMatcher(const Pattern& pattern,
 
 ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
                                     const MatchingPlan& local_plan,
+                                    const HostEngineConfig& host,
+                                    const EngineConfig& simt,
                                     std::uint64_t attempt,
                                     const CancelToken* cancel) const {
   const auto t0 = std::chrono::steady_clock::now();
-  auto elapsed_ms = [t0] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
   const std::uint32_t num_shards = partition.num_shards();
   STM_CHECK_MSG(!partition.shards.empty(),
                 "sharded matching requires a materialized partition");
@@ -94,53 +89,17 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   const bool chaos = fault_cfg.enabled();
   std::atomic<bool> exhausted{false};
 
-  // --- Cut-term checkpoints ----------------------------------------------
-  // Checkpoint k = G_intra + all cut edges of chunks < k: one GraphEdit adds
-  // the chunks in order and publishes a version before each, sequentially,
-  // before any unit is scheduled. Consecutive checkpoints share every page
-  // their chunk did not touch. A chunk's worker edits its own checkpoint and
-  // walks the trie after each of its own edges, realizing the prefix identity
-  // independently of scheduling order. Concurrent walks only read the index.
+  // A chunk walks its cut edges over `g` itself under the edge order of
+  // sharded.hpp, so chunks are independent: they only read the index and `g`.
   const auto& cut = partition.cut_edges;
   const mqo::MultiQueryEvaluator evaluator(cut_index_);
   const std::size_t num_chunks =
       cut_index_.empty() ? 0 : (cut.size() + kCutChunkSize - 1) / kCutChunkSize;
   std::vector<ChunkOutcome> chunks(num_chunks);
-  std::vector<std::shared_ptr<const GraphSnapshot>> checkpoints;
-  if (num_chunks > 0) {
-    GraphBuilder intra_b(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      for (VertexId w : g.neighbors(v))
-        if (v < w && partition.owner_of(v) == partition.owner_of(w))
-          intra_b.add_edge(v, w);
-    Graph intra_g = intra_b.build();
-    if (g.is_labeled()) {
-      std::vector<Label> labels(g.num_vertices());
-      for (VertexId v = 0; v < g.num_vertices(); ++v) labels[v] = g.label(v);
-      intra_g = intra_g.with_labels(std::move(labels));
-    }
-    GraphEdit chain(MutableGraph(std::move(intra_g)).snapshot());
-    checkpoints.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      checkpoints.push_back(chain.publish(c));
-      if (c + 1 == num_chunks) break;  // no chunk reads G_intra + every cut edge
-      if (cancel != nullptr && cancel->expired()) {
-        result.status = cancel->status();
-        result.error = std::string("cut-term checkpoint chain stopped: ") +
-                       to_string(result.status);
-        result.wall_ms = elapsed_ms();
-        return result;
-      }
-      const std::size_t lo = c * kCutChunkSize;
-      const std::size_t hi = std::min(cut.size(), lo + kCutChunkSize);
-      for (std::size_t i = lo; i < hi; ++i)
-        chain.add_edge(cut[i].first, cut[i].second);
-    }
-  }
 
   // --- Shard-local units -------------------------------------------------
   std::vector<LocalOutcome> locals(num_shards);
-  const CostModel& cost = opts_.simt.cost;
+  const CostModel& cost = simt.cost;
   ShardScheduler scheduler(num_shards);
 
   auto run_local = [&](std::uint32_t s) {
@@ -157,8 +116,8 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         continue;  // the unit died before completing; re-run it
       EngineRun r;
       try {
-        r = run_engine(opts_.engine, shard.local, local_plan, opts_.host,
-                       opts_.simt, attempt + a, cancel);
+        r = run_engine(opts_.engine, shard.local, local_plan, host, simt,
+                       attempt + a, cancel);
       } catch (const FaultInjectedError&) {
         // The engine call itself threw (FaultSite::kEngineThrow).
         r.stats.status = QueryStatus::kInternalError;
@@ -182,10 +141,7 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
 
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     const Shard& shard = *partition.shards[s];
-    if (shard.num_owned() == 0) {
-      locals[s].attempts = 0;
-      continue;
-    }
+    if (shard.num_owned() == 0) continue;
     // LPT proxy from the SIMT cost model: a shard's enumeration scans each
     // vertex's neighborhood against its neighbors' lists (~Σ deg²).
     double est = static_cast<double>(cost.kernel_launch);
@@ -210,12 +166,9 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         continue;
       mqo::EvalResult walk;
       walk.groups.resize(cut_index_.num_group_slots());
-      GraphEdit edit(checkpoints[c]);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto& [u, v] = cut[i];
-        edit.add_edge(u, v);
-        evaluator.accumulate(edit.view(), u, v, +1, &walk);
-      }
+      for (std::size_t i = lo; i < hi; ++i)
+        evaluator.accumulate(g, cut[i].first, cut[i].second, +1, &walk,
+                             partition.owner);
       out.embeddings = static_cast<std::uint64_t>(walk.groups[0].embeddings);
       if (a > 0) ++out.units_recovered;
       return;
@@ -288,20 +241,25 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     result.status = QueryStatus::kInternalError;
     result.error = "a sharded unit exhausted its recovery budget";
   } else if (result.status != QueryStatus::kOk) {
-    result.error = std::string("sharded units stopped: ") +
-                   to_string(result.status) + " (count is partial)";
+    result.error.assign("sharded units stopped: ")
+        .append(to_string(result.status))
+        .append(" (count is partial)");
   }
-  result.wall_ms = elapsed_ms();
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
   return result;
 }
 
 ShardedResult sharded_match(const Graph& g, const Pattern& pattern,
                             const PartitionConfig& partition,
-                            const ShardedOptions& opts) {
+                            const ShardedOptions& opts,
+                            const HostEngineConfig& host,
+                            const EngineConfig& simt) {
   const Partition p = partition_graph(g, partition);
   ShardedMatcher matcher(pattern, opts);
   const MatchingPlan plan(reorder_for_matching(pattern), opts.plan);
-  return matcher.match(g, p, plan);
+  return matcher.match(g, p, plan, host, simt);
 }
 
 }  // namespace stm::dist

@@ -1,34 +1,33 @@
 // Cross-shard coordinator: exact pattern counts over a partitioned graph.
 //
-// The global count decomposes over a partition's fixed cut-edge order
-// c_1..c_m (owner-major, see partition.hpp). With G_intra = G minus all cut
-// edges,
+// Order the cut edges (endpoints owned by different shards) by their
+// normalised pair (min, max). With G_intra = G minus all cut edges,
 //
 //   count(G) = Σ_s count(shard_s.local)
-//            + Σ_i |embeddings containing c_i in G_intra + {c_1..c_i}|
+//            + Σ_c |embeddings in G containing cut edge c and no cut edge
+//                   ordered after c|
 //
 // The first term: G_intra is the disjoint union of the shard-local graphs,
 // and counts of connected patterns are additive over a disjoint union, so
 // every existing engine runs each shard's standalone `local` Graph
-// unchanged. The second term is the prefix inclusion–exclusion identity the
-// standing queries use for delta edges (every embedding missing from
-// G_intra contains at least one cut edge and is counted exactly once, at the
-// largest-index cut edge it contains), counted by the standing-query trie
-// walk (mqo/evaluator.hpp) over a one-registration PatternIndex. The
+// unchanged. The second term counts every embedding missing from G_intra
+// exactly once, at the largest cut edge it contains. Any fixed total order
+// would do; this one needs no sort, and "is this edge later" is one owner
+// comparison and one integer compare. The standing-query trie walk
+// (mqo/evaluator.hpp) counts the term over a one-registration PatternIndex,
+// anchored at c over G itself with the partition's owner map. The
 // registration counts embeddings; for kUniqueSubgraphs the cut term is
 // divided by |Aut(pattern)| (cut-containing embeddings are closed under
 // automorphisms). Vertex-induced matching is rejected for more than one
 // shard — an induced match can cross shards without containing any cut edge
 // via a non-edge constraint — the same reason the standing index rejects it.
 //
-// Cut edges are processed in chunks of 16 so the shard scheduler can steal
-// them: chunk k runs against a checkpoint snapshot (G_intra plus all edges of
-// chunks < k) and adds its own edges in order with a GraphEdit. One GraphEdit
-// builds the whole checkpoint chain, publishing once per chunk, so a
-// checkpoint costs the adjacency pages its chunk's endpoints fall on.
-// Chunks and shard-local runs are retryable units under the kShardFailure
-// fault site, keyed by unit identity with per-attempt incarnation bumps —
-// PR 2's recovery scheme, one level up.
+// The cut edges are walked in chunks of 16 consecutive entries of
+// Partition::cut_edges so the shard scheduler can steal them; no graph is
+// built per query, and every unit reads the same `g`. Chunks and
+// shard-local runs are retryable units under the kShardFailure fault site,
+// keyed by unit identity with per-attempt incarnation bumps — the engines'
+// own unit-recovery scheme, one level up.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +54,6 @@ struct ShardedOptions {
   /// Engine of the shard-local units, which run through run_engine (the
   /// cut-edge term always runs the standing-query trie walk).
   EngineKind engine = EngineKind::kHost;
-  /// Inner-engine configurations.
-  HostEngineConfig host;
-  EngineConfig simt;
   /// Scheduler workers (0 = one per shard).
   std::uint32_t num_workers = 0;
   /// Chaos schedule for FaultSite::kShardFailure (and, via incarnation
@@ -112,16 +108,17 @@ class ShardedMatcher {
   /// Exact count over `partition` of the graph version `g`. `g` must be the
   /// adjacency the partition was built from (the service bundles snapshot +
   /// partition) and `local_plan` a plan compiled from
-  /// reorder_for_matching(pattern) with opts.plan. `attempt` offsets the
-  /// fault incarnation (the service bumps it per engine retry). A non-null
-  /// `cancel` token is polled before each cut-term checkpoint is built,
-  /// between units and inside the inner engines; when it fires before the
-  /// checkpoints are complete, no unit runs. Every non-kOk result names its
-  /// status in `error`.
+  /// reorder_for_matching(pattern) with opts.plan. The shard-local units
+  /// run with the engine configurations `host` and `simt`. `attempt`
+  /// offsets the fault incarnation (the service bumps it per engine retry).
+  /// A non-null `cancel` token is polled before each unit attempt and inside
+  /// the inner engines; once it fires, the result carries its status and
+  /// `error` reads "sharded units stopped: <status> (count is partial)".
   /// Throws check_error for vertex-induced options on > 1 shard and for a
   /// labeled pattern over an unlabeled graph.
   ShardedResult match(GraphView g, const Partition& partition,
                       const MatchingPlan& local_plan,
+                      const HostEngineConfig& host, const EngineConfig& simt,
                       std::uint64_t attempt = 0,
                       const CancelToken* cancel = nullptr) const;
 
@@ -143,9 +140,11 @@ class ShardedMatcher {
 };
 
 /// Convenience one-shot wrapper: partitions `g`, compiles the local plan,
-/// and runs a ShardedMatcher.
+/// and runs a ShardedMatcher with the given engine configurations.
 ShardedResult sharded_match(const Graph& g, const Pattern& pattern,
                             const PartitionConfig& partition,
-                            const ShardedOptions& opts = {});
+                            const ShardedOptions& opts = {},
+                            const HostEngineConfig& host = {},
+                            const EngineConfig& simt = {});
 
 }  // namespace stm::dist

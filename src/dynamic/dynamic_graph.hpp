@@ -9,8 +9,7 @@
 // started on and therefore read an epoch-consistent version while writers
 // apply the next batch — a page is never written after publication, so
 // concurrent readers are race-free by construction. GraphEdit builds every
-// version: session batches, the standing walk's prefix graphs and the
-// sharded cut term's checkpoints.
+// version: session batches and the standing walk's prefix graphs.
 //
 // `compact()` rebuilds the CSR from the current version (folding the pages
 // in) without changing the logical graph, so the epoch is kept; `apply()`

@@ -10,18 +10,28 @@
 namespace stm::mqo {
 namespace {
 
+/// The normalised pair (min, max) of edge (a, b), as one ordered key.
+std::uint64_t edge_key(VertexId a, VertexId b) {
+  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
+}
+
 /// One trie walk over one graph view. Holds per-depth candidate buffers —
 /// children of a node are explored sequentially and deeper recursion only
 /// touches deeper buffers (the RecExec idiom), so nothing reallocates
-/// underneath an active iteration.
+/// underneath an active iteration. kOrdered walks reject a candidate that
+/// closes a pattern edge onto a later cut edge (see accumulate); otherwise
+/// `owner` is unused.
+template <bool kOrdered>
 class Walker {
  public:
   Walker(const PatternIndex& index, const simd::Kernels& simd, GraphView g,
-         int sign, EvalResult* out)
-      : index_(index), simd_(simd), g_(g), sign_(sign), out_(out) {}
+         int sign, EvalResult* out, std::span<const std::uint32_t> owner)
+      : index_(index), simd_(simd), g_(g), sign_(sign), out_(out),
+        owner_(owner) {}
 
   /// Both orientations of data edge (u, v) through the trie root.
   void walk_edge(VertexId u, VertexId v) {
+    anchor_ = edge_key(u, v);
     const TrieNode& root = index_.trie().root();
     const std::pair<VertexId, VertexId> seeds[2] = {{u, v}, {v, u}};
     for (const auto& [s0, s1] : seeds) {
@@ -54,6 +64,21 @@ class Walker {
   bool injective(std::size_t depth, VertexId v) const {
     for (std::size_t j = 0; j < depth; ++j) {
       if (matched_[j] == v) return false;
+    }
+    return true;
+  }
+
+  /// Whether v at position `depth` closes no pattern edge (the prefix
+  /// positions in `mask`) onto a cut edge ordered after the anchor.
+  bool ordered(std::uint8_t mask, std::size_t depth, VertexId v) const {
+    if constexpr (kOrdered) {
+      for (std::size_t j = 0; j < depth; ++j) {
+        const VertexId w = matched_[j];
+        if (((mask >> j) & 1u) != 0 && owner_[w] != owner_[v] &&
+            edge_key(w, v) > anchor_) {
+          return false;
+        }
+      }
     }
     return true;
   }
@@ -142,12 +167,13 @@ class Walker {
   /// the tally is |c| minus the prefix vertices c contains: one binary
   /// search per prefix position instead of a pass over the list. Short
   /// lists take the pass, whose compares predict well where a binary
-  /// search's do not.
+  /// search's do not. An ordered walk always takes the pass: the shortcut
+  /// cannot subtract the candidates the edge order rejects.
   std::int64_t count_valid(std::span<const VertexId> c, std::int16_t label,
-                           std::size_t depth) const {
+                           std::uint8_t mask, std::size_t depth) const {
     constexpr std::size_t kSearchMinLength = 16;
     std::int64_t valid = 0;
-    if (label < 0 && c.size() >= kSearchMinLength) {
+    if (!kOrdered && label < 0 && c.size() >= kSearchMinLength) {
       valid = static_cast<std::int64_t>(c.size());
       for (std::size_t j = 0; j < depth; ++j) {
         if (std::binary_search(c.begin(), c.end(), matched_[j])) --valid;
@@ -155,7 +181,10 @@ class Walker {
       return valid;
     }
     for (const VertexId v : c) {
-      if (label_match(label, v) && injective(depth, v)) ++valid;
+      if (label_match(label, v) && injective(depth, v) &&
+          ordered(mask, depth, v)) {
+        ++valid;
+      }
     }
     return valid;
   }
@@ -168,7 +197,8 @@ class Walker {
       if (leaf && !any_collecting(*child)) {
         // Leaf fast path: terminals only — tally the valid candidates
         // without per-vertex recursion or embedding materialization.
-        const std::int64_t valid = count_valid(c, child->step.label, depth);
+        const std::int64_t valid =
+            count_valid(c, child->step.label, child->step.adj_mask, depth);
         out_->node_visits += static_cast<std::uint64_t>(valid);
         for (const TrieTerminal& t : child->terminals) {
           out_->groups[t.group].embeddings += sign_ * valid;
@@ -178,7 +208,8 @@ class Walker {
       live_[depth] = c;
       live_mask_[depth] = child->step.adj_mask;
       for (const VertexId v : c) {
-        if (!label_match(child->step.label, v) || !injective(depth, v)) {
+        if (!label_match(child->step.label, v) || !injective(depth, v) ||
+            !ordered(child->step.adj_mask, depth, v)) {
           continue;
         }
         matched_[depth] = v;
@@ -201,6 +232,8 @@ class Walker {
   const GraphView g_;
   const int sign_;
   EvalResult* out_;
+  const std::span<const std::uint32_t> owner_;
+  std::uint64_t anchor_ = 0;
   std::array<VertexId, kMaxPatternSize> matched_{};
   /// live_[p]: the list matched_[p] is being drawn from (valid for p below
   /// the current depth), and live_mask_[p] the prefix positions it
@@ -217,12 +250,17 @@ MultiQueryEvaluator::MultiQueryEvaluator(const PatternIndex& index)
     : index_(index),
       simd_(simd::kernels_for_choice(simd::IsaChoice::kAuto)) {}
 
-void MultiQueryEvaluator::accumulate(GraphView g, VertexId u, VertexId v,
-                                     int sign, EvalResult* out) const {
+void MultiQueryEvaluator::accumulate(
+    GraphView g, VertexId u, VertexId v, int sign, EvalResult* out,
+    std::span<const std::uint32_t> owner) const {
   STM_CHECK(out != nullptr && out->groups.size() >= index_.num_group_slots());
   STM_CHECK_MSG(g.has_edge(u, v), "delta edge must be present in the view");
-  Walker walker(index_, simd_, g, sign, out);
-  walker.walk_edge(u, v);
+  STM_CHECK(owner.empty() || owner.size() == g.num_vertices());
+  if (owner.empty()) {
+    Walker<false>(index_, simd_, g, sign, out, owner).walk_edge(u, v);
+  } else {
+    Walker<true>(index_, simd_, g, sign, out, owner).walk_edge(u, v);
+  }
 }
 
 EvalResult MultiQueryEvaluator::evaluate(

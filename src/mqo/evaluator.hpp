@@ -27,7 +27,9 @@
 // re-enumeration.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "dynamic/dynamic_graph.hpp"
 #include "mqo/pattern_index.hpp"
@@ -50,10 +52,15 @@ class MultiQueryEvaluator {
   /// orientations — over `g`, crediting counts (and embeddings for
   /// collecting groups) into *out with polarity `sign` (+1 inserted-pass,
   /// -1 deleted-pass). (u, v) must be an edge of `g`. evaluate() is the
-  /// batch entry point; the sharded coordinator (dist/sharded.hpp) calls this
-  /// once per cut edge, from concurrent chunks that only read the index.
+  /// batch entry point. With a non-empty `owner` map (one shard id per
+  /// vertex of `g`), the walk counts only embeddings whose cut edges, the
+  /// edges with endpoints of different owners, all order at or below (u, v)
+  /// by normalised (min, max) pair: the sharded coordinator
+  /// (dist/sharded.hpp) calls it once per cut edge over the whole graph,
+  /// from concurrent chunks that only read the index and `g`.
   void accumulate(GraphView g, VertexId u, VertexId v, int sign,
-                  EvalResult* out) const;
+                  EvalResult* out,
+                  std::span<const std::uint32_t> owner = {}) const;
 
  private:
   const PatternIndex& index_;

@@ -447,12 +447,6 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
   dist::ShardedOptions opts;
   opts.plan = req.plan;
   opts.engine = kind;
-  // One engine thread per scheduler unit: cross-shard parallelism comes from
-  // the shard scheduler's workers, not from nested host threads. Per-request
-  // engine knobs (req.host / req.simt) do not reach the sharded path — the
-  // session's ShardingConfig governs it, which keeps cached coordinators
-  // valid across requests.
-  opts.host.num_threads = 1;
   opts.num_workers = cfg_.sharding.num_workers;
   opts.fault = cfg_.sharding.fault;
   auto matcher =
@@ -573,7 +567,8 @@ QueryResult GraphSession::try_engine(EngineKind kind, const QueryRequest& req,
         const auto shard_lease = state->snapshot->storage_lease();
         const auto matcher = sharded_matcher(kind, req);
         const dist::ShardedResult r = matcher->match(
-            state->snapshot->view(), *state->partition, plan, attempt, &token);
+            state->snapshot->view(), *state->partition, plan,
+            host_config(req.host), req.simt, attempt, &token);
         sharded_queries_.inc();
         shard_chunk_steals_.inc(r.chunk_steals);
         result.count = r.count;

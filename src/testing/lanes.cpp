@@ -198,9 +198,8 @@ void check_sharded(const TestCase& c, const MatchingPlan&,
                                    .strategy = c.shard_strategy};
   dist::ShardedOptions opts;  // host local engine
   opts.plan = c.plan;
-  opts.host = c.host;
   const dist::ShardedResult r =
-      dist::sharded_match(c.graph, c.pattern, pcfg, opts);
+      dist::sharded_match(c.graph, c.pattern, pcfg, opts, c.host);
   STM_CHECK_MSG(r.status == QueryStatus::kOk,
                 "sharded lane failed: " << r.error);
   report.counts.push_back({EngineKind::kSharded, r.count});

@@ -153,23 +153,25 @@ TEST(ShardedDifferential, ReferenceLocalEngine) {
 }
 
 TEST(ShardedDifferential, CancelledUnitsReportAnError) {
-  // One shard has no cut edges, so no checkpoint chain runs: the token is
-  // seen by the shard-local unit alone, and the result must still say why
-  // it failed.
+  // With one shard only the shard-local unit sees the token; with four, the
+  // cut-edge chunks see it too. Either way the result says why it failed.
   const Graph g = make_erdos_renyi(400, 0.03, 7);
   const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
   const dist::ShardedMatcher matcher(triangle, {});
-  const dist::Partition p =
-      dist::partition_graph(g, pconfig(1, PartitionStrategy::kContiguous));
   const MatchingPlan plan(reorder_for_matching(triangle), {});
-  CancelToken token;
-  token.cancel();
-  const dist::ShardedResult r = matcher.match(g, p, plan, 0, &token);
-  EXPECT_EQ(r.status, QueryStatus::kCancelled);
-  EXPECT_NE(r.error.find(to_string(QueryStatus::kCancelled)),
-            std::string::npos)
-      << r.error;
-  EXPECT_NE(r.error.find("partial"), std::string::npos) << r.error;
+  for (std::uint32_t shards : {1u, 4u}) {
+    const dist::Partition p = dist::partition_graph(
+        g, pconfig(shards, PartitionStrategy::kContiguous));
+    CancelToken token;
+    token.cancel();
+    const dist::ShardedResult r =
+        matcher.match(g, p, plan, {}, {}, 0, &token);
+    EXPECT_EQ(r.status, QueryStatus::kCancelled) << "shards=" << shards;
+    EXPECT_NE(r.error.find(to_string(QueryStatus::kCancelled)),
+              std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("partial"), std::string::npos) << r.error;
+  }
 }
 
 TEST(ShardedDifferential, LabeledGraphAndPattern) {
@@ -206,7 +208,7 @@ TEST(ShardedDifferential, ExactAfterDynamicUpdateRefresh) {
   const dist::ShardedMatcher matcher(triangle, opts);
   const MatchingPlan plan(reorder_for_matching(triangle), opts.plan);
   const dist::ShardedResult r =
-      matcher.match(applied.snapshot->view(), after, plan);
+      matcher.match(applied.snapshot->view(), after, plan, {}, {});
   ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
   EXPECT_EQ(r.count, reference(applied.snapshot->compacted(), triangle));
 }
@@ -277,6 +279,19 @@ TEST(ShardScheduler, SingleWorkerCoversAllShardsWithoutStealing) {
   const dist::SchedulerStats stats = scheduler.run(pool, 1);
   EXPECT_EQ(executed.load(), 3);
   EXPECT_EQ(stats.steals, 0u);
+}
+
+TEST(ShardScheduler, RunsCostliestUnitFirst) {
+  // One worker drains its queue in LPT order: descending cost, and among
+  // equal costs the unit added last first.
+  dist::ShardScheduler scheduler(1);
+  std::vector<int> order;
+  const double costs[] = {1.0, 3.0, 2.0, 3.0};
+  for (int i = 0; i < 4; ++i)
+    scheduler.add({0, costs[i], [&order, i] { order.push_back(i); }});
+  ThreadPool pool(1);
+  scheduler.run(pool, 1);
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -397,20 +412,17 @@ TEST(ShardedService, VertexInducedQueriesUseTheUnshardedPath) {
   EXPECT_EQ(session.metrics().counter("sharded_queries").value(), 0u);
 }
 
-TEST(ShardedService, DeadlineCutsTheCheckpointChain) {
+TEST(ShardedService, DeadlineStopsAShardedCount) {
   // A 4-shard contiguous split of a sparse random graph cuts most of its
-  // edges, so the cut term builds thousands of checkpoints before any unit
-  // runs. A checkpoint costs only the pages its chunk touches, so the whole
-  // count at n = 10,000 takes about 100-150 ms on one worker and can finish
-  // inside the deadline; at n = 40,000 the chain alone outlasts it. The
-  // chain polls the deadline before each checkpoint and fails closed near it.
-  const VertexId n = 40000;
+  // edges. Counting 5-cycles on one worker takes several times the deadline,
+  // so the units must see the deadline and stop near it.
+  const VertexId n = 20000;
   SessionConfig cfg;
   cfg.sharding.num_shards = 4;
   cfg.sharding.num_workers = 1;
   GraphSession session(make_erdos_renyi(n, 8.0 / (n - 1), 1), cfg);
   QueryRequest req;
-  req.pattern = Pattern(3, {{0, 1}, {1, 2}, {0, 2}});
+  req.pattern = Pattern(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
   req.engine = EngineKind::kHost;
   req.deadline_ms = 100.0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -422,6 +434,36 @@ TEST(ShardedService, DeadlineCutsTheCheckpointChain) {
   EXPECT_FALSE(r.error.empty());
   EXPECT_LT(wall_ms, 2 * req.deadline_ms) << to_string(r.status);
   EXPECT_GE(session.metrics().counter("sharded_queries").value(), 1u);
+}
+
+TEST(ShardedService, RequestEngineKnobsReachShardUnits) {
+  // A request whose engine always throws degrades to the next engine in the
+  // fallback chain, sharded or not: the request's host and simt settings
+  // reach the shard-local units.
+  const Graph g = make_erdos_renyi(300, 0.05, 7);
+  const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
+  GraphSession plain(g, SessionConfig{});
+  SessionConfig cfg;
+  cfg.sharding.num_shards = 4;
+  GraphSession sharded(g, cfg);
+  for (EngineKind engine : {EngineKind::kHost, EngineKind::kSimt}) {
+    QueryRequest req;
+    req.pattern = triangle;
+    req.engine = engine;
+    req.deadline_ms = -1.0;
+    FaultConfig& fault =
+        engine == EngineKind::kHost ? req.host.fault : req.simt.fault;
+    fault.set_rate(FaultSite::kEngineThrow, 1.0);
+    const QueryResult expected = plain.run(req);
+    const QueryResult got = sharded.run(req);
+    ASSERT_EQ(expected.status, QueryStatus::kOk) << expected.error;
+    EXPECT_TRUE(expected.degraded) << to_string(engine);
+    EXPECT_EQ(got.status, expected.status) << got.error;
+    EXPECT_EQ(got.served_by, expected.served_by) << to_string(engine);
+    EXPECT_EQ(got.degraded, expected.degraded) << to_string(engine);
+    EXPECT_EQ(got.count, expected.count) << to_string(engine);
+  }
+  EXPECT_GE(sharded.metrics().counter("sharded_queries").value(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,10 +517,12 @@ TEST(ShardChaos, SimtEngineThrowInAShardUnitIsRetried) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     dist::ShardedOptions opts;
     opts.engine = EngineKind::kSimt;
-    opts.simt.fault.seed = seed;
-    opts.simt.fault.set_rate(FaultSite::kEngineThrow, 0.3);
+    EngineConfig simt;
+    simt.fault.seed = seed;
+    simt.fault.set_rate(FaultSite::kEngineThrow, 0.3);
     const dist::ShardedResult r = dist::sharded_match(
-        g, triangle, pconfig(4, PartitionStrategy::kContiguous), opts);
+        g, triangle, pconfig(4, PartitionStrategy::kContiguous), opts, {},
+        simt);
     ASSERT_EQ(r.status, QueryStatus::kOk) << "seed=" << seed << " " << r.error;
     EXPECT_EQ(r.count, expected) << "seed=" << seed;
     faults += r.faults_injected;
@@ -488,10 +532,12 @@ TEST(ShardChaos, SimtEngineThrowInAShardUnitIsRetried) {
   // A unit whose every attempt throws fails closed.
   dist::ShardedOptions opts;
   opts.engine = EngineKind::kSimt;
-  opts.simt.fault.set_rate(FaultSite::kEngineThrow, 1.0);
+  EngineConfig simt;
+  simt.fault.set_rate(FaultSite::kEngineThrow, 1.0);
   opts.fault.max_unit_attempts = 3;
   const dist::ShardedResult r = dist::sharded_match(
-      g, triangle, pconfig(4, PartitionStrategy::kContiguous), opts);
+      g, triangle, pconfig(4, PartitionStrategy::kContiguous), opts, {},
+      simt);
   EXPECT_EQ(r.status, QueryStatus::kInternalError);
   EXPECT_FALSE(r.error.empty());
 }
@@ -514,7 +560,7 @@ TEST(ShardChaos, AttemptShiftCanClearAPersistentFaultSchedule) {
   const MatchingPlan plan(reorder_for_matching(wedge), opts.plan);
   bool succeeded = false;
   for (std::uint64_t attempt = 0; attempt < 16 && !succeeded; ++attempt) {
-    const dist::ShardedResult r = matcher.match(g, p, plan, attempt);
+    const dist::ShardedResult r = matcher.match(g, p, plan, {}, {}, attempt);
     if (r.status == QueryStatus::kOk) {
       EXPECT_EQ(r.count, expected);
       succeeded = true;
