@@ -20,6 +20,7 @@
 
 #include "core/config.hpp"
 #include "dynamic/dynamic_graph.hpp"
+#include "pattern/queries.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -142,6 +143,21 @@ inline UpdateBatch churn_batch(const GraphSnapshot& snap, Rng& rng,
     if (used.insert(e).second) batch.insertions.push_back(e);
   }
   return batch;
+}
+
+/// The eight standing queries of the update_standing benchmark workload
+/// (e2e_bench/), in its registration order.
+inline const std::vector<std::pair<std::string, Pattern>>& standing_shapes() {
+  static const std::vector<std::pair<std::string, Pattern>> shapes = {
+      {"triangle", Pattern::parse("0-1,1-2,2-0")},
+      {"4-cycle", Pattern::parse("0-1,1-2,2-3,3-0")},
+      {"4-cycle-renumbered", Pattern::parse("0-2,2-1,1-3,3-0")},
+      {"diamond", Pattern::parse("0-1,1-2,2-0,1-3,2-3")},
+      {"tailed-triangle", Pattern::parse("0-1,1-2,2-0,2-3")},
+      {"4-path", Pattern::parse("0-1,1-2,2-3")},
+      {"5-cycle", Pattern::parse("0-1,1-2,2-3,3-4,4-0")},
+      {query_name(6), query(6)}};
+  return shapes;
 }
 
 /// A fresh, empty directory under the system temp dir, unique within the

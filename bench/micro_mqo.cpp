@@ -23,13 +23,13 @@
 #include "mqo/pattern_index.hpp"
 #include "pattern/canonical.hpp"
 #include "pattern/pattern.hpp"
-#include "pattern/queries.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace stm;
 using bench::random_batch;
+using bench::standing_shapes;
 
 const Graph& mqo_base() {
   static const Graph g = make_barabasi_albert(2000, 4, 99);
@@ -143,21 +143,6 @@ void BM_PerPatternDelta(benchmark::State& state) {
   state.counters["queries"] = static_cast<double>(num_regs);
 }
 BENCHMARK(BM_PerPatternDelta)->Arg(8)->Arg(64)->Arg(512);
-
-/// The eight standing queries of the update_standing benchmark workload
-/// (e2e_bench/), in its registration order.
-const std::vector<std::pair<std::string, Pattern>>& standing_shapes() {
-  static const std::vector<std::pair<std::string, Pattern>> shapes = {
-      {"triangle", Pattern::parse("0-1,1-2,2-0")},
-      {"4-cycle", Pattern::parse("0-1,1-2,2-3,3-0")},
-      {"4-cycle-renumbered", Pattern::parse("0-2,2-1,1-3,3-0")},
-      {"diamond", Pattern::parse("0-1,1-2,2-0,1-3,2-3")},
-      {"tailed-triangle", Pattern::parse("0-1,1-2,2-0,2-3")},
-      {"4-path", Pattern::parse("0-1,1-2,2-3")},
-      {"5-cycle", Pattern::parse("0-1,1-2,2-3,3-4,4-0")},
-      {query_name(6), query(6)}};
-  return shapes;
-}
 
 /// That workload's graph recipe: BA(2000, m=6) with degrees capped at 96.
 const Graph& standing_base() {

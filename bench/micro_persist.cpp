@@ -83,30 +83,40 @@ void BM_Checkpoint(benchmark::State& state) {
 BENCHMARK(BM_Checkpoint)->Unit(benchmark::kMillisecond);
 
 /// Recovery: construction cost against a directory holding range(0)
-/// WAL batches past the checkpoint.
+/// WAL batches past the checkpoint, with range(1) standing registrations
+/// live: 0, or the first range(1) of update_standing's 8 shapes. `walked`
+/// counts the batches recovery walked for standing counts.
 void BM_RecoveryReplay(benchmark::State& state) {
   const int batches = static_cast<int>(state.range(0));
+  const auto shapes = static_cast<std::size_t>(state.range(1));
   const std::string dir = scratch_dir("micro-persist");
   SessionConfig cfg;
   cfg.persistence.dir = dir;
   cfg.persistence.fsync = false;
   {
     GraphSession session(bench_base(), cfg);
+    for (std::size_t k = 0; k < shapes; ++k) {
+      StandingQueryConfig sq;
+      sq.pattern = bench::standing_shapes().at(k).second;
+      session.register_standing_query(std::move(sq));
+    }
     Rng rng(7);
     for (int i = 0; i < batches; ++i)
       session.apply_updates(random_batch(*session.snapshot(), rng, 50));
   }
-  double recovery_ms = 0.0;
+  persist::RecoveryReport report;
   for (auto _ : state) {
     auto session = GraphSession::restore(cfg);
     benchmark::DoNotOptimize(session->epoch());
-    recovery_ms = session->recovery_report().recovery_ms;
+    report = session->recovery_report();
   }
-  state.counters["replayed"] = static_cast<double>(batches);
-  state.counters["recovery_ms"] = recovery_ms;
+  state.counters["replayed"] = static_cast<double>(report.replayed_batches);
+  state.counters["walked"] = static_cast<double>(report.walked_batches);
+  state.counters["recovery_ms"] = report.recovery_ms;
   fs::remove_all(dir);
 }
-BENCHMARK(BM_RecoveryReplay)->Arg(0)->Arg(16)->Arg(64)
+BENCHMARK(BM_RecoveryReplay)
+    ->ArgsProduct({{0, 16, 64}, {0, 8}})
     ->Unit(benchmark::kMillisecond);
 
 /// Raw WAL append cost (no session, no graph work): the floor of the

@@ -9,7 +9,9 @@
 // serving process mid-update-stream and then asserts that a reopened
 // session recovers a consistent prefix — the recovered standing-query count
 // must equal a from-scratch enumeration of the recovered graph, and the
-// epoch must equal the number of acknowledged batches.
+// epoch must equal the number of acknowledged batches. Recovery must also
+// re-walk at most one batch: every batch logs its standing counts, and the
+// server does not fsync, so the gate covers counts records that never were.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -106,10 +108,12 @@ int verify(const std::string& dir) {
   auto session = GraphSession::restore(session_cfg(dir, false, 0));
   const persist::RecoveryReport& rep = session->recovery_report();
   std::printf("recovered: epoch=%llu checkpoint_seq=%llu replayed=%llu "
-              "torn_tail=%s discarded=%llu recovery_ms=%.2f\n",
+              "walked_batches=%llu torn_tail=%s discarded=%llu "
+              "recovery_ms=%.2f\n",
               static_cast<unsigned long long>(session->epoch()),
               static_cast<unsigned long long>(rep.checkpoint_seq),
               static_cast<unsigned long long>(rep.replayed_batches),
+              static_cast<unsigned long long>(rep.walked_batches),
               rep.wal_torn_tail ? "yes" : "no",
               static_cast<unsigned long long>(rep.wal_discarded_bytes),
               rep.recovery_ms);
@@ -127,7 +131,12 @@ int verify(const std::string& dir) {
   STM_CHECK_MSG(info->epoch == session->epoch(),
                 "standing epoch " << info->epoch << " != session epoch "
                                   << session->epoch());
-  // Invariant 3: the session is live — the deterministic history continues
+  // Invariant 3: the counts came from the log, not from re-walking it: only
+  // a batch whose counts record the kill cut off is walked again.
+  STM_CHECK_MSG(rep.walked_batches <= 1,
+                "recovery walked " << rep.walked_batches
+                                   << " batches; at most 1 expected");
+  // Invariant 4: the session is live — the deterministic history continues
   // exactly from the recovered prefix.
   const UpdateOutcome out =
       session->apply_updates(make_batch(session->epoch()));

@@ -8,8 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "persist/codec.hpp"
 #include "storage/encoding.hpp"
@@ -251,10 +249,7 @@ void CheckpointStore::write(const CheckpointData& data) {
     // is still authoritative.
     bool valid = false;
     try {
-      std::ifstream in(tmp_path, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      decode_checkpoint(buf.str());
+      decode_checkpoint(read_file(tmp_path).value_or(""));
       valid = true;
     } catch (const check_error&) {
       valid = false;
@@ -289,11 +284,9 @@ CheckpointLoadResult CheckpointStore::load_newest() const {
   std::vector<std::uint64_t> seqs = list();
   for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
     try {
-      std::ifstream in(path_for(*it), std::ios::binary);
-      STM_CHECK(in.is_open());
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      out.data = decode_checkpoint(buf.str());
+      const std::optional<std::string> bytes = read_file(path_for(*it));
+      STM_CHECK(bytes.has_value());
+      out.data = decode_checkpoint(*bytes);
       return out;
     } catch (const check_error&) {
       // Fall back to the previous checkpoint; the WAL still covers the gap

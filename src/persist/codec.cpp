@@ -1,6 +1,7 @@
 #include "persist/codec.hpp"
 
 #include <array>
+#include <fstream>
 
 namespace stm::persist {
 
@@ -43,6 +44,16 @@ detail::Crc32Kernel dispatched() noexcept {
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) { return dispatched()(0, data); }
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return std::nullopt;
+  std::string data;
+  char chunk[4096];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+    data.append(chunk, static_cast<std::size_t>(in.gcount()));
+  return data;
+}
 
 const char* crc32_kernel() noexcept {
   return dispatched() == &detail::crc32_bytewise ? "bytewise" : "pclmul";

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -46,6 +47,10 @@ Crc32Kernel crc32_pclmul() noexcept;
 /// target, or a compiler without -mpclmul).
 Crc32Kernel crc32_pclmul_compiled() noexcept;
 }  // namespace detail
+
+/// The whole file at `path`, or nullopt when it cannot be opened. WAL and
+/// checkpoint reads go through here.
+std::optional<std::string> read_file(const std::string& path);
 
 /// Appends little-endian scalars and length-prefixed strings to a buffer.
 class BinaryWriter {

@@ -63,6 +63,7 @@ RecoveredState PersistenceManager::recover() {
       case WalRecordType::kUnregisterStanding:
         ++out.report.replayed_unregistrations;
         break;
+      case WalRecordType::kStandingCounts: break;
     }
     out.tail.push_back(rec);
   }
@@ -94,6 +95,12 @@ WalAppendResult PersistenceManager::log_unregister(std::uint64_t id,
                                                    std::uint64_t epoch) {
   STM_CHECK_MSG(wal_ != nullptr, "log_unregister before open_wal");
   return wal_->append_unregister(id, epoch);
+}
+
+WalAppendResult PersistenceManager::log_counts(std::uint64_t epoch,
+                                               const StandingCounts& counts) {
+  STM_CHECK_MSG(wal_ != nullptr, "log_counts before open_wal");
+  return wal_->append_counts(epoch, counts);
 }
 
 void PersistenceManager::install_checkpoint(CheckpointData data) {

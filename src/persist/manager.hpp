@@ -7,7 +7,8 @@
 //
 // and coordinates the two: every acknowledged mutation is WAL-logged first
 // (log_update / log_register / log_unregister, called from the session's
-// write-ahead hooks); install_checkpoint atomically persists a compacted
+// write-ahead hooks), and each batch's standing counts follow its walk
+// (log_counts); install_checkpoint atomically persists a compacted
 // snapshot + manifest and then truncates the log back to its header, since
 // every record with lsn <= checkpoint.last_lsn is now folded in.
 //
@@ -15,8 +16,9 @@
 // newest checkpoint that validates — falling back to the previous one on a
 // checksum mismatch — reads the WAL, discards the torn tail, and returns
 // the records newer than the checkpoint for the session to replay through
-// its normal apply path. The combination is exact: acknowledged mutations
-// survive any kill point, unacknowledged ones vanish atomically.
+// its normal apply path (walking only the batches after the newest counts
+// record). The combination is exact: acknowledged mutations survive any
+// kill point, unacknowledged ones vanish atomically.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +63,10 @@ struct RecoveryReport {
   /// Newer checkpoint files skipped for failing validation.
   std::uint64_t checkpoints_skipped = 0;
   std::uint64_t replayed_batches = 0;
+  /// Replayed batches that ran the standing-query walk: those after the
+  /// newest standing-counts record, while a registration was live (the
+  /// rest take their counts from that record). Filled by the session.
+  std::uint64_t walked_batches = 0;
   std::uint64_t replayed_registrations = 0;
   std::uint64_t replayed_unregistrations = 0;
   /// WAL records skipped because the checkpoint already covered them
@@ -68,8 +74,8 @@ struct RecoveryReport {
   std::uint64_t skipped_records = 0;
   bool wal_torn_tail = false;
   std::uint64_t wal_discarded_bytes = 0;
-  /// Wall time of the whole recovery (load + replay), ms; filled by the
-  /// session.
+  /// Wall time of the whole recovery (load + replay), ms, from the start of
+  /// the session's construction; filled by the session.
   double recovery_ms = 0.0;
 };
 
@@ -100,6 +106,8 @@ class PersistenceManager {
   WalAppendResult log_update(std::uint64_t epoch, const DeltaEdges& delta);
   WalAppendResult log_register(const StandingEntry& entry, std::uint64_t epoch);
   WalAppendResult log_unregister(std::uint64_t id, std::uint64_t epoch);
+  /// Not fsynced on its own (WalWriter::append_counts).
+  WalAppendResult log_counts(std::uint64_t epoch, const StandingCounts& counts);
 
   /// Atomically installs `data` and truncates the WAL it covers. Throws
   /// FaultInjectedError on an exhausted kCheckpointWrite budget — the WAL

@@ -6,8 +6,6 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "persist/codec.hpp"
 #include "util/check.hpp"
@@ -37,6 +35,14 @@ std::vector<std::pair<VertexId, VertexId>> decode_edges(BinaryReader& r) {
     edges.emplace_back(u, v);
   }
   return edges;
+}
+
+void encode_counts(BinaryWriter& w, const StandingCounts& counts) {
+  w.u32(static_cast<std::uint32_t>(counts.size()));
+  for (const auto& [id, count] : counts) {
+    w.u64(id);
+    w.u64(count);
+  }
 }
 
 /// One frame: length + crc + payload.
@@ -100,6 +106,7 @@ const char* to_string(WalRecordType type) {
     case WalRecordType::kUpdateBatch: return "update_batch";
     case WalRecordType::kRegisterStanding: return "register_standing";
     case WalRecordType::kUnregisterStanding: return "unregister_standing";
+    case WalRecordType::kStandingCounts: return "standing_counts";
   }
   return "unknown";
 }
@@ -120,6 +127,9 @@ std::string encode_record(const WalRecord& rec) {
     case WalRecordType::kUnregisterStanding:
       w.u64(rec.standing_id);
       break;
+    case WalRecordType::kStandingCounts:
+      encode_counts(w, rec.counts);
+      break;
   }
   return w.take();
 }
@@ -128,7 +138,7 @@ WalRecord decode_record(std::string_view payload) {
   BinaryReader r(payload);
   WalRecord rec;
   const std::uint8_t type = r.u8();
-  STM_CHECK_MSG(type >= 1 && type <= 3, "corrupt WAL record: unknown type "
+  STM_CHECK_MSG(type >= 1 && type <= 4, "corrupt WAL record: unknown type "
                                             << static_cast<int>(type));
   rec.type = static_cast<WalRecordType>(type);
   rec.lsn = r.u64();
@@ -144,6 +154,14 @@ WalRecord decode_record(std::string_view payload) {
     case WalRecordType::kUnregisterStanding:
       rec.standing_id = r.u64();
       break;
+    case WalRecordType::kStandingCounts: {
+      const std::uint32_t n = r.u32();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint64_t id = r.u64();
+        rec.counts.emplace_back(id, r.u64());
+      }
+      break;
+    }
   }
   STM_CHECK_MSG(r.done(), "corrupt WAL record: " << r.remaining()
                                                  << " trailing bytes");
@@ -152,11 +170,9 @@ WalRecord decode_record(std::string_view payload) {
 
 WalReadResult read_wal(const std::string& path) {
   WalReadResult out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return out;  // no log yet: empty
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
+  const std::optional<std::string> file = read_file(path);
+  if (!file.has_value()) return out;  // no log yet: empty
+  const std::string& data = *file;
   if (data.empty()) return out;  // created but never written: empty
 
   STM_CHECK_MSG(data.size() >= kWalMagicSize &&
@@ -225,11 +241,12 @@ WalWriter::~WalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-WalAppendResult WalWriter::append_record(WalRecord rec) {
+WalAppendResult WalWriter::append_record(WalRecord rec, bool sync) {
   rec.lsn = next_lsn_;
   const std::string frame = frame_payload(encode_record(rec));
   const std::uint64_t start = size_;
 
+  const bool fsync = fsync_ && sync;
   WalAppendResult res;
   res.lsn = rec.lsn;
   for (std::uint32_t attempt = 0; attempt < max_attempts_; ++attempt) {
@@ -250,11 +267,11 @@ WalAppendResult WalWriter::append_record(WalRecord rec) {
       ++res.faults;
       ++faults_injected_;
       STM_CHECK(::ftruncate(fd_, static_cast<off_t>(start)) == 0);
-      if (fsync_) STM_CHECK(::fsync(fd_) == 0);
+      if (fsync) STM_CHECK(::fsync(fd_) == 0);
       continue;
     }
     write_all(fd_, frame.data(), frame.size(), start, path_);
-    if (fsync_) STM_CHECK(::fsync(fd_) == 0);
+    if (fsync) STM_CHECK(::fsync(fd_) == 0);
     size_ = start + frame.size();
     ++next_lsn_;
     res.bytes = frame.size();
@@ -264,9 +281,12 @@ WalAppendResult WalWriter::append_record(WalRecord rec) {
   // Fail closed: the file is already truncated back to the record start by
   // the last repair, so durable state is exactly the pre-append state and
   // the caller must not acknowledge the mutation.
-  throw FaultInjectedError(
-      "injected fault: WAL append torn " + std::to_string(max_attempts_) +
-      " time(s); record " + std::to_string(rec.lsn) + " not made durable");
+  std::string msg = "injected fault: WAL append torn ";
+  msg += std::to_string(max_attempts_);
+  msg += " time(s); record ";
+  msg += std::to_string(rec.lsn);
+  msg += " not made durable";
+  throw FaultInjectedError(msg);
 }
 
 WalAppendResult WalWriter::append_update(std::uint64_t epoch,
@@ -294,6 +314,15 @@ WalAppendResult WalWriter::append_unregister(std::uint64_t id,
   rec.epoch = epoch;
   rec.standing_id = id;
   return append_record(std::move(rec));
+}
+
+WalAppendResult WalWriter::append_counts(std::uint64_t epoch,
+                                         const StandingCounts& counts) {
+  WalRecord rec;
+  rec.type = WalRecordType::kStandingCounts;
+  rec.epoch = epoch;
+  rec.counts = counts;
+  return append_record(std::move(rec), /*sync=*/false);
 }
 
 void WalWriter::reset() {

@@ -2,7 +2,7 @@
 //
 // File layout: an 8-byte magic ("STMWAL1\n") followed by frames of
 // `u32 payload_len | u32 crc32(payload) | payload`. Each payload starts with
-// a record type byte and a monotone LSN; three record types exist:
+// a record type byte and a monotone LSN; four record types exist:
 //
 //   kUpdateBatch        the *effective* (normalized, redundancy-stripped)
 //                       delta of one applied batch plus the epoch it
@@ -12,9 +12,14 @@
 //                       semantics, and the baseline count/epoch the
 //                       registration-time full enumeration established
 //   kUnregisterStanding a standing-query removal by id
+//   kStandingCounts     every live registration's (id, cumulative count)
+//                       after one batch's walk, so replay can take the
+//                       counts instead of walking the batches before it
 //
-// Records are appended and fsynced *before* the corresponding mutation is
-// acknowledged (the write-ahead discipline; see GraphSession::do_apply).
+// Mutation records are appended and fsynced *before* the mutation is
+// acknowledged (the write-ahead discipline; see GraphSession::do_apply). A
+// counts record follows its batch without an fsync of its own: it only
+// saves replay work, and the next fsynced append makes it durable.
 // The reader accepts any prefix of frames and stops at the first torn or
 // garbled frame — a crash mid-append loses at most the unacknowledged
 // record, never an acknowledged one.
@@ -43,7 +48,12 @@ enum class WalRecordType : std::uint8_t {
   kUpdateBatch = 1,
   kRegisterStanding = 2,
   kUnregisterStanding = 3,
+  kStandingCounts = 4,
 };
+
+/// (registration id, cumulative count) per live standing query, ascending
+/// by id: the kStandingCounts payload.
+using StandingCounts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 const char* to_string(WalRecordType type);
 
@@ -72,7 +82,8 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kUpdateBatch;
   std::uint64_t lsn = 0;
   /// kUpdateBatch: the epoch the batch produced. Register/unregister: the
-  /// epoch the mutation happened at.
+  /// epoch the mutation happened at. kStandingCounts: the epoch the counts
+  /// are valid for.
   std::uint64_t epoch = 0;
   /// kUpdateBatch payload.
   DeltaEdges delta;
@@ -80,6 +91,8 @@ struct WalRecord {
   StandingEntry standing;
   /// kUnregisterStanding payload.
   std::uint64_t standing_id = 0;
+  /// kStandingCounts payload.
+  StandingCounts counts;
 
   std::uint64_t file_offset = 0;  // of the frame's length word
   std::uint64_t frame_size = 0;   // 8-byte header + payload
@@ -124,8 +137,8 @@ struct WalAppendResult {
 };
 
 /// Appender over an open WAL file. Single-writer (the session serializes
-/// appends under its update lock). Every append is flushed — and fsynced
-/// when the config says so — before it returns.
+/// appends under its update lock). Every append is flushed — and every
+/// mutation record fsynced when the config says so — before it returns.
 class WalWriter {
  public:
   /// Opens (creating if absent) the WAL at `path`. `truncate_to` > 0 cuts
@@ -145,6 +158,11 @@ class WalWriter {
   WalAppendResult append_register(const StandingEntry& entry,
                                   std::uint64_t epoch);
   WalAppendResult append_unregister(std::uint64_t id, std::uint64_t epoch);
+  /// Written without an fsync: fsync flushes the whole file, so the next
+  /// mutation record or reset makes it durable, and a power loss before
+  /// then loses or tears only this newest record.
+  WalAppendResult append_counts(std::uint64_t epoch,
+                                const StandingCounts& counts);
 
   /// Truncates the log back to the bare magic header (after a checkpoint
   /// made every logged record redundant). LSNs keep counting — they are
@@ -157,7 +175,7 @@ class WalWriter {
   const std::string& path() const { return path_; }
 
  private:
-  WalAppendResult append_record(WalRecord rec);
+  WalAppendResult append_record(WalRecord rec, bool sync = true);
 
   std::string path_;
   int fd_ = -1;

@@ -46,8 +46,10 @@ struct GraphSession::QueryJob {
 /// Everything the delegated-to constructor needs: the graph to build the
 /// member MutableGraph from (the checkpointed CSR when recovery found one,
 /// the caller's seed otherwise), the epoch to seed it at, and the recovered
-/// state the constructor body replays.
+/// state the constructor body replays. The timer starts before recovery
+/// loads anything, so RecoveryReport::recovery_ms covers the load too.
 struct GraphSession::Boot {
+  Timer since_start;
   Graph graph;
   std::uint64_t start_epoch = 0;
   SessionConfig cfg;
@@ -147,6 +149,9 @@ GraphSession::GraphSession(Boot boot)
       recovery_replayed_batches_(metrics_.counter(
           "recovery_replayed_batches",
           "Update batches replayed from the WAL at session construction")),
+      recovery_walked_batches_(metrics_.counter(
+          "recovery_walked_batches",
+          "Replayed batches whose standing counts recovery re-walked")),
       storage_page_faults_(metrics_.counter(
           "storage_page_faults_total",
           "Spill-tier page-cache misses (pages fetched from disk)")),
@@ -230,7 +235,6 @@ GraphSession::GraphSession(Boot boot)
 
   persist_ = std::move(boot.manager);
   if (persist_ != nullptr) {
-    Timer recovery_timer;
     persist::RecoveredState& rec = boot.recovered;
     recovery_report_ = rec.report;
     if (rec.checkpoint.has_value()) {
@@ -238,10 +242,17 @@ GraphSession::GraphSession(Boot boot)
       for (const persist::StandingEntry& e : rec.checkpoint->standing)
         restore_standing(e);
     }
+    // Batches up to the newest standing-counts record need no walk: that
+    // record holds every live registration's count after them.
+    std::size_t walk_from = 0;
+    for (std::size_t i = 0; i < rec.tail.size(); ++i)
+      if (rec.tail[i].type == persist::WalRecordType::kStandingCounts)
+        walk_from = i + 1;
     // Replay the WAL tail in LSN order through the regular apply path. The
     // update fault injector is installed only *after* replay: a replayed
     // batch was already acknowledged once and must not re-roll its dice.
-    for (const persist::WalRecord& r : rec.tail) {
+    for (std::size_t i = 0; i < rec.tail.size(); ++i) {
+      const persist::WalRecord& r = rec.tail[i];
       switch (r.type) {
         case persist::WalRecordType::kUpdateBatch: {
           const std::shared_ptr<const GraphSnapshot> from = dyn_.snapshot();
@@ -258,9 +269,32 @@ GraphSession::GraphSession(Boot boot)
                         "WAL replay diverged: record "
                             << r.lsn
                             << " re-applied with a different effective delta");
-          apply_standing_deltas(from, applied.applied, r.epoch, nullptr);
+          if (i >= walk_from) {
+            if (!standing_.empty()) ++recovery_report_.walked_batches;
+            apply_standing_deltas(from, applied.applied, r.epoch, nullptr);
+            break;
+          }
+          for (auto& [id, sq] : standing_) {
+            sq.epoch = r.epoch;
+            ++sq.batches;
+          }
           break;
         }
+        case persist::WalRecordType::kStandingCounts:
+          STM_CHECK_MSG(r.epoch == dyn_.epoch(),
+                        "WAL replay diverged: counts record "
+                            << r.lsn << " is for epoch " << r.epoch
+                            << " but replay is at epoch " << dyn_.epoch());
+          STM_CHECK_MSG(
+              std::ranges::equal(r.counts, standing_, {},
+                                 [](const auto& c) { return c.first; },
+                                 [](const auto& s) { return s.first; }),
+              "WAL replay diverged: counts record "
+                  << r.lsn << " names other registrations than the "
+                  << standing_.size() << " live ones");
+          for (const auto& [id, count] : r.counts)
+            standing_.at(id).count = count;
+          break;
         case persist::WalRecordType::kRegisterStanding:
           restore_standing(r.standing);
           next_standing_id_ = std::max(next_standing_id_, r.standing.id + 1);
@@ -288,9 +322,10 @@ GraphSession::GraphSession(Boot boot)
       // WAL alone still carries everything).
       checkpoint_locked();
     }
-    recovery_report_.recovery_ms = recovery_timer.elapsed_ms();
+    recovery_report_.recovery_ms = boot.since_start.elapsed_ms();
     recovery_ms_.set(recovery_report_.recovery_ms);
     recovery_replayed_batches_.inc(recovery_report_.replayed_batches);
+    recovery_walked_batches_.inc(recovery_report_.walked_batches);
   }
   if (cfg_.update_fault.enabled()) {
     STM_CHECK(cfg_.update_fault.max_unit_attempts >= 1);
@@ -880,6 +915,8 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   if (cfg_.sharding.enabled()) rebuild_shards(applied.snapshot, &applied.applied);
 
   apply_standing_deltas(from, applied.applied, out.epoch, &out);
+  // Appended even when a checkpoint follows (its WAL reset discards it).
+  if (persist_ != nullptr && !standing_.empty()) log_standing_counts(out.epoch);
 
   if (persist_ != nullptr && cfg_.persistence.checkpoint_every_batches > 0 &&
       ++batches_since_checkpoint_ >=
@@ -894,6 +931,22 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   update_latency_ms_.observe(out.update_ms);
   refresh_storage_metrics();
   return out;
+}
+
+void GraphSession::log_standing_counts(std::uint64_t epoch) {
+  persist::StandingCounts counts;
+  counts.reserve(standing_.size());
+  for (const auto& [id, sq] : standing_) counts.emplace_back(id, sq.count);
+  // The batch is already durable and published, so an exhausted kWalAppend
+  // budget fails nothing: recovery walks from the previous counts record.
+  const std::uint64_t faults_before = persist_->faults_injected();
+  try {
+    const persist::WalAppendResult res = persist_->log_counts(epoch, counts);
+    wal_appended_bytes_.inc(res.bytes);
+    if (res.faults > 0) recovery_units_total_.inc(1);
+  } catch (const FaultInjectedError&) {
+  }
+  faults_injected_total_.inc(persist_->faults_injected() - faults_before);
 }
 
 void GraphSession::apply_standing_deltas(
@@ -1104,8 +1157,9 @@ persist::StandingEntry GraphSession::standing_entry(
 
 void GraphSession::restore_standing(const persist::StandingEntry& entry) {
   // Counts are durable, not recomputed: the registration record carries the
-  // baseline and update records advance it through the same delta path that
-  // ran before the crash, so no full re-enumeration happens at boot.
+  // baseline, and replay takes later counts from counts records or advances
+  // them through the same delta path that ran before the crash, so no full
+  // re-enumeration happens at boot.
   // Callbacks cannot be serialized; a restored session re-attaches them by
   // registering fresh queries.
   StandingQuery sq;

@@ -269,7 +269,9 @@ class GraphSession {
   /// newest valid checkpoint (falling back to the previous one on a
   /// checksum mismatch) and replays the WAL tail batch-by-batch through the
   /// regular apply path, arriving at the exact pre-crash epoch and
-  /// standing-query counts before the session accepts traffic.
+  /// standing-query counts before the session accepts traffic. Standing
+  /// counts come from the newest counts record; only the batches after it
+  /// are walked.
   explicit GraphSession(Graph graph, SessionConfig cfg = {});
   ~GraphSession();
 
@@ -439,13 +441,18 @@ class GraphSession {
   void apply_standing_deltas(const std::shared_ptr<const GraphSnapshot>& from,
                              const DeltaEdges& applied, std::uint64_t epoch,
                              UpdateOutcome* out);
+  /// Appends every registration's count after the batch that produced
+  /// `epoch`, so recovery need not walk that batch again. Caller holds
+  /// update_mu_.
+  void log_standing_counts(std::uint64_t epoch);
   /// Publishes standing_patterns / trie_nodes / shared_prefix_ratio from the
   /// index. Caller holds standing_mu_.
   void publish_index_metrics();
 
   /// Pre-construction state assembly: runs recovery (when persistence is
   /// on) so the member graph can be built directly at the checkpointed
-  /// epoch; the delegated-to constructor then replays the WAL tail.
+  /// epoch; the delegated-to constructor then replays the WAL tail,
+  /// walking only the batches after its newest standing-counts record.
   struct Boot;
   explicit GraphSession(Boot boot);
   static Boot make_boot(Graph graph, SessionConfig cfg);
@@ -566,6 +573,7 @@ class GraphSession {
   Counter& checkpoints_written_;
   Counter& checkpoint_failures_;
   Counter& recovery_replayed_batches_;
+  Counter& recovery_walked_batches_;
   Counter& storage_page_faults_;
   Counter& storage_decode_ops_;
   Gauge& inflight_;

@@ -190,11 +190,12 @@ TEST(PersistWal, AppendAndReadBackAllRecordTypes) {
     e.full_ms = 1.5;
     EXPECT_EQ(w.append_register(e, 7).lsn, 2u);
     EXPECT_EQ(w.append_unregister(3, 8).lsn, 3u);
+    EXPECT_EQ(w.append_counts(8, {{1, 40}, {4, 0}}).lsn, 4u);
   }
   const persist::WalReadResult r = persist::read_wal(path);
-  ASSERT_EQ(r.records.size(), 3u);
+  ASSERT_EQ(r.records.size(), 4u);
   EXPECT_FALSE(r.torn_tail);
-  EXPECT_EQ(r.next_lsn, 4u);
+  EXPECT_EQ(r.next_lsn, 5u);
   EXPECT_EQ(r.records[0].type, persist::WalRecordType::kUpdateBatch);
   EXPECT_EQ(r.records[0].epoch, 7u);
   EXPECT_EQ(r.records[0].delta.inserted,
@@ -208,6 +209,9 @@ TEST(PersistWal, AppendAndReadBackAllRecordTypes) {
   EXPECT_DOUBLE_EQ(r.records[1].standing.full_ms, 1.5);
   EXPECT_EQ(r.records[2].standing_id, 3u);
   EXPECT_EQ(r.records[2].epoch, 8u);
+  EXPECT_EQ(r.records[3].type, persist::WalRecordType::kStandingCounts);
+  EXPECT_EQ(r.records[3].epoch, 8u);
+  EXPECT_EQ(r.records[3].counts, (persist::StandingCounts{{1, 40}, {4, 0}}));
 }
 
 TEST(PersistWal, TornTailIsReportedAndTruncatedOnReopen) {
@@ -770,6 +774,90 @@ TEST(PersistSession, WalExhaustionFailsTheBatchClosed) {
   EXPECT_FALSE(s.standing_query(1).has_value());
 }
 
+TEST(PersistSession, WalWithoutCountsRecordsWalksEveryBatch) {
+  // A state directory written before counts records existed: registrations
+  // and batches only, built here by hand from a live session's outcomes.
+  ScopedDir dir("no-counts");
+  const Graph g = seed_graph();
+  const Pattern path = Pattern::parse("0-1,1-2");
+  GraphSession live(g);
+  std::vector<std::uint64_t> ids;
+  {
+    persist::WalWriter w(wal_file(dir.str()), 1, /*fsync=*/false, 0, nullptr,
+                         1);
+    for (const Pattern& p : {triangle(), path}) {
+      StandingQueryConfig sq;
+      sq.pattern = p;
+      ids.push_back(live.register_standing_query(sq));
+      const StandingQueryInfo info = *live.standing_query(ids.back());
+      persist::StandingEntry e;
+      e.id = ids.back();
+      e.pattern = p.to_string();
+      e.count = info.count;
+      e.epoch = info.epoch;
+      e.full_ms = info.full_ms;
+      w.append_register(e, live.epoch());
+    }
+    for (int k = 0; k < 6; ++k) {
+      const UpdateOutcome out = live.apply_updates(make_batch(k, 60));
+      ASSERT_TRUE(out.ok()) << out.error;
+      w.append_update(out.epoch, out.applied);
+    }
+  }
+  GraphSession s(g, persist_cfg(dir.str()));
+  const persist::RecoveryReport& rep = s.recovery_report();
+  EXPECT_EQ(rep.replayed_registrations, 2u);
+  EXPECT_EQ(rep.replayed_batches, 6u);
+  EXPECT_EQ(rep.walked_batches, rep.replayed_batches);
+  EXPECT_EQ(s.epoch(), live.epoch());
+  EXPECT_EQ(s.standing_query(ids[0])->count,
+            live.standing_query(ids[0])->count);
+  EXPECT_EQ(s.standing_query(ids[0])->count, count_triangles(s));
+  EXPECT_EQ(s.standing_query(ids[1])->count, count_matches(s, path));
+  EXPECT_EQ(s.standing_query(ids[1])->batches_observed, 6u);
+}
+
+TEST(PersistSession, RecoveryWalksAtMostOneBatchWhateverTheTail) {
+  // Complexity guard: the walks recovery runs do not grow with the WAL
+  // tail. Auto-checkpoints are off, so every batch stays in the log.
+  const Pattern path = Pattern::parse("0-1,1-2");
+  for (const int batches : {8, 64}) {
+    SCOPED_TRACE(std::to_string(batches) + " batches");
+    ScopedDir dir("walk-bound");
+    const Graph g = seed_graph();
+    std::uint64_t epoch = 0;
+    {
+      GraphSession s(g, persist_cfg(dir.str()));
+      for (const Pattern& p : {triangle(), path}) {
+        StandingQueryConfig sq;
+        sq.pattern = p;
+        s.register_standing_query(sq);
+      }
+      for (int k = 0; k < batches; ++k)
+        ASSERT_TRUE(s.apply_updates(make_batch(k, 60)).ok());
+      epoch = s.epoch();
+    }
+    const persist::WalReadResult wal = persist::read_wal(wal_file(dir.str()));
+    ASSERT_EQ(wal.records.back().type,
+              persist::WalRecordType::kStandingCounts);
+    const std::string bytes = read_file(wal_file(dir.str()));
+    // The log as written ends in a counts record; a crash between the last
+    // batch record and its counts record cuts that record off.
+    const std::size_t cuts[] = {
+        bytes.size(),
+        static_cast<std::size_t>(wal.records.back().file_offset)};
+    for (std::size_t walked = 0; walked < 2; ++walked) {
+      write_file(wal_file(dir.str()), bytes.substr(0, cuts[walked]));
+      GraphSession s(g, persist_cfg(dir.str()));
+      EXPECT_EQ(s.recovery_report().replayed_batches, epoch);
+      EXPECT_EQ(s.recovery_report().walked_batches, walked);
+      EXPECT_EQ(s.epoch(), epoch);
+      EXPECT_EQ(s.standing_query(1)->count, count_triangles(s));
+      EXPECT_EQ(s.standing_query(2)->count, count_matches(s, path));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kill-point matrix: recovery from every WAL prefix
 // ---------------------------------------------------------------------------
@@ -778,37 +866,54 @@ struct KillScenario {
   ScopedDir dir{"kill-matrix"};
   Graph g = seed_graph();
   std::uint64_t standing_id = 0;
-  /// expected[k]: (epoch, standing count if registered) after the first k
-  /// WAL records took effect. Record 1 is the registration, records 2..N+1
-  /// the batches.
+  /// expected[k]: (epoch, standing count if registered, batches recovery
+  /// walks) after the first k WAL records took effect. Record 1 is the
+  /// registration; then each batch record is followed by its counts record.
   struct Expect {
     std::uint64_t epoch = 0;
     bool has_standing = false;
     std::uint64_t standing_count = 0;
+    std::uint64_t walked = 0;
   };
   std::vector<Expect> expected;
   std::vector<persist::WalRecord> records;
   std::string wal_bytes;
 
   KillScenario() {
-    GraphSession s(g, persist_cfg(dir.str()));
-    expected.push_back({0, false, 0});
-    StandingQueryConfig sq;
-    sq.pattern = triangle();
-    sq.plan.count_mode = CountMode::kEmbeddings;
-    standing_id = s.register_standing_query(sq);
-    expected.push_back({0, true, s.standing_query(standing_id)->count});
-    for (int k = 0; k < 6; ++k) {
-      const UpdateOutcome out = s.apply_updates(make_batch(k, 60));
-      EXPECT_TRUE(out.ok()) << out.error;
-      expected.push_back(
-          {out.epoch, true, s.standing_query(standing_id)->count});
+    // Acknowledged states: after the registration, then after each batch.
+    std::vector<Expect> acked;
+    {
+      GraphSession s(g, persist_cfg(dir.str()));
+      StandingQueryConfig sq;
+      sq.pattern = triangle();
+      sq.plan.count_mode = CountMode::kEmbeddings;
+      standing_id = s.register_standing_query(sq);
+      acked.push_back({0, true, s.standing_query(standing_id)->count, 0});
+      for (int k = 0; k < 6; ++k) {
+        const UpdateOutcome out = s.apply_updates(make_batch(k, 60));
+        EXPECT_TRUE(out.ok()) << out.error;
+        acked.push_back(
+            {out.epoch, true, s.standing_query(standing_id)->count, 0});
+      }
+      // Session destroyed cleanly here; the cuts below simulate the kills.
     }
-    // Session destroyed cleanly here; the cuts below simulate the kills.
     const persist::WalReadResult wal =
         persist::read_wal(wal_file(dir.str()));
     records = wal.records;
     wal_bytes = read_file(wal_file(dir.str()));
+    // A registration or batch record moves the prefix to the next
+    // acknowledged state. A counts record leaves the state as it is, but
+    // recovery then walks nothing; a batch after it is walked.
+    expected.push_back({0, false, 0, 0});
+    std::size_t mutations = 0;
+    for (const persist::WalRecord& rec : records) {
+      Expect e = rec.type == persist::WalRecordType::kStandingCounts
+                     ? expected.back()
+                     : acked.at(mutations++);
+      e.walked = rec.type == persist::WalRecordType::kUpdateBatch ? 1 : 0;
+      expected.push_back(e);
+    }
+    EXPECT_EQ(mutations, acked.size());
   }
 
   /// Reopens from a copy of the state dir whose WAL is replaced by
@@ -826,6 +931,9 @@ struct KillScenario {
     GraphSession s(g, persist_cfg(scratch.str()));
     const Expect& e = expected[prefix];
     EXPECT_EQ(s.epoch(), e.epoch) << what;
+    EXPECT_EQ(s.recovery_report().walked_batches, e.walked) << what;
+    EXPECT_EQ(s.metrics().counter("recovery_walked_batches").value(), e.walked)
+        << what;
     const auto info = s.standing_query(standing_id);
     EXPECT_EQ(info.has_value(), e.has_standing) << what;
     if (info.has_value() && e.has_standing) {
@@ -849,7 +957,7 @@ struct KillScenario {
 
 TEST(PersistKillMatrix, IndexedTrieRebuildAtEveryBoundary) {
   KillScenario sc;
-  ASSERT_EQ(sc.records.size(), 7u);  // 1 registration + 6 batches
+  ASSERT_EQ(sc.records.size(), 13u);  // 1 registration + 6 (batch, counts)
   // Beyond its shape (checked in every cut), the rebuilt trie must stay
   // live: a registration sharing the triangle's edge prefix merges into it,
   // and the next batch advances both queries to a full recount.
@@ -887,7 +995,7 @@ TEST(PersistKillMatrix, IndexedTrieRebuildAtEveryBoundary) {
 
 TEST(PersistKillMatrix, EveryRecordBoundary) {
   KillScenario sc;
-  ASSERT_EQ(sc.records.size(), 7u);  // 1 registration + 6 batches
+  ASSERT_EQ(sc.records.size(), 13u);  // 1 registration + 6 (batch, counts)
   sc.check_cut(sc.wal_bytes.substr(0, persist::kWalMagicSize), 0,
                "cut after magic");
   for (std::size_t i = 0; i < sc.records.size(); ++i) {
@@ -989,6 +1097,68 @@ TEST(PersistChaos, DurabilityHoldsUnderInjectedTornWrites) {
   EXPECT_EQ(out.epoch, oout.epoch);
   EXPECT_EQ(s->standing_query(id)->count,
             oracle.standing_query(oracle_id)->count);
+}
+
+TEST(PersistChaos, LostCountsRecordStillAcknowledgesItsBatch) {
+  // One attempt per append: a torn batch record fails its batch, but a torn
+  // counts record must not, because its batch is already durable and
+  // published. Recovery then walks from the previous counts record.
+  const Pattern path = Pattern::parse("0-1,1-2");
+  const Graph g = seed_graph();
+  int lost_counts = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    ScopedDir dir("chaos-counts");
+    SessionConfig cfg = persist_cfg(dir.str());
+    cfg.persistence.fault.seed = seed;
+    cfg.persistence.fault.set_rate(FaultSite::kWalAppend, 0.3);
+    cfg.persistence.fault.max_unit_attempts = 1;
+
+    GraphSession oracle(g);
+    std::vector<std::uint64_t> lost_epochs;
+    {
+      GraphSession s(g, cfg);
+      try {
+        for (const Pattern& p : {triangle(), path}) {
+          StandingQueryConfig sq;
+          sq.pattern = p;
+          s.register_standing_query(sq);
+          oracle.register_standing_query(sq);
+        }
+      } catch (const FaultInjectedError&) {
+        continue;  // a torn registration: nothing for this seed to show
+      }
+      Counter& faults = s.metrics().counter("faults_injected_total");
+      for (int k = 0; k < 8; ++k) {
+        const std::uint64_t faults_before = faults.value();
+        const UpdateOutcome out = s.apply_updates(make_batch(k, 60));
+        if (!out.ok()) {
+          EXPECT_EQ(out.status, QueryStatus::kInternalError);
+          continue;
+        }
+        ASSERT_TRUE(oracle.apply_updates(make_batch(k, 60)).ok());
+        // Its batch record landed on the one attempt, so a fault here tore
+        // the counts record.
+        if (faults.value() > faults_before) lost_epochs.push_back(out.epoch);
+      }
+    }
+    const persist::WalReadResult wal = persist::read_wal(wal_file(dir.str()));
+    for (const std::uint64_t epoch : lost_epochs) {
+      for (const persist::WalRecord& rec : wal.records)
+        EXPECT_FALSE(rec.type == persist::WalRecordType::kStandingCounts &&
+                     rec.epoch == epoch);
+    }
+    lost_counts += static_cast<int>(lost_epochs.size());
+
+    auto s = GraphSession::restore(cfg);
+    EXPECT_EQ(s->epoch(), oracle.epoch());
+    EXPECT_EQ(s->recovery_report().walked_batches, lost_epochs.size());
+    for (const std::uint64_t id : {1, 2})
+      EXPECT_EQ(s->standing_query(id)->count,
+                oracle.standing_query(id)->count);
+    EXPECT_EQ(s->standing_query(1)->count, count_triangles(*s));
+  }
+  EXPECT_GT(lost_counts, 0);  // the schedule must tear a counts record
 }
 
 TEST(PersistChaos, CheckpointExhaustionDegradesToWalOnly) {

@@ -103,6 +103,12 @@ int inspect_wal(const std::string& dir) {
       case persist::WalRecordType::kUnregisterStanding:
         std::cout << " standing_id=" << rec.standing_id << '\n';
         break;
+      case persist::WalRecordType::kStandingCounts:
+        std::cout << " n=" << rec.counts.size();
+        for (const auto& [id, count] : rec.counts)
+          std::cout << ' ' << id << ':' << count;
+        std::cout << '\n';
+        break;
     }
   }
   if (wal.torn_tail) {
@@ -136,6 +142,7 @@ int selftest() {
     e.count = 42;
     e.epoch = 1;
     w.append_register(e, 1);
+    w.append_counts(1, {{1, 42}});
     w.append_unregister(1, 1);
   }
   // Torn tail: half a frame of garbage past the valid prefix.
@@ -146,18 +153,20 @@ int selftest() {
   }
   const persist::WalReadResult wal =
       persist::read_wal((dir / "wal.stmwal").string());
-  STM_CHECK_MSG(wal.records.size() == 3, "selftest: expected 3 records, got "
+  STM_CHECK_MSG(wal.records.size() == 4, "selftest: expected 4 records, got "
                                              << wal.records.size());
   STM_CHECK(wal.torn_tail);
   STM_CHECK(wal.records[0].type == persist::WalRecordType::kUpdateBatch);
   STM_CHECK(wal.records[1].standing.count == 42);
-  STM_CHECK(wal.records[2].standing_id == 1);
+  STM_CHECK(wal.records[2].type == persist::WalRecordType::kStandingCounts);
+  STM_CHECK(wal.records[2].counts == persist::StandingCounts({{1, 42}}));
+  STM_CHECK(wal.records[3].standing_id == 1);
 
   persist::CheckpointStore store(dir.string(), /*fsync=*/false, nullptr, 1);
   persist::CheckpointData ckpt;
   ckpt.seq = 1;
   ckpt.epoch = 1;
-  ckpt.last_lsn = 3;
+  ckpt.last_lsn = 4;
   ckpt.graph = Graph({0, 1, 2}, {1, 0}, {});
   store.write(ckpt);
   const persist::CheckpointLoadResult loaded = store.load_newest();
