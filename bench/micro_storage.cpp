@@ -57,8 +57,6 @@ void BM_StoreBuild(benchmark::State& state, storage::Backend backend) {
 }
 BENCHMARK_CAPTURE(BM_StoreBuild, compressed, storage::Backend::kCompressed)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_StoreBuild, bitset, storage::Backend::kCompressedBitset)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_StoreBuild, spill, storage::Backend::kSpill)
     ->Unit(benchmark::kMillisecond);
 
@@ -89,8 +87,6 @@ BENCHMARK_CAPTURE(BM_DecodeScan, uncompressed, storage::Backend::kUncompressed)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DecodeScan, compressed, storage::Backend::kCompressed)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DecodeScan, bitset, storage::Backend::kCompressedBitset)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DecodeScan, spill, storage::Backend::kSpill)
     ->Unit(benchmark::kMillisecond);
 
@@ -118,8 +114,6 @@ BENCHMARK_CAPTURE(BM_TriangleHost, uncompressed,
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TriangleHost, compressed, storage::Backend::kCompressed)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TriangleHost, bitset, storage::Backend::kCompressedBitset)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TriangleHost, spill, storage::Backend::kSpill)
     ->Unit(benchmark::kMillisecond);
 
@@ -146,8 +140,6 @@ void BM_Footprint(benchmark::State& state, storage::Backend backend) {
                             : 0.0;
 }
 BENCHMARK_CAPTURE(BM_Footprint, compressed, storage::Backend::kCompressed)
-    ->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Footprint, bitset, storage::Backend::kCompressedBitset)
     ->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Footprint, spill, storage::Backend::kSpill)
     ->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);

@@ -3,10 +3,9 @@
 //
 //   ./example_storage_demo [--vertices=N]
 //
-// The same power-law graph is served four ways — raw CSR, delta/varint
-// compressed, compressed with bitset hub rows, and spilled to disk under a
-// tiny page-cache budget — and a triangle query returns the identical count
-// through every one of them. The interesting part is the footprint column:
+// The same power-law graph is served three ways — raw CSR, delta/varint
+// compressed, and spilled to disk under a tiny page-cache budget — and a
+// triangle query returns the identical count through every one of them. The interesting part is the footprint column:
 // what each backend keeps resident while doing so.
 #include <algorithm>
 #include <cstdio>
@@ -53,12 +52,12 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(g.memory_bytes()));
 
   // 1. Every backend serves the same query through GraphSession: set
-  //    SessionConfig::storage and nothing else changes. kAuto picks by the
-  //    degree histogram (and a budget, if one is set).
-  std::printf("== 1. one query, four backends ==\n");
+  //    SessionConfig::storage and nothing else changes. kAuto compresses,
+  //    or spills when a budget is set.
+  std::printf("== 1. one query, three backends ==\n");
   static constexpr storage::Backend kBackends[] = {
       storage::Backend::kUncompressed, storage::Backend::kCompressed,
-      storage::Backend::kCompressedBitset, storage::Backend::kSpill};
+      storage::Backend::kSpill};
   std::uint64_t expected = 0;
   for (const storage::Backend b : kBackends) {
     SessionConfig cfg;
@@ -69,7 +68,7 @@ int main(int argc, char** argv) try {
     if (expected == 0) expected = r.count;
     STM_CHECK_MSG(r.count == expected, "backend disagreement");
     std::printf(
-        "  %-17s triangles=%-8llu resident=%-9llu decode_ops=%llu "
+        "  %-12s triangles=%-8llu resident=%-9llu decode_ops=%llu "
         "page_faults=%llu\n",
         storage::to_string(b), static_cast<unsigned long long>(r.count),
         static_cast<unsigned long long>(

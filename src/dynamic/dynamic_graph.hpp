@@ -71,8 +71,8 @@ class GraphSnapshot {
   /// The engines' adjacency interface over this version. The view borrows
   /// this snapshot's page table: keep the snapshot (shared_ptr) alive while
   /// any engine run uses the view. When a storage backend is attached, clean
-  /// vertices read through it (compressed / bitset / spill) and dirty
-  /// vertices read their pages — engines can't tell the difference.
+  /// vertices read through it (compressed or spill) and dirty vertices
+  /// read their pages — engines can't tell the difference.
   GraphView view() const { return base_view().with_pages(pages_); }
 
   std::uint64_t epoch() const { return epoch_; }

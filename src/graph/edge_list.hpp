@@ -54,7 +54,4 @@ Graph load_edge_list(const std::string& path, const EdgeListOptions& opts = {},
 /// Writes `u v` lines, one per undirected edge (u < v).
 void write_edge_list(const Graph& g, std::ostream& out);
 
-/// Saves to disk in the same format.
-void save_edge_list(const Graph& g, const std::string& path);
-
 }  // namespace stm

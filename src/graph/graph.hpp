@@ -103,7 +103,6 @@ class GraphBuilder {
 
   void set_num_vertices(VertexId n);
   VertexId num_vertices() const { return n_; }
-  std::size_t num_added_edges() const { return edges_.size(); }
 
   /// Finalizes into a CSR graph. The builder is left empty.
   Graph build();

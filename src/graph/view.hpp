@@ -5,7 +5,7 @@
 // page table that remaps individual vertices to merged neighbor lists. The
 // base is either a raw CSR (a plain Graph converts implicitly, so every
 // existing engine call site keeps working) or an AdjacencySource — the seam
-// the storage subsystem plugs compressed / bitset / spill backends into
+// the storage subsystem plugs compressed and spill backends into
 // without any engine knowing which representation it is reading.
 //
 // The dynamic-graph subsystem builds its versions as the base plus one
@@ -44,8 +44,8 @@ class AdjacencySource {
   virtual std::span<const VertexId> source_neighbors(VertexId v) const = 0;
   /// Degree without materializing the list.
   virtual EdgeId source_degree(VertexId v) const = 0;
-  /// Adjacency test without materializing the list (bitset probe or
-  /// anchored seek on compressed backends).
+  /// Adjacency test without materializing the list (an anchored seek on
+  /// compressed backends).
   virtual bool source_has_edge(VertexId u, VertexId v) const = 0;
   /// Directed adjacency entries (2 x undirected edges).
   virtual EdgeId source_num_adjacency_entries() const = 0;
@@ -120,8 +120,8 @@ class GraphView {
     return source_->source_degree(v);
   }
 
-  /// Adjacency test: O(log deg) on raw/paged lists; O(1) bitset probe or
-  /// anchored seek on storage-backed bases.
+  /// Adjacency test: O(log deg) on raw/paged lists; an anchored seek on
+  /// storage-backed bases.
   bool has_edge(VertexId u, VertexId v) const {
     STM_CHECK(u < n_);
     if (source_ != nullptr && page_of(u) == nullptr) {

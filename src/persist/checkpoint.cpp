@@ -10,7 +10,6 @@
 #include <filesystem>
 
 #include "persist/codec.hpp"
-#include "storage/encoding.hpp"
 #include "util/check.hpp"
 
 namespace stm::persist {
@@ -23,69 +22,39 @@ constexpr char kCheckpointPrefix[] = "checkpoint-";
 constexpr char kCheckpointSuffix[] = ".stmckpt";
 constexpr std::size_t kKeepCheckpoints = 2;
 
+// The graph section opens with a format byte; raw CSR is the only format.
 constexpr std::uint8_t kGraphFormatRaw = 0;
-constexpr std::uint8_t kGraphFormatCompressed = 1;
 
-void encode_graph(BinaryWriter& w, const Graph& g, bool compressed) {
-  w.u8(compressed ? kGraphFormatCompressed : kGraphFormatRaw);
+void encode_graph(BinaryWriter& w, const Graph& g) {
+  w.u8(kGraphFormatRaw);
   w.u32(g.num_vertices());
   w.u64(g.num_adjacency_entries());
-  if (compressed) {
-    // Delta/varint per-vertex lists (storage encoding), back to back; each
-    // list self-terminates, so no offset table is serialized.
-    w.u32(storage::kDefaultBlockSize);
-    std::vector<std::uint8_t> blob;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto nbrs = g.neighbors(v);
-      storage::encode_adjacency(nbrs.data(), nbrs.size(),
-                                storage::kDefaultBlockSize, blob);
-    }
-    w.str(std::string_view(reinterpret_cast<const char*>(blob.data()),
-                           blob.size()));
-  } else {
-    for (const EdgeId e : g.row_ptr()) w.u64(e);
-    for (const VertexId v : g.col_idx()) w.u32(v);
-  }
+  for (const EdgeId e : g.row_ptr()) w.u64(e);
+  for (const VertexId v : g.col_idx()) w.u32(v);
   w.u8(g.is_labeled() ? 1 : 0);
   if (g.is_labeled())
     for (const Label l : g.labels()) w.u8(l);
 }
 
-Graph decode_graph(BinaryReader& r, bool& compressed) {
+Graph decode_graph(BinaryReader& r) {
   const std::uint8_t format = r.u8();
-  STM_CHECK_MSG(format <= kGraphFormatCompressed,
+  STM_CHECK_MSG(format == kGraphFormatRaw,
                 "corrupt checkpoint: unknown graph format "
                     << static_cast<int>(format));
-  compressed = format == kGraphFormatCompressed;
-  const std::uint32_t n = r.u32();
+  // Counts read off disk are bounded by the bytes left before anything
+  // reserves for them: an overstated count fails as corrupt (and
+  // load_newest falls back) instead of throwing length_error or bad_alloc.
+  const std::uint32_t n = r.count(sizeof(EdgeId));
   const std::uint64_t m = r.u64();
+  STM_CHECK_MSG(m <= r.remaining() / sizeof(VertexId),
+                "corrupt checkpoint: " << m << " adjacency entries overrun "
+                                       << r.remaining() << " payload bytes");
   std::vector<EdgeId> row_ptr;
   row_ptr.reserve(static_cast<std::size_t>(n) + 1);
   std::vector<VertexId> col_idx;
   col_idx.reserve(m);
-  if (format == kGraphFormatCompressed) {
-    const std::uint32_t block_size = r.u32();
-    STM_CHECK_MSG(block_size > 0, "corrupt checkpoint: zero block size");
-    const std::string blob = r.str();
-    const auto* p = reinterpret_cast<const std::uint8_t*>(blob.data());
-    const auto* end = p + blob.size();
-    row_ptr.push_back(0);
-    std::vector<VertexId> list;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      list.clear();
-      storage::ListCursor c(p, end, block_size);
-      c.decode_remaining(list);
-      p = c.position();
-      col_idx.insert(col_idx.end(), list.begin(), list.end());
-      row_ptr.push_back(static_cast<EdgeId>(col_idx.size()));
-    }
-    STM_CHECK_MSG(p == end, "corrupt checkpoint: trailing adjacency bytes");
-    STM_CHECK_MSG(col_idx.size() == m,
-                  "corrupt checkpoint: adjacency entry count mismatch");
-  } else {
-    for (std::uint32_t i = 0; i <= n; ++i) row_ptr.push_back(r.u64());
-    for (std::uint64_t i = 0; i < m; ++i) col_idx.push_back(r.u32());
-  }
+  for (std::uint32_t i = 0; i <= n; ++i) row_ptr.push_back(r.u64());
+  for (std::uint64_t i = 0; i < m; ++i) col_idx.push_back(r.u32());
   std::vector<Label> labels;
   if (r.u8() != 0) {
     labels.reserve(n);
@@ -134,7 +103,7 @@ std::string encode_checkpoint(const CheckpointData& data) {
   payload.u64(data.epoch);
   payload.u64(data.last_lsn);
   payload.u64(data.next_standing_id);
-  encode_graph(payload, data.graph, data.compressed);
+  encode_graph(payload, data.graph);
   payload.u32(static_cast<std::uint32_t>(data.standing.size()));
   for (const StandingEntry& e : data.standing) encode_standing(payload, e);
   const std::string body = payload.take();
@@ -169,8 +138,8 @@ CheckpointData decode_checkpoint(std::string_view bytes) {
   data.epoch = r.u64();
   data.last_lsn = r.u64();
   data.next_standing_id = r.u64();
-  data.graph = decode_graph(r, data.compressed);
-  const std::uint32_t num_standing = r.u32();
+  data.graph = decode_graph(r);
+  const std::uint32_t num_standing = r.count(sizeof(std::uint64_t));
   data.standing.reserve(num_standing);
   for (std::uint32_t i = 0; i < num_standing; ++i)
     data.standing.push_back(decode_standing(r));

@@ -47,10 +47,6 @@ struct CheckpointData {
   std::uint64_t next_standing_id = 1;
   /// Compacted CSR of the checkpointed version (labels included).
   Graph graph;
-  /// Serialize `graph` delta/varint-compressed (storage encoding) instead of
-  /// raw CSR. Decode is format-tagged, so readers accept either form;
-  /// recovery is bit-identical both ways.
-  bool compressed = false;
   /// Standing-query manifest with cumulative counts — restored without
   /// re-enumeration.
   std::vector<StandingEntry> standing;

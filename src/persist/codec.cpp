@@ -55,6 +55,13 @@ std::optional<std::string> read_file(const std::string& path) {
   return data;
 }
 
+std::uint32_t BinaryReader::count(std::size_t min_bytes) {
+  const std::uint32_t n = u32();
+  STM_CHECK_MSG(n <= remaining() / min_bytes,
+                "serialized count overruns the payload");
+  return n;
+}
+
 const char* crc32_kernel() noexcept {
   return dispatched() == &detail::crc32_bytewise ? "bytewise" : "pclmul";
 }

@@ -98,6 +98,9 @@ class BinaryReader {
       v |= static_cast<std::uint64_t>(u8()) << (8 * i);
     return v;
   }
+  /// A u32 element count, checked against the bytes left at `min_bytes`
+  /// per element, so a decoder may reserve for it.
+  std::uint32_t count(std::size_t min_bytes);
   std::string str() {
     const std::uint32_t len = u32();
     STM_CHECK_MSG(len <= data_.size() - pos_, "serialized string truncated");

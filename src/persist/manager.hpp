@@ -44,9 +44,6 @@ struct PersistenceConfig {
   /// Install a checkpoint automatically after this many applied batches;
   /// 0 = only explicit GraphSession::checkpoint() calls.
   std::uint32_t checkpoint_every_batches = 0;
-  /// Serialize checkpoint graphs delta/varint-compressed (storage encoding).
-  /// Recovery accepts both formats regardless of this flag.
-  bool compressed_checkpoints = false;
   /// Chaos schedule for FaultSite::kWalAppend / kCheckpointWrite.
   FaultConfig fault;
 
@@ -118,12 +115,6 @@ class PersistenceManager {
   /// LSN of the last durable record (0 when none since the last reset).
   std::uint64_t last_lsn() const {
     return wal_ != nullptr ? wal_->next_lsn() - 1 : 0;
-  }
-  /// Sequence number the next checkpoint will get.
-  std::uint64_t next_checkpoint_seq() const { return next_checkpoint_seq_; }
-
-  std::uint64_t wal_appended_bytes() const {
-    return wal_ != nullptr ? wal_->appended_bytes() : 0;
   }
   std::uint64_t faults_injected() const {
     return (wal_ != nullptr ? wal_->faults_injected() : 0) +

@@ -26,7 +26,7 @@ void encode_edges(BinaryWriter& w,
 }
 
 std::vector<std::pair<VertexId, VertexId>> decode_edges(BinaryReader& r) {
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(2 * sizeof(VertexId));
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -855,6 +855,22 @@ void GraphSession::compact() {
   refresh_storage_metrics();
 }
 
+template <typename Write>
+void GraphSession::durable_write(Write&& write) {
+  const std::uint64_t faults_before = persist_->faults_injected();
+  try {
+    wal_appended_bytes_.inc(write());
+  } catch (...) {
+    // An exhausted budget throws after burning every attempt's fault.
+    faults_injected_total_.inc(persist_->faults_injected() - faults_before);
+    throw;
+  }
+  const std::uint64_t faults = persist_->faults_injected() - faults_before;
+  faults_injected_total_.inc(faults);
+  // Landed after repairs; faults come only from injected chaos.
+  if (faults > 0) [[unlikely]] recovery_units_total_.inc(1);
+}
+
 UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   std::lock_guard<std::mutex> lock(update_mu_);
   Timer total;
@@ -871,13 +887,9 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
       // memory and durable state stay in lockstep either way. No-op batches
       // skip the hook entirely (no epoch bump, nothing to recover).
       applied = dyn_.apply(batch, [this](const ApplyResult& r) {
-        const persist::WalAppendResult res =
-            persist_->log_update(r.snapshot->epoch(), r.applied);
-        wal_appended_bytes_.inc(res.bytes);
-        if (res.faults > 0) {
-          faults_injected_total_.inc(res.faults);
-          recovery_units_total_.inc(1);  // the record landed after repairs
-        }
+        durable_write([&] {
+          return persist_->log_update(r.snapshot->epoch(), r.applied).bytes;
+        });
       });
     } else {
       applied = dyn_.apply(batch);
@@ -939,14 +951,10 @@ void GraphSession::log_standing_counts(std::uint64_t epoch) {
   for (const auto& [id, sq] : standing_) counts.emplace_back(id, sq.count);
   // The batch is already durable and published, so an exhausted kWalAppend
   // budget fails nothing: recovery walks from the previous counts record.
-  const std::uint64_t faults_before = persist_->faults_injected();
   try {
-    const persist::WalAppendResult res = persist_->log_counts(epoch, counts);
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) recovery_units_total_.inc(1);
+    durable_write([&] { return persist_->log_counts(epoch, counts).bytes; });
   } catch (const FaultInjectedError&) {
   }
-  faults_injected_total_.inc(persist_->faults_injected() - faults_before);
 }
 
 void GraphSession::apply_standing_deltas(
@@ -1076,13 +1084,10 @@ std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
     // Logged before the id is consumed or the query installed: if the append
     // exhausts its chaos budget the throw leaves memory and the id space
     // untouched, so replay and live state can never disagree.
-    const persist::WalAppendResult res =
-        persist_->log_register(standing_entry(id, sq), snap->epoch());
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) {
-      faults_injected_total_.inc(res.faults);
-      recovery_units_total_.inc(1);
-    }
+    durable_write([&] {
+      return persist_->log_register(standing_entry(id, sq), snap->epoch())
+          .bytes;
+    });
   }
   ++next_standing_id_;
   standing_index_.add(id, sq.pattern, sq.plan, static_cast<bool>(sq.on_delta));
@@ -1100,13 +1105,8 @@ bool GraphSession::unregister_standing_query(std::uint64_t id) {
   auto it = standing_.find(id);
   if (it == standing_.end()) return false;
   if (persist_ != nullptr) {
-    const persist::WalAppendResult res =
-        persist_->log_unregister(id, dyn_.epoch());
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) {
-      faults_injected_total_.inc(res.faults);
-      recovery_units_total_.inc(1);
-    }
+    durable_write(
+        [&] { return persist_->log_unregister(id, dyn_.epoch()).bytes; });
   }
   standing_.erase(it);
   standing_index_.remove(id);
@@ -1200,20 +1200,17 @@ bool GraphSession::checkpoint_locked() {
     for (const auto& [id, sq] : standing_)
       data.standing.push_back(standing_entry(id, sq));
   }
-  const std::uint64_t faults_before = persist_->faults_injected();
   bool ok = true;
   try {
-    persist_->install_checkpoint(std::move(data));
+    durable_write([&] {
+      persist_->install_checkpoint(std::move(data));
+      return std::uint64_t{0};  // no WAL bytes
+    });
   } catch (const FaultInjectedError&) {
     // Exhausted chaos budget: the WAL and previous checkpoint set still
     // hold everything, so the session keeps running un-checkpointed.
     checkpoint_failures_.inc(1);
     ok = false;
-  }
-  const std::uint64_t faults = persist_->faults_injected() - faults_before;
-  if (faults > 0) {
-    faults_injected_total_.inc(faults);
-    if (ok) recovery_units_total_.inc(1);
   }
   if (ok) {
     batches_since_checkpoint_ = 0;

@@ -466,6 +466,13 @@ class GraphSession {
                                         const StandingQuery& sq) const;
   /// checkpoint() body; caller holds update_mu_.
   bool checkpoint_locked();
+  /// Runs one durable write — a WAL append or a checkpoint install;
+  /// `write` returns the WAL bytes it appended — and books it: the faults
+  /// it burned reach faults_injected_total whether it returns or throws,
+  /// and a write that lands after repairs is one recovered unit. Caller
+  /// holds update_mu_.
+  template <typename Write>
+  void durable_write(Write&& write);
   /// Publishes the storage gauges/counters from the current snapshot's
   /// backend. Store counters are cumulative per-store and restart from zero
   /// when compact() rebuilds the backend; the last-seen state under

@@ -4,20 +4,7 @@
 
 namespace stm::storage {
 
-void bitset_to_list(const DynamicBitset& bits, std::vector<VertexId>& out) {
-  const auto& words = bits.words();
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    std::uint64_t w = words[wi];
-    while (w != 0) {
-      const int bit = __builtin_ctzll(w);
-      out.push_back(static_cast<VertexId>((wi << 6) + static_cast<std::size_t>(bit)));
-      w &= w - 1;
-    }
-  }
-}
-
-CompressedGraph::CompressedGraph(const Graph& g, std::uint32_t block_size,
-                                 EdgeId bitset_min_degree)
+CompressedGraph::CompressedGraph(const Graph& g, std::uint32_t block_size)
     : n_(g.num_vertices()),
       m2_(g.num_adjacency_entries()),
       block_size_(block_size) {
@@ -25,38 +12,22 @@ CompressedGraph::CompressedGraph(const Graph& g, std::uint32_t block_size,
   offsets_.resize(static_cast<std::size_t>(n_) + 1, 0);
   degrees_.resize(n_, 0);
   if (g.is_labeled()) labels_ = g.labels();
-  const bool use_bitsets = bitset_min_degree > 0;
-  if (use_bitsets) bitset_slot_.assign(n_, -1);
   for (VertexId v = 0; v < n_; ++v) {
     const auto nbrs = g.neighbors(v);
     degrees_[v] = static_cast<std::uint32_t>(nbrs.size());
-    if (use_bitsets && nbrs.size() >= bitset_min_degree) {
-      bitset_slot_[v] = static_cast<std::int32_t>(bitsets_.size());
-      DynamicBitset row(n_);
-      for (const VertexId u : nbrs) row.set(u);
-      bitsets_.push_back(std::move(row));
-    } else {
-      encode_adjacency(nbrs.data(), nbrs.size(), block_size_, blob_);
-    }
+    encode_adjacency(nbrs.data(), nbrs.size(), block_size_, blob_);
     offsets_[v + 1] = blob_.size();
   }
   blob_.shrink_to_fit();
 }
 
 void CompressedGraph::decode_into(VertexId v, std::vector<VertexId>& out) const {
-  STM_CHECK(v < n_);
-  if (has_bitset(v)) {
-    bitset_to_list(bitset(v), out);
-    return;
-  }
   ListCursor c = cursor(v);
   c.decode_remaining(out);
 }
 
 bool CompressedGraph::has_edge(VertexId u, VertexId v) const {
   STM_CHECK(u < n_ && v < n_);
-  if (has_bitset(u)) return bitset(u).test(v);
-  if (has_bitset(v)) return bitset(v).test(u);  // undirected symmetry
   // Seek on the lower-degree endpoint.
   if (degrees_[v] < degrees_[u]) std::swap(u, v);
   ListCursor c = cursor(u);
@@ -70,13 +41,9 @@ CompressedStats CompressedGraph::stats() const {
                 static_cast<std::uint64_t>(m2_) * sizeof(VertexId) +
                 (labels_.empty() ? 0 : static_cast<std::uint64_t>(n_));
   s.blob_bytes = blob_.capacity();
-  for (const auto& b : bitsets_)
-    s.bitset_bytes += b.words().capacity() * sizeof(std::uint64_t);
-  s.num_bitset_rows = bitsets_.size();
   s.index_bytes = offsets_.capacity() * sizeof(std::uint64_t) +
                   degrees_.capacity() * sizeof(std::uint32_t) +
-                  labels_.capacity() * sizeof(Label) +
-                  bitset_slot_.capacity() * sizeof(std::int32_t);
+                  labels_.capacity() * sizeof(Label);
   return s;
 }
 

@@ -1,12 +1,7 @@
-// Compressed in-memory adjacency: delta/varint blob + optional bitset rows.
+// Compressed in-memory adjacency: one delta/varint blob.
 //
 // CompressedGraph holds every neighbor list in one contiguous encoded blob
-// (per-vertex slices located by a u64 offset array; format in encoding.hpp),
-// plus — when enabled — a DynamicBitset row per vertex whose degree is at or
-// above a threshold. Bitset rows replace the varint payload for those
-// vertices: at n/8 bytes a row is no larger than a varint list once the
-// average gap drops below ~8, and it buys O(1) has_edge probes on exactly
-// the hub vertices where binary search hurts (the X-GMiner vertex_set idiom).
+// (per-vertex slices located by a u64 offset array; format in encoding.hpp).
 //
 // The structure is immutable after build and safe for concurrent readers.
 #pragma once
@@ -18,7 +13,6 @@
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 #include "storage/encoding.hpp"
-#include "util/bitset.hpp"
 
 namespace stm::storage {
 
@@ -27,13 +21,9 @@ namespace stm::storage {
 struct CompressedStats {
   std::uint64_t raw_bytes = 0;      // what the uncompressed CSR would hold
   std::uint64_t blob_bytes = 0;     // varint payload + anchor tables
-  std::uint64_t bitset_bytes = 0;   // dense-row bitsets
-  std::uint64_t index_bytes = 0;    // offsets + degrees + labels + slots
-  std::uint64_t num_bitset_rows = 0;
+  std::uint64_t index_bytes = 0;    // offsets + degrees + labels
 
-  std::uint64_t total_bytes() const {
-    return blob_bytes + bitset_bytes + index_bytes;
-  }
+  std::uint64_t total_bytes() const { return blob_bytes + index_bytes; }
   /// raw / compressed; > 1 means the encoding won.
   double compression_ratio() const {
     const std::uint64_t t = total_bytes();
@@ -45,11 +35,8 @@ class CompressedGraph {
  public:
   CompressedGraph() = default;
 
-  /// Encodes `g`. `bitset_min_degree` of 0 disables bitset rows; otherwise
-  /// vertices with degree >= the threshold get a bitset row instead of a
-  /// varint slice.
-  CompressedGraph(const Graph& g, std::uint32_t block_size,
-                  EdgeId bitset_min_degree);
+  /// Encodes `g` with `block_size` neighbors per skip-anchor block.
+  CompressedGraph(const Graph& g, std::uint32_t block_size);
 
   VertexId num_vertices() const { return n_; }
   EdgeId num_adjacency_entries() const { return m2_; }
@@ -63,36 +50,24 @@ class CompressedGraph {
     return labels_.empty() ? nullptr : labels_.data();
   }
 
-  bool has_bitset(VertexId v) const {
-    STM_CHECK(v < n_);
-    return !bitset_slot_.empty() && bitset_slot_[v] >= 0;
-  }
-  const DynamicBitset& bitset(VertexId v) const {
-    STM_CHECK(has_bitset(v));
-    return bitsets_[static_cast<std::size_t>(bitset_slot_[v])];
-  }
-
-  /// Encoded byte slice of v's list; empty for bitset-row vertices.
+  /// Encoded byte slice of v's list.
   std::pair<const std::uint8_t*, const std::uint8_t*> list_bytes(
       VertexId v) const {
     STM_CHECK(v < n_);
     return {blob_.data() + offsets_[v], blob_.data() + offsets_[v + 1]};
   }
 
-  /// Cursor over v's encoded list; precondition: !has_bitset(v).
+  /// Cursor over v's encoded list.
   ListCursor cursor(VertexId v) const {
-    STM_CHECK(!has_bitset(v));
     auto [b, e] = list_bytes(v);
     return ListCursor(b, e, block_size_);
   }
 
-  /// Appends v's sorted neighbors to `out` (decodes varints or walks the
-  /// bitset words).
+  /// Appends v's sorted neighbors to `out`.
   void decode_into(VertexId v, std::vector<VertexId>& out) const;
 
-  /// Adjacency test without materializing either list: O(1) when either
-  /// endpoint has a bitset row (undirected symmetry), anchored seek
-  /// otherwise (on the lower-degree endpoint).
+  /// Adjacency test without materializing either list: an anchored seek on
+  /// the lower-degree endpoint (undirected symmetry).
   bool has_edge(VertexId u, VertexId v) const;
 
   CompressedStats stats() const;
@@ -105,11 +80,6 @@ class CompressedGraph {
   std::vector<std::uint64_t> offsets_;   // n+1; slice of v = [off[v], off[v+1])
   std::vector<std::uint32_t> degrees_;   // n
   std::vector<Label> labels_;            // empty = unlabeled
-  std::vector<std::int32_t> bitset_slot_;  // empty when bitsets disabled
-  std::vector<DynamicBitset> bitsets_;
 };
-
-/// Appends the set bits of `bits` (ascending) to `out`.
-void bitset_to_list(const DynamicBitset& bits, std::vector<VertexId>& out);
 
 }  // namespace stm::storage

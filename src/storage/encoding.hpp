@@ -79,11 +79,6 @@ class ListCursor {
   /// Appends every remaining neighbor (from the current position) to `out`.
   void decode_remaining(std::vector<VertexId>& out);
 
-  /// One past the last payload byte consumed so far. After a full decode
-  /// this is the end of the vertex's encoding — how sequential blob readers
-  /// (the compressed checkpoint format) find the next vertex.
-  const std::uint8_t* position() const { return pos_; }
-
  private:
   /// Re-positions the cursor at the start of `block` and decodes its first
   /// element.

@@ -156,7 +156,7 @@ PageFile PageFile::open(const std::string& path) {
                 "storage: unsupported page-file version in " + path);
   pf.page_size_ = r.u32();
   pf.block_size_ = r.u32();
-  pf.n_ = r.u32();
+  pf.n_ = r.count(3 * sizeof(std::uint32_t));  // degree, page, offset
   pf.m2_ = r.u64();
   const bool labeled = r.u8() != 0;
   if (labeled) {
@@ -170,7 +170,8 @@ PageFile PageFile::open(const std::string& path) {
     pf.vloc_[v].page = r.u32();
     pf.vloc_[v].offset = r.u32();
   }
-  const std::uint32_t num_pages = r.u32();
+  // Each entry: u64 file offset, u32 payload length, u32 crc.
+  const std::uint32_t num_pages = r.count(2 * sizeof(std::uint64_t));
   pf.pages_.resize(num_pages);
   for (auto& p : pf.pages_) {
     p.file_offset = r.u64();

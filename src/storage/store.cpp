@@ -6,8 +6,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "graph/degree_stats.hpp"
-
 namespace stm::storage {
 
 const char* to_string(Backend b) {
@@ -15,7 +13,6 @@ const char* to_string(Backend b) {
     case Backend::kAuto: return "auto";
     case Backend::kUncompressed: return "uncompressed";
     case Backend::kCompressed: return "compressed";
-    case Backend::kCompressedBitset: return "compressed_bitset";
     case Backend::kSpill: return "spill";
   }
   return "unknown";
@@ -24,7 +21,7 @@ const char* to_string(Backend b) {
 bool backend_from_string(std::string_view name, Backend& out) {
   for (const Backend b :
        {Backend::kAuto, Backend::kUncompressed, Backend::kCompressed,
-        Backend::kCompressedBitset, Backend::kSpill}) {
+        Backend::kSpill}) {
     if (name == to_string(b)) {
       out = b;
       return true;
@@ -34,12 +31,6 @@ bool backend_from_string(std::string_view name, Backend& out) {
 }
 
 namespace {
-
-EdgeId auto_bitset_threshold(VertexId n, std::uint32_t block_size) {
-  // A bitset row costs n/8 bytes; a varint list of degree d costs >= d bytes.
-  // Past d ~ n/8 the row is no larger and buys O(1) probes.
-  return std::max<EdgeId>(block_size, static_cast<EdgeId>(n) / 8);
-}
 
 std::uint64_t raw_csr_bytes(VertexId n, EdgeId m2, bool labeled) {
   return (static_cast<std::uint64_t>(n) + 1) * sizeof(EdgeId) +
@@ -64,12 +55,6 @@ std::string make_spill_path(const StoragePolicy& policy) {
 Backend choose_backend(const Graph& g, const StoragePolicy& policy) {
   if (g.num_vertices() == 0) return Backend::kUncompressed;
   if (policy.memory_budget_bytes > 0) return Backend::kSpill;
-  const DegreeStats stats = compute_degree_stats(g, /*cap=*/0);
-  const EdgeId threshold =
-      policy.bitset_min_degree > 0
-          ? policy.bitset_min_degree
-          : auto_bitset_threshold(g.num_vertices(), policy.block_size);
-  if (stats.max_degree >= threshold) return Backend::kCompressedBitset;
   return Backend::kCompressed;
 }
 
@@ -111,17 +96,8 @@ std::shared_ptr<GraphStore> GraphStore::build(std::shared_ptr<const Graph> g,
       store->graph_ = std::move(g);
       return store;
     case Backend::kCompressed:
-      store->comp_ = CompressedGraph(*g, policy.block_size,
-                                     /*bitset_min_degree=*/0);
+      store->comp_ = CompressedGraph(*g, policy.block_size);
       break;
-    case Backend::kCompressedBitset: {
-      const EdgeId threshold =
-          policy.bitset_min_degree > 0
-              ? policy.bitset_min_degree
-              : auto_bitset_threshold(store->n_, policy.block_size);
-      store->comp_ = CompressedGraph(*g, policy.block_size, threshold);
-      break;
-    }
     case Backend::kSpill: {
       store->spill_path_ = make_spill_path(policy);
       store->owns_spill_file_ = true;
@@ -209,11 +185,10 @@ bool GraphStore::source_has_edge(VertexId u, VertexId v) const {
   STM_CHECK(u < n_ && v < n_);
   switch (backend_) {
     case Backend::kUncompressed: return graph_->has_edge(u, v);
-    case Backend::kCompressed:
-    case Backend::kCompressedBitset: {
+    case Backend::kCompressed: {
       // A decoded list answers with binary search without touching the
-      // encoded bytes; otherwise the compressed probe (bitset or anchored
-      // seek) avoids materializing anything.
+      // encoded bytes; otherwise the anchored seek avoids materializing
+      // anything.
       const auto* listed = slots_[u].list.load(std::memory_order_acquire);
       if (listed != nullptr)
         return std::binary_search(listed->begin(), listed->end(), v);
@@ -279,12 +254,10 @@ StorageStats GraphStore::stats() const {
       s.resident_bytes = graph_->memory_bytes();
       s.encoded_bytes = s.resident_bytes;
       break;
-    case Backend::kCompressed:
-    case Backend::kCompressedBitset: {
+    case Backend::kCompressed: {
       const CompressedStats cs = comp_.stats();
       s.resident_bytes = cs.total_bytes();
       s.encoded_bytes = cs.total_bytes();
-      s.num_bitset_rows = cs.num_bitset_rows;
       break;
     }
     case Backend::kSpill: {

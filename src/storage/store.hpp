@@ -1,15 +1,14 @@
 // GraphStore: the pluggable storage backend behind the GraphView seam.
 //
-// A store owns one immutable graph in one of four representations and
+// A store owns one immutable graph in one of three representations and
 // implements AdjacencySource, so a GraphView over it is indistinguishable —
 // to every engine — from a view over a raw CSR:
 //
-//   kUncompressed     the plain Graph (shared), zero overhead
-//   kCompressed       delta/varint blob with skip anchors (compressed.hpp)
-//   kCompressedBitset kCompressed + bitset rows for dense hub vertices
-//   kSpill            the encoded blob lives in a page file on disk; only a
-//                     clock-evicted page cache under memory_budget_bytes
-//                     plus the index is resident (pagefile.hpp, pager.hpp)
+//   kUncompressed  the plain Graph (shared), zero overhead
+//   kCompressed    delta/varint blob with skip anchors (compressed.hpp)
+//   kSpill         the same encoding in a page file on disk; only a
+//                  clock-evicted page cache under memory_budget_bytes plus
+//                  the index is resident (pagefile.hpp, pager.hpp)
 //
 // Engines hold neighbor spans across deep recursion, so decoded lists must
 // stay stable for a whole engine run: first-touch decode publishes a
@@ -38,16 +37,15 @@
 namespace stm::storage {
 
 enum class Backend : std::uint8_t {
-  kAuto = 0,         // pick by degree histogram + budget (see choose_backend)
+  kAuto = 0,  // resolved at build time (see choose_backend)
   kUncompressed,
   kCompressed,
-  kCompressedBitset,
   kSpill,
 };
 
 const char* to_string(Backend b);
 /// Parses the to_string form ("auto", "uncompressed", "compressed",
-/// "compressed_bitset", "spill"); returns false on unknown names.
+/// "spill"); returns false on unknown names.
 bool backend_from_string(std::string_view name, Backend& out);
 
 /// Per-graph storage policy, carried in SessionConfig.
@@ -55,10 +53,6 @@ struct StoragePolicy {
   Backend backend = Backend::kUncompressed;
   /// Neighbors per skip-anchor block.
   std::uint32_t block_size = kDefaultBlockSize;
-  /// Degree threshold for bitset rows (kCompressedBitset only); 0 = auto
-  /// (max(block_size, n/8), where a bitset row stops costing more than the
-  /// varint list it replaces).
-  EdgeId bitset_min_degree = 0;
   /// Hard bound on the spill tier's resident page cache; 0 = unlimited.
   /// Ignored by non-spill backends.
   std::uint64_t memory_budget_bytes = 0;
@@ -71,9 +65,8 @@ struct StoragePolicy {
   FaultConfig fault;
 };
 
-/// Deterministic auto selection: spill when a budget is set, bitset rows
-/// when the degree histogram has hubs at or above the auto threshold,
-/// plain compressed otherwise (empty graphs stay uncompressed).
+/// Deterministic auto selection: empty graphs stay uncompressed, a budget
+/// means spill, and anything else is compressed.
 Backend choose_backend(const Graph& g, const StoragePolicy& policy);
 
 /// Point-in-time counters/footprint of one store.
@@ -81,9 +74,9 @@ struct StorageStats {
   Backend backend = Backend::kUncompressed;
   /// What the uncompressed CSR holds (or would hold).
   std::uint64_t raw_bytes = 0;
-  /// Bytes the store keeps resident: CSR (uncompressed), blob + index +
-  /// bitsets (compressed), index + page cache frames (spill). Excludes the
-  /// decode cache, reported separately.
+  /// Bytes the store keeps resident: CSR (uncompressed), blob + index
+  /// (compressed), index + page cache frames (spill). Excludes the decode
+  /// cache, reported separately.
   std::uint64_t resident_bytes = 0;
   /// Total encoded representation (resident or on disk): the denominator of
   /// compression_ratio.
@@ -93,7 +86,6 @@ struct StorageStats {
   /// Lease-scoped decoded-list working memory currently held.
   std::uint64_t decoded_cache_bytes = 0;
   std::uint64_t decode_ops = 0;
-  std::uint64_t num_bitset_rows = 0;
   /// Spill only.
   std::uint64_t page_faults = 0;
   std::uint64_t page_hits = 0;
@@ -169,7 +161,7 @@ class GraphStore final : public AdjacencySource {
   // kUncompressed.
   std::shared_ptr<const Graph> graph_;
 
-  // kCompressed / kCompressedBitset.
+  // kCompressed.
   CompressedGraph comp_;
 
   // kSpill.

@@ -139,6 +139,16 @@ TEST(PersistCodec, CheckValueAndEmptyInput) {
   }
 }
 
+TEST(PersistCodec, CountIsBoundedByTheBytesLeft) {
+  persist::BinaryWriter w;
+  w.u32(3);
+  for (int i = 0; i < 3; ++i) w.u64(0);
+  const std::string bytes = w.take();
+  // Three 8-byte elements fit the 24 bytes left; three 9-byte ones do not.
+  EXPECT_EQ(persist::BinaryReader(bytes).count(8), 3u);
+  EXPECT_THROW(persist::BinaryReader(bytes).count(9), check_error);
+}
+
 TEST(PersistCodec, KernelsMatchBitwiseReferenceAtEveryOffsetAndLength) {
   std::vector<std::size_t> lengths;
   for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
@@ -380,6 +390,48 @@ TEST(PersistCheckpoint, LoadFallsBackPastCorruptNewest) {
   bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0xFF);
   write_file(newest, bytes);
 
+  const persist::CheckpointLoadResult r = store.load_newest();
+  ASSERT_TRUE(r.data.has_value());
+  EXPECT_EQ(r.data->seq, 1u);
+  EXPECT_EQ(r.skipped_corrupt, 1u);
+}
+
+TEST(PersistCheckpoint, OverstatedCountsFailAsCorrupt) {
+  // A crc-valid payload whose counts overstate its bytes fails like any
+  // corrupt checkpoint, with check_error, so load_newest falls back; a
+  // reservation sized by the count would throw length_error or bad_alloc.
+  const persist::CheckpointData sample = sample_checkpoint(2);
+  const std::string good = persist::encode_checkpoint(sample);
+  const std::size_t body = persist::kCheckpointMagicSize + 8;
+  const auto patched = [&](std::size_t at, std::string value) {
+    std::string bytes = good;
+    bytes.replace(body + at, value.size(), value);
+    persist::BinaryWriter crc;
+    crc.u32(persist::crc32(std::string_view(bytes).substr(body)));
+    bytes.replace(body - 4, 4, crc.take());
+    return bytes;
+  };
+  // Body: four u64s, the format byte, u32 vertices, u64 adjacency entries,
+  // the CSR, the label flag, then the u32 standing count.
+  const Graph& g = sample.graph;
+  const std::size_t standing_at = 45 + (g.num_vertices() + 1) * 8 +
+                                  g.num_adjacency_entries() * 4 + 1;
+  ASSERT_EQ(good.substr(body + standing_at, 4), std::string("\x01\0\0\0", 4));
+  persist::BinaryWriter vertices, entries, standing;
+  vertices.u32(0xFFFFFFFFu);
+  entries.u64(std::uint64_t{1} << 62);
+  standing.u32(0xFFFFFFFFu);
+  const std::string bad_entries = patched(37, entries.take());
+  for (const std::string& bad :
+       {patched(33, vertices.take()), bad_entries,
+        patched(standing_at, standing.take())})
+    EXPECT_THROW(persist::decode_checkpoint(bad), check_error);
+
+  ScopedDir dir("ckpt-counts");
+  persist::CheckpointStore store(dir.str(), false, nullptr, 1);
+  store.write(sample_checkpoint(1));
+  store.write(sample);
+  write_file(store.path_for(2), bad_entries);
   const persist::CheckpointLoadResult r = store.load_newest();
   ASSERT_TRUE(r.data.has_value());
   EXPECT_EQ(r.data->seq, 1u);
@@ -1159,6 +1211,26 @@ TEST(PersistChaos, LostCountsRecordStillAcknowledgesItsBatch) {
     EXPECT_EQ(s->standing_query(1)->count, count_triangles(*s));
   }
   EXPECT_GT(lost_counts, 0);  // the schedule must tear a counts record
+}
+
+TEST(PersistChaos, ExhaustedWalBudgetReachesTheFaultCounter) {
+  // Every attempt tears: each failed write burns max_unit_attempts faults,
+  // and the counter must see them although the append throws.
+  ScopedDir dir("chaos-wal-counter");
+  SessionConfig cfg = persist_cfg(dir.str());
+  cfg.persistence.fault.set_rate(FaultSite::kWalAppend, 1.0);
+  cfg.persistence.fault.max_unit_attempts = 2;
+  GraphSession s(seed_graph(), cfg);
+  const Counter& faults = s.metrics().counter("faults_injected_total");
+
+  const UpdateOutcome out = s.apply_updates(make_batch(0, 60));
+  EXPECT_EQ(out.status, QueryStatus::kInternalError);
+  EXPECT_EQ(faults.value(), 2u);
+
+  StandingQueryConfig sq;
+  sq.pattern = triangle();
+  EXPECT_THROW(s.register_standing_query(sq), FaultInjectedError);
+  EXPECT_EQ(faults.value(), 4u);
 }
 
 TEST(PersistChaos, CheckpointExhaustionDegradesToWalOnly) {

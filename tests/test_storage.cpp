@@ -1,8 +1,8 @@
 // Tests for the compressed & out-of-core storage subsystem (DESIGN.md §14):
-// delta/varint encoding + skip-anchor cursors, the page file / clock pager, GraphStore backend equivalence, compressed
-// checkpoints, the service-layer wiring, and the chaos / differential
-// suites (StorageChaos, StorageDifferential, StorageSpillGate run under
-// their own ctest labels).
+// delta/varint encoding + skip-anchor cursors, the page file / clock pager,
+// GraphStore backend equivalence, the checkpoint graph format, the
+// service-layer wiring, and the chaos / differential suites (StorageChaos,
+// StorageDifferential, StorageSpillGate run under their own ctest labels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
 #include "persist/checkpoint.hpp"
+#include "persist/codec.hpp"
 #include "service/service.hpp"
 #include "storage/compressed.hpp"
 #include "storage/encoding.hpp"
@@ -122,7 +123,6 @@ TEST(StorageEncoding, CursorAdvanceAndDecodeRemaining) {
   cursor.decode_remaining(walked);
   EXPECT_EQ(walked, list);
   EXPECT_TRUE(cursor.done());
-  EXPECT_EQ(cursor.position(), bytes.data() + bytes.size());
 }
 
 TEST(StorageEncoding, UnsortedAtBlockBoundaryFailsClosed) {
@@ -155,14 +155,12 @@ TEST(StorageEncoding, TruncatedBytesFailClosed) {
 }
 
 // ---------------------------------------------------------------------------
-// StorageCompressed: whole-graph blob + bitset rows
+// StorageCompressed: whole-graph blob
 // ---------------------------------------------------------------------------
 
 TEST(StorageCompressed, DecodeAndHasEdgeMatchRawGraph) {
   const Graph g = make_barabasi_albert(400, 5, 11);
-  // Threshold low enough that the BA hubs get bitset rows.
-  const storage::CompressedGraph comp(g, 32, /*bitset_min_degree=*/24);
-  EXPECT_GT(comp.stats().num_bitset_rows, 0u);
+  const storage::CompressedGraph comp(g, 32);
   std::vector<VertexId> out;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     out.clear();  // decode_into appends
@@ -179,7 +177,7 @@ TEST(StorageCompressed, DecodeAndHasEdgeMatchRawGraph) {
 
 TEST(StorageCompressed, PowerLawGraphCompresses) {
   const Graph g = make_barabasi_albert(2000, 8, 23);
-  const storage::CompressedGraph comp(g, 32, 0);
+  const storage::CompressedGraph comp(g, 32);
   EXPECT_GT(comp.stats().compression_ratio(), 1.0);
 }
 
@@ -268,9 +266,9 @@ TEST(StorageStore, AutoSelectionIsDeterministic) {
   policy.memory_budget_bytes = 4096;
   EXPECT_EQ(storage::choose_backend(plain, policy), Backend::kSpill);
   policy.memory_budget_bytes = 0;
-  // Hubs at/above the auto threshold (max(block_size, n/8)) enable bitsets.
+  // Degree skew does not change the pick.
   const Graph hubs = make_star(600);
-  EXPECT_EQ(storage::choose_backend(hubs, policy), Backend::kCompressedBitset);
+  EXPECT_EQ(storage::choose_backend(hubs, policy), Backend::kCompressed);
   const Graph empty = GraphBuilder(0).build();
   EXPECT_EQ(storage::choose_backend(empty, policy), Backend::kUncompressed);
 }
@@ -281,15 +279,14 @@ TEST(StorageStore, EveryBackendServesIdenticalViewsAndLabels) {
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     labels[v] = static_cast<Label>(v % 3);
   g = g.with_labels(std::move(labels));
-  for (const Backend b : {Backend::kUncompressed, Backend::kCompressed,
-                          Backend::kCompressedBitset, Backend::kSpill}) {
+  for (const Backend b :
+       {Backend::kUncompressed, Backend::kCompressed, Backend::kSpill}) {
     StoragePolicy policy;
     policy.backend = b;
     if (b == Backend::kSpill) {
       policy.memory_budget_bytes = 2048;
       policy.page_size = 512;
     }
-    if (b == Backend::kCompressedBitset) policy.bitset_min_degree = 16;
     const auto store = GraphStore::build(Graph(g), policy);
     const auto lease = store->lease();
     const GraphView view = store->view();
@@ -388,10 +385,13 @@ TEST(StorageStore, GraphMemoryBytesCoversTheCSR) {
 }
 
 // ---------------------------------------------------------------------------
-// StorageCheckpoint: compressed checkpoint format roundtrip
+// StorageCheckpoint: the checkpoint graph format
 // ---------------------------------------------------------------------------
 
 TEST(StorageCheckpoint, CompressedAndRawFormatsDecodeIdentically) {
+  // Raw CSR is the only graph format: a labeled graph round-trips, and a
+  // checkpoint whose format byte reads 1 (the retired compressed format)
+  // is rejected even with a valid crc.
   Graph g = make_barabasi_albert(250, 4, 81);
   std::vector<Label> labels(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
@@ -402,22 +402,33 @@ TEST(StorageCheckpoint, CompressedAndRawFormatsDecodeIdentically) {
   data.epoch = 42;
   data.last_lsn = 99;
   data.graph = Graph(g);
+  const std::string bytes = persist::encode_checkpoint(data);
 
-  data.compressed = false;
-  const std::string raw_bytes = persist::encode_checkpoint(data);
-  data.compressed = true;
-  const std::string comp_bytes = persist::encode_checkpoint(data);
-  EXPECT_LT(comp_bytes.size(), raw_bytes.size());
+  const persist::CheckpointData back = persist::decode_checkpoint(bytes);
+  EXPECT_EQ(back.seq, 7u);
+  EXPECT_EQ(back.epoch, 42u);
+  ASSERT_EQ(back.graph.num_vertices(), g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(neighbors_of(back.graph, v), neighbors_of(g, v));
+    ASSERT_EQ(back.graph.label(v), g.label(v));
+  }
 
-  for (const std::string* bytes : {&raw_bytes, &comp_bytes}) {
-    const persist::CheckpointData back = persist::decode_checkpoint(*bytes);
-    EXPECT_EQ(back.seq, 7u);
-    EXPECT_EQ(back.epoch, 42u);
-    ASSERT_EQ(back.graph.num_vertices(), g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(neighbors_of(back.graph, v), neighbors_of(g, v));
-      ASSERT_EQ(back.graph.label(v), g.label(v));
-    }
+  // Header: magic, u32 length, u32 crc; the body opens with four u64s
+  // (seq, epoch, last_lsn, next_standing_id), then the format byte.
+  const std::size_t body = persist::kCheckpointMagicSize + 8;
+  std::string format1 = bytes;
+  ASSERT_EQ(format1[body + 32], 0);
+  format1[body + 32] = 1;
+  persist::BinaryWriter crc;
+  crc.u32(persist::crc32(std::string_view(format1).substr(body)));
+  format1.replace(body - 4, 4, crc.take());
+  try {
+    persist::decode_checkpoint(format1);
+    ADD_FAILURE() << "format byte 1 decoded";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown graph format 1"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -441,8 +452,7 @@ TEST(StorageSession, BackendsServeIdenticalCountsThroughTheService) {
   ASSERT_TRUE(want.ok());
   ASSERT_GT(want.count, 0u);
   for (const Backend b :
-       {Backend::kCompressed, Backend::kCompressedBitset, Backend::kSpill,
-        Backend::kAuto}) {
+       {Backend::kCompressed, Backend::kSpill, Backend::kAuto}) {
     SessionConfig cfg;
     cfg.storage.backend = b;
     if (b == Backend::kSpill) {
@@ -582,8 +592,7 @@ TEST(StorageChaos, ServiceContainsPageReadExhaustion) {
 TEST(StorageDifferential, OracleAgreesOnEveryForcedBackend) {
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
     harness::TestCase c = harness::random_case(harness::derive_seed(0x570, trial));
-    for (const Backend b :
-         {Backend::kCompressed, Backend::kCompressedBitset, Backend::kSpill}) {
+    for (const Backend b : {Backend::kCompressed, Backend::kSpill}) {
       c.storage_backend = b;
       c.storage_budget_bytes = b == Backend::kSpill ? 1024 : 0;
       const harness::OracleReport report = harness::run_oracle(c);
@@ -603,8 +612,9 @@ TEST(StorageDifferential, SampledCasesExerciseTheLane) {
   for (std::uint64_t seed = 0; seed < 40; ++seed)
     if (harness::random_case(seed).storage_backend != Backend::kUncompressed)
       ++lane_cases;
-  // The backend stream samples uniformly over four values; 40 cases landing
-  // fewer than 10 non-default draws would mean the stream is broken.
+  // The backend stream samples uniformly over four slots, three of them
+  // lane backends (compressed fills two); 40 cases landing fewer than 10
+  // non-default draws would mean the stream is broken.
   EXPECT_GE(lane_cases, 10u);
 }
 

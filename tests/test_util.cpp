@@ -1,12 +1,11 @@
-// Unit tests for src/util: checks, RNG, bitset, prefix sums, stats, table,
-// options, thread pool.
+// Unit tests for src/util: checks, RNG, prefix sums, stats, table, options,
+// thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <sstream>
 
-#include "util/bitset.hpp"
 #include "util/check.hpp"
 #include "util/options.hpp"
 #include "util/prefix_sum.hpp"
@@ -85,63 +84,6 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
-}
-
-TEST(Bitset, SetTestReset) {
-  DynamicBitset bs(130);
-  EXPECT_EQ(bs.count(), 0u);
-  bs.set(0);
-  bs.set(64);
-  bs.set(129);
-  EXPECT_TRUE(bs.test(0));
-  EXPECT_TRUE(bs.test(64));
-  EXPECT_TRUE(bs.test(129));
-  EXPECT_FALSE(bs.test(1));
-  EXPECT_EQ(bs.count(), 3u);
-  bs.reset(64);
-  EXPECT_FALSE(bs.test(64));
-  EXPECT_EQ(bs.count(), 2u);
-}
-
-TEST(Bitset, AllAnyNone) {
-  DynamicBitset bs(70);
-  EXPECT_TRUE(bs.none());
-  EXPECT_FALSE(bs.any());
-  bs.set_all();
-  EXPECT_TRUE(bs.all());
-  EXPECT_EQ(bs.count(), 70u);
-  bs.clear_all();
-  EXPECT_TRUE(bs.none());
-}
-
-TEST(Bitset, FindFirst) {
-  DynamicBitset bs(200);
-  EXPECT_EQ(bs.find_first(), 200u);
-  bs.set(131);
-  EXPECT_EQ(bs.find_first(), 131u);
-  bs.set(5);
-  EXPECT_EQ(bs.find_first(), 5u);
-}
-
-TEST(Bitset, BitwiseOps) {
-  DynamicBitset a(100), b(100);
-  a.set(1);
-  a.set(70);
-  b.set(70);
-  b.set(99);
-  DynamicBitset u = a;
-  u |= b;
-  EXPECT_EQ(u.count(), 3u);
-  DynamicBitset i = a;
-  i &= b;
-  EXPECT_EQ(i.count(), 1u);
-  EXPECT_TRUE(i.test(70));
-}
-
-TEST(Bitset, OutOfRangeThrows) {
-  DynamicBitset bs(10);
-  EXPECT_THROW(bs.test(10), check_error);
-  EXPECT_THROW(bs.set(10), check_error);
 }
 
 TEST(PrefixSum, Exclusive) {

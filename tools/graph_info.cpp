@@ -81,7 +81,7 @@ storage::StoragePolicy policy_for(storage::Backend backend,
 
 /// Power-of-two degree histogram: bucket k holds degrees in [2^k, 2^(k+1)),
 /// with a separate bucket for isolated vertices. Hubs land in the top
-/// buckets, which is exactly what the bitset threshold keys off.
+/// buckets.
 void print_degree_histogram(const Graph& g) {
   const std::vector<EdgeId> degrees = degree_sequence(g);
   std::vector<std::size_t> buckets;
@@ -130,9 +130,8 @@ void report(const Graph& g, const Options& opts) {
 
   static constexpr storage::Backend kBackends[] = {
       storage::Backend::kUncompressed, storage::Backend::kCompressed,
-      storage::Backend::kCompressedBitset, storage::Backend::kSpill};
-  Table table({"backend", "resident", "encoded", "ratio", "bitset rows",
-               "file bytes"});
+      storage::Backend::kSpill};
+  Table table({"backend", "resident", "encoded", "ratio", "file bytes"});
   for (const storage::Backend b : kBackends) {
     const auto store = storage::GraphStore::build(Graph(g), policy_for(b, opts));
     const storage::StorageStats st = store->stats();
@@ -140,7 +139,6 @@ void report(const Graph& g, const Options& opts) {
                    Table::fmt_count(st.resident_bytes),
                    Table::fmt_count(st.encoded_bytes),
                    Table::fmt(st.compression_ratio, 2),
-                   Table::fmt_count(st.num_bitset_rows),
                    Table::fmt_count(st.file_bytes)});
   }
   table.print(std::cout);
@@ -148,8 +146,8 @@ void report(const Graph& g, const Options& opts) {
             << " row's resident set is its index plus the page-cache budget)\n";
 
   // What kAuto would pick for this graph under the flags given (the same
-  // deterministic rule GraphSession applies: a budget forces spill, hubs
-  // above the bitset threshold enable bitset rows).
+  // deterministic rule GraphSession applies: a budget forces spill, any
+  // other non-empty graph is compressed).
   storage::StoragePolicy auto_policy = policy_for(storage::Backend::kAuto, opts);
   if (opts.has("budget"))
     auto_policy.memory_budget_bytes =
@@ -163,8 +161,8 @@ void report(const Graph& g, const Options& opts) {
 int selftest() {
   const Graph g = make_barabasi_albert(600, 4, 7);
   static constexpr storage::Backend kBackends[] = {
-      storage::Backend::kCompressed, storage::Backend::kCompressedBitset,
-      storage::Backend::kSpill, storage::Backend::kAuto};
+      storage::Backend::kCompressed, storage::Backend::kSpill,
+      storage::Backend::kAuto};
   for (const storage::Backend b : kBackends) {
     storage::StoragePolicy policy;
     policy.backend = b;
@@ -172,7 +170,6 @@ int selftest() {
       policy.memory_budget_bytes = 4096;  // a few 1 KiB pages resident
       policy.page_size = 1024;
     }
-    if (b == storage::Backend::kCompressedBitset) policy.bitset_min_degree = 32;
     const auto store = storage::GraphStore::build(Graph(g), policy);
     const auto lease = store->lease();
     const GraphView view = store->view();

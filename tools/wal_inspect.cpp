@@ -145,17 +145,20 @@ int selftest() {
     w.append_counts(1, {{1, 42}});
     w.append_unregister(1, 1);
   }
-  // Torn tail: half a frame of garbage past the valid prefix.
+  // Torn tail: a whole 8-byte frame header (length 16, crc "garb") whose
+  // payload never landed. write() because the bytes hold NULs.
   {
     std::ofstream out(dir / "wal.stmwal",
                       std::ios::binary | std::ios::app);
-    out << "\x10\x00\x00\x00garb";
+    out.write("\x10\x00\x00\x00garb", 8);
   }
   const persist::WalReadResult wal =
       persist::read_wal((dir / "wal.stmwal").string());
   STM_CHECK_MSG(wal.records.size() == 4, "selftest: expected 4 records, got "
                                              << wal.records.size());
   STM_CHECK(wal.torn_tail);
+  STM_CHECK_MSG(wal.discarded_bytes == 8,
+                "selftest: expected 8 torn bytes, got " << wal.discarded_bytes);
   STM_CHECK(wal.records[0].type == persist::WalRecordType::kUpdateBatch);
   STM_CHECK(wal.records[1].standing.count == 42);
   STM_CHECK(wal.records[2].type == persist::WalRecordType::kStandingCounts);
