@@ -89,7 +89,8 @@ void BM_IndexedDelta(benchmark::State& state) {
     state.ResumeTiming();
 
     Timer walk_timer;
-    const mqo::EvalResult res = eval.evaluate(from, applied.applied);
+    const mqo::EvalResult res =
+        eval.evaluate(*from, *applied.snapshot, applied.applied);
     walk_ms += walk_timer.elapsed_ms();
     node_visits += res.node_visits;
 
@@ -174,7 +175,11 @@ void BM_SingleRegistration(benchmark::State& state) {
     std::int64_t walk_delta = 0, matcher_delta = 0;
     const auto run_walk = [&] {
       Timer t;
-      walk_delta = index.project(1, eval.evaluate(from, applied.applied)).delta;
+      walk_delta =
+          index
+              .project(1, eval.evaluate(*from, *applied.snapshot,
+                                        applied.applied))
+              .delta;
       walk_ms.push_back(t.elapsed_ms());
     };
     const auto run_matcher = [&] {

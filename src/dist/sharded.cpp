@@ -167,7 +167,7 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
       mqo::EvalResult walk;
       walk.groups.resize(cut_index_.num_group_slots());
       for (std::size_t i = lo; i < hi; ++i)
-        evaluator.accumulate(g, cut[i].first, cut[i].second, +1, &walk,
+        evaluator.accumulate(g, cut[i].first, cut[i].second, &walk,
                              partition.owner);
       out.embeddings = static_cast<std::uint64_t>(walk.groups[0].embeddings);
       if (a > 0) ++out.units_recovered;

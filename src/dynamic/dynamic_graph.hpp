@@ -9,7 +9,7 @@
 // started on and therefore read an epoch-consistent version while writers
 // apply the next batch — a page is never written after publication, so
 // concurrent readers are race-free by construction. GraphEdit builds every
-// version: session batches and the standing walk's prefix graphs.
+// version: session batches and the test oracles' prefix graphs.
 //
 // `compact()` rebuilds the CSR from the current version (folding the pages
 // in) without changing the logical graph, so the epoch is kept; `apply()`
@@ -144,8 +144,6 @@ class GraphEdit {
   /// precondition violation.
   void add_edge(VertexId u, VertexId v);
   void remove_edge(VertexId u, VertexId v);
-
-  bool has_edge(VertexId u, VertexId v) const { return view().has_edge(u, v); }
 
   /// Adjacency view over `from` plus the edits so far. Borrow only between
   /// mutations: add/remove may reallocate a page's lists.

@@ -5,8 +5,8 @@
 // without re-enumerating the whole graph. Enumeration is anchored on delta
 // edges only: every pattern edge takes a turn as the anchor (relabeled so
 // the anchor spans levels 0 and 1), and for each delta edge both seed
-// orientations run through the seeded host recursion against a
-// prefix-hybrid overlay graph. Inclusion–exclusion over old/new adjacency
+// orientations run through the seeded host recursion against a prefix
+// version (a GraphEdit view). Inclusion–exclusion over old/new adjacency
 // is realized by the prefix construction (see count_delta in the .cpp),
 // which counts every affected match exactly once — cumulative deltas agree
 // with full re-enumeration bit for bit.
@@ -18,9 +18,12 @@
 // constraint elsewhere flips), so delta-edge anchoring cannot be exact.
 //
 // No production path runs these classes: standing queries, WAL replay and
-// the sharded cut term all walk the plan trie (mqo/evaluator.hpp).
-// IncrementalMatcher, AnchoredEnumerator and the DeltaStreamer built on it
-// stay as the per-pattern oracles that walk is checked against.
+// the sharded cut term all walk the plan trie (mqo/evaluator.hpp) over
+// published versions, ordering the delta or cut edges instead of building
+// prefixes. IncrementalMatcher, AnchoredEnumerator and the DeltaStreamer
+// built on it stay as the per-pattern oracles that walk is checked
+// against, and are the only users of prefix versions, so the two sides of
+// that check count by different methods.
 #pragma once
 
 #include <cstdint>

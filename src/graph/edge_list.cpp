@@ -88,14 +88,4 @@ Graph load_edge_list(const std::string& path, const EdgeListOptions& opts,
   return read_edge_list(in, opts, stats);
 }
 
-void write_edge_list(const Graph& g, std::ostream& out) {
-  out << "# stmatch edge list: " << g.num_vertices() << " vertices, "
-      << g.num_edges() << " edges\n";
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v : g.neighbors(u)) {
-      if (u < v) out << u << ' ' << v << '\n';
-    }
-  }
-}
-
 }  // namespace stm

@@ -1,4 +1,4 @@
-// Plain-text edge-list I/O (the SNAP repository format).
+// Plain-text edge-list input (the SNAP repository format).
 //
 // Lines are `u v` pairs; `#` starts a comment. An optional label file has one
 // `vertex label` pair per line.
@@ -50,8 +50,5 @@ Graph read_edge_list(std::istream& in, const EdgeListOptions& opts = {},
 /// Loads an edge-list file from disk.
 Graph load_edge_list(const std::string& path, const EdgeListOptions& opts = {},
                      EdgeListStats* stats = nullptr);
-
-/// Writes `u v` lines, one per undirected edge (u < v).
-void write_edge_list(const Graph& g, std::ostream& out);
 
 }  // namespace stm

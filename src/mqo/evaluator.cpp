@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <bitset>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -15,22 +18,72 @@ std::uint64_t edge_key(VertexId a, VertexId b) {
   return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
 }
 
+/// The cut term's order (dist/sharded.hpp): the ordered edges are the cut
+/// edges, those whose endpoints have different owners.
+struct CutOrder {
+  std::span<const std::uint32_t> owner;
+
+  /// Whether w may end an ordered edge after the anchor: any vertex may.
+  bool may_close(VertexId) const { return true; }
+  /// Whether (w, v) is an ordered edge after the anchor.
+  bool later(VertexId w, VertexId v, std::uint64_t anchor) const {
+    return owner[w] != owner[v] && edge_key(w, v) > anchor;
+  }
+};
+
+/// The delta order: the ordered edges are one polarity of a batch, walked
+/// from the largest key down, so those after the anchor are the ones
+/// already walked. Their endpoints set bits of a fixed-size filter, and an
+/// edge is looked up only when both its endpoints hit it: nothing here is
+/// sized by the graph.
+class DeltaOrder {
+ public:
+  explicit DeltaOrder(std::span<const std::pair<VertexId, VertexId>> edges) {
+    keys_.reserve(edges.size());
+    for (const auto& [a, b] : edges) keys_.push_back(edge_key(a, b));
+    std::ranges::sort(keys_);
+    STM_CHECK(std::ranges::adjacent_find(keys_) == keys_.end());
+  }
+
+  /// This polarity's edge keys, ascending.
+  std::span<const std::uint64_t> keys() const { return keys_; }
+  /// Records that edge (u, v) has been walked.
+  void walked(VertexId u, VertexId v) {
+    filter_.set(u % kFilterBits);
+    filter_.set(v % kFilterBits);
+  }
+
+  bool may_close(VertexId w) const { return filter_.test(w % kFilterBits); }
+  bool later(VertexId w, VertexId v, std::uint64_t anchor) const {
+    if (!may_close(v) || !may_close(w)) return false;
+    const std::uint64_t key = edge_key(w, v);
+    return key > anchor && std::ranges::binary_search(keys_, key);
+  }
+
+ private:
+  static constexpr std::size_t kFilterBits = 4096;
+  std::vector<std::uint64_t> keys_;
+  std::bitset<kFilterBits> filter_;
+};
+
 /// One trie walk over one graph view. Holds per-depth candidate buffers —
 /// children of a node are explored sequentially and deeper recursion only
 /// touches deeper buffers (the RecExec idiom), so nothing reallocates
-/// underneath an active iteration. kOrdered walks reject a candidate that
-/// closes a pattern edge onto a later cut edge (see accumulate); otherwise
-/// `owner` is unused.
-template <bool kOrdered>
+/// underneath an active iteration. The walk rejects a candidate that closes
+/// a pattern edge onto an edge `Order` puts after the anchor, so every
+/// embedding is credited once, at the largest ordered edge it contains.
+template <class Order>
 class Walker {
  public:
   Walker(const PatternIndex& index, const simd::Kernels& simd, GraphView g,
-         int sign, EvalResult* out, std::span<const std::uint32_t> owner)
+         int sign, EvalResult* out, const Order& order)
       : index_(index), simd_(simd), g_(g), sign_(sign), out_(out),
-        owner_(owner) {}
+        order_(order) {}
 
   /// Both orientations of data edge (u, v) through the trie root.
   void walk_edge(VertexId u, VertexId v) {
+    STM_CHECK_MSG(g_.has_edge(u, v), "walked edge (" << u << ',' << v
+                                                    << ") is not in the view");
     anchor_ = edge_key(u, v);
     const TrieNode& root = index_.trie().root();
     const std::pair<VertexId, VertexId> seeds[2] = {{u, v}, {v, u}};
@@ -69,18 +122,23 @@ class Walker {
   }
 
   /// Whether v at position `depth` closes no pattern edge (the prefix
-  /// positions in `mask`) onto a cut edge ordered after the anchor.
+  /// positions in `mask`) onto an edge ordered after the anchor.
   bool ordered(std::uint8_t mask, std::size_t depth, VertexId v) const {
-    if constexpr (kOrdered) {
-      for (std::size_t j = 0; j < depth; ++j) {
-        const VertexId w = matched_[j];
-        if (((mask >> j) & 1u) != 0 && owner_[w] != owner_[v] &&
-            edge_key(w, v) > anchor_) {
-          return false;
-        }
+    for (std::size_t j = 0; j < depth; ++j) {
+      if (((mask >> j) & 1u) != 0 && order_.later(matched_[j], v, anchor_)) {
+        return false;
       }
     }
     return true;
+  }
+
+  /// Whether the order can reject a candidate at position `depth`: some
+  /// prefix vertex in `mask` may end an edge ordered after the anchor.
+  bool may_reject(std::uint8_t mask, std::size_t depth) const {
+    for (std::size_t j = 0; j < depth; ++j) {
+      if (((mask >> j) & 1u) != 0 && order_.may_close(matched_[j])) return true;
+    }
+    return false;
   }
 
   /// Credits every anchored plan completing at `node` with the current
@@ -167,13 +225,14 @@ class Walker {
   /// the tally is |c| minus the prefix vertices c contains: one binary
   /// search per prefix position instead of a pass over the list. Short
   /// lists take the pass, whose compares predict well where a binary
-  /// search's do not. An ordered walk always takes the pass: the shortcut
-  /// cannot subtract the candidates the edge order rejects.
+  /// search's do not, and so does any step where the edge order may reject
+  /// a candidate: the shortcut cannot subtract those.
   std::int64_t count_valid(std::span<const VertexId> c, std::int16_t label,
                            std::uint8_t mask, std::size_t depth) const {
     constexpr std::size_t kSearchMinLength = 16;
     std::int64_t valid = 0;
-    if (!kOrdered && label < 0 && c.size() >= kSearchMinLength) {
+    if (label < 0 && c.size() >= kSearchMinLength &&
+        !may_reject(mask, depth)) {
       valid = static_cast<std::int64_t>(c.size());
       for (std::size_t j = 0; j < depth; ++j) {
         if (std::binary_search(c.begin(), c.end(), matched_[j])) --valid;
@@ -232,7 +291,7 @@ class Walker {
   const GraphView g_;
   const int sign_;
   EvalResult* out_;
-  const std::span<const std::uint32_t> owner_;
+  const Order& order_;
   std::uint64_t anchor_ = 0;
   std::array<VertexId, kMaxPatternSize> matched_{};
   /// live_[p]: the list matched_[p] is being drawn from (valid for p below
@@ -244,6 +303,21 @@ class Walker {
   std::vector<VertexId> scratch_;
 };
 
+/// Walks one polarity's edges over `g`, largest key first.
+void walk_delta(const PatternIndex& index, const simd::Kernels& simd,
+                GraphView g,
+                std::span<const std::pair<VertexId, VertexId>> edges,
+                int sign, EvalResult* out) {
+  DeltaOrder order(edges);
+  Walker<DeltaOrder> walker(index, simd, g, sign, out, order);
+  for (auto it = order.keys().rbegin(); it != order.keys().rend(); ++it) {
+    const auto u = static_cast<VertexId>(*it >> 32);
+    const auto v = static_cast<VertexId>(*it);
+    walker.walk_edge(u, v);
+    order.walked(u, v);
+  }
+}
+
 }  // namespace
 
 MultiQueryEvaluator::MultiQueryEvaluator(const PatternIndex& index)
@@ -251,40 +325,29 @@ MultiQueryEvaluator::MultiQueryEvaluator(const PatternIndex& index)
       simd_(simd::kernels_for_choice(simd::IsaChoice::kAuto)) {}
 
 void MultiQueryEvaluator::accumulate(
-    GraphView g, VertexId u, VertexId v, int sign, EvalResult* out,
+    GraphView g, VertexId u, VertexId v, EvalResult* out,
     std::span<const std::uint32_t> owner) const {
   STM_CHECK(out != nullptr && out->groups.size() >= index_.num_group_slots());
-  STM_CHECK_MSG(g.has_edge(u, v), "delta edge must be present in the view");
-  STM_CHECK(owner.empty() || owner.size() == g.num_vertices());
-  if (owner.empty()) {
-    Walker<false>(index_, simd_, g, sign, out, owner).walk_edge(u, v);
-  } else {
-    Walker<true>(index_, simd_, g, sign, out, owner).walk_edge(u, v);
-  }
+  STM_CHECK(owner.size() == g.num_vertices());
+  const CutOrder order{owner};
+  Walker<CutOrder>(index_, simd_, g, +1, out, order).walk_edge(u, v);
 }
 
-EvalResult MultiQueryEvaluator::evaluate(
-    const std::shared_ptr<const GraphSnapshot>& from,
-    const DeltaEdges& applied) const {
-  STM_CHECK(from != nullptr);
+EvalResult MultiQueryEvaluator::evaluate(const GraphSnapshot& from,
+                                         const GraphSnapshot& to,
+                                         const DeltaEdges& applied) const {
+  STM_CHECK(from.num_vertices() == to.num_vertices());
   EvalResult result;
   result.groups.resize(index_.num_group_slots());
   result.delta_edges = applied.size();
   if (applied.empty() || index_.empty()) return result;
 
-  // The per-pattern inclusion–exclusion, verbatim (see
-  // IncrementalMatcher::count_delta): walk the inserted edges over
-  // G_common + {d_1..d_i} crediting +1, the deleted edges over their own
-  // prefix versions crediting -1. Each affected embedding of each group is
-  // credited exactly once, at the largest-index delta edge it contains.
-  for (const int sign : {+1, -1}) {
-    GraphEdit edit(from);
-    for (const auto& [u, v] : applied.deleted) edit.remove_edge(u, v);
-    for (const auto& [u, v] : sign > 0 ? applied.inserted : applied.deleted) {
-      edit.add_edge(u, v);
-      accumulate(edit.view(), u, v, sign, &result);
-    }
-  }
+  // Inserted edges over the post-batch version crediting +1, deleted edges
+  // over the pre-batch version crediting -1. Each affected embedding of
+  // each group is credited exactly once, at the largest edge of the
+  // polarity it contains: the delta order rejects it at every other.
+  walk_delta(index_, simd_, to.view(), applied.inserted, +1, &result);
+  walk_delta(index_, simd_, from.view(), applied.deleted, -1, &result);
   return result;
 }
 

@@ -48,8 +48,8 @@ struct GroupDelta {
 /// walk accounting.
 struct EvalResult {
   std::vector<GroupDelta> groups;
-  /// Seeded trie walks issued (delta edges x orientations that pass the
-  /// depth-1/2 label checks).
+  /// Seeded trie walks issued: both orientations of every delta edge,
+  /// whenever the index is non-empty (labels prune inside a walk).
   std::uint64_t seed_walks = 0;
   /// Trie-node arrivals during the walks — the shared-pass analogue of
   /// per-pattern anchored_runs.

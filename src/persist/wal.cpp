@@ -264,7 +264,6 @@ WalAppendResult WalWriter::append_record(WalRecord rec, bool sync) {
         torn[torn.size() - 1] = static_cast<char>(torn.back() ^ 0x5A);
         write_all(fd_, torn.data(), torn.size(), start, path_);
       }
-      ++res.faults;
       ++faults_injected_;
       STM_CHECK(::ftruncate(fd_, static_cast<off_t>(start)) == 0);
       if (fsync) STM_CHECK(::fsync(fd_) == 0);

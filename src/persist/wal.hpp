@@ -132,8 +132,6 @@ struct WalAppendResult {
   std::uint64_t lsn = 0;
   /// Durable frame bytes this append added (excludes torn retries).
   std::uint64_t bytes = 0;
-  /// kWalAppend faults burned before the frame landed intact.
-  std::uint32_t faults = 0;
 };
 
 /// Appender over an open WAL file. Single-writer (the session serializes

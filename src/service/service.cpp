@@ -271,7 +271,7 @@ GraphSession::GraphSession(Boot boot)
                             << " re-applied with a different effective delta");
           if (i >= walk_from) {
             if (!standing_.empty()) ++recovery_report_.walked_batches;
-            apply_standing_deltas(from, applied.applied, r.epoch, nullptr);
+            apply_standing_deltas(*from, applied, nullptr);
             break;
           }
           for (auto& [id, sq] : standing_) {
@@ -926,7 +926,7 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   // under shard_mu_.
   if (cfg_.sharding.enabled()) rebuild_shards(applied.snapshot, &applied.applied);
 
-  apply_standing_deltas(from, applied.applied, out.epoch, &out);
+  apply_standing_deltas(*from, applied, &out);
   // Appended even when a checkpoint follows (its WAL reset discards it).
   if (persist_ != nullptr && !standing_.empty()) log_standing_counts(out.epoch);
 
@@ -957,19 +957,24 @@ void GraphSession::log_standing_counts(std::uint64_t epoch) {
   }
 }
 
-void GraphSession::apply_standing_deltas(
-    const std::shared_ptr<const GraphSnapshot>& from, const DeltaEdges& applied,
-    std::uint64_t epoch, UpdateOutcome* out) {
-  if (applied.empty()) return;
+void GraphSession::apply_standing_deltas(const GraphSnapshot& from,
+                                         const ApplyResult& applied,
+                                         UpdateOutcome* out) {
+  if (applied.applied.empty()) return;
+  const std::uint64_t epoch = applied.snapshot->epoch();
   Timer inc_timer;
-  // The anchored delta walks read the pre-batch snapshot.
-  const auto storage_lease = from->storage_lease();
+  // The walks read the pre-batch snapshot (deleted edges) and the
+  // post-batch one (inserted edges). A published version keeps its
+  // predecessor's store, so both read their clean vertices through
+  // `from`'s, and one lease pins it.
+  const auto storage_lease = from.storage_lease();
   std::lock_guard<std::mutex> standing_lock(standing_mu_);
   // One trie walk serves every registration (an empty index returns at
   // once); a query's reported delta_ms is its amortized share of the walk.
   Timer walk_timer;
-  const mqo::EvalResult res =
-      mqo::MultiQueryEvaluator(standing_index_).evaluate(from, applied);
+  const mqo::EvalResult res = mqo::MultiQueryEvaluator(standing_index_)
+                                  .evaluate(from, *applied.snapshot,
+                                            applied.applied);
   const double walk_ms = walk_timer.elapsed_ms();
   if (!standing_.empty()) indexed_delta_latency_ms_.observe(walk_ms);
   const double amortized_ms =

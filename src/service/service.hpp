@@ -434,13 +434,13 @@ class GraphSession {
                                 const std::shared_ptr<CancelToken>& token);
   /// The update path proper (runs on a dispatcher worker).
   UpdateOutcome do_apply(const UpdateBatch& batch);
-  /// Per-batch standing-query sweep: one shared trie walk, then
-  /// per-registration projection and delivery (count deltas, subscribers,
-  /// speedup gauge). Shared between do_apply and WAL replay (`out` null
-  /// there: no outcome to fill, no latency to record).
-  void apply_standing_deltas(const std::shared_ptr<const GraphSnapshot>& from,
-                             const DeltaEdges& applied, std::uint64_t epoch,
-                             UpdateOutcome* out);
+  /// Per-batch standing-query sweep over the batch that turned `from` into
+  /// `applied.snapshot`: one shared trie walk, then per-registration
+  /// projection and delivery (count deltas, subscribers, speedup gauge).
+  /// Shared between do_apply and WAL replay (`out` null there: no outcome
+  /// to fill, no latency to record).
+  void apply_standing_deltas(const GraphSnapshot& from,
+                             const ApplyResult& applied, UpdateOutcome* out);
   /// Appends every registration's count after the batch that produced
   /// `epoch`, so recovery need not walk that batch again. Caller holds
   /// update_mu_.

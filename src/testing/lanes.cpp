@@ -78,21 +78,6 @@ bool reset_knobs(TestCase& c, const FailurePredicate& fails) {
   }});
 }
 
-/// `g` replayed as one insertion batch over an edgeless base with the same
-/// vertices and labels: the empty version and the effective delta (empty
-/// for an edgeless graph).
-std::pair<std::shared_ptr<const GraphSnapshot>, DeltaEdges>
-replay_as_one_batch(const Graph& g) {
-  MutableGraph graph(Graph(
-      std::vector<EdgeId>(static_cast<std::size_t>(g.num_vertices()) + 1, 0),
-      {}, g.labels()));
-  UpdateBatch batch;
-  batch.insertions = edge_list(g);
-  auto from = graph.snapshot();
-  if (batch.insertions.empty()) return {from, {}};
-  return {from, graph.apply(batch).applied};
-}
-
 // --- recursive / host / simt: the optimized engines on the raw CSR --------
 
 void check_recursive(const TestCase& c, const MatchingPlan& plan,
@@ -165,11 +150,12 @@ bool incremental_applies(const TestCase& c, std::uint64_t) {
 
 void check_incremental(const TestCase& c, const MatchingPlan&,
                        OracleReport& report) {
-  const auto [from, applied] = replay_as_one_batch(c.graph);
+  const BatchReplay replay = replay_as_one_batch(c.graph);
   const std::int64_t delta =  // an empty batch has a zero delta
-      applied.empty() ? 0
-                      : IncrementalMatcher(c.pattern, c.plan)
-                            .count_delta(from, applied).delta;
+      replay.applied.empty() ? 0
+                             : IncrementalMatcher(c.pattern, c.plan)
+                                   .count_delta(replay.from, replay.applied)
+                                   .delta;
   STM_CHECK_MSG(delta >= 0, "replay over an empty base produced a negative"
                             " delta of " << delta);
   report.counts.push_back(
@@ -542,9 +528,9 @@ void check_mqo(const TestCase& c, const MatchingPlan&, OracleReport& report) {
     index.add(i + 1, patterns[i], c.plan, collect[i]);
   }
 
-  const auto [from, applied] = replay_as_one_batch(c.graph);
+  const auto [from, to, applied] = replay_as_one_batch(c.graph);
   const mqo::EvalResult res =
-      mqo::MultiQueryEvaluator(index).evaluate(from, applied);
+      mqo::MultiQueryEvaluator(index).evaluate(*from, *to, applied);
 
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const mqo::QueryDelta qd = index.project(i + 1, res);

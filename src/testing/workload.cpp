@@ -279,6 +279,18 @@ std::vector<std::pair<VertexId, VertexId>> edge_list(const Graph& g) {
   return edges;
 }
 
+BatchReplay replay_as_one_batch(const Graph& g) {
+  MutableGraph graph(Graph(
+      std::vector<EdgeId>(static_cast<std::size_t>(g.num_vertices()) + 1, 0),
+      {}, g.labels()));
+  UpdateBatch batch;
+  batch.insertions = edge_list(g);
+  auto from = graph.snapshot();
+  ApplyResult applied = graph.apply(batch);
+  return {std::move(from), std::move(applied.snapshot),
+          std::move(applied.applied)};
+}
+
 TestCase random_case(std::uint64_t seed, const WorkloadOptions& opts) {
   Rng rng(seed);
   TestCase c;

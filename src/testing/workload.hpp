@@ -15,11 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/config.hpp"
 #include "core/host_engine.hpp"
 #include "dist/partition.hpp"
+#include "dynamic/dynamic_graph.hpp"
 #include "graph/graph.hpp"
 #include "pattern/pattern.hpp"
 #include "pattern/plan.hpp"
@@ -70,6 +72,15 @@ Pattern label_for_graph(Rng& rng, const Graph& graph, Pattern p);
 
 /// The undirected edges of `g` as (u, v) with u < v, in CSR order.
 std::vector<std::pair<VertexId, VertexId>> edge_list(const Graph& g);
+
+/// `g` replayed as one insertion batch over an edgeless base with the same
+/// vertices and labels: the shape every standing query's baseline takes.
+struct BatchReplay {
+  std::shared_ptr<const GraphSnapshot> from;  // the edgeless version
+  std::shared_ptr<const GraphSnapshot> to;    // `g`, published after it
+  DeltaEdges applied;                         // empty for an edgeless `g`
+};
+BatchReplay replay_as_one_batch(const Graph& g);
 
 /// One point of the configuration space.
 struct TestCase {

@@ -245,11 +245,11 @@ TEST(DynamicGraph, GraphEditLayersOnSnapshot) {
   auto snap = g.apply(batch).snapshot;
 
   GraphEdit edit(snap);
-  EXPECT_TRUE(edit.has_edge(0, 2));  // reads through to the snapshot
+  EXPECT_TRUE(edit.view().has_edge(0, 2));  // reads through to the snapshot
   edit.add_edge(0, 3);
   edit.remove_edge(1, 2);
-  EXPECT_TRUE(edit.has_edge(0, 3));
-  EXPECT_FALSE(edit.has_edge(1, 2));
+  EXPECT_TRUE(edit.view().has_edge(0, 3));
+  EXPECT_FALSE(edit.view().has_edge(1, 2));
   // The snapshot is untouched.
   EXPECT_FALSE(snap->has_edge(0, 3));
   EXPECT_TRUE(snap->has_edge(1, 2));

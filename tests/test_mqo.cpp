@@ -3,15 +3,18 @@
 // registration churn, and the randomized differential proving indexed
 // deltas == per-pattern deltas == full re-enumeration — including the
 // prism vs K_{3,3} near-collider, the walk's ancestor-list reuse and
-// counting leaves, and embedding-level stream parity. The session serves
+// counting leaves, embedding-level stream parity, and a ledger of the
+// walk's exact counters over update_standing's shapes. The session serves
 // standing queries only through the index, so the MqoSession cases check
 // it against the per-pattern pipeline directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "baselines/reference.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "mqo/evaluator.hpp"
 #include "mqo/pattern_index.hpp"
@@ -56,6 +60,35 @@ UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
     } else {
       batch.insertions.emplace_back(u, v);
     }
+  }
+  return batch;
+}
+
+/// One balanced churn batch: `half` deletions of present edges and `half`
+/// insertions of absent ones, every endpoint a random neighbor of a random
+/// vertex (so drawn by degree, as update_standing's feed draws them).
+UpdateBatch churn_batch(const GraphSnapshot& snap, Rng& rng,
+                        std::size_t half) {
+  const GraphView g = snap.view();
+  const auto random_arc = [&] {
+    for (;;) {
+      const auto u = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto nbrs = g.neighbors(u);
+      if (!nbrs.empty()) return std::pair(u, nbrs[rng.next_below(nbrs.size())]);
+    }
+  };
+  std::set<std::pair<VertexId, VertexId>> used;
+  UpdateBatch batch;
+  while (batch.deletions.size() < half) {
+    const auto [u, v] = random_arc();
+    const auto e = std::minmax(u, v);
+    if (used.insert(e).second) batch.deletions.push_back(e);
+  }
+  while (batch.insertions.size() < half) {
+    const VertexId u = random_arc().second, v = random_arc().second;
+    if (u == v || g.has_edge(u, v)) continue;
+    const auto e = std::minmax(u, v);
+    if (used.insert(e).second) batch.insertions.push_back(e);
   }
   return batch;
 }
@@ -222,7 +255,8 @@ void run_mqo_differential(const Graph& base,
   for (int b = 0; b < num_batches; ++b) {
     auto from = g.snapshot();
     const ApplyResult applied = g.apply(random_batch(*from, rng, batch_edges));
-    const mqo::EvalResult res = evaluator.evaluate(from, applied.applied);
+    const mqo::EvalResult res =
+        evaluator.evaluate(*from, *applied.snapshot, applied.applied);
     const Graph compacted = applied.snapshot->compacted();
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       const mqo::QueryDelta qd = index.project(i + 1, res);
@@ -366,7 +400,8 @@ TEST(MqoDifferential, LabeledPatternsFilterExactly) {
   for (int b = 0; b < 5; ++b) {
     auto from = g.snapshot();
     const ApplyResult applied = g.apply(random_batch(*from, rng, 6));
-    const mqo::EvalResult res = evaluator.evaluate(from, applied.applied);
+    const mqo::EvalResult res =
+        evaluator.evaluate(*from, *applied.snapshot, applied.applied);
     const Graph compacted = applied.snapshot->compacted();
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       const mqo::QueryDelta qd = index.project(i + 1, res);
@@ -405,7 +440,8 @@ TEST(MqoDifferential, UniqueSubgraphModeDividesByAutomorphisms) {
   for (int b = 0; b < 5; ++b) {
     auto from = g.snapshot();
     const ApplyResult applied = g.apply(random_batch(*from, rng, 6));
-    const mqo::EvalResult res = evaluator.evaluate(from, applied.applied);
+    const mqo::EvalResult res =
+        evaluator.evaluate(*from, *applied.snapshot, applied.applied);
     const Graph compacted = applied.snapshot->compacted();
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       const mqo::QueryDelta qd = index.project(i + 1, res);
@@ -445,7 +481,8 @@ TEST(MqoChurn, DeregistrationNeverPerturbsOtherQueries) {
     auto from = g.snapshot();
     const ApplyResult applied = g.apply(random_batch(*from, rng, 5));
     const mqo::MultiQueryEvaluator evaluator(index);
-    const mqo::EvalResult res = evaluator.evaluate(from, applied.applied);
+    const mqo::EvalResult res =
+        evaluator.evaluate(*from, *applied.snapshot, applied.applied);
     EXPECT_EQ(index.project(1, res).delta,
               watched_matcher.count_delta(from, applied.applied).delta)
         << "batch " << b;
@@ -472,7 +509,8 @@ TEST(MqoChurn, EmptyIndexAndSinglePatternDegeneratePaths) {
   Rng rng(42);
   const ApplyResult applied = g.apply(random_batch(*from, rng, 5));
   // Empty index: a well-formed, all-zero result.
-  mqo::EvalResult res = evaluator.evaluate(from, applied.applied);
+  mqo::EvalResult res =
+      evaluator.evaluate(*from, *applied.snapshot, applied.applied);
   EXPECT_EQ(res.groups.size(), 0u);
   EXPECT_EQ(res.seed_walks, 0u);
 
@@ -484,9 +522,55 @@ TEST(MqoChurn, EmptyIndexAndSinglePatternDegeneratePaths) {
   IncrementalMatcher matcher(edge);
   from = g.snapshot();
   const ApplyResult applied2 = g.apply(random_batch(*from, rng, 4));
-  res = evaluator.evaluate(from, applied2.applied);
+  res = evaluator.evaluate(*from, *applied2.snapshot, applied2.applied);
   EXPECT_EQ(index.project(7, res).delta,
             matcher.count_delta(from, applied2.applied).delta);
+}
+
+TEST(MqoLedger, StandingBatchWalkCountersAreExact) {
+  // The standing walk's work ledger: update_standing's eight shapes
+  // (e2e_bench/) on its graph recipe, BA(2000, 6) capped at degree 96,
+  // through 32 balanced 16+16 churn batches, compacted before every 16th.
+  // The counters are exact, so a change to how the walk prunes, orders or
+  // tallies reads here as a number, not as noise. The constants were
+  // recorded by running the same batches through the walk over GraphEdit
+  // prefix versions (one per polarity, each embedding credited at its
+  // highest-indexed delta edge); the ordered walk over the published
+  // snapshots reads every one of them unchanged.
+  const std::vector<Pattern> shapes = {
+      Pattern::parse(kTriangle),        Pattern::parse("0-1,1-2,2-3,3-0"),
+      Pattern::parse("0-2,2-1,1-3,3-0"), Pattern::parse(kDiamond),
+      Pattern::parse(kTailedTriangle),  Pattern::parse("0-1,1-2,2-3"),
+      Pattern::parse("0-1,1-2,2-3,3-4,4-0"), query(6)};
+  mqo::PatternIndex index;
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    index.add(i + 1, shapes[i], {}, false);
+  const mqo::MultiQueryEvaluator evaluator(index);
+
+  MutableGraph g(cap_degrees(make_barabasi_albert(2000, 6, 41), 96, 42));
+  Rng rng(8);
+  std::uint64_t seed_walks = 0, node_visits = 0;
+  std::vector<std::int64_t> net(shapes.size()), gross(shapes.size());
+  for (int b = 0; b < 32; ++b) {
+    if (b % 16 == 15) g.compact();
+    auto from = g.snapshot();
+    const ApplyResult applied = g.apply(churn_batch(*from, rng, 16));
+    const mqo::EvalResult res =
+        evaluator.evaluate(*from, *applied.snapshot, applied.applied);
+    seed_walks += res.seed_walks;
+    node_visits += res.node_visits;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const std::int64_t delta = index.project(i + 1, res).delta;
+      net[i] += delta;
+      gross[i] += std::abs(delta);
+    }
+  }
+  EXPECT_EQ(seed_walks, 32u * 32u * 2u);  // both orientations of each edge
+  EXPECT_EQ(node_visits, 1935883u);
+  EXPECT_EQ(net, (std::vector<std::int64_t>{828, 18352, 18352, 2940, 52478,
+                                            551530, 471820, 17220}));
+  EXPECT_EQ(gross, (std::vector<std::int64_t>{876, 18720, 18720, 3124, 54514,
+                                              556098, 478680, 22176}));
 }
 
 /// Brute-force embedding list in original-pattern vertex order (the

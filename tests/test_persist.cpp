@@ -304,8 +304,9 @@ TEST(PersistWal, InjectedTearsRepairAndRetryDeterministically) {
     for (int i = 0; i < 20; ++i) {
       DeltaEdges d;
       d.inserted = {{static_cast<VertexId>(i), static_cast<VertexId>(i + 1)}};
-      faults += w.append_update(static_cast<std::uint64_t>(i + 1), d).faults;
+      w.append_update(static_cast<std::uint64_t>(i + 1), d);
     }
+    faults = w.faults_injected();
   }
   EXPECT_GT(faults, 0u);  // the 50% schedule must actually fire
   const persist::WalReadResult r = persist::read_wal(path);

@@ -340,7 +340,7 @@ TEST(StorageStore, MutationPathsHoldLeasesAgainstTrim) {
     // A GraphEdit resolves untouched vertices through the store lazily for
     // its whole lifetime, so it must pin the decode cache on its own.
     GraphEdit edit(dyn.snapshot());
-    ASSERT_TRUE(edit.has_edge(0, 1) || !edit.has_edge(0, 1));
+    ASSERT_TRUE(edit.view().has_edge(0, 1) || !edit.view().has_edge(0, 1));
     EXPECT_FALSE(store->trim_decoded());
   }
   EXPECT_TRUE(store->trim_decoded());

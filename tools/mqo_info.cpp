@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dynamic/dynamic_graph.hpp"
@@ -24,6 +23,7 @@
 #include "graph/generators.hpp"
 #include "mqo/evaluator.hpp"
 #include "mqo/pattern_index.hpp"
+#include "testing/workload.hpp"
 #include "util/check.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -71,24 +71,6 @@ std::vector<Pattern> demo_patterns() {
   };
 }
 
-/// Replays a whole graph as one insertion batch over an edgeless base; the
-/// shape every standing query's baseline takes (and the oracle lane's).
-std::pair<std::shared_ptr<const GraphSnapshot>, DeltaEdges> replay_batch(
-    const Graph& g) {
-  Graph empty(
-      std::vector<EdgeId>(static_cast<std::size_t>(g.num_vertices()) + 1, 0),
-      {}, g.labels());
-  MutableGraph mutable_graph(std::move(empty));
-  UpdateBatch batch;
-  for (VertexId u = 0; u < g.num_vertices(); ++u)
-    for (VertexId v : g.neighbors(u))
-      if (u < v) batch.insertions.emplace_back(u, v);
-  auto from = mutable_graph.snapshot();
-  DeltaEdges applied;
-  if (!batch.insertions.empty()) applied = mutable_graph.apply(batch).applied;
-  return {std::move(from), std::move(applied)};
-}
-
 void report(const std::vector<Pattern>& patterns, const Options& opts) {
   const auto dup =
       static_cast<std::uint64_t>(std::max<std::int64_t>(1, opts.get_int("dup", 1)));
@@ -124,8 +106,9 @@ void report(const std::vector<Pattern>& patterns, const Options& opts) {
   const auto n = static_cast<VertexId>(opts.get_int("vertices", 200));
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const Graph g = make_barabasi_albert(n, 3, seed);
-  const auto [from, applied] = replay_batch(g);
-  const mqo::EvalResult res = mqo::MultiQueryEvaluator(index).evaluate(from, applied);
+  const auto [from, to, applied] = harness::replay_as_one_batch(g);
+  const mqo::EvalResult res =
+      mqo::MultiQueryEvaluator(index).evaluate(*from, *to, applied);
 
   std::cout << "\nevaluation demo: power-law graph, " << g.num_vertices()
             << " vertices, " << g.num_edges() << " edges as one batch\n";
@@ -175,8 +158,9 @@ int selftest() {
   }
 
   const Graph g = make_barabasi_albert(120, 3, 7);
-  const auto [from, applied] = replay_batch(g);
-  const mqo::EvalResult res = mqo::MultiQueryEvaluator(index).evaluate(from, applied);
+  const auto [from, to, applied] = harness::replay_as_one_batch(g);
+  const mqo::EvalResult res =
+      mqo::MultiQueryEvaluator(index).evaluate(*from, *to, applied);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const mqo::QueryDelta qd = index.project(i + 1, res);
     const std::int64_t loop =
