@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
@@ -212,6 +213,50 @@ BENCHMARK(BM_SingleRegistration)
     ->DenseRange(0, 7)
     ->Iterations(128)
     ->Unit(benchmark::kMillisecond);
+
+/// The combined walk update_standing runs: its eight registrations in one
+/// index, the triangle collecting embeddings, on the same balanced 16+16
+/// churn batches as BM_SingleRegistration (compacted every 64). Reports the
+/// median evaluate + project ms per batch, the mean seed walks and node
+/// visits per batch, and two checksums that must not change with how the
+/// walk is organised: the summed |delta| of every registration and the
+/// number of triangle embeddings listed.
+void BM_StandingShapes(benchmark::State& state) {
+  mqo::PatternIndex index;
+  for (std::size_t i = 0; i < standing_shapes().size(); ++i) {
+    index.add(i + 1, standing_shapes()[i].second, PlanOptions{},
+              /*wants_embeddings=*/i == 0);
+  }
+  const mqo::MultiQueryEvaluator eval(index);
+
+  MutableGraph g(standing_base());
+  Rng rng(8);
+  std::vector<double> walk_ms;
+  std::uint64_t seed_walks = 0, node_visits = 0, gross = 0, listed = 0;
+  for (auto _ : state) {
+    if (walk_ms.size() % 64 == 63) g.compact();
+    auto from = g.snapshot();
+    const ApplyResult applied = g.apply(bench::churn_batch(*from, rng, 16));
+    Timer t;
+    const mqo::EvalResult res =
+        eval.evaluate(*from, *applied.snapshot, applied.applied);
+    for (std::size_t i = 0; i < standing_shapes().size(); ++i) {
+      const mqo::QueryDelta qd = index.project(i + 1, res);
+      gross += static_cast<std::uint64_t>(std::abs(qd.delta));
+      listed += qd.added.size() + qd.retracted.size();
+    }
+    walk_ms.push_back(t.elapsed_ms());
+    seed_walks += res.seed_walks;
+    node_visits += res.node_visits;
+  }
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["walk_ms"] = percentile(walk_ms, 50.0);
+  state.counters["seed_walks"] = static_cast<double>(seed_walks) / iters;
+  state.counters["node_visits"] = static_cast<double>(node_visits) / iters;
+  state.counters["gross_delta"] = static_cast<double>(gross);
+  state.counters["listed"] = static_cast<double>(listed);
+}
+BENCHMARK(BM_StandingShapes)->Iterations(128)->Unit(benchmark::kMillisecond);
 
 /// Registration throughput in the duplicate-heavy regime: after the first
 /// member of each group pays for its trie paths, a duplicate registration

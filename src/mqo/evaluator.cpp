@@ -80,23 +80,33 @@ class Walker {
       : index_(index), simd_(simd), g_(g), sign_(sign), out_(out),
         order_(order) {}
 
-  /// Both orientations of data edge (u, v) through the trie root.
+  /// Data edge (u, v) through the trie root. The forward orientation,
+  /// positions 0 and 1 on (u, v), walks the whole trie and credits a
+  /// flipped node's terminals twice: the node's flip maps what it finds
+  /// one-to-one onto what (v, u) would find. The reverse orientation then
+  /// enters only subtrees holding an unflipped terminal and credits only
+  /// those; it is not seeded when the trie holds none.
   void walk_edge(VertexId u, VertexId v) {
     STM_CHECK_MSG(g_.has_edge(u, v), "walked edge (" << u << ',' << v
                                                     << ") is not in the view");
     anchor_ = edge_key(u, v);
     const TrieNode& root = index_.trie().root();
-    const std::pair<VertexId, VertexId> seeds[2] = {{u, v}, {v, u}};
-    for (const auto& [s0, s1] : seeds) {
+    for (const bool reverse : {false, true}) {
+      if (reverse && !root.reverse) break;
+      reverse_ = reverse;
+      const VertexId s0 = reverse ? v : u;
+      const VertexId s1 = reverse ? u : v;
       ++out_->seed_walks;
       for (const auto& first : root.children) {
-        if (!label_match(first->step.label, s0)) continue;
+        if (!enters(*first) || !label_match(first->step.label, s0)) continue;
         matched_[0] = s0;
         ++out_->node_visits;
         for (const auto& second : first->children) {
           // Depth-2 steps are always mask 0b1 (the anchor edge); only the
           // label can prune here.
-          if (!label_match(second->step.label, s1)) continue;
+          if (!enters(*second) || !label_match(second->step.label, s1)) {
+            continue;
+          }
           matched_[1] = s1;
           ++out_->node_visits;
           credit(*second);
@@ -107,6 +117,17 @@ class Walker {
   }
 
  private:
+  /// Whether the current orientation walks `node`: the forward one walks
+  /// every node, the reverse one only toward unflipped terminals.
+  bool enters(const TrieNode& node) const { return !reverse_ || node.reverse; }
+
+  /// How often the current orientation credits each embedding completing
+  /// at `node`: a flipped node's count twice forward and never in reverse.
+  int weight(const TrieNode& node) const {
+    if (!node.flip) return 1;
+    return reverse_ ? 0 : 2;
+  }
+
   bool label_match(std::int16_t label, VertexId v) const {
     // A labeled step on an unlabeled graph matches nothing (the session
     // rejects such registrations at baseline enumeration; this keeps the
@@ -142,17 +163,25 @@ class Walker {
   }
 
   /// Credits every anchored plan completing at `node` with the current
-  /// partial embedding matched_[0 .. node.depth).
+  /// partial embedding matched_[0 .. node.depth). A collecting terminal on
+  /// a flipped node also lists the embedding's image under the flip, the
+  /// one the reverse orientation would have found.
   void credit(const TrieNode& node) {
+    const int weight = this->weight(node);
+    if (weight == 0) return;
     for (const TrieTerminal& t : node.terminals) {
       GroupDelta& gd = out_->groups[t.group];
-      gd.embeddings += sign_;
+      gd.embeddings += sign_ * weight;
       if (!index_.group_collects(t.group)) continue;
-      Embedding rep_order(node.depth);
+      Embedding found(node.depth);
+      Embedding image(node.flip ? node.depth : 0);
       for (std::size_t i = 0; i < node.depth; ++i) {
-        rep_order[t.perm[i]] = matched_[i];
+        found[t.perm[i]] = matched_[i];
+        if (node.flip) image[t.perm[i]] = matched_[(*node.flip)[i]];
       }
-      (sign_ > 0 ? gd.added : gd.retracted).push_back(std::move(rep_order));
+      auto& list = sign_ > 0 ? gd.added : gd.retracted;
+      list.push_back(std::move(found));
+      if (node.flip) list.push_back(std::move(image));
     }
   }
 
@@ -250,6 +279,7 @@ class Walker {
 
   void descend(const TrieNode& node, std::size_t depth) {
     for (const auto& child : node.children) {
+      if (!enters(*child)) continue;
       const std::span<const VertexId> c =
           candidates(child->step.adj_mask, depth);
       const bool leaf = child->children.empty();
@@ -259,8 +289,9 @@ class Walker {
         const std::int64_t valid =
             count_valid(c, child->step.label, child->step.adj_mask, depth);
         out_->node_visits += static_cast<std::uint64_t>(valid);
+        const std::int64_t credited = sign_ * weight(*child) * valid;
         for (const TrieTerminal& t : child->terminals) {
-          out_->groups[t.group].embeddings += sign_ * valid;
+          out_->groups[t.group].embeddings += credited;
         }
         continue;
       }
@@ -293,6 +324,8 @@ class Walker {
   EvalResult* out_;
   const Order& order_;
   std::uint64_t anchor_ = 0;
+  /// Whether the walk seeds positions 0 and 1 on (v, u) of walk_edge(u, v).
+  bool reverse_ = false;
   std::array<VertexId, kMaxPatternSize> matched_{};
   /// live_[p]: the list matched_[p] is being drawn from (valid for p below
   /// the current depth), and live_mask_[p] the prefix positions it

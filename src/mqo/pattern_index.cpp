@@ -1,6 +1,7 @@
 #include "mqo/pattern_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "pattern/canonical.hpp"
@@ -8,6 +9,31 @@
 #include "util/check.hpp"
 
 namespace stm::mqo {
+namespace {
+
+/// An automorphism in `autos` that swaps the anchor of `path` (its
+/// positions 0 and 1), as a permutation of the path's positions; nothing
+/// when none does.
+std::optional<Flip> anchor_flip(const std::vector<Permutation>& autos,
+                                const AnchoredPath& path) {
+  const std::size_t k = path.steps.size();
+  std::array<std::uint8_t, kMaxPatternSize> position{};
+  for (std::size_t i = 0; i < k; ++i) {
+    position[path.perm[i]] = static_cast<std::uint8_t>(i);
+  }
+  for (const Permutation& alpha : autos) {
+    if (alpha[path.perm[0]] != path.perm[1] ||
+        alpha[path.perm[1]] != path.perm[0]) {
+      continue;
+    }
+    Flip flip{};
+    for (std::size_t i = 0; i < k; ++i) flip[i] = position[alpha[path.perm[i]]];
+    return flip;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 void PatternIndex::validate(const Pattern& pattern, const PlanOptions& plan) {
   STM_CHECK_MSG(plan.induced == Induced::kEdge,
@@ -36,8 +62,10 @@ std::uint32_t PatternIndex::ensure_group(const Pattern& pattern,
   Group& g = groups_[slot];
   g.canon = canon;
   g.rep = pattern.relabeled(canonical_permutation(pattern));
-  // Computed once per group, consulted by every kUniqueSubgraphs projection.
-  g.aut = automorphism_count(g.rep);
+  // One sweep per group: |Aut| serves every kUniqueSubgraphs projection,
+  // and the group itself says which anchors an automorphism swaps.
+  const std::vector<Permutation> autos = stm::automorphisms(g.rep);
+  g.aut = autos.size();
   g.embed_refs = 0;
   g.members.clear();
   g.terminal_nodes.clear();
@@ -48,7 +76,8 @@ std::uint32_t PatternIndex::ensure_group(const Pattern& pattern,
   for (std::size_t a = 0; a < g.rep.size(); ++a) {
     for (std::size_t b = a + 1; b < g.rep.size(); ++b) {
       if (!g.rep.has_edge(a, b)) continue;
-      TrieNode* node = trie_.insert(anchored_path(g.rep, a, b), slot);
+      const AnchoredPath path = anchored_path(g.rep, a, b);
+      TrieNode* node = trie_.insert(path, slot, anchor_flip(autos, path));
       // Automorphic anchors land on the same node (several terminals, one
       // node); deduplicate so teardown prunes each node exactly once.
       if (std::find(g.terminal_nodes.begin(), g.terminal_nodes.end(), node) ==
@@ -128,7 +157,10 @@ bool PatternIndex::group_collects(std::size_t slot) const {
 QueryDelta PatternIndex::project(std::uint64_t id,
                                  const EvalResult& result) const {
   const Registration& reg = regs_.at(id);
-  STM_CHECK(reg.group < result.groups.size());
+  STM_CHECK_MSG(reg.group < result.groups.size(),
+                "registration " << id << " has group slot " << reg.group
+                                << ", but the result holds only "
+                                << result.groups.size());
   const GroupDelta& gd = result.groups[reg.group];
 
   QueryDelta out;

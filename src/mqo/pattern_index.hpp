@@ -48,8 +48,9 @@ struct GroupDelta {
 /// walk accounting.
 struct EvalResult {
   std::vector<GroupDelta> groups;
-  /// Seeded trie walks issued: both orientations of every delta edge,
-  /// whenever the index is non-empty (labels prune inside a walk).
+  /// Orientations seeded: the forward one of every delta edge whenever the
+  /// index is non-empty (labels prune inside a walk), and the reverse one
+  /// too when the trie holds a terminal on an unflipped node.
   std::uint64_t seed_walks = 0;
   /// Trie-node arrivals during the walks — the shared-pass analogue of
   /// per-pattern anchored_runs.

@@ -83,11 +83,32 @@ bool step_seq_less(const std::vector<TrieStep>& a,
       });
 }
 
+/// Whether `flip` permutes the positions of the anchored pattern spelled by
+/// `steps` onto itself, keeping labels and adjacency, and swaps 0 and 1.
+bool is_flip(const std::vector<TrieStep>& steps, const Flip& flip) {
+  const std::size_t k = steps.size();
+  const auto edge = [&](std::size_t i, std::size_t j) {
+    return i > j ? ((steps[i].adj_mask >> j) & 1u) != 0
+                 : ((steps[j].adj_mask >> i) & 1u) != 0;
+  };
+  if (flip[0] != 1 || flip[1] != 0) return false;
+  std::uint32_t images = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (flip[i] >= k || steps[flip[i]].label != steps[i].label) return false;
+    images |= 1u << flip[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      if (edge(i, j) != edge(flip[i], flip[j])) return false;
+    }
+  }
+  return images == (1u << k) - 1;
+}
+
 void collect_stats(const TrieNode& node, std::size_t depth, TrieStats* out) {
   for (const auto& child : node.children) {
     out->nodes += 1;
     out->max_depth = std::max(out->max_depth, depth + 1);
     out->terminals += child->terminals.size();
+    if (child->flip) out->flipped_terminals += child->terminals.size();
     out->plan_positions +=
         static_cast<std::uint64_t>(child->terminals.size()) * (depth + 1);
     collect_stats(*child, depth + 1, out);
@@ -107,6 +128,8 @@ void describe_node(const TrieNode& node, std::size_t depth,
     if (!child->terminals.empty()) {
       (*out) << " terminals=" << child->terminals.size();
     }
+    if (child->flip) (*out) << " flipped";
+    if (child->reverse) (*out) << " reverse";
     (*out) << '\n';
     describe_node(*child, depth + 1, out);
   }
@@ -126,8 +149,13 @@ AnchoredPath anchored_path(const Pattern& p, std::size_t a, std::size_t b) {
 
 PlanTrie::PlanTrie() : root_(std::make_unique<TrieNode>()) {}
 
-TrieNode* PlanTrie::insert(const AnchoredPath& path, std::uint32_t group) {
-  STM_CHECK(!path.steps.empty());
+TrieNode* PlanTrie::insert(const AnchoredPath& path, std::uint32_t group,
+                           const std::optional<Flip>& flip) {
+  STM_CHECK(!path.steps.empty() && path.steps.size() <= kMaxPatternSize);
+  STM_CHECK_MSG(!flip || is_flip(path.steps, *flip),
+                "the flip of group " << group
+                                     << "'s anchored plan is not an "
+                                        "automorphism swapping its anchor");
   TrieNode* node = root_.get();
   for (const TrieStep& step : path.steps) {
     TrieNode* next = nullptr;
@@ -147,14 +175,31 @@ TrieNode* PlanTrie::insert(const AnchoredPath& path, std::uint32_t group) {
     }
     node = next;
   }
+  if (node->terminals.empty()) {
+    node->flip = flip;
+  } else {
+    STM_CHECK_MSG(node->flip.has_value() == flip.has_value(),
+                  "group " << group << " and the other terminals at depth "
+                           << static_cast<int>(node->depth)
+                           << " disagree on whether an automorphism swaps "
+                              "the anchor");
+  }
   node->terminals.push_back(TrieTerminal{group, path.perm});
+  if (!flip) {
+    // Flags are set on whole root paths, so the first set one ends the climb.
+    for (TrieNode* n = node; n != nullptr && !n->reverse; n = n->parent) {
+      n->reverse = true;
+    }
+  }
   return node;
 }
 
 void PlanTrie::remove_terminals(TrieNode* node, std::uint32_t group) {
-  STM_CHECK(node != nullptr && node != root_.get());
+  STM_CHECK_MSG(node != nullptr && node != root_.get(),
+                "group " << group << "'s terminals sit on no trie node");
   std::erase_if(node->terminals,
                 [group](const TrieTerminal& t) { return t.group == group; });
+  if (node->terminals.empty()) node->flip.reset();
   while (node != root_.get() && node->terminals.empty() &&
          node->children.empty()) {
     TrieNode* parent = node->parent;
@@ -162,6 +207,12 @@ void PlanTrie::remove_terminals(TrieNode* node, std::uint32_t group) {
       return c.get() == node;
     });
     node = parent;
+  }
+  for (TrieNode* n = node; n != nullptr; n = n->parent) {
+    n->reverse = (!n->terminals.empty() && !n->flip) ||
+                 std::ranges::any_of(n->children, [](const auto& c) {
+                   return c->reverse;
+                 });
   }
 }
 
@@ -180,7 +231,8 @@ std::string PlanTrie::describe() const {
   std::ostringstream out;
   const TrieStats s = stats();
   out << "plan trie: " << s.nodes << " nodes, " << s.terminals
-      << " terminals, max depth " << s.max_depth << ", "
+      << " terminals (" << s.flipped_terminals << " flipped), max depth "
+      << s.max_depth << ", "
       << s.plan_positions << " plan positions, shared-prefix ratio "
       << s.shared_prefix_ratio << '\n';
   describe_node(*root_, 0, &out);

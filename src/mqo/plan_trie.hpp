@@ -19,20 +19,27 @@
 // children at once (a triangle is a shared prefix of every anchored
 // 4-clique plan).
 //
-// The trie stores plans, not state: one walk per (delta edge, orientation)
-// extends shared prefixes once and credits every terminal it completes (see
+// The trie stores plans, not state: one walk per delta edge extends shared
+// prefixes once and credits every terminal it completes (see
 // mqo/evaluator.hpp). Exactness argument: for one anchor {a, b} of pattern
 // P and data edge {u, v}, the per-pattern loop's two seeded runs count the
 // injective embeddings of P that map {a, b} onto {u, v} — a quantity
-// independent of the anchor's orientation and of the suffix enumeration
-// order. anchored_path() may pick a different deterministic order than the
-// per-pattern planner, yet both walks count the same set, so summed deltas
-// agree bit for bit.
+// independent of the suffix enumeration order. anchored_path() may pick a
+// different deterministic order than the per-pattern planner, yet both
+// walks count the same set, so summed deltas agree bit for bit.
+//
+// A node is *flipped* when an automorphism σ of its anchored pattern swaps
+// positions 0 and 1. Then f -> f∘σ maps the embeddings with positions
+// (0, 1) on (u, v) one-to-one onto those on (v, u), with the same data
+// edges and labels, so one orientation credited twice counts both. Each
+// node records σ, and whether its subtree holds a terminal on an unflipped
+// node — the only part of the trie the reverse orientation must walk.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +66,11 @@ struct TrieStep {
   bool operator==(const TrieStep&) const = default;
 };
 
+/// An automorphism of an anchored pattern that swaps the anchor, as a
+/// permutation of positions: the pattern vertex at position i maps to the
+/// one at position flip[i], and flip[0] == 1, flip[1] == 0.
+using Flip = std::array<std::uint8_t, kMaxPatternSize>;
+
 struct TrieNode {
   /// Number of prefix vertices including this node's (root = 0).
   std::uint8_t depth = 0;
@@ -66,6 +78,12 @@ struct TrieNode {
   TrieNode* parent = nullptr;
   std::vector<std::unique_ptr<TrieNode>> children;
   std::vector<TrieTerminal> terminals;
+  /// Set while the node holds terminals and is flipped: an automorphism of
+  /// its anchored pattern (the root path) that swaps positions 0 and 1.
+  std::optional<Flip> flip;
+  /// Whether the reverse orientation of a walk enters this node: its
+  /// subtree, itself included, holds a terminal on an unflipped node.
+  bool reverse = false;
 };
 
 /// The deterministic anchored vertex order of pattern `p` with anchor edge
@@ -88,6 +106,8 @@ AnchoredPath anchored_path(const Pattern& p, std::size_t a, std::size_t b);
 struct TrieStats {
   std::size_t nodes = 0;      // excluding the root
   std::size_t terminals = 0;
+  /// Terminals on flipped nodes: plans one orientation of an edge serves.
+  std::size_t flipped_terminals = 0;
   std::size_t max_depth = 0;
   /// Sum of terminal depths: the node count a trie with no sharing at all
   /// (one private chain per anchored plan) would need.
@@ -102,12 +122,17 @@ class PlanTrie {
   PlanTrie();
 
   /// Inserts `path`, reusing every existing prefix node, and attaches a
-  /// terminal for `group` at the final node. Returns that node.
-  TrieNode* insert(const AnchoredPath& path, std::uint32_t group);
+  /// terminal for `group` at the final node. Returns that node. `flip` is
+  /// an automorphism of the path's pattern swapping positions 0 and 1, or
+  /// nothing when none exists; every terminal of a node must agree on
+  /// whether one does.
+  TrieNode* insert(const AnchoredPath& path, std::uint32_t group,
+                   const std::optional<Flip>& flip);
 
-  /// Detaches every terminal of `group` from `node` and prunes ancestors
-  /// left with no terminals and no children. `node` must have been returned
-  /// by insert() on this trie (and not pruned since).
+  /// Detaches every terminal of `group` from `node`, prunes ancestors left
+  /// with no terminals and no children, and refreshes the reverse flags
+  /// above. `node` must have been returned by insert() on this trie (and
+  /// not pruned since).
   void remove_terminals(TrieNode* node, std::uint32_t group);
 
   const TrieNode& root() const { return *root_; }
@@ -116,7 +141,8 @@ class PlanTrie {
   TrieStats stats() const;
 
   /// Indented human-readable dump (one line per node: depth, step key,
-  /// terminal count, child count); backs tools/mqo_info.
+  /// terminal count, and whether the node is flipped and the reverse
+  /// orientation enters it); backs tools/mqo_info.
   std::string describe() const;
 
  private:

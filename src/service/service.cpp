@@ -152,6 +152,18 @@ GraphSession::GraphSession(Boot boot)
       recovery_walked_batches_(metrics_.counter(
           "recovery_walked_batches",
           "Replayed batches whose standing counts recovery re-walked")),
+      standing_delta_edges_(metrics_.counter(
+          "standing_delta_edges_total",
+          "Delta edges the standing-query trie walk started from, recovery "
+          "re-walks included")),
+      standing_seed_walks_(metrics_.counter(
+          "standing_seed_walks_total",
+          "Orientations of delta edges the standing-query trie walk seeded, "
+          "recovery re-walks included")),
+      standing_node_visits_(metrics_.counter(
+          "standing_node_visits_total",
+          "Trie-node arrivals of the standing-query walk, recovery re-walks "
+          "included")),
       storage_page_faults_(metrics_.counter(
           "storage_page_faults_total",
           "Spill-tier page-cache misses (pages fetched from disk)")),
@@ -173,6 +185,10 @@ GraphSession::GraphSession(Boot boot)
           "Distinct canonical pattern groups in the standing-query index")),
       trie_nodes_(metrics_.gauge(
           "trie_nodes", "Nodes of the shared-prefix plan trie")),
+      trie_flipped_terminals_(metrics_.gauge(
+          "trie_flipped_terminals",
+          "Plan-trie terminals on flipped nodes: anchored plans one "
+          "orientation of each delta edge serves")),
       shared_prefix_ratio_(metrics_.gauge(
           "shared_prefix_ratio",
           "Fraction of per-plan enumeration levels served by a shared trie "
@@ -976,7 +992,12 @@ void GraphSession::apply_standing_deltas(const GraphSnapshot& from,
                                   .evaluate(from, *applied.snapshot,
                                             applied.applied);
   const double walk_ms = walk_timer.elapsed_ms();
-  if (!standing_.empty()) indexed_delta_latency_ms_.observe(walk_ms);
+  if (!standing_.empty()) {
+    indexed_delta_latency_ms_.observe(walk_ms);
+    standing_delta_edges_.inc(res.delta_edges);
+    standing_seed_walks_.inc(res.seed_walks);
+    standing_node_visits_.inc(res.node_visits);
+  }
   const double amortized_ms =
       walk_ms / static_cast<double>(std::max<std::size_t>(standing_.size(), 1));
   for (auto& [id, sq] : standing_) {
@@ -1124,6 +1145,7 @@ void GraphSession::publish_index_metrics() {
   const mqo::IndexStats st = standing_index_.stats();
   standing_patterns_.set(static_cast<double>(st.groups));
   trie_nodes_.set(static_cast<double>(st.trie.nodes));
+  trie_flipped_terminals_.set(static_cast<double>(st.trie.flipped_terminals));
   shared_prefix_ratio_.set(st.trie.shared_prefix_ratio);
 }
 

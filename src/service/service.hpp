@@ -581,6 +581,9 @@ class GraphSession {
   Counter& checkpoint_failures_;
   Counter& recovery_replayed_batches_;
   Counter& recovery_walked_batches_;
+  Counter& standing_delta_edges_;
+  Counter& standing_seed_walks_;
+  Counter& standing_node_visits_;
   Counter& storage_page_faults_;
   Counter& storage_decode_ops_;
   Gauge& inflight_;
@@ -591,6 +594,7 @@ class GraphSession {
   Gauge& standing_queries_;
   Gauge& standing_patterns_;
   Gauge& trie_nodes_;
+  Gauge& trie_flipped_terminals_;
   Gauge& shared_prefix_ratio_;
   Gauge& shard_imbalance_;
   Gauge& cut_edge_fraction_;

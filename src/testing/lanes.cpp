@@ -509,7 +509,9 @@ bool mqo_applies(const TestCase& c, std::uint64_t) {
 /// registration's indexed delta must equal its own IncrementalMatcher's
 /// delta and the brute-force count of the full graph; registrations cheap
 /// enough to collect must reproduce DeltaStreamer's embedding lists bit for
-/// bit. The lane votes with the case pattern's indexed count.
+/// bit. Then every edge is deleted again as one batch, which must negate
+/// each delta and retract exactly the embeddings the insertions added. The
+/// lane votes with the case pattern's indexed count.
 void check_mqo(const TestCase& c, const MatchingPlan&, OracleReport& report) {
   std::vector<Pattern> patterns = {c.pattern};
   patterns.insert(patterns.end(), c.mqo_patterns.begin(),
@@ -529,8 +531,15 @@ void check_mqo(const TestCase& c, const MatchingPlan&, OracleReport& report) {
   }
 
   const auto [from, to, applied] = replay_as_one_batch(c.graph);
-  const mqo::EvalResult res =
-      mqo::MultiQueryEvaluator(index).evaluate(*from, *to, applied);
+  const mqo::MultiQueryEvaluator evaluator(index);
+  const mqo::EvalResult res = evaluator.evaluate(*from, *to, applied);
+  MutableGraph full(c.graph);
+  UpdateBatch teardown;
+  teardown.deletions = edge_list(c.graph);
+  const auto before = full.snapshot();
+  const ApplyResult removed = full.apply(teardown);
+  const mqo::EvalResult undo =
+      evaluator.evaluate(*before, *removed.snapshot, removed.applied);
 
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const mqo::QueryDelta qd = index.project(i + 1, res);
@@ -550,7 +559,22 @@ void check_mqo(const TestCase& c, const MatchingPlan&, OracleReport& report) {
                        " != per-pattern delta " + std::to_string(loop));
       continue;
     }
+    const mqo::QueryDelta dd = index.project(i + 1, undo);
+    if (dd.delta != -qd.delta) {
+      fail(report, who + " deleting every edge gives delta " +
+                       std::to_string(dd.delta) + ", inserting them " +
+                       std::to_string(qd.delta));
+      continue;
+    }
     if (!collect[i]) continue;
+    if (dd.retracted != qd.added || !dd.added.empty()) {
+      fail(report, who + " deleting every edge retracts " +
+                       std::to_string(dd.retracted.size()) + " and adds " +
+                       std::to_string(dd.added.size()) +
+                       " embeddings, inserting them added " +
+                       std::to_string(qd.added.size()));
+      continue;
+    }
     stream::DeltaBatch sb;
     if (!applied.empty())
       sb = stream::DeltaStreamer(patterns[i], c.plan).delta(from, applied);

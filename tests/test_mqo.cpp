@@ -93,6 +93,45 @@ UpdateBatch churn_batch(const GraphSnapshot& snap, Rng& rng,
   return batch;
 }
 
+/// update_standing's eight standing shapes (e2e_bench/), in its
+/// registration order: triangle, 4-cycle, 4-cycle renumbered, diamond,
+/// tailed triangle, 4-path, 5-cycle, q6.
+std::vector<Pattern> standing_shapes() {
+  return {Pattern::parse(kTriangle),         Pattern::parse("0-1,1-2,2-3,3-0"),
+          Pattern::parse("0-2,2-1,1-3,3-0"), Pattern::parse(kDiamond),
+          Pattern::parse(kTailedTriangle),   Pattern::parse("0-1,1-2,2-3"),
+          Pattern::parse("0-1,1-2,2-3,3-4,4-0"), query(6)};
+}
+
+/// The flags of every node of an unlabeled trie, keyed by its step masks
+/// past the anchor as describe() prints them ("11>100": position 2 joins
+/// both anchor vertices, position 3 only position 2; "pos0" and "anchor"
+/// for the first two positions), mapped to "F" when the node is flipped
+/// plus "R" when the reverse orientation enters it.
+void collect_flip_flags(const mqo::TrieNode& node, const std::string& path,
+                        std::map<std::string, std::string>* out) {
+  for (const auto& child : node.children) {
+    std::string key = child->depth == 1 ? "pos0" : "anchor";
+    if (child->depth > 2) {
+      key = path == "anchor" ? "" : path + '>';
+      for (std::size_t j = child->depth - 1; j-- > 0;) {
+        key += ((child->step.adj_mask >> j) & 1u) ? '1' : '0';
+      }
+    }
+    std::string flags;
+    if (child->flip) flags += 'F';
+    if (child->reverse) flags += 'R';
+    if (!flags.empty()) (*out)[key] = flags;
+    collect_flip_flags(*child, key, out);
+  }
+}
+
+std::map<std::string, std::string> flip_flags(const mqo::PatternIndex& index) {
+  std::map<std::string, std::string> out;
+  collect_flip_flags(index.trie().root(), "", &out);
+  return out;
+}
+
 TEST(MqoTrie, AnchoredPathIsOrientationInvariant) {
   for (const char* s : {kTriangle, kPath3, kFourClique, kPrism, kK33}) {
     const Pattern p = Pattern::parse(s);
@@ -129,10 +168,13 @@ TEST(MqoTrie, InsertRemoveRoundTripsToEmpty) {
   EXPECT_EQ(trie.stats().shared_prefix_ratio, 0.0);
 
   const Pattern tri = Pattern::parse(kTriangle);
+  // Swapping the anchor of a triangle is an automorphism.
+  const mqo::Flip swap_anchor{1, 0, 2};
   std::vector<mqo::TrieNode*> nodes;
   for (std::size_t a = 0; a < 3; ++a) {
     for (std::size_t b = a + 1; b < 3; ++b) {
-      nodes.push_back(trie.insert(mqo::anchored_path(tri, a, b), 0));
+      nodes.push_back(
+          trie.insert(mqo::anchored_path(tri, a, b), 0, swap_anchor));
     }
   }
   // The triangle's three anchored paths are identical: one chain of three
@@ -142,6 +184,8 @@ TEST(MqoTrie, InsertRemoveRoundTripsToEmpty) {
   mqo::TrieStats st = trie.stats();
   EXPECT_EQ(st.nodes, 3u);
   EXPECT_EQ(st.terminals, 3u);
+  EXPECT_EQ(st.flipped_terminals, 3u);
+  EXPECT_FALSE(trie.root().reverse);
   EXPECT_EQ(st.max_depth, 3u);
   EXPECT_EQ(st.plan_positions, 9u);
   EXPECT_DOUBLE_EQ(st.shared_prefix_ratio, 1.0 - 3.0 / 9.0);
@@ -166,6 +210,57 @@ TEST(MqoTrie, TrianglePrefixSharedWithFourClique) {
   EXPECT_EQ(st.nodes, tri_nodes + 1);
   EXPECT_EQ(st.max_depth, 4u);
   EXPECT_GT(st.shared_prefix_ratio, 0.5);
+}
+
+TEST(MqoTrie, FlipFlagsFollowRegistrations) {
+  // update_standing's shapes: an automorphism swaps the anchor of every
+  // triangle and cycle edge, the diamond's chord, the tailed triangle's
+  // edge opposite the tail, q6's K4 edge away from the pendant and the
+  // 4-path's middle edge. The reverse orientation enters only the subtrees
+  // above the other terminals.
+  const std::vector<Pattern> shapes = standing_shapes();
+  mqo::PatternIndex index;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    index.add(i + 1, shapes[i], {}, false);
+  }
+  const std::map<std::string, std::string> all = {
+      {"pos0", "R"},         {"anchor", "R"},
+      {"11", "FR"},          {"11>101", "R"},
+      {"11>011", "F"},       {"11>100", "F"},    {"11>001", "R"},
+      {"11>111", "R"},       {"11>111>1000", "F"}, {"11>111>0001", "R"},
+      {"01", "R"},           {"01>110", "F"},    {"01>101", "R"},
+      {"01>101>1101", "R"},  {"01>100", "R"},    {"01>010", "F"},
+      {"01>010>1100", "F"}};
+  EXPECT_EQ(flip_flags(index), all);
+  const mqo::TrieStats st = index.stats().trie;
+  EXPECT_EQ(st.nodes, 17u);
+  EXPECT_EQ(st.terminals, 31u);
+  EXPECT_EQ(st.flipped_terminals, 18u);
+  EXPECT_NE(index.trie().describe().find("terminals=5 flipped\n"),
+            std::string::npos);
+
+  // Without the diamond, tailed triangle, 4-path and q6 every terminal is
+  // flipped: the reverse orientation enters no root child.
+  for (const std::uint64_t id : {4, 5, 6, 8}) EXPECT_TRUE(index.remove(id));
+  EXPECT_FALSE(index.trie().root().reverse);
+  for (const auto& [path, flags] : flip_flags(index)) {
+    EXPECT_EQ(flags.find('R'), std::string::npos) << path;
+  }
+  EXPECT_EQ(index.stats().trie.flipped_terminals,
+            index.stats().trie.terminals);
+
+  // Re-adding the 4-path restores its unflipped end-edge plans and the
+  // flags above them, exactly as a fresh index builds them.
+  index.add(6, shapes[5], {}, false);
+  mqo::PatternIndex fresh;
+  for (const std::size_t i : {0, 1, 2, 5, 6}) {
+    fresh.add(i + 1, shapes[i], {}, false);
+  }
+  EXPECT_TRUE(index.trie().root().reverse);
+  EXPECT_EQ(flip_flags(index), flip_flags(fresh));
+  EXPECT_EQ(flip_flags(index).at("01>010"), "F");
+  EXPECT_EQ(index.stats().trie.flipped_terminals,
+            fresh.stats().trie.flipped_terminals);
 }
 
 TEST(MqoIndex, IsomorphicRegistrationsShareOneGroup) {
@@ -225,14 +320,17 @@ TEST(MqoIndex, GroupSlotsAreReusedUnderChurn) {
 
 /// Registers `patterns` into an index (ids 1..n, kEmbeddings; pattern i
 /// collects embeddings iff collect[i]) and runs `num_batches` random batches
-/// over `base`, asserting after each that every registration's indexed
-/// delta equals its per-pattern IncrementalMatcher delta and cumulative full
+/// of `batch_edges` edges over `base` — balanced churn batches, half
+/// deletions and half insertions drawn by degree, when `churn` is set —
+/// asserting after each that every registration's indexed delta equals its
+/// per-pattern IncrementalMatcher delta and cumulative full
 /// re-enumeration, and a collecting registration's lists equal its
 /// DeltaStreamer embedding lists.
 void run_mqo_differential(const Graph& base,
                           const std::vector<Pattern>& patterns,
                           const std::vector<bool>& collect, std::uint64_t seed,
-                          int num_batches, int batch_edges) {
+                          int num_batches, int batch_edges,
+                          bool churn = false) {
   MutableGraph g(base);
 
   mqo::PatternIndex index;
@@ -254,7 +352,9 @@ void run_mqo_differential(const Graph& base,
   Rng rng(seed * 6151 + 7);
   for (int b = 0; b < num_batches; ++b) {
     auto from = g.snapshot();
-    const ApplyResult applied = g.apply(random_batch(*from, rng, batch_edges));
+    const ApplyResult applied = g.apply(
+        churn ? churn_batch(*from, rng, static_cast<std::size_t>(batch_edges) / 2)
+              : random_batch(*from, rng, batch_edges));
     const mqo::EvalResult res =
         evaluator.evaluate(*from, *applied.snapshot, applied.applied);
     const Graph compacted = applied.snapshot->compacted();
@@ -372,6 +472,19 @@ TEST(MqoDifferential, CollectingLeafBesideCountedLeavesMaterializes) {
                         Pattern::parse(kDiamond),
                         Pattern::parse(kTailedTriangle)},
                        {true, false, false, true}, 97, 5, 6);
+}
+
+TEST(MqoDifferential, StandingShapesUnderChurnTallyLongLists) {
+  // update_standing's shapes, the triangle collecting, on a graph whose
+  // hubs' lists pass the leaf tally's 16-element search threshold. Balanced
+  // churn lands several same-polarity delta edges on one hub, so a long
+  // leaf list can hold a vertex that closes an edge ordered after the
+  // anchor: the tally must take its pass, not its shortcut, there.
+  const Graph base = cap_degrees(make_barabasi_albert(60, 4, 29), 30, 30);
+  const std::vector<Pattern> shapes = standing_shapes();
+  std::vector<bool> collect(shapes.size(), false);
+  collect[0] = true;
+  run_mqo_differential(base, shapes, collect, 29, 4, 24, /*churn=*/true);
 }
 
 TEST(MqoDifferential, LabeledPatternsFilterExactly) {
@@ -527,21 +640,19 @@ TEST(MqoChurn, EmptyIndexAndSinglePatternDegeneratePaths) {
             matcher.count_delta(from, applied2.applied).delta);
 }
 
-TEST(MqoLedger, StandingBatchWalkCountersAreExact) {
-  // The standing walk's work ledger: update_standing's eight shapes
-  // (e2e_bench/) on its graph recipe, BA(2000, 6) capped at degree 96,
-  // through 32 balanced 16+16 churn batches, compacted before every 16th.
-  // The counters are exact, so a change to how the walk prunes, orders or
-  // tallies reads here as a number, not as noise. The constants were
-  // recorded by running the same batches through the walk over GraphEdit
-  // prefix versions (one per polarity, each embedding credited at its
-  // highest-indexed delta edge); the ordered walk over the published
-  // snapshots reads every one of them unchanged.
-  const std::vector<Pattern> shapes = {
-      Pattern::parse(kTriangle),        Pattern::parse("0-1,1-2,2-3,3-0"),
-      Pattern::parse("0-2,2-1,1-3,3-0"), Pattern::parse(kDiamond),
-      Pattern::parse(kTailedTriangle),  Pattern::parse("0-1,1-2,2-3"),
-      Pattern::parse("0-1,1-2,2-3,3-4,4-0"), query(6)};
+/// The standing walk's work ledger: `shapes` in one index on
+/// update_standing's graph recipe, BA(2000, 6) capped at degree 96, through
+/// 32 balanced 16+16 churn batches, compacted before every 16th. The
+/// counters are exact, so a change to how the walk prunes, orders or
+/// tallies reads as a number, not as noise.
+struct StandingLedger {
+  std::uint64_t seed_walks = 0;
+  std::uint64_t node_visits = 0;
+  std::vector<std::int64_t> net;    // per registration
+  std::vector<std::int64_t> gross;  // per registration, sum of |delta|
+};
+
+StandingLedger standing_ledger(const std::vector<Pattern>& shapes) {
   mqo::PatternIndex index;
   for (std::size_t i = 0; i < shapes.size(); ++i)
     index.add(i + 1, shapes[i], {}, false);
@@ -549,28 +660,67 @@ TEST(MqoLedger, StandingBatchWalkCountersAreExact) {
 
   MutableGraph g(cap_degrees(make_barabasi_albert(2000, 6, 41), 96, 42));
   Rng rng(8);
-  std::uint64_t seed_walks = 0, node_visits = 0;
-  std::vector<std::int64_t> net(shapes.size()), gross(shapes.size());
+  StandingLedger out;
+  out.net.resize(shapes.size());
+  out.gross.resize(shapes.size());
   for (int b = 0; b < 32; ++b) {
     if (b % 16 == 15) g.compact();
     auto from = g.snapshot();
     const ApplyResult applied = g.apply(churn_batch(*from, rng, 16));
     const mqo::EvalResult res =
         evaluator.evaluate(*from, *applied.snapshot, applied.applied);
-    seed_walks += res.seed_walks;
-    node_visits += res.node_visits;
+    out.seed_walks += res.seed_walks;
+    out.node_visits += res.node_visits;
     for (std::size_t i = 0; i < shapes.size(); ++i) {
       const std::int64_t delta = index.project(i + 1, res).delta;
-      net[i] += delta;
-      gross[i] += std::abs(delta);
+      out.net[i] += delta;
+      out.gross[i] += std::abs(delta);
     }
   }
-  EXPECT_EQ(seed_walks, 32u * 32u * 2u);  // both orientations of each edge
-  EXPECT_EQ(node_visits, 1935883u);
-  EXPECT_EQ(net, (std::vector<std::int64_t>{828, 18352, 18352, 2940, 52478,
-                                            551530, 471820, 17220}));
-  EXPECT_EQ(gross, (std::vector<std::int64_t>{876, 18720, 18720, 3124, 54514,
-                                              556098, 478680, 22176}));
+  return out;
+}
+
+// The per-registration deltas were recorded by walking the same batches
+// over GraphEdit prefix versions, both orientations of every delta edge;
+// the ordered walk over the published snapshots and the one-orientation
+// walk of flipped nodes read every one of them unchanged.
+const std::vector<std::int64_t> kLedgerNet = {828,    18352,  18352, 2940,
+                                              52478,  551530, 471820, 17220};
+const std::vector<std::int64_t> kLedgerGross = {876,    18720,  18720, 3124,
+                                                54514,  556098, 478680, 22176};
+
+TEST(MqoLedger, StandingBatchWalkCountersAreExact) {
+  const StandingLedger all = standing_ledger(standing_shapes());
+  // The 4-path's end edges, among others, are unflipped anchors, so every
+  // delta edge still seeds both orientations; the reverse one walks only
+  // toward those terminals (1,935,883 node visits walking both in full).
+  EXPECT_EQ(all.seed_walks, 32u * 32u * 2u);
+  EXPECT_EQ(all.node_visits, 1422669u);
+  EXPECT_EQ(all.net, kLedgerNet);
+  EXPECT_EQ(all.gross, kLedgerGross);
+}
+
+TEST(MqoLedger, SingleRegistrationWalkCountersAreExact) {
+  // Each shape alone, on the same batches, with its deltas unchanged.
+  // Every anchor of the triangle and of the cycles is flipped, so they seed
+  // one orientation per delta edge. Walking both orientations in full read
+  // 2,048 seed walks for every shape and 4,708, 55,888, 55,888, 6,395,
+  // 126,161, 1,574,887, 1,024,368 and 84,350 node visits.
+  struct Row {
+    std::uint64_t seed_walks;
+    std::uint64_t node_visits;
+  };
+  const std::vector<Row> rows = {
+      {1024, 2354},    {1024, 37715},   {1024, 37715},  {2048, 6015},
+      {2048, 111704},  {2048, 1210085}, {1024, 521955}, {2048, 82681}};
+  const std::vector<Pattern> shapes = standing_shapes();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const StandingLedger one = standing_ledger({shapes[i]});
+    EXPECT_EQ(one.seed_walks, rows[i].seed_walks) << "shape " << i;
+    EXPECT_EQ(one.node_visits, rows[i].node_visits) << "shape " << i;
+    EXPECT_EQ(one.net[0], kLedgerNet[i]) << "shape " << i;
+    EXPECT_EQ(one.gross[0], kLedgerGross[i]) << "shape " << i;
+  }
 }
 
 /// Brute-force embedding list in original-pattern vertex order (the
@@ -667,6 +817,7 @@ TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
   }
   EXPECT_EQ(session.metrics().gauge("standing_patterns").value(), 0.0);
   EXPECT_EQ(session.metrics().gauge("trie_nodes").value(), 0.0);
+  EXPECT_EQ(session.metrics().gauge("trie_flipped_terminals").value(), 0.0);
   EXPECT_EQ(session.standing_index_stats().trie.nodes, 0u);
 }
 
@@ -698,6 +849,49 @@ TEST(MqoSession, SiblingBaselineSkipsFullEnumeration) {
             reference_count(session.snapshot()->view(), cfg.pattern, {}));
   EXPECT_EQ(session.standing_query(second)->count,
             session.standing_query(first)->count);
+}
+
+TEST(MqoSession, StandingWalkCountersAreExact) {
+  // The session exports the walk's work: its counters sum every batch's
+  // delta edges, seed walks and node visits, which an index fed the same
+  // batches reproduces. The path's end-edge anchors are unflipped, so its
+  // edges also seed the reverse orientation.
+  GraphSession session(make_erdos_renyi(40, 0.15, 19));
+  const std::vector<Pattern> patterns = {Pattern::parse(kTriangle),
+                                         Pattern::parse(kPath3),
+                                         Pattern::parse("0-1,1-2,2-3,3-0")};
+  mqo::PatternIndex twin;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    StandingQueryConfig cfg;
+    cfg.pattern = patterns[i];
+    session.register_standing_query(cfg);
+    twin.add(i + 1, patterns[i], {}, false);
+  }
+  const mqo::MultiQueryEvaluator evaluator(twin);
+  // The triangle's and the 4-cycle's terminals are flipped, the path's not.
+  EXPECT_EQ(session.metrics().gauge("trie_flipped_terminals").value(),
+            static_cast<double>(twin.stats().trie.flipped_terminals));
+  Rng rng(4040);
+  std::uint64_t delta_edges = 0, seed_walks = 0, node_visits = 0;
+  for (int b = 0; b < 8; ++b) {
+    const auto from = session.snapshot();
+    const UpdateOutcome out = session.apply_updates(random_batch(*from, rng, 6));
+    ASSERT_TRUE(out.ok());
+    const mqo::EvalResult res =
+        evaluator.evaluate(*from, *session.snapshot(), out.applied);
+    delta_edges += res.delta_edges;
+    seed_walks += res.seed_walks;
+    node_visits += res.node_visits;
+  }
+  EXPECT_EQ(delta_edges, 43u);
+  EXPECT_EQ(seed_walks, 86u);
+  EXPECT_EQ(node_visits, 1128u);
+  EXPECT_EQ(session.metrics().counter("standing_delta_edges_total").value(),
+            delta_edges);
+  EXPECT_EQ(session.metrics().counter("standing_seed_walks_total").value(),
+            seed_walks);
+  EXPECT_EQ(session.metrics().counter("standing_node_visits_total").value(),
+            node_visits);
 }
 
 TEST(MqoSession, OnDeltaStreamsExactEmbeddings) {

@@ -1003,6 +1003,8 @@ struct KillScenario {
     if (e.has_standing) twin.add(standing_id, triangle(), {}, false);
     EXPECT_EQ(st.trie.nodes, twin.stats().trie.nodes) << what;
     EXPECT_EQ(st.trie.terminals, twin.stats().trie.terminals) << what;
+    EXPECT_EQ(st.trie.flipped_terminals, twin.stats().trie.flipped_terminals)
+        << what;
     EXPECT_EQ(st.trie.max_depth, twin.stats().trie.max_depth) << what;
     if (then) then(s, e);
   }
@@ -1026,6 +1028,7 @@ TEST(PersistKillMatrix, IndexedTrieRebuildAtEveryBoundary) {
     EXPECT_EQ(st.registrations, e.has_standing ? 2u : 1u);
     EXPECT_EQ(st.trie.nodes, twin.stats().trie.nodes);
     EXPECT_EQ(st.trie.terminals, twin.stats().trie.terminals);
+    EXPECT_EQ(st.trie.flipped_terminals, twin.stats().trie.flipped_terminals);
     const UpdateOutcome out = s.apply_updates(make_batch(6, 60));
     ASSERT_TRUE(out.ok()) << out.error;
     EXPECT_EQ(s.standing_query(path_id)->count, count_matches(s, path));

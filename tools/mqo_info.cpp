@@ -94,7 +94,8 @@ void report(const std::vector<Pattern>& patterns, const Options& opts) {
   std::cout << "\nregistrations: " << st.registrations
             << "  canonical groups: " << st.groups << "\n"
             << "trie: " << st.trie.nodes << " nodes, " << st.trie.terminals
-            << " terminals, max depth " << st.trie.max_depth << "\n"
+            << " terminals (" << st.trie.flipped_terminals
+            << " on flipped nodes), max depth " << st.trie.max_depth << "\n"
             << "plan positions (no-sharing node count): "
             << st.trie.plan_positions << "\n"
             << "shared-prefix ratio: "
@@ -133,11 +134,25 @@ void report(const std::vector<Pattern>& patterns, const Options& opts) {
             << " anchored runs for the same batch\n";
 }
 
-/// Sharing must show up on the demo set and the indexed deltas must equal
-/// the per-pattern IncrementalMatcher's, registration by registration.
+/// Sharing must show up on the demo set, an automorphism must swap every
+/// anchor of the triangle, 4-clique, prism and K_{3,3} and none of the
+/// path's, and the indexed deltas must equal the per-pattern
+/// IncrementalMatcher's, registration by registration.
 int selftest() {
   mqo::PatternIndex index;
   const std::vector<Pattern> patterns = demo_patterns();
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    mqo::PatternIndex alone;
+    alone.add(1, patterns[i], PlanOptions{}, /*wants_embeddings=*/false);
+    const mqo::TrieStats st = alone.stats().trie;
+    const bool path = i + 1 == patterns.size();  // demo_patterns() ends with it
+    if (st.flipped_terminals != (path ? 0 : st.terminals)) {
+      std::cerr << "selftest: pattern " << patterns[i].to_string() << " has "
+                << st.flipped_terminals << " of " << st.terminals
+                << " terminals on flipped nodes\n";
+      return 1;
+    }
+  }
   std::uint64_t id = 0;
   for (const Pattern& p : patterns)
     index.add(++id, p, PlanOptions{}, /*wants_embeddings=*/false);
@@ -178,8 +193,8 @@ int selftest() {
     std::cerr << "selftest: trie not empty after removing every registration\n";
     return 1;
   }
-  std::cout << "selftest: prefix sharing present, indexed deltas match the "
-               "per-pattern loop\n";
+  std::cout << "selftest: prefix sharing present, flips as expected, indexed "
+               "deltas match the per-pattern loop\n";
   return 0;
 }
 
