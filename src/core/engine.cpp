@@ -127,10 +127,7 @@ class StackEngine {
                  ? (range_end - range_.begin + range_.stride - 1) /
                        range_.stride
                  : 0;
-    if (cfg_.fault.enabled()) {
-      STM_CHECK(cfg_.fault.max_unit_attempts >= 1);
-      injector_.emplace(cfg_.fault);
-    }
+    if (cfg_.fault.enabled()) injector_.emplace(cfg_.fault);
     build_carry_sets();
   }
 

@@ -1,5 +1,6 @@
 #include "core/fault.hpp"
 
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace stm {
@@ -21,6 +22,11 @@ const char* to_string(FaultSite site) {
     case FaultSite::kPageRead: return "page_read";
   }
   return "unknown";
+}
+
+FaultInjector::FaultInjector(const FaultConfig& cfg) : cfg_(cfg) {
+  STM_CHECK_MSG(cfg_.max_unit_attempts >= 1,
+                "fault schedule: max_unit_attempts must be >= 1");
 }
 
 double FaultInjector::decide(FaultSite site, std::uint64_t key) const {

@@ -61,8 +61,8 @@ class FaultInjectedError : public std::runtime_error {
 };
 
 /// Per-run fault schedule: a seed plus one firing rate per site. Value type;
-/// carried inside EngineConfig / HostEngineConfig so chaos tests configure
-/// faults through the normal request path.
+/// carried by EngineConfig, HostEngineConfig, StreamOptions and
+/// SessionConfig so chaos tests configure faults through the normal path.
 struct FaultConfig {
   /// Schedule seed. Same seed (and rates) => identical failure schedule.
   std::uint64_t seed = 0;
@@ -72,7 +72,8 @@ struct FaultConfig {
   /// Probability in [0, 1] that a decision at each site fires.
   std::array<double, kNumFaultSites> rates{};
   /// Execution attempts allowed per recovery unit (failed chunk, captured
-  /// warp frame, device slice) before the run gives up with kInternalError.
+  /// warp frame, device slice) before the run gives up with kInternalError;
+  /// below 1 is a check_error wherever a budget is first used.
   std::uint32_t max_unit_attempts = 8;
 
   double rate(FaultSite site) const {
@@ -94,7 +95,7 @@ struct FaultConfig {
 /// only for statistics and never influence decisions.
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultConfig& cfg) : cfg_(cfg) {}
+  explicit FaultInjector(const FaultConfig& cfg);
 
   /// Decides whether the work unit identified by `key` fails at `site`.
   /// Deterministic and independent of call order across threads.

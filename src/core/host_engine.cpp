@@ -35,7 +35,6 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
   STM_CHECK(cfg.chunk_size >= 1);
   std::optional<FaultInjector> injector;
   if (cfg.fault.enabled()) {
-    STM_CHECK(cfg.fault.max_unit_attempts >= 1);
     injector.emplace(cfg.fault);
     if (injector->should_fail(FaultSite::kEngineThrow, 0)) {
       throw FaultInjectedError("injected fault: host engine call failed");

@@ -86,7 +86,6 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   FaultConfig fault_cfg = opts_.fault;
   fault_cfg.incarnation += attempt;
   FaultInjector injector(fault_cfg);
-  const bool chaos = fault_cfg.enabled();
   std::atomic<bool> exhausted{false};
 
   // A chunk walks its cut edges over `g` itself under the edge order of
@@ -111,8 +110,8 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         out.query.status = cancel->status();
         return;
       }
-      if (chaos && injector.should_fail(FaultSite::kShardFailure,
-                                        unit_key(kLocalUnit, s, a)))
+      if (injector.should_fail(FaultSite::kShardFailure,
+                               unit_key(kLocalUnit, s, a)))
         continue;  // the unit died before completing; re-run it
       EngineRun r;
       try {
@@ -161,8 +160,8 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         out.status = cancel->status();
         return;
       }
-      if (chaos && injector.should_fail(FaultSite::kShardFailure,
-                                        unit_key(kChunkUnit, c, a)))
+      if (injector.should_fail(FaultSite::kShardFailure,
+                               unit_key(kChunkUnit, c, a)))
         continue;
       mqo::EvalResult walk;
       walk.groups.resize(cut_index_.num_group_slots());

@@ -122,8 +122,6 @@ class ShardedMatcher {
                       std::uint64_t attempt = 0,
                       const CancelToken* cancel = nullptr) const;
 
-  const Pattern& pattern() const { return pattern_; }
-  const ShardedOptions& options() const { return opts_; }
   /// |Aut(pattern)|: the embeddings-per-subgraph factor of the cut term.
   std::uint64_t automorphisms() const {
     return cut_index_.empty() ? 1 : cut_index_.automorphisms(kCutQuery);

@@ -59,13 +59,16 @@ Graph GraphSnapshot::compacted() const {
 }
 
 MutableGraph::MutableGraph(Graph base, std::uint64_t start_epoch,
-                           storage::StoragePolicy storage)
+                           storage::StoragePolicy storage,
+                           const FaultConfig& fault)
     : seed_(std::make_shared<const Graph>(std::move(base))),
-      storage_policy_(std::move(storage)) {
+      storage_policy_(std::move(storage)),
+      page_fault_(fault) {
   auto snap = std::make_shared<GraphSnapshot>(GraphSnapshot{});
   snap->base_ = seed_;
   if (storage_policy_.backend != storage::Backend::kUncompressed)
-    snap->store_ = storage::GraphStore::build(seed_, storage_policy_);
+    snap->store_ =
+        storage::GraphStore::build(seed_, storage_policy_, page_fault_);
   snap->epoch_ = start_epoch;
   snap->num_edges_ = seed_->num_edges();
   current_ = std::move(snap);
@@ -78,10 +81,12 @@ std::shared_ptr<const GraphSnapshot> MutableGraph::snapshot() const {
 
 void MutableGraph::set_fault(const FaultConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (cfg.enabled())
-    injector_.emplace(cfg);
-  else
-    injector_.reset();
+  injector_.emplace(cfg);
+}
+
+std::uint64_t MutableGraph::faults_injected() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return injector_.has_value() ? injector_->total_injected() : 0;
 }
 
 ApplyResult MutableGraph::apply(
@@ -164,7 +169,8 @@ std::shared_ptr<const GraphSnapshot> MutableGraph::compact() {
   auto next = std::make_shared<GraphSnapshot>(GraphSnapshot{});
   next->base_ = base;
   if (storage_policy_.backend != storage::Backend::kUncompressed)
-    next->store_ = storage::GraphStore::build(base, storage_policy_);
+    next->store_ =
+        storage::GraphStore::build(base, storage_policy_, page_fault_);
   next->epoch_ = cur.epoch_;  // same logical graph, same epoch
   next->num_edges_ = cur.num_edges_;
   current_ = std::move(next);

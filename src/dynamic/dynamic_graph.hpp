@@ -13,8 +13,8 @@
 //
 // `compact()` rebuilds the CSR from the current version (folding the pages
 // in) without changing the logical graph, so the epoch is kept; `apply()`
-// bumps the monotone epoch, which keys plan-cache entries (a matching order
-// tuned to stale degrees is never reused after heavy updates).
+// bumps the monotone epoch, which names the version a query ran on. Plans
+// read no graph, so a batch leaves every cached plan valid.
 #pragma once
 
 #include <cstdint>
@@ -190,9 +190,11 @@ class MutableGraph {
   /// graph at its checkpointed epoch so replayed batches reproduce the exact
   /// epoch sequence of the uninterrupted run. `storage` selects the backend
   /// serving clean-vertex adjacency (default: raw CSR); compact() re-encodes
-  /// the folded graph under the same policy.
+  /// the folded graph under the same policy. `fault` drives
+  /// FaultSite::kPageRead of every store this graph builds.
   explicit MutableGraph(Graph base, std::uint64_t start_epoch = 0,
-                        storage::StoragePolicy storage = {});
+                        storage::StoragePolicy storage = {},
+                        const FaultConfig& fault = {});
 
   /// The current version.
   std::shared_ptr<const GraphSnapshot> snapshot() const;
@@ -227,10 +229,13 @@ class MutableGraph {
   /// Installs a fault-injection schedule (FaultSite::kUpdateApply fires a
   /// FaultInjectedError after batch validation, before publication).
   void set_fault(const FaultConfig& cfg);
+  /// kUpdateApply firings so far.
+  std::uint64_t faults_injected() const;
 
  private:
   std::shared_ptr<const Graph> seed_;
   storage::StoragePolicy storage_policy_;
+  FaultConfig page_fault_;
   mutable std::mutex mu_;
   std::shared_ptr<const GraphSnapshot> current_;
   std::optional<FaultInjector> injector_;

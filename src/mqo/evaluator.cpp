@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <bitset>
 #include <span>
 #include <utility>
@@ -12,6 +11,14 @@
 
 namespace stm::mqo {
 namespace {
+
+/// Set bits of each prefix mask: without -mpopcnt, std::popcount is a
+/// libgcc call, and the walk reads widths at every node expansion.
+constexpr auto kMaskWidth = [] {
+  std::array<std::uint8_t, 256> w{};
+  for (std::size_t m = 1; m < w.size(); ++m) w[m] = w[m >> 1] + (m & 1);
+  return w;
+}();
 
 /// The normalised pair (min, max) of edge (a, b), as one ordered key.
 std::uint64_t edge_key(VertexId a, VertexId b) {
@@ -199,9 +206,9 @@ class Walker {
     // A one-bit ancestor list is a raw N(v) again, so it never qualifies.
     std::size_t from = 0;  // none
     for (std::size_t p = 2; p < depth; ++p) {
-      const int width = std::popcount(live_mask_[p]);
+      const int width = kMaskWidth[live_mask_[p]];
       if ((live_mask_[p] & ~mask) != 0 || width < 2) continue;
-      const int best = from == 0 ? 0 : std::popcount(live_mask_[from]);
+      const int best = from == 0 ? 0 : kMaskWidth[live_mask_[from]];
       if (width > best ||
           (width == best && live_[p].size() < live_[from].size())) {
         from = p;

@@ -154,7 +154,8 @@ CheckpointStore::CheckpointStore(std::string dir, bool fsync,
     : dir_(std::move(dir)),
       fsync_(fsync),
       injector_(injector),
-      max_attempts_(std::max<std::uint32_t>(1, max_attempts)) {
+      max_attempts_(max_attempts) {
+  STM_CHECK_MSG(max_attempts_ >= 1, "checkpoint write budget must be >= 1");
   fs::create_directories(dir_);
 }
 

@@ -66,7 +66,7 @@ struct CheckpointLoadResult {
 class CheckpointStore {
  public:
   /// `injector` (nullable) drives FaultSite::kCheckpointWrite with
-  /// `max_attempts` tries per install.
+  /// `max_attempts` (>= 1) tries per install.
   CheckpointStore(std::string dir, bool fsync, FaultInjector* injector,
                   std::uint32_t max_attempts);
 

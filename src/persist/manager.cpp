@@ -11,16 +11,13 @@ namespace {
 constexpr char kWalFileName[] = "wal.stmwal";
 }  // namespace
 
-PersistenceManager::PersistenceManager(PersistenceConfig cfg)
+PersistenceManager::PersistenceManager(PersistenceConfig cfg,
+                                       const FaultConfig& fault)
     : cfg_(std::move(cfg)),
-      injector_(cfg_.fault.enabled()
-                    ? std::make_unique<FaultInjector>(cfg_.fault)
-                    : nullptr),
-      store_(cfg_.dir, cfg_.fsync, injector_.get(),
-             cfg_.fault.max_unit_attempts) {
+      injector_(fault),
+      store_(cfg_.dir, cfg_.fsync, &injector_, fault.max_unit_attempts) {
   STM_CHECK_MSG(cfg_.enabled(),
                 "PersistenceManager requires a non-empty state directory");
-  if (cfg_.fault.enabled()) STM_CHECK(cfg_.fault.max_unit_attempts >= 1);
 }
 
 std::string PersistenceManager::wal_path() const {
@@ -75,8 +72,8 @@ void PersistenceManager::open_wal(std::uint64_t next_lsn,
                                   std::uint64_t truncate_to) {
   STM_CHECK_MSG(wal_ == nullptr, "WAL opened twice");
   wal_ = std::make_unique<WalWriter>(wal_path(), next_lsn, cfg_.fsync,
-                                     truncate_to, injector_.get(),
-                                     cfg_.fault.max_unit_attempts);
+                                     truncate_to, &injector_,
+                                     injector_.config().max_unit_attempts);
 }
 
 WalAppendResult PersistenceManager::log_update(std::uint64_t epoch,

@@ -44,8 +44,6 @@ struct PersistenceConfig {
   /// Install a checkpoint automatically after this many applied batches;
   /// 0 = only explicit GraphSession::checkpoint() calls.
   std::uint32_t checkpoint_every_batches = 0;
-  /// Chaos schedule for FaultSite::kWalAppend / kCheckpointWrite.
-  FaultConfig fault;
 
   bool enabled() const { return !dir.empty(); }
 };
@@ -90,7 +88,10 @@ struct RecoveredState {
 
 class PersistenceManager {
  public:
-  explicit PersistenceManager(PersistenceConfig cfg);
+  /// `fault` drives FaultSite::kWalAppend and kCheckpointWrite, with
+  /// fault.max_unit_attempts tries per record and per install.
+  explicit PersistenceManager(PersistenceConfig cfg,
+                              const FaultConfig& fault = {});
 
   /// Loads checkpoint + WAL tail. Call once, before open_wal.
   RecoveredState recover();
@@ -121,12 +122,11 @@ class PersistenceManager {
            store_.faults_injected();
   }
 
-  const PersistenceConfig& config() const { return cfg_; }
   std::string wal_path() const;
 
  private:
   PersistenceConfig cfg_;
-  std::unique_ptr<FaultInjector> injector_;  // non-movable (atomic counters)
+  FaultInjector injector_;
   CheckpointStore store_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_checkpoint_seq_ = 1;

@@ -216,7 +216,8 @@ WalWriter::WalWriter(std::string path, std::uint64_t next_lsn, bool fsync,
       next_lsn_(next_lsn),
       fsync_(fsync),
       injector_(injector),
-      max_attempts_(std::max<std::uint32_t>(1, max_attempts)) {
+      max_attempts_(max_attempts) {
+  STM_CHECK_MSG(max_attempts_ >= 1, "WAL append budget must be >= 1");
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   STM_CHECK_MSG(fd_ >= 0,
                 "cannot open WAL " << path_ << ": " << std::strerror(errno));

@@ -143,7 +143,7 @@ class WalWriter {
   /// the file to that length first — recovery passes the valid-prefix
   /// length so a torn tail is physically discarded before new appends.
   /// `next_lsn` seeds the LSN counter. The injector (nullable) drives the
-  /// kWalAppend site with `max_attempts` tries per record.
+  /// kWalAppend site with `max_attempts` (>= 1) tries per record.
   WalWriter(std::string path, std::uint64_t next_lsn, bool fsync,
             std::uint64_t truncate_to, FaultInjector* injector,
             std::uint32_t max_attempts);
@@ -170,7 +170,6 @@ class WalWriter {
   std::uint64_t next_lsn() const { return next_lsn_; }
   std::uint64_t appended_bytes() const { return appended_bytes_; }
   std::uint64_t faults_injected() const { return faults_injected_; }
-  const std::string& path() const { return path_; }
 
  private:
   WalAppendResult append_record(WalRecord rec, bool sync = true);

@@ -44,8 +44,8 @@ class AdmissionController {
 
   /// Forwards to ThreadPool::set_fault_injection (chaos at kPoolTask:
   /// bounded dispatcher-task requeue; no admitted job is ever lost).
-  void set_fault_injection(FaultInjector* injector, std::uint32_t max_requeues) {
-    pool_.set_fault_injection(injector, max_requeues);
+  void set_fault_injection(FaultInjector* injector) {
+    pool_.set_fault_injection(injector);
   }
 
  private:

@@ -58,17 +58,7 @@ void PlanCache::evict_locked() {
 
 std::shared_ptr<const MatchingPlan> PlanCache::get_or_compile(
     const Pattern& pattern, const PlanOptions& opts, bool* was_hit) {
-  return get_or_compile(pattern, opts, 0, was_hit);
-}
-
-std::shared_ptr<const MatchingPlan> PlanCache::get_or_compile(
-    const Pattern& pattern, const PlanOptions& opts, std::uint64_t epoch,
-    bool* was_hit) {
-  std::string suffix = options_suffix(opts);
-  // The epoch participates in both key tiers: plans carry graph-derived
-  // decisions (a degree-ordered matching order), so a mutation must force a
-  // recompile rather than serve yesterday's order.
-  if (epoch != 0) suffix += "|e" + std::to_string(epoch);
+  const std::string suffix = options_suffix(opts);
   const std::string exact = pattern.to_string() + suffix;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -44,17 +44,10 @@ class PlanCache {
   /// skipped. Thread-safe; compilation runs outside the cache lock, so
   /// concurrent misses on distinct patterns compile in parallel (a racing
   /// duplicate compile of the same pattern is discarded, first insert wins).
+  /// A plan reads no graph (it is compiled from reorder_for_matching of the
+  /// pattern), so one entry serves every graph version of a session.
   std::shared_ptr<const MatchingPlan> get_or_compile(const Pattern& pattern,
                                                      const PlanOptions& opts,
-                                                     bool* was_hit = nullptr);
-
-  /// Epoch-keyed variant for sessions over a mutable graph: `epoch` is
-  /// folded into both key tiers, so a plan compiled against one graph
-  /// version is never reused after a mutation (stale entries age out of the
-  /// LRU as the epoch advances). The plain overload is epoch 0.
-  std::shared_ptr<const MatchingPlan> get_or_compile(const Pattern& pattern,
-                                                     const PlanOptions& opts,
-                                                     std::uint64_t epoch,
                                                      bool* was_hit = nullptr);
 
   PlanCacheStats stats() const;

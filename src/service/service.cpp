@@ -34,6 +34,28 @@ std::vector<EngineKind> fallback_chain(EngineKind requested, bool fallback) {
   return chain;
 }
 
+/// The request or stream field that carries an engine or stream site; null
+/// for the sites SessionConfig::fault drives.
+const char* site_field(FaultSite site) {
+  switch (site) {
+    case FaultSite::kPoolTask:
+    case FaultSite::kUpdateApply:
+    case FaultSite::kShardFailure:
+    case FaultSite::kWalAppend:
+    case FaultSite::kCheckpointWrite:
+    case FaultSite::kPageRead:
+      return nullptr;
+    case FaultSite::kHostTask:
+      return "QueryRequest::host.fault";
+    case FaultSite::kEngineThrow:
+      return "QueryRequest::simt.fault or QueryRequest::host.fault";
+    case FaultSite::kEmitDrop:
+      return "StreamOptions::emit_fault";
+    default:  // the SIMT device and multi-device sites
+      return "QueryRequest::simt.fault";
+  }
+}
+
 }  // namespace
 
 struct GraphSession::QueryJob {
@@ -58,12 +80,22 @@ struct GraphSession::Boot {
 };
 
 GraphSession::Boot GraphSession::make_boot(Graph graph, SessionConfig cfg) {
+  // One check of the session's schedule before any site can use it.
+  STM_CHECK_MSG(cfg.fault.max_unit_attempts >= 1,
+                "SessionConfig::fault.max_unit_attempts must be >= 1");
+  for (std::size_t i = 0; i < kNumFaultSites; ++i) {
+    const auto site = static_cast<FaultSite>(i);
+    STM_CHECK_MSG(site_field(site) == nullptr || cfg.fault.rate(site) <= 0.0,
+                  "SessionConfig::fault sets " << to_string(site)
+                      << ", which no session component reads; set it on "
+                      << site_field(site));
+  }
   Boot boot;
   boot.cfg = std::move(cfg);
   boot.graph = std::move(graph);
   if (boot.cfg.persistence.enabled()) {
-    boot.manager =
-        std::make_unique<persist::PersistenceManager>(boot.cfg.persistence);
+    boot.manager = std::make_unique<persist::PersistenceManager>(
+        boot.cfg.persistence, boot.cfg.fault);
     boot.recovered = boot.manager->recover();
     if (boot.recovered.checkpoint.has_value()) {
       // The durable state supersedes the seed: bit-identical CSR and epoch,
@@ -90,7 +122,8 @@ std::unique_ptr<GraphSession> GraphSession::restore(SessionConfig cfg) {
 }
 
 GraphSession::GraphSession(Boot boot)
-    : dyn_(std::move(boot.graph), boot.start_epoch, boot.cfg.storage),
+    : dyn_(std::move(boot.graph), boot.start_epoch, boot.cfg.storage,
+           boot.cfg.fault),
       cfg_(std::move(boot.cfg)),
       plan_cache_(cfg_.plan_cache_capacity),
       queries_submitted_(metrics_.counter(
@@ -115,7 +148,7 @@ GraphSession::GraphSession(Boot boot)
       watchdog_kills_(metrics_.counter(
           "watchdog_kills", "Queries force-failed for stalled progress")),
       faults_injected_total_(metrics_.counter(
-          "faults_injected_total", "Injected faults observed across queries")),
+          "faults_injected_total", "Injected faults observed at every site")),
       recovery_units_total_(metrics_.counter(
           "recovery_units_total", "Work units recovered after injected faults")),
       matches_total_(
@@ -230,6 +263,7 @@ GraphSession::GraphSession(Boot boot)
       checkpoint_duration_ms_(metrics_.histogram(
           "checkpoint_duration_ms",
           "Durable checkpoint install wall time (snapshot + fsync + rename)")),
+      pool_injector_(cfg_.fault),
       watchdog_(cfg_.resilience.watchdog_stall_ms,
                 cfg_.resilience.watchdog_poll_ms, &watchdog_kills_),
       admission_(std::max<std::size_t>(1, cfg_.max_concurrent_queries),
@@ -242,12 +276,8 @@ GraphSession::GraphSession(Boot boot)
         std::string("breaker_state_") + to_string(static_cast<EngineKind>(k)),
         "Circuit state (0=closed, 1=open, 2=half-open)");
   }
-  if (cfg_.resilience.pool_fault.enabled()) {
-    STM_CHECK(cfg_.resilience.pool_fault.max_unit_attempts >= 1);
-    pool_injector_.emplace(cfg_.resilience.pool_fault);
-    admission_.set_fault_injection(&*pool_injector_,
-                                   cfg_.resilience.pool_fault.max_unit_attempts);
-  }
+  if (cfg_.fault.rate(FaultSite::kPoolTask) > 0.0)
+    admission_.set_fault_injection(&pool_injector_);
 
   persist_ = std::move(boot.manager);
   if (persist_ != nullptr) {
@@ -343,19 +373,12 @@ GraphSession::GraphSession(Boot boot)
     recovery_replayed_batches_.inc(recovery_report_.replayed_batches);
     recovery_walked_batches_.inc(recovery_report_.walked_batches);
   }
-  if (cfg_.update_fault.enabled()) {
-    STM_CHECK(cfg_.update_fault.max_unit_attempts >= 1);
-    dyn_.set_fault(cfg_.update_fault);
-  }
-  if (cfg_.sharding.enabled()) {
-    if (cfg_.sharding.fault.enabled())
-      STM_CHECK(cfg_.sharding.fault.max_unit_attempts >= 1);
-    rebuild_shards(dyn_.snapshot(), nullptr);
-  }
-  refresh_storage_metrics();
+  dyn_.set_fault(cfg_.fault);
+  if (cfg_.sharding.enabled()) rebuild_shards(dyn_.snapshot(), nullptr);
+  refresh_session_metrics();
 }
 
-void GraphSession::refresh_storage_metrics() {
+void GraphSession::refresh_session_metrics() {
   // The whole refresh — snapshot acquisition, stats read, counter fold —
   // runs under one lock so concurrent refreshes serialize and each folds a
   // consistent (store, stats) pair. Stores only move forward (compact()
@@ -364,6 +387,11 @@ void GraphSession::refresh_storage_metrics() {
   // the lock two threads could read stats() from different stores around a
   // compact() and apply them to the seen-counters out of order.
   std::lock_guard<std::mutex> lock(storage_metrics_mu_);
+  // The pool and update injectors live as long as the session.
+  const std::uint64_t site_faults =
+      pool_injector_.total_injected() + dyn_.faults_injected();
+  faults_injected_total_.inc(site_faults - site_faults_seen_);
+  site_faults_seen_ = site_faults;
   const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
   graph_resident_bytes_.set(static_cast<double>(snap->memory_bytes()));
   const std::shared_ptr<const storage::GraphStore>& store = snap->store();
@@ -389,11 +417,15 @@ void GraphSession::refresh_storage_metrics() {
     storage_metrics_store_ = store;
     storage_page_faults_seen_ = 0;
     storage_decode_ops_seen_ = 0;
+    storage_injected_faults_seen_ = 0;
   }
   storage_page_faults_.inc(st.page_faults - storage_page_faults_seen_);
   storage_page_faults_seen_ = st.page_faults;
   storage_decode_ops_.inc(st.decode_ops - storage_decode_ops_seen_);
   storage_decode_ops_seen_ = st.decode_ops;
+  faults_injected_total_.inc(st.injected_page_faults -
+                             storage_injected_faults_seen_);
+  storage_injected_faults_seen_ = st.injected_page_faults;
 }
 
 GraphSession::~GraphSession() {
@@ -412,8 +444,6 @@ GraphSession::~GraphSession() {
   }
   for (const auto& st : live) finalize_stream(st);
   drain();
-  // Workers are done; detach the pool from the injector before it dies.
-  if (pool_injector_.has_value()) admission_.set_fault_injection(nullptr, 0);
 }
 
 std::future<QueryResult> GraphSession::submit(QueryRequest req) {
@@ -482,29 +512,6 @@ bool GraphSession::shardable(EngineKind kind, const QueryRequest& req) const {
   return cfg_.sharding.enabled() &&
          (kind == EngineKind::kSimt || kind == EngineKind::kHost) &&
          req.plan.induced == Induced::kEdge;
-}
-
-std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
-    EngineKind kind, const QueryRequest& req) {
-  std::string key = std::string(to_string(kind)) + '|' +
-                    std::to_string(static_cast<int>(req.plan.induced)) +
-                    std::to_string(static_cast<int>(req.plan.count_mode)) +
-                    '|' + req.pattern.to_string();
-  {
-    std::lock_guard<std::mutex> lock(shard_matchers_mu_);
-    auto it = shard_matchers_.find(key);
-    if (it != shard_matchers_.end()) return it->second;
-  }
-  dist::ShardedOptions opts;
-  opts.plan = req.plan;
-  opts.engine = kind;
-  opts.num_workers = cfg_.sharding.num_workers;
-  opts.fault = cfg_.sharding.fault;
-  auto matcher =
-      std::make_shared<const dist::ShardedMatcher>(req.pattern, opts);
-  std::lock_guard<std::mutex> lock(shard_matchers_mu_);
-  return shard_matchers_.emplace(std::move(key), std::move(matcher))
-      .first->second;
 }
 
 void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
@@ -616,10 +623,15 @@ QueryResult GraphSession::try_engine(EngineKind kind, const QueryRequest& req,
         // The partition's snapshot can predate a compact() (same epoch, its
         // own backend), so it needs its own lease.
         const auto shard_lease = state->snapshot->storage_lease();
-        const auto matcher = sharded_matcher(kind, req);
-        const dist::ShardedResult r = matcher->match(
-            state->snapshot->view(), *state->partition, plan,
-            host_config(req.host), req.simt, attempt, &token);
+        dist::ShardedOptions opts;
+        opts.plan = req.plan;
+        opts.engine = kind;
+        opts.num_workers = cfg_.sharding.num_workers;
+        opts.fault = cfg_.fault;
+        const dist::ShardedResult r =
+            dist::ShardedMatcher(req.pattern, opts)
+                .match(state->snapshot->view(), *state->partition, plan,
+                       host_config(req.host), req.simt, attempt, &token);
         sharded_queries_.inc();
         shard_chunk_steals_.inc(r.chunk_steals);
         result.count = r.count;
@@ -770,7 +782,7 @@ void GraphSession::execute(QueryJob& job) {
           job.req.plan.count_mode == CountMode::kEmbeddings;
       job.req.plan.count_mode = CountMode::kUniqueSubgraphs;
       auto plan = plan_cache_.get_or_compile(job.req.pattern, job.req.plan,
-                                             snap->epoch(), &cache_hit);
+                                             &cache_hit);
       result = execute_resilient(job.req, *plan, *snap, job.token);
       if (embeddings) result.count *= plan->automorphism_count();
       result.plan_cache_hit = cache_hit;
@@ -822,7 +834,7 @@ void GraphSession::execute(QueryJob& job) {
   engine_scalar_ops_.inc(result.stats.scalar_ops);
   faults_injected_total_.inc(result.stats.faults_injected);
   recovery_units_total_.inc(result.stats.units_recovered);
-  refresh_storage_metrics();  // the query's lease is released by now
+  refresh_session_metrics();  // the query's lease is released by now
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
     active_tokens_.erase(job.token);
@@ -868,7 +880,7 @@ void GraphSession::compact() {
     dyn_.compact();
   }
   // compact() re-encodes the backend; publish the new footprint right away.
-  refresh_storage_metrics();
+  refresh_session_metrics();
 }
 
 template <typename Write>
@@ -911,22 +923,20 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
       applied = dyn_.apply(batch);
     }
   } catch (const check_error& e) {
-    updates_failed_.inc();
     out.status = QueryStatus::kInvalidArgument;
     out.error = e.what();
-    out.epoch = from->epoch();
-    out.update_ms = total.elapsed_ms();
-    update_latency_ms_.observe(out.update_ms);
-    return out;
   } catch (const std::exception& e) {
     // Includes FaultInjectedError (kUpdateApply chaos): the batch validated
     // but its snapshot was never published, so the graph is unchanged.
-    updates_failed_.inc();
     out.status = QueryStatus::kInternalError;
     out.error = std::string("update apply failed: ") + e.what();
+  }
+  if (!out.ok()) {
+    updates_failed_.inc();
     out.epoch = from->epoch();
     out.update_ms = total.elapsed_ms();
     update_latency_ms_.observe(out.update_ms);
+    refresh_session_metrics();
     return out;
   }
 
@@ -957,7 +967,7 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
 
   out.update_ms = total.elapsed_ms();
   update_latency_ms_.observe(out.update_ms);
-  refresh_storage_metrics();
+  refresh_session_metrics();
   return out;
 }
 
@@ -1084,7 +1094,7 @@ std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
     // Counted like a query: unique subgraphs, times |Aut| for embeddings.
     PlanOptions unique = cfg.plan;
     unique.count_mode = CountMode::kUniqueSubgraphs;
-    auto plan = plan_cache_.get_or_compile(cfg.pattern, unique, snap->epoch());
+    auto plan = plan_cache_.get_or_compile(cfg.pattern, unique);
     Timer full_timer;
     const auto storage_lease = snap->storage_lease();
     const EngineRun full = run_engine(EngineKind::kHost, snap->view(), *plan,

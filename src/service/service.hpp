@@ -202,8 +202,6 @@ struct ResilienceConfig {
   /// Kill queries whose progress stalls this long; <= 0 disables.
   double watchdog_stall_ms = 0.0;
   double watchdog_poll_ms = 10.0;
-  /// Chaos for the dispatcher pool itself (FaultSite::kPoolTask).
-  FaultConfig pool_fault;
 };
 
 /// Sharded execution mode of a session (DESIGN.md §11). With num_shards > 0
@@ -219,9 +217,6 @@ struct ShardingConfig {
   std::uint64_t hash_salt = 0;
   /// Shard-scheduler workers (0 = one per shard).
   std::uint32_t num_workers = 0;
-  /// Chaos for FaultSite::kShardFailure (shard-local runs and anchor chunks
-  /// re-run with bumped incarnations).
-  FaultConfig fault;
 
   bool enabled() const { return num_shards > 0; }
 };
@@ -237,9 +232,12 @@ struct SessionConfig {
   /// Engine threads each host-path query runs on.
   std::size_t host_threads_per_query = 1;
   ResilienceConfig resilience;
-  /// Chaos for the update path (FaultSite::kUpdateApply: a batch fails after
-  /// validation, before its snapshot is published; the graph is unchanged).
-  FaultConfig update_fault;
+  /// Chaos schedule of the session's own sites (DESIGN.md §9): kPoolTask,
+  /// kUpdateApply (armed after WAL replay), kShardFailure, kWalAppend,
+  /// kCheckpointWrite and kPageRead. max_unit_attempts must be >= 1. A rate
+  /// on an engine or stream site fails construction: the request's
+  /// simt/host configs and StreamOptions::emit_fault carry those.
+  FaultConfig fault;
   /// Sharded execution mode (off by default).
   ShardingConfig sharding;
   /// Embedding streams open concurrently before open_stream sheds with
@@ -420,9 +418,6 @@ class GraphSession {
   HostEngineConfig host_config(HostEngineConfig host) const;
   /// Sharded-mode eligibility for (kind, req) — see ShardingConfig.
   bool shardable(EngineKind kind, const QueryRequest& req) const;
-  /// Cached cross-shard coordinator for the request's pattern/options.
-  std::shared_ptr<const dist::ShardedMatcher> sharded_matcher(
-      EngineKind kind, const QueryRequest& req);
   /// (Re)builds the partition for `snap` and publishes it with the per-shard
   /// gauges; `delta` refreshes instead of rebuilding when non-null.
   void rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
@@ -477,9 +472,11 @@ class GraphSession {
   /// backend. Store counters are cumulative per-store and restart from zero
   /// when compact() rebuilds the backend; the last-seen state under
   /// storage_metrics_mu_ converts them to monotone Prometheus counters.
-  /// Also trims the backend's decoded-list cache back under the policy
-  /// budget when no query holds a lease on it.
-  void refresh_storage_metrics();
+  /// Folds the kPoolTask, kUpdateApply and kPageRead firings since the last
+  /// call into faults_injected_total the same way. Also trims the backend's
+  /// decoded-list cache back under the policy budget when no query holds a
+  /// lease on it.
+  void refresh_session_metrics();
 
   /// Producer-thread body of an embedding stream: runs the engine in
   /// emission mode against the state's pinned snapshot, then finishes the
@@ -509,11 +506,6 @@ class GraphSession {
   };
   mutable std::mutex shard_mu_;
   std::shared_ptr<const ShardState> shard_state_;
-  /// Coordinators are pattern-analysis-heavy (one anchored plan per pattern
-  /// edge); cache them keyed by pattern + semantics + engine kind.
-  std::mutex shard_matchers_mu_;
-  std::map<std::string, std::shared_ptr<const dist::ShardedMatcher>>
-      shard_matchers_;
 
   /// Serializes apply/compact (single logical writer); never held while an
   /// engine runs a query.
@@ -547,12 +539,15 @@ class GraphSession {
   std::uint32_t batches_since_checkpoint_ = 0;  // guarded by update_mu_
 
   /// Last store-cumulative counter values folded into the monotone storage
-  /// counters, keyed to the store they came from (see
-  /// refresh_storage_metrics). All three guarded by storage_metrics_mu_.
+  /// counters, keyed to the store they came from, and the pool and update
+  /// injectors' firings already folded (see refresh_session_metrics). All
+  /// guarded by storage_metrics_mu_.
   std::mutex storage_metrics_mu_;
   std::weak_ptr<const storage::GraphStore> storage_metrics_store_;
   std::uint64_t storage_page_faults_seen_ = 0;
   std::uint64_t storage_decode_ops_seen_ = 0;
+  std::uint64_t storage_injected_faults_seen_ = 0;
+  std::uint64_t site_faults_seen_ = 0;
 
   // Cached metric handles (registry entries have stable addresses).
   Counter& queries_submitted_;
@@ -620,7 +615,8 @@ class GraphSession {
   std::array<Gauge*, kNumEngineKinds> breaker_state_gauges_{};
   Timer breaker_clock_;
 
-  std::optional<FaultInjector> pool_injector_;
+  /// kPoolTask decisions; installed in the pool only when that rate is set.
+  FaultInjector pool_injector_;
   Watchdog watchdog_;
 
   // Declared last: its worker threads touch the members above, and members

@@ -287,7 +287,7 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   bool positioned = true;
   try {
     plan = plan_cache_.get_or_compile(req.query.pattern, req.query.plan,
-                                      snap->epoch(), &cache_hit);
+                                      &cache_hit);
     order = matching_order(req.query.pattern);
     if (!at.last.empty()) {
       after.resize(order.size());

@@ -81,10 +81,10 @@ void GraphStore::Lease::release() {
 }
 
 std::shared_ptr<GraphStore> GraphStore::build(std::shared_ptr<const Graph> g,
-                                              const StoragePolicy& policy) {
+                                              const StoragePolicy& policy,
+                                              const FaultConfig& fault) {
   STM_CHECK(g != nullptr);
   auto store = std::shared_ptr<GraphStore>(new GraphStore());
-  store->policy_ = policy;
   store->backend_ = policy.backend == Backend::kAuto
                         ? choose_backend(*g, policy)
                         : policy.backend;
@@ -105,7 +105,7 @@ std::shared_ptr<GraphStore> GraphStore::build(std::shared_ptr<const Graph> g,
                       policy.block_size);
       store->pager_ = std::make_unique<PageCache>(
           PageFile::open(store->spill_path_), policy.memory_budget_bytes,
-          policy.fault);
+          fault);
       break;
     }
     case Backend::kAuto:

@@ -61,8 +61,6 @@ struct StoragePolicy {
   /// Directory for spill files; empty = the system temp directory. The
   /// store deletes its file on destruction.
   std::string spill_dir;
-  /// Fault schedule for the pager (FaultSite::kPageRead).
-  FaultConfig fault;
 };
 
 /// Deterministic auto selection: empty graphs stay uncompressed, a budget
@@ -98,20 +96,20 @@ class GraphStore final : public AdjacencySource {
  public:
   /// Encodes `g` under `policy` (kAuto resolved here). For non-uncompressed
   /// backends the store drops its Graph reference after encoding — callers
-  /// that also drop theirs get true out-of-core serving.
+  /// that also drop theirs get true out-of-core serving. `fault` drives the
+  /// spill pager's FaultSite::kPageRead.
   static std::shared_ptr<GraphStore> build(std::shared_ptr<const Graph> g,
-                                           const StoragePolicy& policy);
+                                           const StoragePolicy& policy,
+                                           const FaultConfig& fault = {});
   static std::shared_ptr<GraphStore> build(Graph g,
-                                           const StoragePolicy& policy) {
-    return build(std::make_shared<const Graph>(std::move(g)), policy);
+                                           const StoragePolicy& policy,
+                                           const FaultConfig& fault = {}) {
+    return build(std::make_shared<const Graph>(std::move(g)), policy, fault);
   }
 
   ~GraphStore() override;
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
-
-  Backend backend() const { return backend_; }
-  const StoragePolicy& policy() const { return policy_; }
 
   /// A view reading through this store. Hold a Lease for the duration of
   /// any engine run over the view.
@@ -153,7 +151,6 @@ class GraphStore final : public AdjacencySource {
   void decode_vertex(VertexId v, std::vector<VertexId>& out) const;
 
   Backend backend_ = Backend::kUncompressed;
-  StoragePolicy policy_;
   VertexId n_ = 0;
   EdgeId m2_ = 0;
   std::uint64_t raw_bytes_ = 0;

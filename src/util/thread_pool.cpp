@@ -33,11 +33,9 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::set_fault_injection(FaultInjector* injector,
-                                     std::uint32_t max_requeues) {
+void ThreadPool::set_fault_injection(FaultInjector* injector) {
   std::lock_guard<std::mutex> lock(mu_);
   injector_ = injector;
-  max_requeues_ = max_requeues;
 }
 
 void ThreadPool::wait_idle() {
@@ -72,7 +70,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      if (injector_ != nullptr && task.requeues < max_requeues_ &&
+      if (injector_ != nullptr &&
+          task.requeues < injector_->config().max_unit_attempts &&
           injector_->should_fail(FaultSite::kPoolTask,
                                  (task.seq << 8) | task.requeues)) {
         // The worker "crashed" before touching the task: hand it back to the

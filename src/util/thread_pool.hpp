@@ -42,12 +42,12 @@ class ThreadPool {
   /// Enables chaos at FaultSite::kPoolTask: a popped task for which the
   /// injector fires is pushed back to the tail instead of running (modeling
   /// a worker crash before the task did any work). Requeues are bounded per
-  /// task by `max_requeues`; past the bound the task runs anyway, so no task
-  /// is ever lost and wait_idle() always terminates. The injector must
-  /// outlive the pool (or be cleared with nullptr first). Decisions are
-  /// keyed by (submit sequence number, requeue count), so they are
-  /// deterministic per pool regardless of worker interleaving.
-  void set_fault_injection(FaultInjector* injector, std::uint32_t max_requeues);
+  /// task by the schedule's max_unit_attempts; past the bound the task runs
+  /// anyway, so no task is ever lost and wait_idle() always terminates. The
+  /// injector must outlive the pool (or be cleared with nullptr first).
+  /// Decisions are keyed by (submit sequence number, requeue count), so they
+  /// are deterministic per pool regardless of worker interleaving.
+  void set_fault_injection(FaultInjector* injector);
 
  private:
   struct Task {
@@ -66,7 +66,6 @@ class ThreadPool {
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   FaultInjector* injector_ = nullptr;  // guarded by mu_
-  std::uint32_t max_requeues_ = 0;
   std::vector<std::thread> workers_;
 };
 

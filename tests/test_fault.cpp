@@ -299,32 +299,36 @@ TEST(MultiGpuChaos, ExhaustedRetryBudgetFailsClosed) {
 // ---------------------------------------------------------------------------
 
 TEST(PoolChaos, EveryTaskRunsExactlyOnce) {
-  FaultInjector injector(fault_cfg(FaultSite::kPoolTask, 0.3, 17));
+  FaultConfig cfg = fault_cfg(FaultSite::kPoolTask, 0.3, 17);
+  cfg.max_unit_attempts = 4;  // requeues per task
+  FaultInjector injector(cfg);
   std::atomic<int> runs{0};
   {
     ThreadPool pool(4);
-    pool.set_fault_injection(&injector, /*max_requeues=*/4);
+    pool.set_fault_injection(&injector);
     for (int i = 0; i < 300; ++i) {
       pool.submit([&runs] { runs.fetch_add(1, std::memory_order_relaxed); });
     }
     pool.wait_idle();
-    pool.set_fault_injection(nullptr, 0);
+    pool.set_fault_injection(nullptr);
   }
   EXPECT_EQ(runs.load(), 300);
   EXPECT_GT(injector.injected(FaultSite::kPoolTask), 0u);
 }
 
 TEST(PoolChaos, SurvivesCertainFailureViaRequeueBound) {
-  FaultInjector injector(fault_cfg(FaultSite::kPoolTask, 1.0, 1));
+  FaultConfig cfg = fault_cfg(FaultSite::kPoolTask, 1.0, 1);
+  cfg.max_unit_attempts = 3;  // requeues per task
+  FaultInjector injector(cfg);
   std::atomic<int> runs{0};
   {
     ThreadPool pool(2);
-    pool.set_fault_injection(&injector, /*max_requeues=*/3);
+    pool.set_fault_injection(&injector);
     for (int i = 0; i < 50; ++i) {
       pool.submit([&runs] { runs.fetch_add(1, std::memory_order_relaxed); });
     }
     pool.wait_idle();  // must terminate: past the bound, tasks run anyway
-    pool.set_fault_injection(nullptr, 0);
+    pool.set_fault_injection(nullptr);
   }
   EXPECT_EQ(runs.load(), 50);
 }
@@ -588,7 +592,7 @@ TEST(ServiceChaos, DispatcherPoolChaosLosesNoQueries) {
   SessionConfig cfg;
   cfg.max_concurrent_queries = 3;
   cfg.max_queued_queries = 64;
-  cfg.resilience.pool_fault = fault_cfg(FaultSite::kPoolTask, 0.3, 23);
+  cfg.fault = fault_cfg(FaultSite::kPoolTask, 0.3, 23);
   GraphSession session(chaos_graph(), cfg);
   const Pattern p = Pattern::parse("0-1,1-2,2-0");
   const std::uint64_t expected = reference_count(session.graph(), p);

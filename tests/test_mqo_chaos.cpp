@@ -40,8 +40,8 @@ UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
 
 TEST(MqoChaos, UpdateFaultsLeaveIndexedCountsExact) {
   SessionConfig cfg;
-  cfg.update_fault.seed = 17;
-  cfg.update_fault.set_rate(FaultSite::kUpdateApply, 0.3);
+  cfg.fault.seed = 17;
+  cfg.fault.set_rate(FaultSite::kUpdateApply, 0.3);
   GraphSession session(make_erdos_renyi(30, 0.15, 23), cfg);
 
   const std::vector<Pattern> patterns{triangle(),
@@ -92,8 +92,8 @@ TEST(MqoChaos, FaultedRunReplaysDeterministically) {
   const Graph base = make_erdos_renyi(28, 0.15, 5);
   const auto run = [&base]() {
     SessionConfig cfg;
-    cfg.update_fault.seed = 9;
-    cfg.update_fault.set_rate(FaultSite::kUpdateApply, 0.25);
+    cfg.fault.seed = 9;
+    cfg.fault.set_rate(FaultSite::kUpdateApply, 0.25);
     GraphSession session(base, cfg);
     StandingQueryConfig sq;
     sq.pattern = triangle();

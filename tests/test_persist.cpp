@@ -728,8 +728,8 @@ TEST(PersistSession, NoopAndFailedBatchesAreNotLogged) {
   // Injected kUpdateApply failures never reach the log either.
   ScopedDir dir2("fault-apply");
   SessionConfig cfg = persist_cfg(dir2.str());
-  cfg.update_fault.set_rate(FaultSite::kUpdateApply, 1.0);
-  cfg.update_fault.max_unit_attempts = 1;
+  cfg.fault.set_rate(FaultSite::kUpdateApply, 1.0);
+  cfg.fault.max_unit_attempts = 1;
   GraphSession s(g, cfg);
   const UpdateOutcome out = s.apply_updates(make_batch(0, 60));
   EXPECT_EQ(out.status, QueryStatus::kInternalError);
@@ -809,8 +809,8 @@ TEST(PersistSession, LegacySimtEngineByteStillRestores) {
 TEST(PersistSession, WalExhaustionFailsTheBatchClosed) {
   ScopedDir dir("wal-closed");
   SessionConfig cfg = persist_cfg(dir.str());
-  cfg.persistence.fault.set_rate(FaultSite::kWalAppend, 1.0);
-  cfg.persistence.fault.max_unit_attempts = 2;
+  cfg.fault.set_rate(FaultSite::kWalAppend, 1.0);
+  cfg.fault.max_unit_attempts = 2;
   GraphSession s(seed_graph(), cfg);
   const UpdateOutcome out = s.apply_updates(make_batch(0, 60));
   EXPECT_EQ(out.status, QueryStatus::kInternalError);
@@ -1104,10 +1104,10 @@ TEST(PersistChaos, DurabilityHoldsUnderInjectedTornWrites) {
 
   SessionConfig cfg = persist_cfg(dir.str());
   cfg.persistence.checkpoint_every_batches = 3;
-  cfg.persistence.fault.seed = 11;
-  cfg.persistence.fault.set_rate(FaultSite::kWalAppend, 0.15);
-  cfg.persistence.fault.set_rate(FaultSite::kCheckpointWrite, 0.25);
-  cfg.persistence.fault.max_unit_attempts = 16;
+  cfg.fault.seed = 11;
+  cfg.fault.set_rate(FaultSite::kWalAppend, 0.15);
+  cfg.fault.set_rate(FaultSite::kCheckpointWrite, 0.25);
+  cfg.fault.max_unit_attempts = 16;
 
   // No-injection oracle advanced in lockstep.
   GraphSession oracle(g);
@@ -1166,9 +1166,9 @@ TEST(PersistChaos, LostCountsRecordStillAcknowledgesItsBatch) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
     ScopedDir dir("chaos-counts");
     SessionConfig cfg = persist_cfg(dir.str());
-    cfg.persistence.fault.seed = seed;
-    cfg.persistence.fault.set_rate(FaultSite::kWalAppend, 0.3);
-    cfg.persistence.fault.max_unit_attempts = 1;
+    cfg.fault.seed = seed;
+    cfg.fault.set_rate(FaultSite::kWalAppend, 0.3);
+    cfg.fault.max_unit_attempts = 1;
 
     GraphSession oracle(g);
     std::vector<std::uint64_t> lost_epochs;
@@ -1222,8 +1222,8 @@ TEST(PersistChaos, ExhaustedWalBudgetReachesTheFaultCounter) {
   // and the counter must see them although the append throws.
   ScopedDir dir("chaos-wal-counter");
   SessionConfig cfg = persist_cfg(dir.str());
-  cfg.persistence.fault.set_rate(FaultSite::kWalAppend, 1.0);
-  cfg.persistence.fault.max_unit_attempts = 2;
+  cfg.fault.set_rate(FaultSite::kWalAppend, 1.0);
+  cfg.fault.max_unit_attempts = 2;
   GraphSession s(seed_graph(), cfg);
   const Counter& faults = s.metrics().counter("faults_injected_total");
 
@@ -1241,8 +1241,8 @@ TEST(PersistChaos, CheckpointExhaustionDegradesToWalOnly) {
   ScopedDir dir("chaos-ckpt");
   SessionConfig cfg = persist_cfg(dir.str());
   cfg.persistence.checkpoint_every_batches = 2;
-  cfg.persistence.fault.set_rate(FaultSite::kCheckpointWrite, 1.0);
-  cfg.persistence.fault.max_unit_attempts = 2;
+  cfg.fault.set_rate(FaultSite::kCheckpointWrite, 1.0);
+  cfg.fault.max_unit_attempts = 2;
 
   std::uint64_t epoch = 0, triangles = 0;
   {

@@ -576,9 +576,9 @@ TEST(ShardChaos, ServiceShardedModeSurvivesInjectedShardFailures) {
 
   SessionConfig cfg;
   cfg.sharding.num_shards = 4;
-  cfg.sharding.fault.seed = 21;
-  cfg.sharding.fault.max_unit_attempts = 6;
-  cfg.sharding.fault.set_rate(FaultSite::kShardFailure, 0.15);
+  cfg.fault.seed = 21;
+  cfg.fault.max_unit_attempts = 6;
+  cfg.fault.set_rate(FaultSite::kShardFailure, 0.15);
   GraphSession session(std::move(g), cfg);
 
   QueryRequest req;

@@ -536,17 +536,17 @@ TEST(StorageChaos, PageReadFaultsRetryToBitIdenticalAdjacency) {
   const std::uint64_t want = scan_sum(*GraphStore::build(Graph(g), clean));
 
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    StoragePolicy chaos = clean;
-    chaos.fault.seed = seed;
-    chaos.fault.set_rate(FaultSite::kPageRead, 0.3);
-    const auto store = GraphStore::build(Graph(g), chaos);
+    FaultConfig chaos;
+    chaos.seed = seed;
+    chaos.set_rate(FaultSite::kPageRead, 0.3);
+    const auto store = GraphStore::build(Graph(g), clean, chaos);
     EXPECT_EQ(scan_sum(*store), want) << "seed=" << seed;
     const storage::StorageStats st = store->stats();
     EXPECT_GT(st.injected_page_faults, 0u)
         << "seed=" << seed << ": a 30% rate injected nothing";
 
     // Same seed, same schedule, same recovery: bit-identical stats.
-    const auto again = GraphStore::build(Graph(g), chaos);
+    const auto again = GraphStore::build(Graph(g), clean, chaos);
     EXPECT_EQ(scan_sum(*again), want);
     EXPECT_EQ(again->stats().injected_page_faults, st.injected_page_faults);
     EXPECT_EQ(again->stats().page_faults, st.page_faults);
@@ -558,11 +558,12 @@ TEST(StorageChaos, RetryBudgetExhaustionFailsClosed) {
   policy.backend = Backend::kSpill;
   policy.memory_budget_bytes = 1024;
   policy.page_size = 256;
-  policy.fault.seed = 5;
-  policy.fault.set_rate(FaultSite::kPageRead, 1.0);
-  policy.fault.max_unit_attempts = 2;
+  FaultConfig fault;
+  fault.seed = 5;
+  fault.set_rate(FaultSite::kPageRead, 1.0);
+  fault.max_unit_attempts = 2;
   const auto store = GraphStore::build(make_barabasi_albert(300, 4, 121),
-                                       policy);
+                                       policy, fault);
   EXPECT_THROW(scan_sum(*store), check_error);
 }
 
@@ -573,9 +574,9 @@ TEST(StorageChaos, ServiceContainsPageReadExhaustion) {
   cfg.storage.backend = Backend::kSpill;
   cfg.storage.memory_budget_bytes = 1024;
   cfg.storage.page_size = 256;
-  cfg.storage.fault.seed = 9;
-  cfg.storage.fault.set_rate(FaultSite::kPageRead, 1.0);
-  cfg.storage.fault.max_unit_attempts = 1;
+  cfg.fault.seed = 9;
+  cfg.fault.set_rate(FaultSite::kPageRead, 1.0);
+  cfg.fault.max_unit_attempts = 1;
   cfg.resilience.enable_fallback = false;
   cfg.resilience.retry.max_attempts = 1;
   GraphSession session(make_barabasi_albert(200, 4, 131), cfg);
