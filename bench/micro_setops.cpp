@@ -91,7 +91,7 @@ void BM_CombinedMultiSetOp(benchmark::State& state) {
   }
   WarpOpCost cost;
   for (auto _ : state) {
-    combined_set_op(tasks, &cost);
+    combined_set_op(simd::kernels(), tasks, &cost);
     benchmark::DoNotOptimize(outs.data());
   }
   state.counters["lane_util"] = cost.utilization();
@@ -145,7 +145,7 @@ void BM_SimdIntersect(benchmark::State& state) {
                           static_cast<std::int64_t>(a.size() + b.size()));
 }
 BENCHMARK(BM_SimdIntersect)
-    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1, 2}});
+    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1}});
 
 void BM_SimdIntersectCount(benchmark::State& state) {
   const simd::Kernels* k = KernelsOrSkip(state);
@@ -164,7 +164,7 @@ void BM_SimdIntersectCount(benchmark::State& state) {
                           static_cast<std::int64_t>(a.size() + b.size()));
 }
 BENCHMARK(BM_SimdIntersectCount)
-    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1, 2}});
+    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1}});
 
 void BM_SimdDifference(benchmark::State& state) {
   const simd::Kernels* k = KernelsOrSkip(state);
@@ -185,7 +185,7 @@ void BM_SimdDifference(benchmark::State& state) {
                           static_cast<std::int64_t>(a.size() + b.size()));
 }
 BENCHMARK(BM_SimdDifference)
-    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1, 2}});
+    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1}});
 
 void BM_SimdGallopIntersect(benchmark::State& state) {
   // Skew grid: |a| = 32 probes into |b| = 32 * ratio. Justifies
@@ -211,7 +211,7 @@ void BM_SimdGallopIntersect(benchmark::State& state) {
                           static_cast<std::int64_t>(a.size()));
 }
 BENCHMARK(BM_SimdGallopIntersect)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}});
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1}});
 
 void BM_SimdMergeUnderSkew(benchmark::State& state) {
   // Same skewed inputs through the block-merge kernel: the crossover against
@@ -236,7 +236,7 @@ void BM_SimdMergeUnderSkew(benchmark::State& state) {
                           static_cast<std::int64_t>(a.size()));
 }
 BENCHMARK(BM_SimdMergeUnderSkew)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}});
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1}});
 
 void BM_NeighborScan(benchmark::State& state) {
   Graph g = make_barabasi_albert(2000, 8, 11);

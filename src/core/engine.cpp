@@ -101,7 +101,7 @@ class StackEngine {
               const CancelToken* cancel, EmbeddingSink* sink,
               OuterRange range)
       : g_(g), plan_(plan), cfg_(cfg), range_(range), poller_(cancel),
-        sink_(sink), k_(plan.size()) {
+        sink_(sink), k_(plan.size()), simd_(simd::kernels()) {
     cfg_.device.validate();
     STM_CHECK(cfg_.unroll >= 1 && cfg_.unroll <= kWarpWidth);
     STM_CHECK(cfg_.stop_level >= 1);
@@ -262,7 +262,7 @@ class StackEngine {
                                     node.op.kind, filter, &out});
         }
         WarpOpCost op_cost;
-        combined_set_op(tasks, &op_cost);
+        combined_set_op(simd_, tasks, &op_cost);
         w.ops += op_cost;
         charge(w, cfg_.cost.set_op_cycles(op_cost));
       }
@@ -742,6 +742,7 @@ class StackEngine {
   CancelPoller poller_;
   EmbeddingSink* sink_ = nullptr;
   std::size_t k_;
+  const simd::Kernels& simd_;  // bound once per run
   std::uint64_t shared_per_warp_ = 0;
 
   VertexId v_cursor_ = 0;

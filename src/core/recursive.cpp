@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "setops/multi_set_op.hpp"
+#include "setops/set_ops.hpp"
 #include "util/check.hpp"
 
 namespace stm {
@@ -18,7 +18,7 @@ class RecExec {
         counters_(c),
         poller_(cancel),
         k_(plan.size()),
-        simd_(simd::kernels_for_choice(plan.options().forced_isa)) {
+        simd_(simd::kernels()) {
     STM_CHECK_MSG(!plan_.pattern().is_labeled() || g_.is_labeled(),
                   "labeled pattern requires a labeled data graph");
     values_.resize(plan_.num_nodes());
@@ -133,48 +133,9 @@ class RecExec {
           if (filter.keep(v)) out.push_back(v);
         add_ops(entry, nbrs.size());
       } else {
+        // src != out by plan construction since dep != id.
         const auto& src = values_[static_cast<std::size_t>(node.dep)];
-        // Dispatched (SIMD) set operation into a scratch buffer; src != out
-        // by plan construction since dep != id. The label filter only
-        // inspects surviving elements, so filtering after the set op is
-        // bit-identical to the old fused merge loop.
-        const bool intersect = (node.op.kind == SetOpKind::kIntersect);
-        const std::size_t bound =
-            intersect ? std::min(src.size(), nbrs.size()) : src.size();
-        scratch_.resize(bound + simd::kSimdOutSlack);
-        std::size_t n;
-        if (intersect) {
-          // Neighbor lists can dwarf a narrowed candidate set; gallop on
-          // heavy skew, block-merge otherwise (simd::kGallopSkewRatio).
-          const bool src_small = src.size() <= nbrs.size();
-          const std::size_t small = src_small ? src.size() : nbrs.size();
-          const std::size_t large = src_small ? nbrs.size() : src.size();
-          if (small * simd::kGallopSkewRatio <= large)
-            n = src_small
-                    ? simd_.gallop_intersect(src.data(), src.size(),
-                                             nbrs.data(), nbrs.size(),
-                                             scratch_.data())
-                    : simd_.gallop_intersect(nbrs.data(), nbrs.size(),
-                                             src.data(), src.size(),
-                                             scratch_.data());
-          else
-            n = simd_.intersect(src.data(), src.size(), nbrs.data(),
-                                nbrs.size(), scratch_.data());
-        } else if (src.size() * simd::kGallopSkewRatio <= nbrs.size()) {
-          n = simd_.gallop_difference(src.data(), src.size(), nbrs.data(),
-                                      nbrs.size(), scratch_.data());
-        } else {
-          n = simd_.difference(src.data(), src.size(), nbrs.data(),
-                               nbrs.size(), scratch_.data());
-        }
-        scratch_.resize(n);
-        if (filter.labels != nullptr)
-          scratch_.erase(std::remove_if(scratch_.begin(), scratch_.end(),
-                                        [&](VertexId v) {
-                                          return !filter.keep(v);
-                                        }),
-                         scratch_.end());
-        out.swap(scratch_);
+        set_op_into(simd_, node.op.kind, src, nbrs, out, filter);
         add_ops(entry, src.size() + nbrs.size());
       }
       if (counters_ != nullptr) ++counters_->sets_built;
@@ -265,9 +226,8 @@ class RecExec {
   RecursiveCounters* counters_;
   CancelPoller poller_;
   std::size_t k_;
-  const simd::Kernels& simd_;  // bound once per exec from the plan's choice
+  const simd::Kernels& simd_;  // bound once per exec
   std::vector<std::vector<VertexId>> values_;
-  std::vector<VertexId> scratch_;
   std::array<VertexId, kMaxPatternSize> matched_{};
   const EmbeddingVisitor* visit_ = nullptr;
   bool stopped_ = false;

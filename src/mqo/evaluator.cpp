@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "setops/set_ops.hpp"
 #include "util/check.hpp"
 
 namespace stm::mqo {
@@ -234,25 +235,12 @@ class Walker {
       }
     }
     auto& out = cands_[depth];
-    intersect_into(lists[0], lists[1], &out);
+    set_op_into(simd_, SetOpKind::kIntersect, lists[0], lists[1], out);
     for (std::size_t i = 2; i < count; ++i) {
-      intersect_into({out.data(), out.size()}, lists[i], &scratch_);
+      set_op_into(simd_, SetOpKind::kIntersect, out, lists[i], scratch_);
       out.swap(scratch_);
     }
     return {out.data(), out.size()};
-  }
-
-  void intersect_into(std::span<const VertexId> a, std::span<const VertexId> b,
-                      std::vector<VertexId>* out) {
-    if (a.size() > b.size()) std::swap(a, b);
-    out->resize(std::min(a.size(), b.size()) + simd::kSimdOutSlack);
-    const std::size_t n =
-        (a.size() * simd::kGallopSkewRatio <= b.size())
-            ? simd_.gallop_intersect(a.data(), a.size(), b.data(), b.size(),
-                                     out->data())
-            : simd_.intersect(a.data(), a.size(), b.data(), b.size(),
-                              out->data());
-    out->resize(n);
   }
 
   /// Valid extensions at position `depth` drawn from sorted list `c`. An
@@ -362,7 +350,7 @@ void walk_delta(const PatternIndex& index, const simd::Kernels& simd,
 
 MultiQueryEvaluator::MultiQueryEvaluator(const PatternIndex& index)
     : index_(index),
-      simd_(simd::kernels_for_choice(simd::IsaChoice::kAuto)) {}
+      simd_(simd::kernels()) {}
 
 void MultiQueryEvaluator::accumulate(
     GraphView g, VertexId u, VertexId v, EvalResult* out,

@@ -13,6 +13,9 @@ namespace stm {
 
 namespace {
 
+/// Compiled plans the session keeps, least recently used evicted first.
+constexpr std::size_t kPlanCacheCapacity = 64;
+
 /// Degradation order per requested engine. The chain starts with the
 /// requested engine itself; every later entry trades performance for
 /// independence from the failing machinery (the reference enumerator shares
@@ -125,7 +128,7 @@ GraphSession::GraphSession(Boot boot)
     : dyn_(std::move(boot.graph), boot.start_epoch, boot.cfg.storage,
            boot.cfg.fault),
       cfg_(std::move(boot.cfg)),
-      plan_cache_(cfg_.plan_cache_capacity),
+      plan_cache_(kPlanCacheCapacity),
       queries_submitted_(metrics_.counter(
           "queries_submitted", "Queries received (admitted + rejected)")),
       queries_admitted_(
@@ -597,9 +600,8 @@ QueryStatus GraphSession::exception_status(const std::string& context,
   return QueryStatus::kInternalError;
 }
 
-HostEngineConfig GraphSession::host_config(HostEngineConfig host) const {
-  if (host.num_threads == 0)
-    host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
+HostEngineConfig GraphSession::host_config(HostEngineConfig host) {
+  if (host.num_threads == 0) host.num_threads = 1;
   return host;
 }
 

@@ -80,9 +80,9 @@ struct QueryRequest {
   /// Wall-clock budget in ms, measured from submission (queue wait counts).
   /// 0 uses the session default; < 0 means no deadline.
   double deadline_ms = 0.0;
-  /// Host-path execution knobs (num_threads=0 is clamped to the session's
-  /// host_threads_per_query, not hardware concurrency — concurrency across
-  /// queries comes from the dispatcher).
+  /// Host-path execution knobs (num_threads = 0 runs the query on one
+  /// thread, not hardware concurrency — concurrency across queries comes
+  /// from the dispatcher).
   HostEngineConfig host;
   /// SIMT-path device configuration.
   EngineConfig simt;
@@ -226,11 +226,8 @@ struct SessionConfig {
   std::size_t max_concurrent_queries = 4;
   /// Queries waiting beyond the concurrent ones before kOverloaded.
   std::size_t max_queued_queries = 32;
-  std::size_t plan_cache_capacity = 64;
   /// Default per-query wall-clock budget (ms); 0 = unlimited.
   double default_deadline_ms = 0.0;
-  /// Engine threads each host-path query runs on.
-  std::size_t host_threads_per_query = 1;
   ResilienceConfig resilience;
   /// Chaos schedule of the session's own sites (DESIGN.md §9): kPoolTask,
   /// kUpdateApply (armed after WAL replay), kShardFailure, kWalAppend,
@@ -414,8 +411,8 @@ class GraphSession {
   /// exception".
   static QueryStatus exception_status(const std::string& context,
                                       std::string* error);
-  /// `host` with num_threads = 0 resolved to host_threads_per_query.
-  HostEngineConfig host_config(HostEngineConfig host) const;
+  /// `host` with num_threads = 0 resolved to one thread.
+  static HostEngineConfig host_config(HostEngineConfig host);
   /// Sharded-mode eligibility for (kind, req) — see ShardingConfig.
   bool shardable(EngineKind kind, const QueryRequest& req) const;
   /// (Re)builds the partition for `snap` and publishes it with the per-shard

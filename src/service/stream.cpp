@@ -298,8 +298,12 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
       positioned =
           legacy_position(snap->view(), *plan, at.v0, at.skip, &after);
     }
-  } catch (const check_error& e) {
-    return reject_stream(req, QueryStatus::kInvalidArgument, e.what());
+  } catch (...) {
+    // A bad pattern or token is the request's fault; an exhausted spill
+    // page while positioning is not (exception_status tells them apart).
+    std::string error;
+    const QueryStatus status = exception_status("stream open threw", &error);
+    return reject_stream(req, status, std::move(error));
   }
   if (!positioned) {
     std::ostringstream os;

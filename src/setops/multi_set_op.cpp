@@ -7,7 +7,8 @@
 
 namespace stm {
 
-void combined_set_op(std::span<SetOpTask> tasks, WarpOpCost* cost) {
+void combined_set_op(const simd::Kernels& k, std::span<SetOpTask> tasks,
+                     WarpOpCost* cost) {
   std::vector<std::uint64_t> sizes(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     STM_CHECK(tasks[t].out != nullptr);
@@ -16,20 +17,14 @@ void combined_set_op(std::span<SetOpTask> tasks, WarpOpCost* cost) {
   const auto scan = exclusive_prefix_sum(sizes);  // paper: size_scan
   const std::uint64_t total = scan.back();
 
-  // Outputs go through the dispatched (SIMD) kernels: each task's result is
-  // its source op target, label-filtered, in sorted order — exactly what the
-  // per-lane emulation produced element by element. The warp cost counters
-  // are data-independent (they depend only on source/target sizes), so they
-  // are computed arithmetically below and stay bit-identical to the old
-  // per-element loop under every ISA level.
+  // Outputs go through set_op_into: each task's result is its source op
+  // target, label-filtered, in sorted order, whichever kernel runs. The warp
+  // cost counters depend only on source and target sizes, not on the data,
+  // so they are computed arithmetically below and do not depend on the
+  // kernel either.
   WarpOpCost local;
   for (SetOpTask& task : tasks) {
-    set_op_into(task.op, task.source, task.target, *task.out);
-    if (task.filter.labels != nullptr)
-      task.out->erase(
-          std::remove_if(task.out->begin(), task.out->end(),
-                         [&](VertexId v) { return !task.filter.keep(v); }),
-          task.out->end());
+    set_op_into(k, task.op, task.source, task.target, *task.out, task.filter);
     local.elements_written += task.out->size();
   }
 

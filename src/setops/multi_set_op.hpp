@@ -46,19 +46,6 @@ struct WarpOpCost {
   }
 };
 
-/// Optional per-element output filter: keep v iff its label bit is in `mask`.
-/// `labels == nullptr` disables filtering. This implements the merged
-/// multi-label intermediate sets of paper Fig. 10b (a one-bit mask gives the
-/// exact-label filter of a final candidate set).
-struct LabelFilter {
-  const Label* labels = nullptr;
-  std::uint64_t mask = ~0ULL;
-
-  bool keep(VertexId v) const {
-    return labels == nullptr || ((mask >> labels[v]) & 1ULL);
-  }
-};
-
 /// One of the M fused operations: out = source op target, label-filtered.
 struct SetOpTask {
   SetView source;
@@ -70,9 +57,10 @@ struct SetOpTask {
 
 /// Executes all tasks as a single warp would (paper Fig. 8): the sources are
 /// concatenated, processed `warp_width` elements per wave, and each lane's
-/// probe depth is max-reduced per wave. Appends counters to *cost (may be
-/// null).
-void combined_set_op(std::span<SetOpTask> tasks, WarpOpCost* cost);
+/// probe depth is max-reduced per wave. Outputs come from set_op_into over
+/// table `k`. Appends counters to *cost (may be null).
+void combined_set_op(const simd::Kernels& k, std::span<SetOpTask> tasks,
+                     WarpOpCost* cost);
 
 /// Warp-parallel filtered copy (candidate materialization at level 1, where
 /// the set is just a neighbor list): ceil(n/W) waves, one step per wave.

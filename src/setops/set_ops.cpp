@@ -17,20 +17,16 @@ void intersect_binary(SetView a, SetView b, std::vector<VertexId>& out) {
     if (set_contains(b, v)) out.push_back(v);
 }
 
-inline const simd::Kernels& table_or_active(const simd::Kernels* kernels) {
-  return kernels != nullptr ? *kernels : simd::kernels();
-}
-
 }  // namespace
 
 void set_intersect_into(SetView a, SetView b, std::vector<VertexId>& out,
-                        IntersectAlgo algo, const simd::Kernels* kernels) {
+                        IntersectAlgo algo) {
   if (algo == IntersectAlgo::kBinary) {
     out.clear();
     intersect_binary(a, b, out);
     return;
   }
-  const simd::Kernels& k = table_or_active(kernels);
+  const simd::Kernels& k = simd::kernels();
   // Galloping probes the larger set with elements of the smaller one; the
   // intersection is symmetric so sorted output is preserved either way.
   SetView small = a, large = b;
@@ -52,19 +48,8 @@ std::vector<VertexId> set_intersect(SetView a, SetView b, IntersectAlgo algo) {
   return out;
 }
 
-void set_difference_into(SetView a, SetView b, std::vector<VertexId>& out,
-                         const simd::Kernels* kernels) {
-  const simd::Kernels& k = table_or_active(kernels);
-  out.resize(a.size() + simd::kSimdOutSlack);
-  // The skewed case worth special-casing is |b| >> |a| (subtracting a huge
-  // neighbor list from a small candidate set); a \ b never shrinks below
-  // probing each element of a, so gallop on that shape.
-  const std::size_t n =
-      b.size() / simd::kGallopSkewRatio >= std::max<std::size_t>(a.size(), 1)
-          ? k.gallop_difference(a.data(), a.size(), b.data(), b.size(),
-                                out.data())
-          : k.difference(a.data(), a.size(), b.data(), b.size(), out.data());
-  out.resize(n);
+void set_difference_into(SetView a, SetView b, std::vector<VertexId>& out) {
+  set_op_into(simd::kernels(), SetOpKind::kDifference, a, b, out);
 }
 
 std::vector<VertexId> set_difference(SetView a, SetView b) {
@@ -74,27 +59,17 @@ std::vector<VertexId> set_difference(SetView a, SetView b) {
   return out;
 }
 
-std::size_t set_intersect_count(SetView a, SetView b,
-                                const simd::Kernels* kernels) {
-  const simd::Kernels& k = table_or_active(kernels);
-  SetView small = a, large = b;
-  if (small.size() > large.size()) std::swap(small, large);
-  if (small.size() * simd::kGallopSkewRatio <= large.size())
-    return k.gallop_intersect_count(small.data(), small.size(), large.data(),
-                                    large.size());
+std::size_t set_intersect_count(SetView a, SetView b) {
+  const simd::Kernels& k = simd::kernels();
+  if (gallops(a.size(), b.size()))
+    return k.gallop_intersect_count(a.data(), a.size(), b.data(), b.size());
+  if (gallops(b.size(), a.size()))
+    return k.gallop_intersect_count(b.data(), b.size(), a.data(), a.size());
   return k.intersect_count(a.data(), a.size(), b.data(), b.size());
 }
 
 std::size_t set_difference_count(SetView a, SetView b) {
   return a.size() - set_intersect_count(a, b);
-}
-
-void set_op_into(SetOpKind op, SetView lhs, SetView rhs,
-                 std::vector<VertexId>& out) {
-  if (op == SetOpKind::kIntersect)
-    set_intersect_into(lhs, rhs, out);
-  else
-    set_difference_into(lhs, rhs, out);
 }
 
 std::uint32_t bsearch_steps(std::size_t set_size) {

@@ -147,36 +147,25 @@ constexpr Kernels kScalarKernels = {
 // is an atomic the force API flips between runs.
 
 struct Dispatch {
-  const Kernels* tables[kNumIsaLevels] = {nullptr, nullptr, nullptr};
+  const Kernels* tables[kNumIsaLevels] = {nullptr, nullptr};
   IsaLevel best = IsaLevel::kScalar;
   IsaChoice env_force = IsaChoice::kAuto;
 };
 
-bool cpu_can_execute(IsaLevel level) {
-  switch (level) {
-    case IsaLevel::kScalar:
-      return true;
-    case IsaLevel::kSse42:
-    case IsaLevel::kAvx2:
+bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-      __builtin_cpu_init();
-      return level == IsaLevel::kSse42 ? __builtin_cpu_supports("sse4.2")
-                                       : __builtin_cpu_supports("avx2");
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
 #else
-      return false;
-#endif
-  }
   return false;
+#endif
 }
 
 const Dispatch& dispatch() {
   static const Dispatch d = [] {
     Dispatch init;
     init.tables[static_cast<std::size_t>(IsaLevel::kScalar)] = &kScalarKernels;
-    if (cpu_can_execute(IsaLevel::kSse42))
-      init.tables[static_cast<std::size_t>(IsaLevel::kSse42)] =
-          detail::sse42_kernels();
-    if (cpu_can_execute(IsaLevel::kAvx2))
+    if (cpu_has_avx2())
       init.tables[static_cast<std::size_t>(IsaLevel::kAvx2)] =
           detail::avx2_kernels();
     for (std::size_t l = 0; l < kNumIsaLevels; ++l)
@@ -186,8 +175,7 @@ const Dispatch& dispatch() {
         env != nullptr && env[0] != '\0') {
       IsaLevel forced = IsaLevel::kScalar;
       STM_CHECK_MSG(isa_level_from_string(env, &forced),
-                    "STMATCH_FORCE_ISA='" << env
-                                          << "' is not scalar|sse42|avx2");
+                    "STMATCH_FORCE_ISA='" << env << "' is not scalar|avx2");
       STM_CHECK_MSG(
           init.tables[static_cast<std::size_t>(forced)] != nullptr,
           "STMATCH_FORCE_ISA=" << env
@@ -218,16 +206,10 @@ const char* to_string(IsaLevel level) {
   switch (level) {
     case IsaLevel::kScalar:
       return "scalar";
-    case IsaLevel::kSse42:
-      return "sse42";
     case IsaLevel::kAvx2:
       return "avx2";
   }
   return "unknown";
-}
-
-const char* to_string(IsaChoice choice) {
-  return choice == IsaChoice::kAuto ? "auto" : to_string(level_of(choice));
 }
 
 bool isa_level_from_string(const char* name, IsaLevel* out) {
@@ -239,17 +221,6 @@ bool isa_level_from_string(const char* name, IsaLevel* out) {
     }
   }
   return false;
-}
-
-bool isa_choice_from_string(const char* name, IsaChoice* out) {
-  if (std::strcmp(name, "auto") == 0) {
-    *out = IsaChoice::kAuto;
-    return true;
-  }
-  IsaLevel level = IsaLevel::kScalar;
-  if (!isa_level_from_string(name, &level)) return false;
-  *out = static_cast<IsaChoice>(static_cast<std::uint8_t>(level) + 1);
-  return true;
 }
 
 bool is_supported(IsaLevel level) {
@@ -274,11 +245,6 @@ const Kernels& kernels_for(IsaLevel level) {
                                                 << "' is not supported by "
                                                    "this build/CPU");
   return *table;
-}
-
-const Kernels& kernels_for_choice(IsaChoice choice) {
-  if (choice == IsaChoice::kAuto) return kernels();
-  return kernels_for(level_of(choice));
 }
 
 void force_isa(IsaChoice choice) {

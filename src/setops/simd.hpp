@@ -2,10 +2,10 @@
 //
 // The host engine's enumeration time is dominated by sorted-set
 // intersection/difference over candidate lists (paper Fig. 1 line 7/10).
-// This module provides AVX2 and SSE4.2 implementations of the scalar
-// building blocks in set_ops.hpp behind a dispatch table selected once at
-// startup from CPUID, with the scalar merge loops as the always-available
-// fallback and oracle.
+// This module provides an AVX2 implementation of the scalar building blocks
+// in set_ops.hpp behind a dispatch table selected once at startup from
+// CPUID, with the scalar merge loops as the always-available fallback and
+// oracle.
 //
 // Bit-exactness contract: for every kernel table K and strictly-ascending
 // inputs, K.op(a, b) produces byte-identical output (same elements, same
@@ -15,11 +15,11 @@
 // the build and CPU support, and the differential harness re-proves it on
 // whole-query counts (TESTING.md).
 //
-// Dispatch order: a per-plan override (PlanOptions::forced_isa) beats the
-// process-wide force (STMATCH_FORCE_ISA env, read once at startup, or
-// force_isa() for tests), which beats CPUID auto-detection. Forcing a level
-// the build or CPU cannot execute is a check_error — silently falling back
-// would let CI "pass" the AVX2 sweep on a scalar build.
+// Dispatch order: a test's force_isa() / ScopedForceIsa beats the
+// STMATCH_FORCE_ISA env (read once at startup), which beats CPUID
+// auto-detection. Forcing a level the build or CPU cannot execute is a
+// check_error — silently falling back would let CI "pass" the AVX2 sweep on
+// a scalar build.
 #pragma once
 
 #include <cstddef>
@@ -33,26 +33,21 @@ namespace stm::simd {
 /// increasing capability order. kScalar is always supported.
 enum class IsaLevel : std::uint8_t {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
-inline constexpr std::size_t kNumIsaLevels = 3;
+inline constexpr std::size_t kNumIsaLevels = 2;
 
-/// Per-run ISA selection knob (PlanOptions::forced_isa): kAuto follows the
-/// process-wide dispatch, everything else pins one level.
+/// Argument of force_isa(): kAuto follows STMATCH_FORCE_ISA or CPUID,
+/// everything else pins one level.
 enum class IsaChoice : std::uint8_t {
   kAuto = 0,
   kScalar = 1,
-  kSse42 = 2,
-  kAvx2 = 3,
+  kAvx2 = 2,
 };
 
 const char* to_string(IsaLevel level);
-const char* to_string(IsaChoice choice);
-/// Parses "scalar" / "sse42" / "avx2" (and "auto" for choices). Returns
-/// false on unknown names.
+/// Parses "scalar" / "avx2". Returns false on unknown names.
 bool isa_level_from_string(const char* name, IsaLevel* out);
-bool isa_choice_from_string(const char* name, IsaChoice* out);
 
 /// Vectorized kernels store whole vectors and advance the write head by
 /// popcount, so output buffers must have this many lanes of headroom past
@@ -106,17 +101,12 @@ IsaLevel best_supported();
 IsaLevel active_isa();
 
 /// The process-wide dispatch table. First use reads STMATCH_FORCE_ISA
-/// (scalar|sse42|avx2; unset or empty = auto-detect; unknown or unsupported
-/// values are a check_error).
+/// (scalar|avx2; unset or empty = auto-detect; unknown or unsupported values
+/// are a check_error).
 const Kernels& kernels();
 
 /// The table of one specific level; check_error if unsupported.
 const Kernels& kernels_for(IsaLevel level);
-
-/// Resolves a per-plan choice against the global dispatch: kAuto returns
-/// kernels(), anything else the pinned level's table (check_error if that
-/// level is unsupported).
-const Kernels& kernels_for_choice(IsaChoice choice);
 
 /// Overrides the process-wide dispatch (kAuto clears the override, reverting
 /// to env/CPUID). Takes effect on the next kernels() call; not synchronized
@@ -146,14 +136,14 @@ class ScopedForceIsa {
 /// block-merge ones: gallop when larger/smaller >= this. Measured on the
 /// micro_setops grid (EXPERIMENTS.md) — merge degrades gracefully up to
 /// ~16x skew, galloping wins clearly past ~32x; 32 keeps the merge kernels
-/// on every balanced workload.
+/// on every balanced workload. set_op_into (set_ops.hpp) is where the rule
+/// is applied.
 inline constexpr std::size_t kGallopSkewRatio = 32;
 
-// Internal: per-ISA tables registered by their translation units. Return
-// nullptr when the build lacks the level (non-x86 target, STMATCH_SIMD=OFF,
-// or a compiler without the arch flag).
+// Internal: the AVX2 table, registered by its translation unit. Returns
+// nullptr when the build lacks it (non-x86 target, STMATCH_SIMD=OFF, or a
+// compiler without -mavx2).
 namespace detail {
-const Kernels* sse42_kernels();
 const Kernels* avx2_kernels();
 }  // namespace detail
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "persist/codec.hpp"
-#include "util/check.hpp"
 
 namespace stm::storage {
 
@@ -40,7 +39,7 @@ std::shared_ptr<const std::string> PageCache::fetch_validated(
   std::ostringstream os;
   os << "storage: page " << page << " failed validation after " << attempts
      << " read attempts (short read or CRC mismatch); failing closed";
-  throw check_error(os.str());
+  throw PageReadError(os.str());
 }
 
 void PageCache::evict_locked(std::uint32_t keep_page) {

@@ -5,7 +5,7 @@
 // short or garbled read — injected via FaultSite::kPageRead or real — is
 // detected before a single byte is decoded. Failed reads retry with a bumped
 // attempt key up to FaultConfig::max_unit_attempts (the §9 budget), then
-// fail closed with check_error: a corrupt page is never served.
+// fail closed with PageReadError: a corrupt page is never served.
 //
 // Pages are handed out as shared_ptr<const string>, so eviction can drop a
 // frame while a reader still decodes from it; the cache's resident
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,14 @@
 #include "storage/pagefile.hpp"
 
 namespace stm::storage {
+
+/// A page that failed validation on every read attempt of its budget. The
+/// storage, not the request, is at fault, so it is not a check_error: the
+/// session reports kInternalError, and its retry and fallback hear of it.
+class PageReadError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct PagerStats {
   std::uint64_t hits = 0;
@@ -46,7 +55,8 @@ class PageCache {
   std::uint64_t budget_bytes() const { return budget_; }
 
   /// Returns page `page`'s validated payload, faulting it in if needed.
-  /// Throws check_error after the retry budget is exhausted.
+  /// Throws PageReadError, naming the page, after the retry budget is
+  /// exhausted.
   std::shared_ptr<const std::string> get_page(std::uint32_t page);
 
   PagerStats stats() const;

@@ -428,41 +428,43 @@ void describe_storage(std::ostream& os, const TestCase& c) {
 // --- isa: the whole oracle under one pinned SIMD kernel table ------------
 
 void sample_isa(Rng& rng, const WorkloadOptions&, TestCase& c) {
-  // Uniform over every choice regardless of what this machine supports, so
+  // Uniform over every pin regardless of what this machine supports, so
   // generation stays machine-independent.
-  static constexpr simd::IsaChoice kIsaChoices[] = {
-      simd::IsaChoice::kAuto, simd::IsaChoice::kScalar,
-      simd::IsaChoice::kSse42, simd::IsaChoice::kAvx2};
-  c.forced_isa = kIsaChoices[rng.next_below(4)];
+  c.forced_isa = static_cast<IsaPin>(rng.next_below(kNumIsaPins));
 }
 
 /// Every other lane's agreement check doubles as a SIMD-vs-scalar
 /// bit-exactness proof on whole-query counts. A level this build or CPU
-/// lacks degrades to the auto dispatch.
+/// lacks, and the retired sse42 slot, degrade to the auto dispatch.
 std::shared_ptr<void> isa_scope(const TestCase& c) {
-  simd::IsaChoice choice = c.forced_isa;
-  if (choice != simd::IsaChoice::kAuto &&
-      !simd::is_supported(static_cast<simd::IsaLevel>(
-          static_cast<std::uint8_t>(choice) - 1)))
-    choice = simd::IsaChoice::kAuto;
+  simd::IsaChoice choice = simd::IsaChoice::kAuto;
+  if (c.forced_isa == IsaPin::kScalar) choice = simd::IsaChoice::kScalar;
+  if (c.forced_isa == IsaPin::kAvx2 &&
+      simd::is_supported(simd::IsaLevel::kAvx2))
+    choice = simd::IsaChoice::kAvx2;
   return std::make_shared<simd::ScopedForceIsa>(choice);
 }
 
 void write_isa(std::ostream& os, const TestCase& c) {
-  if (c.forced_isa != simd::IsaChoice::kAuto)
-    os << "isa " << simd::to_string(c.forced_isa) << "\n";
+  if (c.forced_isa != IsaPin::kAuto)
+    os << "isa " << to_string(c.forced_isa) << "\n";
 }
 
 void read_isa(ReproReader& reader, TestCase& c) {
   reader.expect_arity(1);
-  STM_CHECK_MSG(
-      simd::isa_choice_from_string(reader.tokens()[1].c_str(), &c.forced_isa),
-      "repro: unknown isa choice in \"" << reader.raw() << "\"");
+  for (std::size_t p = 0; p < kNumIsaPins; ++p) {
+    if (reader.tokens()[1] == to_string(static_cast<IsaPin>(p))) {
+      c.forced_isa = static_cast<IsaPin>(p);
+      return;
+    }
+  }
+  STM_CHECK_MSG(false, "repro: unknown isa choice in \"" << reader.raw()
+                                                          << "\"");
 }
 
 void describe_isa(std::ostream& os, const TestCase& c) {
-  if (c.forced_isa != simd::IsaChoice::kAuto)
-    os << " isa=" << simd::to_string(c.forced_isa);
+  if (c.forced_isa != IsaPin::kAuto)
+    os << " isa=" << to_string(c.forced_isa);
 }
 
 // --- mqo: the shared-prefix standing-query index vs per-pattern matchers --

@@ -29,6 +29,12 @@ const char* to_string(GraphFamily family) {
   return "unknown";
 }
 
+const char* to_string(IsaPin pin) {
+  static constexpr const char* kNames[kNumIsaPins] = {"auto", "scalar",
+                                                      "sse42", "avx2"};
+  return kNames[static_cast<std::size_t>(pin)];
+}
+
 GraphFamily graph_family_from_string(const std::string& name) {
   for (std::size_t i = 0; i < kNumGraphFamilies; ++i) {
     const auto family = static_cast<GraphFamily>(i);

@@ -44,6 +44,15 @@ const char* to_string(GraphFamily family);
 /// Inverse of to_string; throws check_error on unknown names.
 GraphFamily graph_family_from_string(const std::string& name);
 
+/// ISA lane knob: the SIMD kernel table the whole oracle runs under. The
+/// lane keeps four slots so seed draws and committed .repro files stay
+/// stable: kSse42 names a table the library no longer ships and, like a
+/// level this build or CPU lacks, runs under the auto dispatch.
+enum class IsaPin : std::uint8_t { kAuto = 0, kScalar, kSse42, kAvx2 };
+inline constexpr std::size_t kNumIsaPins = 4;
+
+const char* to_string(IsaPin pin);
+
 /// The generator's floors: graphs have at least kMinGraphVertices vertices
 /// (corner cases aside) and sampled patterns at least 3.
 inline constexpr VertexId kMinGraphVertices = 8;
@@ -103,7 +112,7 @@ struct TestCase {
   storage::Backend storage_backend = storage::Backend::kUncompressed;
   std::uint64_t storage_budget_bytes = 0;
   /// ISA pin: the SIMD kernel table the whole oracle runs under.
-  simd::IsaChoice forced_isa = simd::IsaChoice::kAuto;
+  IsaPin forced_isa = IsaPin::kAuto;
   /// Multi-query lane: extra standing patterns registered next to `pattern`.
   std::vector<Pattern> mqo_patterns;
 };

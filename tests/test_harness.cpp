@@ -14,7 +14,6 @@
 
 #include "pattern/canonical.hpp"
 #include "pattern/matching_order.hpp"
-#include "setops/simd.hpp"
 #include "testing/lanes.hpp"
 #include "testing/metamorphic.hpp"
 #include "testing/minimize.hpp"
@@ -115,7 +114,7 @@ TEST(HarnessWorkload, IsaLaneSamplesEveryChoice) {
   // The ISA knob rides its own derived stream, so a modest seed sweep must
   // hit all four choices — including levels this machine may not support
   // (generation is machine-independent; the oracle does the degrading).
-  std::set<simd::IsaChoice> seen;
+  std::set<harness::IsaPin> seen;
   for (std::uint64_t seed = 0; seed < 64; ++seed)
     seen.insert(random_case(derive_seed(11, seed)).forced_isa);
   EXPECT_EQ(seen.size(), 4u);
@@ -439,13 +438,13 @@ TEST(HarnessRepro, MqoPatternsRoundTrip) {
 
 TEST(HarnessRepro, IsaLineRoundTripsAndRejectsUnknownNames) {
   TestCase c = random_case(7);
-  c.forced_isa = simd::IsaChoice::kAuto;
+  c.forced_isa = harness::IsaPin::kAuto;
   EXPECT_EQ(to_repro(c).find("isa "), std::string::npos)
       << "default choice must not be serialized";
-  c.forced_isa = simd::IsaChoice::kAvx2;
+  c.forced_isa = harness::IsaPin::kAvx2;
   const std::string text = to_repro(c);
   EXPECT_NE(text.find("isa avx2\n"), std::string::npos) << text;
-  EXPECT_EQ(from_repro(text).forced_isa, simd::IsaChoice::kAvx2);
+  EXPECT_EQ(from_repro(text).forced_isa, harness::IsaPin::kAvx2);
 
   std::string bad = text;
   bad.replace(bad.find("isa avx2"), 8, "isa mmx!");
@@ -520,7 +519,7 @@ const LaneKnobs kLaneKnobs[] = {
      "uncompressed/0"},
     {"isa",
      [](const TestCase& c) {
-       return std::string(simd::to_string(c.forced_isa));
+       return std::string(harness::to_string(c.forced_isa));
      },
      "auto"},
 };

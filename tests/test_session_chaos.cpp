@@ -19,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "pattern/pattern.hpp"
 #include "service/service.hpp"
+#include "service/stream.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -210,10 +211,51 @@ TEST(SessionChaos, PageReadFaultsReachTheFaultCounter) {
   cfg.fault.set_rate(FaultSite::kPageRead, 1.0);
   cfg.fault.max_unit_attempts = 2;
   GraphSession session(make_barabasi_albert(200, 4, 131), cfg);
-  // The first page read fails both attempts and the query fails closed.
+  // The first page read fails both attempts. The storage is at fault, so
+  // the query is retried and falls back to kReference, each of the four
+  // engine calls failing that page read twice, and fails closed as an
+  // internal error.
   const QueryResult r = session.run(count_request(EngineKind::kHost));
-  EXPECT_EQ(r.status, QueryStatus::kInvalidArgument);
-  EXPECT_EQ(session.metrics().counter("faults_injected_total").value(), 2u);
+  EXPECT_EQ(r.status, QueryStatus::kInternalError);
+  EXPECT_NE(r.error.find("page"), std::string::npos) << r.error;
+  EXPECT_EQ(r.attempts, 4u);
+  EXPECT_EQ(session.metrics().counter("faults_injected_total").value(), 8u);
+}
+
+TEST(SessionChaos, ExhaustedPageFailsTheBatchAsInternal) {
+  // The batch's redundancy check reads an endpoint's page, which fails
+  // every attempt: the batch is not at fault, and nothing is published.
+  SessionConfig cfg;
+  cfg.storage = spill(1024, 256);
+  cfg.fault.set_rate(FaultSite::kPageRead, 1.0);
+  cfg.fault.max_unit_attempts = 2;
+  GraphSession session(make_barabasi_albert(200, 4, 131), cfg);
+  const std::uint64_t epoch = session.epoch();
+  UpdateBatch batch;
+  batch.insertions = {{3, 150}};
+  const UpdateOutcome out = session.apply_updates(batch);
+  EXPECT_EQ(out.status, QueryStatus::kInternalError);
+  EXPECT_NE(out.error.find("page"), std::string::npos) << out.error;
+  EXPECT_EQ(out.epoch, epoch);
+  EXPECT_EQ(session.epoch(), epoch);
+}
+
+TEST(SessionChaos, ExhaustedPageFailsAStreamAsInternal) {
+  // The stream's producer reads a page that fails every attempt: the
+  // stream ends without an embedding, and the request is not blamed.
+  SessionConfig cfg;
+  cfg.storage = spill(1024, 256);
+  cfg.fault.set_rate(FaultSite::kPageRead, 1.0);
+  cfg.fault.max_unit_attempts = 2;
+  GraphSession session(make_barabasi_albert(200, 4, 131), cfg);
+  StreamRequest req;
+  req.query = count_request(EngineKind::kHost);
+  const auto stream = session.open_stream(req);
+  Embedding e;
+  EXPECT_FALSE(stream->next(&e));
+  const QueryResult r = stream->result();
+  EXPECT_EQ(r.status, QueryStatus::kInternalError);
+  EXPECT_NE(r.error.find("page"), std::string::npos) << r.error;
 }
 
 TEST(SessionChaos, ZeroBudgetIsRejectedAtConstruction) {

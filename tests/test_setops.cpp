@@ -111,10 +111,138 @@ TEST(SetOps, DifferenceMatchesStdOnRandomInputs) {
 
 TEST(SetOps, SetOpIntoDispatch) {
   std::vector<VertexId> a{1, 2, 3}, b{2}, out;
-  set_op_into(SetOpKind::kIntersect, a, b, out);
+  set_op_into(simd::kernels(), SetOpKind::kIntersect, a, b, out);
   EXPECT_EQ(out, std::vector<VertexId>{2});
-  set_op_into(SetOpKind::kDifference, a, b, out);
+  set_op_into(simd::kernels(), SetOpKind::kDifference, a, b, out);
   EXPECT_EQ(out, (std::vector<VertexId>{1, 3}));
+}
+
+/// Calls of each kernel of the counting table below, and the operand sizes
+/// of the last one.
+struct KernelCalls {
+  int intersect = 0, gallop_intersect = 0, difference = 0,
+      gallop_difference = 0;
+  std::size_t an = 0, bn = 0;
+};
+KernelCalls g_calls;
+
+const simd::Kernels& scalar_kernels() {
+  return simd::kernels_for(simd::IsaLevel::kScalar);
+}
+
+/// A table whose set-op entries count their calls and delegate to the
+/// scalar table, so a test sees which kernel set_op_into picked.
+simd::Kernels counting_kernels() {
+  simd::Kernels k = scalar_kernels();
+  k.intersect = [](const VertexId* a, std::size_t an, const VertexId* b,
+                   std::size_t bn, VertexId* out) {
+    ++g_calls.intersect;
+    g_calls.an = an;
+    g_calls.bn = bn;
+    return scalar_kernels().intersect(a, an, b, bn, out);
+  };
+  k.gallop_intersect = [](const VertexId* a, std::size_t an,
+                          const VertexId* b, std::size_t bn, VertexId* out) {
+    ++g_calls.gallop_intersect;
+    g_calls.an = an;
+    g_calls.bn = bn;
+    return scalar_kernels().gallop_intersect(a, an, b, bn, out);
+  };
+  k.difference = [](const VertexId* a, std::size_t an, const VertexId* b,
+                    std::size_t bn, VertexId* out) {
+    ++g_calls.difference;
+    g_calls.an = an;
+    g_calls.bn = bn;
+    return scalar_kernels().difference(a, an, b, bn, out);
+  };
+  k.gallop_difference = [](const VertexId* a, std::size_t an,
+                           const VertexId* b, std::size_t bn,
+                           VertexId* out) {
+    ++g_calls.gallop_difference;
+    g_calls.an = an;
+    g_calls.bn = bn;
+    return scalar_kernels().gallop_difference(a, an, b, bn, out);
+  };
+  return k;
+}
+
+/// The even numbers 0, 2, ..., 2 * (n - 1).
+std::vector<VertexId> evens(std::size_t n) {
+  std::vector<VertexId> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<VertexId>(2 * i);
+  return v;
+}
+
+TEST(SetOps, SetOpIntoGallopsFromThirtyTwoFoldSkew) {
+  static_assert(simd::kGallopSkewRatio == 32);
+  const simd::Kernels k = counting_kernels();
+  const std::vector<VertexId> small{0, 3, 8, 10};  // 3 is odd: a miss
+  std::vector<VertexId> out;
+  // 4 x 32 = 128 gallops, the shorter list probing the longer in either
+  // operand order; 127 block-merges with the operands as given.
+  const std::vector<VertexId> at_ratio = evens(128), below = evens(127);
+  const struct {
+    SetView lhs, rhs;
+    int gallops, merges;
+    std::size_t an, bn;
+  } cases[] = {
+      {small, at_ratio, 1, 0, 4, 128},
+      {at_ratio, small, 1, 0, 4, 128},
+      {small, below, 0, 1, 4, 127},
+      {below, small, 0, 1, 127, 4},
+  };
+  for (const auto& c : cases) {
+    g_calls = {};
+    set_op_into(k, SetOpKind::kIntersect, c.lhs, c.rhs, out);
+    EXPECT_EQ(out, std_intersect(c.lhs, c.rhs));
+    EXPECT_EQ(g_calls.gallop_intersect, c.gallops);
+    EXPECT_EQ(g_calls.intersect, c.merges);
+    EXPECT_EQ(g_calls.an, c.an);
+    EXPECT_EQ(g_calls.bn, c.bn);
+    EXPECT_EQ(g_calls.difference + g_calls.gallop_difference, 0);
+  }
+  // a \ b gallops only when |a| x 32 <= |b|; the long list minus the short
+  // one always merges.
+  const struct {
+    SetView lhs, rhs;
+    int gallops, merges;
+  } diffs[] = {
+      {small, at_ratio, 1, 0},
+      {small, below, 0, 1},
+      {at_ratio, small, 0, 1},
+  };
+  for (const auto& d : diffs) {
+    g_calls = {};
+    set_op_into(k, SetOpKind::kDifference, d.lhs, d.rhs, out);
+    EXPECT_EQ(out, std_difference(d.lhs, d.rhs));
+    EXPECT_EQ(g_calls.gallop_difference, d.gallops);
+    EXPECT_EQ(g_calls.difference, d.merges);
+    EXPECT_EQ(g_calls.an, d.lhs.size());
+    EXPECT_EQ(g_calls.bn, d.rhs.size());
+    EXPECT_EQ(g_calls.intersect + g_calls.gallop_intersect, 0);
+  }
+}
+
+TEST(SetOps, SetOpIntoFiltersAfterTheKernel) {
+  const simd::Kernels k = counting_kernels();
+  // Label v % 3; keep labels 0 and 2. The rule reads the unfiltered sizes.
+  std::vector<Label> labels(256);
+  for (std::size_t v = 0; v < labels.size(); ++v)
+    labels[v] = static_cast<Label>(v % 3);
+  const LabelFilter filter{labels.data(), (1ULL << 0) | (1ULL << 2)};
+  const std::vector<VertexId> small{0, 2, 4, 6}, large = evens(128);
+  std::vector<VertexId> out;
+  g_calls = {};
+  set_op_into(k, SetOpKind::kIntersect, small, large, out, filter);
+  EXPECT_EQ(out, (std::vector<VertexId>{0, 2, 6}));
+  EXPECT_EQ(g_calls.gallop_intersect, 1);
+  g_calls = {};
+  set_op_into(k, SetOpKind::kDifference, large, small, out, filter);
+  std::vector<VertexId> want;
+  for (VertexId v : std_difference(large, small))
+    if (filter.keep(v)) want.push_back(v);
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(g_calls.difference, 1);
 }
 
 TEST(SetOps, BsearchSteps) {
@@ -129,7 +257,7 @@ TEST(MultiSetOp, SingleTaskMatchesScalar) {
   std::vector<VertexId> a{1, 4, 6, 8}, b{4, 8, 9}, out;
   SetOpTask task{a, b, SetOpKind::kIntersect, {}, &out};
   WarpOpCost cost;
-  combined_set_op({&task, 1}, &cost);
+  combined_set_op(simd::kernels(), {&task, 1}, &cost);
   EXPECT_EQ(out, set_intersect(a, b));
   EXPECT_EQ(cost.waves, 1u);
   EXPECT_EQ(cost.busy_lane_slots, 4u);
@@ -149,7 +277,7 @@ TEST(MultiSetOp, ManyTasksMatchScalarLoop) {
                   {},
                   &outs[i]};
     }
-    combined_set_op(tasks, nullptr);
+    combined_set_op(simd::kernels(), tasks, nullptr);
     for (std::size_t i = 0; i < m; ++i) {
       if (i % 2 == 0)
         EXPECT_EQ(outs[i], std_intersect(sources[i], targets[i]));
@@ -170,12 +298,13 @@ TEST(MultiSetOp, UtilizationImprovesWithFusion) {
     tasks.push_back({sources[i], target, SetOpKind::kIntersect, {}, &outs[i]});
   }
   WarpOpCost fused;
-  combined_set_op(tasks, &fused);
+  combined_set_op(simd::kernels(), tasks, &fused);
   EXPECT_EQ(fused.waves, 2u);
   EXPECT_DOUBLE_EQ(fused.utilization(), 1.0);
 
   WarpOpCost sequential;
-  for (auto& task : tasks) combined_set_op({&task, 1}, &sequential);
+  for (auto& task : tasks)
+    combined_set_op(simd::kernels(), {&task, 1}, &sequential);
   EXPECT_EQ(sequential.waves, 8u);
   EXPECT_DOUBLE_EQ(sequential.utilization(), 0.25);
 }
@@ -186,7 +315,7 @@ TEST(MultiSetOp, LabelFilterKeepsOnlyMaskedLabels) {
   std::vector<VertexId> out;
   LabelFilter filter{labels.data(), (1ULL << 1) | (1ULL << 2)};
   SetOpTask task{source, target, SetOpKind::kIntersect, filter, &out};
-  combined_set_op({&task, 1}, nullptr);
+  combined_set_op(simd::kernels(), {&task, 1}, nullptr);
   EXPECT_EQ(out, (std::vector<VertexId>{1, 2, 4, 5}));
 }
 
@@ -194,7 +323,7 @@ TEST(MultiSetOp, EmptySourcesProduceNoWaves) {
   std::vector<VertexId> empty, target{1}, out{99};
   SetOpTask task{empty, target, SetOpKind::kIntersect, {}, &out};
   WarpOpCost cost;
-  combined_set_op({&task, 1}, &cost);
+  combined_set_op(simd::kernels(), {&task, 1}, &cost);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(cost.waves, 0u);
   EXPECT_DOUBLE_EQ(cost.utilization(), 1.0);
@@ -214,9 +343,9 @@ TEST(MultiSetOp, CostAccumulates) {
   std::vector<VertexId> a{1, 2, 3}, b{2}, out;
   SetOpTask task{a, b, SetOpKind::kIntersect, {}, &out};
   WarpOpCost cost;
-  combined_set_op({&task, 1}, &cost);
+  combined_set_op(simd::kernels(), {&task, 1}, &cost);
   const auto waves_once = cost.waves;
-  combined_set_op({&task, 1}, &cost);
+  combined_set_op(simd::kernels(), {&task, 1}, &cost);
   EXPECT_EQ(cost.waves, 2 * waves_once);
 }
 
@@ -227,7 +356,7 @@ TEST(MultiSetOp, OrderPreservedPerOutput) {
     auto target = random_sorted_set(rng, 200, 400);
     std::vector<VertexId> out;
     SetOpTask task{source, target, SetOpKind::kDifference, {}, &out};
-    combined_set_op({&task, 1}, nullptr);
+    combined_set_op(simd::kernels(), {&task, 1}, nullptr);
     EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   }
 }

@@ -564,7 +564,7 @@ TEST(StorageChaos, RetryBudgetExhaustionFailsClosed) {
   fault.max_unit_attempts = 2;
   const auto store = GraphStore::build(make_barabasi_albert(300, 4, 121),
                                        policy, fault);
-  EXPECT_THROW(scan_sum(*store), check_error);
+  EXPECT_THROW(scan_sum(*store), storage::PageReadError);
 }
 
 TEST(StorageChaos, ServiceContainsPageReadExhaustion) {

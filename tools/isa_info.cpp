@@ -20,8 +20,7 @@ namespace {
 
 using stm::simd::IsaLevel;
 
-constexpr IsaLevel kLevels[] = {IsaLevel::kScalar, IsaLevel::kSse42,
-                                IsaLevel::kAvx2};
+constexpr IsaLevel kLevels[] = {IsaLevel::kScalar, IsaLevel::kAvx2};
 
 int print_report() {
   for (const IsaLevel level : kLevels)
@@ -35,8 +34,7 @@ int print_report() {
 int check(const char* name) {
   IsaLevel level;
   if (!stm::simd::isa_level_from_string(name, &level)) {
-    std::fprintf(stderr, "isa_info: unknown level '%s' (scalar|sse42|avx2)\n",
-                 name);
+    std::fprintf(stderr, "isa_info: unknown level '%s' (scalar|avx2)\n", name);
     return 1;
   }
   return stm::simd::is_supported(level) ? 0 : 2;
