@@ -1,16 +1,18 @@
 // Micro-benchmarks of the storage subsystem (google-benchmark).
 //
-// Real wall-clock measurements of encode cost, decode-on-read throughput,
-// and host-engine query latency over every backend, plus the footprint
-// sweep EXPERIMENTS.md records: on a power-law dataset proxy at scale >= 10
-// the spill tier must keep >= 4x less resident than the raw CSR while the
-// engines still return bit-identical counts (the differential harness
-// checks the counts; this binary measures the footprint and the price).
+// Real wall-clock measurements of encode cost, decode-on-read throughput
+// (dense scans and sparse runs), and host-engine query latency over every
+// backend, plus the footprint sweep EXPERIMENTS.md records: on a power-law
+// dataset proxy at scale >= 10 the spill tier must keep >= 4x less
+// resident than the raw CSR while the engines still return bit-identical
+// counts (the differential harness checks the counts; this binary
+// measures the footprint and the price).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/host_engine.hpp"
 #include "graph/datasets.hpp"
@@ -18,6 +20,7 @@
 #include "pattern/pattern.hpp"
 #include "pattern/plan.hpp"
 #include "storage/store.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -60,18 +63,38 @@ BENCHMARK_CAPTURE(BM_StoreBuild, compressed, storage::Backend::kCompressed)
 BENCHMARK_CAPTURE(BM_StoreBuild, spill, storage::Backend::kSpill)
     ->Unit(benchmark::kMillisecond);
 
+// The store's page reads and list decodes so far, as per-iteration counters
+// (one iteration is one run: a lease, its reads, a trim).
+void report_run_counters(benchmark::State& state,
+                         const storage::GraphStore& store) {
+  const storage::StorageStats st = store.stats();
+  state.counters["page_faults"] = benchmark::Counter(
+      static_cast<double>(st.page_faults), benchmark::Counter::kAvgIterations);
+  state.counters["decode_ops"] = benchmark::Counter(
+      static_cast<double>(st.decode_ops), benchmark::Counter::kAvgIterations);
+}
+
 // Full adjacency scan with the decode cache trimmed every iteration: the
-// cold decode path (varint walk, and for spill the page faults too).
-void BM_DecodeScan(benchmark::State& state, storage::Backend backend) {
+// cold decode path (varint walk, and for spill the page reads too). In
+// vertex order a scan meets each page once; the shuffled order visits
+// pages the way a query's plan does, back and forth.
+void BM_DecodeScan(benchmark::State& state, storage::Backend backend,
+                   bool shuffled) {
   const Graph& g = proxy_graph(1.0);
   const auto store =
       storage::GraphStore::build(Graph(g), policy_for(backend, g.memory_bytes()));
+  std::vector<VertexId> order(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) order[v] = v;
+  if (shuffled) {
+    Rng rng(0x5ca);
+    std::shuffle(order.begin(), order.end(), rng);
+  }
   std::uint64_t sum = 0;
   for (auto _ : state) {
     {
       const auto lease = store->lease();
       const GraphView view = store->view();
-      for (VertexId v = 0; v < view.num_vertices(); ++v)
+      for (const VertexId v : order)
         for (VertexId u : view.neighbors(v)) sum += u;
     }
     store->trim_decoded();
@@ -79,15 +102,48 @@ void BM_DecodeScan(benchmark::State& state, storage::Backend backend) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_adjacency_entries()));
-  const storage::StorageStats st = store->stats();
-  state.counters["page_faults"] = static_cast<double>(st.page_faults);
-  state.counters["decode_ops"] = static_cast<double>(st.decode_ops);
+  report_run_counters(state, *store);
 }
-BENCHMARK_CAPTURE(BM_DecodeScan, uncompressed, storage::Backend::kUncompressed)
+BENCHMARK_CAPTURE(BM_DecodeScan, uncompressed, storage::Backend::kUncompressed,
+                  false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DecodeScan, compressed, storage::Backend::kCompressed)
+BENCHMARK_CAPTURE(BM_DecodeScan, compressed, storage::Backend::kCompressed,
+                  false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DecodeScan, spill, storage::Backend::kSpill)
+BENCHMARK_CAPTURE(BM_DecodeScan, spill, storage::Backend::kSpill, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DecodeScan, spill_shuffled, storage::Backend::kSpill,
+                  true)
+    ->Unit(benchmark::kMillisecond);
+
+// Sparse runs: each iteration takes a lease, reads the neighbours of
+// range(0) random vertices, and trims, as an update batch's probes or a
+// small query do. The vertex stream is seeded and the iteration count
+// fixed, so every build decodes the same lists; the scale-10 proxy spreads
+// them over many pages.
+void BM_SparseReads(benchmark::State& state, storage::Backend backend) {
+  const Graph& g = proxy_graph(10.0);
+  const auto store =
+      storage::GraphStore::build(Graph(g), policy_for(backend, g.memory_bytes()));
+  const auto reads = static_cast<std::size_t>(state.range(0));
+  Rng rng(0x5a5e);
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    {
+      const auto lease = store->lease();
+      const GraphView view = store->view();
+      for (std::size_t i = 0; i < reads; ++i) {
+        const auto v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        for (VertexId u : view.neighbors(v)) sum += u;
+      }
+    }
+    store->trim_decoded();
+    benchmark::DoNotOptimize(sum);
+  }
+  report_run_counters(state, *store);
+}
+BENCHMARK_CAPTURE(BM_SparseReads, spill, storage::Backend::kSpill)
+    ->Arg(1)->Arg(16)->Arg(64)->Arg(512)->Iterations(500)
     ->Unit(benchmark::kMillisecond);
 
 // Host-engine triangle count through the store's view: what a query pays

@@ -7,6 +7,7 @@
 #include "dist/scheduler.hpp"
 #include "mqo/evaluator.hpp"
 #include "pattern/matching_order.hpp"
+#include "storage/pager.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,6 +38,7 @@ struct ChunkOutcome {
   std::uint64_t embeddings = 0;
   std::uint64_t units_recovered = 0;
   QueryStatus status = QueryStatus::kOk;
+  std::string error;  // the last failed attempt's storage error
 };
 
 }  // namespace
@@ -163,12 +165,20 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
       if (injector.should_fail(FaultSite::kShardFailure,
                                unit_key(kChunkUnit, c, a)))
         continue;
-      mqo::EvalResult walk;
-      walk.groups.resize(cut_index_.num_group_slots());
-      for (std::size_t i = lo; i < hi; ++i)
-        evaluator.accumulate(g, cut[i].first, cut[i].second, &walk,
-                             partition.owner);
-      out.embeddings = static_cast<std::uint64_t>(walk.groups[0].embeddings);
+      try {
+        mqo::EvalResult walk;
+        walk.groups.resize(cut_index_.num_group_slots());
+        for (std::size_t i = lo; i < hi; ++i)
+          evaluator.accumulate(g, cut[i].first, cut[i].second, &walk,
+                               partition.owner);
+        out.embeddings =
+            static_cast<std::uint64_t>(walk.groups[0].embeddings);
+      } catch (const storage::PageReadError& e) {
+        // `g` may read a spill store, and a pool task must not throw: the
+        // attempt failed like an injected unit failure.
+        out.error = e.what();
+        continue;
+      }
       if (a > 0) ++out.units_recovered;
       return;
     }
@@ -213,7 +223,10 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     result.local_total += locals[s].count;
   }
   std::uint64_t cut_embeddings = 0;
+  std::string chunk_error;
   for (const ChunkOutcome& c : chunks) {
+    if (c.status != QueryStatus::kOk && chunk_error.empty())
+      chunk_error = c.error;
     cut_embeddings += c.embeddings;
     result.units_recovered += c.units_recovered;
     if (c.status != QueryStatus::kOk && merged.status == QueryStatus::kOk)
@@ -239,6 +252,7 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
   if (exhausted.load(std::memory_order_relaxed)) {
     result.status = QueryStatus::kInternalError;
     result.error = "a sharded unit exhausted its recovery budget";
+    if (!chunk_error.empty()) result.error.append(": ").append(chunk_error);
   } else if (result.status != QueryStatus::kOk) {
     result.error.assign("sharded units stopped: ")
         .append(to_string(result.status))

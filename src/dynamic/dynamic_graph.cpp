@@ -148,7 +148,6 @@ ApplyResult MutableGraph::apply(
     // untouched, so a failed apply is invisible to readers.
     throw FaultInjectedError("injected fault: update batch apply failed");
   }
-  ++apply_seq_;
 
   // Write-ahead point: the successor exists but is not yet visible. A hook
   // failure (torn WAL append past its retry budget) propagates and the batch

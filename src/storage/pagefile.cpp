@@ -91,7 +91,7 @@ std::uint64_t write_page_file(const std::string& path, const Graph& g,
                 "storage: page-file index size mismatch");
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  STM_CHECK_MSG(out.good(), "storage: cannot create page file " + path);
+  STM_CHECK_MSG(out.good(), "storage: cannot create page file " << path);
   out.write(kPageFileMagic, sizeof kPageFileMagic);
   persist::BinaryWriter frame;
   frame.u32(static_cast<std::uint32_t>(index.size()));
@@ -132,7 +132,7 @@ PageFile& PageFile::operator=(PageFile&& o) noexcept {
 PageFile PageFile::open(const std::string& path) {
   PageFile pf;
   pf.file_ = std::fopen(path.c_str(), "rb");
-  STM_CHECK_MSG(pf.file_ != nullptr, "storage: cannot open page file " + path);
+  STM_CHECK_MSG(pf.file_ != nullptr, "storage: cannot open page file " << path);
 
   char magic[sizeof kPageFileMagic];
   STM_CHECK_MSG(std::fread(magic, 1, sizeof magic, pf.file_) == sizeof magic &&
@@ -179,8 +179,12 @@ PageFile PageFile::open(const std::string& path) {
     p.crc = r.u32();
   }
   STM_CHECK_MSG(r.done(), "storage: trailing bytes in page-file index");
+  // A served page holds exactly payload_len bytes (the pager checks), so
+  // a location inside its page's payload stays inside every read of it.
   for (VertexId v = 0; v < pf.n_; ++v)
-    STM_CHECK_MSG(pf.vloc_[v].page < num_pages,
+    STM_CHECK_MSG(pf.vloc_[v].page < num_pages &&
+                      pf.vloc_[v].offset <=
+                          pf.pages_[pf.vloc_[v].page].payload_len,
                   "storage: vertex location out of page range");
   pf.file_bytes_ = 8 + 4 + 4 + index_len;
   for (const auto& p : pf.pages_) pf.file_bytes_ += p.payload_len;

@@ -106,6 +106,7 @@ std::shared_ptr<GraphStore> GraphStore::build(std::shared_ptr<const Graph> g,
       store->pager_ = std::make_unique<PageCache>(
           PageFile::open(store->spill_path_), policy.memory_budget_bytes,
           fault);
+      store->held_pages_.resize(store->pager_->file().num_pages());
       break;
     }
     case Backend::kAuto:
@@ -129,17 +130,27 @@ GraphStore::~GraphStore() {
   }
 }
 
+std::mutex& GraphStore::stripe_of(VertexId v) const {
+  const std::size_t key =
+      backend_ == Backend::kSpill ? pager_->file().location(v).page : v;
+  return stripes_[key % kStripes];
+}
+
 void GraphStore::decode_vertex(VertexId v, std::vector<VertexId>& out) const {
   if (backend_ == Backend::kSpill) {
     const PageFile& pf = pager_->file();
     const VertexLocation loc = pf.location(v);
-    const auto page = pager_->get_page(loc.page);
+    // The first decode from a page in this run holds the page; the rest
+    // read the held bytes without asking the pager.
+    std::shared_ptr<const std::string>& page = held_pages_[loc.page];
+    if (page == nullptr) {
+      page = pager_->get_page(loc.page);
+      decoded_bytes_.fetch_add(page->size(), std::memory_order_relaxed);
+    }
     const auto* begin =
         reinterpret_cast<const std::uint8_t*>(page->data()) + loc.offset;
     const auto* end =
         reinterpret_cast<const std::uint8_t*>(page->data()) + page->size();
-    STM_CHECK_MSG(loc.offset <= page->size(),
-                  "storage: vertex offset past page end");
     out.clear();
     ListCursor c(begin, end, pf.block_size());
     out.reserve(c.degree());
@@ -155,7 +166,7 @@ std::span<const VertexId> GraphStore::source_neighbors(VertexId v) const {
   if (backend_ == Backend::kUncompressed) return graph_->neighbors(v);
   const auto* published = slots_[v].list.load(std::memory_order_acquire);
   if (published == nullptr) {
-    std::lock_guard<std::mutex> lock(stripes_[v % kStripes]);
+    std::lock_guard<std::mutex> lock(stripe_of(v));
     published = slots_[v].list.load(std::memory_order_relaxed);
     if (published == nullptr) {
       auto list = std::make_unique<std::vector<VertexId>>();
@@ -239,6 +250,7 @@ bool GraphStore::trim_decoded() const {
     const auto* p = slots_[v].list.exchange(nullptr, std::memory_order_acq_rel);
     delete p;
   }
+  for (auto& page : held_pages_) page.reset();
   decoded_bytes_.store(0, std::memory_order_relaxed);
   return true;
 }

@@ -16,7 +16,9 @@
 // only reclaimed by trim_decoded() while no Lease is outstanding. The spill
 // page cache underneath is strictly budget-bounded at all times (decoded
 // lists copy out of page frames); the decode cache is per-run working
-// memory, reported separately and reclaimed between runs.
+// memory, reported separately and reclaimed between runs. On spill it also
+// holds each page it decoded from, so a run reads a page from the file at
+// most once.
 #pragma once
 
 #include <array>
@@ -81,7 +83,8 @@ struct StorageStats {
   std::uint64_t encoded_bytes = 0;
   /// raw_bytes / encoded_bytes (1.0 for uncompressed).
   double compression_ratio = 1.0;
-  /// Lease-scoped decoded-list working memory currently held.
+  /// Lease-scoped decoded-list working memory currently held, spill pages
+  /// held for the run included.
   std::uint64_t decoded_cache_bytes = 0;
   std::uint64_t decode_ops = 0;
   /// Spill only.
@@ -132,8 +135,9 @@ class GraphStore final : public AdjacencySource {
   };
   Lease lease() const { return Lease(this); }
 
-  /// Frees the decoded-list cache. Returns false (and does nothing) while
-  /// any Lease is outstanding — spans handed to a running engine stay valid.
+  /// Frees the decoded-list cache and the spill pages it holds. Returns
+  /// false (and does nothing) while any Lease is outstanding — spans handed
+  /// to a running engine stay valid.
   bool trim_decoded() const;
 
   StorageStats stats() const;
@@ -148,7 +152,11 @@ class GraphStore final : public AdjacencySource {
 
  private:
   GraphStore() = default;
+  /// Caller holds stripe_of(v).
   void decode_vertex(VertexId v, std::vector<VertexId>& out) const;
+  /// The lock guarding v's list slot: a spill vertex shares its page's
+  /// stripe, so one lock covers the page slot and its vertices' lists.
+  std::mutex& stripe_of(VertexId v) const;
 
   Backend backend_ = Backend::kUncompressed;
   VertexId n_ = 0;
@@ -173,6 +181,14 @@ class GraphStore final : public AdjacencySource {
   };
   static constexpr std::size_t kStripes = 32;
   mutable std::unique_ptr<DecodeSlot[]> slots_;
+  // Spill only, one slot per page, guarded by stripe page % kStripes: the
+  // validated bytes of each page this run decoded from, so later decodes
+  // from it skip the pager. Counted in decoded_bytes_ and dropped by
+  // trim_decoded(). The trade: a run holds at most one copy of every page
+  // it touched (at most the encoded file) beside its decoded lists, and a
+  // sparse run that decodes one list from each of many pages keeps all of
+  // them until trim.
+  mutable std::vector<std::shared_ptr<const std::string>> held_pages_;
   mutable std::array<std::mutex, kStripes> stripes_;
   mutable std::mutex lease_mu_;
   mutable std::int64_t leases_ = 0;  // guarded by lease_mu_

@@ -347,6 +347,35 @@ TEST(DynamicGraphFault, ScheduleIsDeterministic) {
   EXPECT_EQ(run_schedule(), run_schedule());
 }
 
+TEST(DynamicGraphFault, DecisionKeysAreApplyOrdinals) {
+  // The i-th batch to reach the check is decided by key i, whether the
+  // batches before it passed or failed.
+  FaultConfig fault;
+  fault.seed = 11;
+  fault.set_rate(FaultSite::kUpdateApply, 0.5);
+  MutableGraph g(make_path(30));
+  g.set_fault(fault);
+  std::size_t failures = 0;
+  for (VertexId i = 0; i < 12; ++i) {
+    UpdateBatch b;
+    b.insertions = {{i, i + 15}};  // absent from the path: never a no-op
+    bool failed = false;
+    try {
+      g.apply(b);
+    } catch (const FaultInjectedError&) {
+      failed = true;
+    }
+    EXPECT_EQ(failed, FaultInjector(fault).should_fail(FaultSite::kUpdateApply,
+                                                       i))
+        << "batch " << i;
+    failures += failed ? 1 : 0;
+  }
+  // Both outcomes occur, so the keys of a passing and of a failing batch
+  // are both checked.
+  EXPECT_GT(failures, 0u);
+  EXPECT_LT(failures, 12u);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot isolation (the TSan target: concurrent readers vs. a writer)
 // ---------------------------------------------------------------------------

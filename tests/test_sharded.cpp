@@ -29,6 +29,7 @@
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
 #include "service/service.hpp"
+#include "storage/store.hpp"
 #include "testing/oracle.hpp"
 #include "testing/workload.hpp"
 #include "util/check.hpp"
@@ -567,6 +568,36 @@ TEST(ShardChaos, AttemptShiftCanClearAPersistentFaultSchedule) {
     }
   }
   EXPECT_TRUE(succeeded);
+}
+
+TEST(ShardChaos, CutChunkPageReadFailsClosed) {
+  // The cut-edge term walks the caller's view inside a pool task. Over a
+  // spill store whose every page read fails, the chunk must fail closed
+  // through the unit budget, naming the page, instead of throwing out of
+  // the task.
+  const Graph g = make_barabasi_albert(400, 4, 7);
+  const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
+  const dist::Partition p =
+      dist::partition_graph(g, pconfig(4, PartitionStrategy::kContiguous));
+  ASSERT_FALSE(p.cut_edges.empty());
+  storage::StoragePolicy policy;
+  policy.backend = storage::Backend::kSpill;
+  policy.memory_budget_bytes = 1024;
+  policy.page_size = 512;
+  FaultConfig fault;
+  fault.set_rate(FaultSite::kPageRead, 1.0);
+  fault.max_unit_attempts = 1;
+  const auto store = storage::GraphStore::build(Graph(g), policy, fault);
+  const auto lease = store->lease();
+
+  dist::ShardedOptions opts;
+  opts.fault.max_unit_attempts = 1;
+  const dist::ShardedMatcher matcher(triangle, opts);
+  const MatchingPlan plan(reorder_for_matching(triangle), opts.plan);
+  const dist::ShardedResult r = matcher.match(store->view(), p, plan, {}, {});
+  EXPECT_EQ(r.status, QueryStatus::kInternalError);
+  EXPECT_NE(r.error.find("storage: page "), std::string::npos) << r.error;
+  EXPECT_GT(store->stats().injected_page_faults, 0u);
 }
 
 TEST(ShardChaos, ServiceShardedModeSurvivesInjectedShardFailures) {

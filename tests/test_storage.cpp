@@ -375,6 +375,136 @@ TEST(StorageStore, MutationPathsHoldLeasesAgainstTrim) {
   EXPECT_EQ(dyn.snapshot()->num_edges(), edges_before);
 }
 
+/// The page file a spill store with `policy` writes for `g`, opened and
+/// already unlinked.
+storage::PageFile spill_page_file(const Graph& g, const StoragePolicy& policy) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "stm_test_page_index.spill")
+          .string();
+  storage::write_page_file(path, g, policy.page_size, policy.block_size);
+  storage::PageFile file = storage::PageFile::open(path);
+  std::filesystem::remove(path);
+  return file;
+}
+
+TEST(StorageStore, RunReadsEachPageOnce) {
+  // A one-page budget keeps a single frame, so without the pages the decode
+  // cache holds, a shuffled pass would read a page for almost every list.
+  const Graph g = make_barabasi_albert(600, 5, 141);
+  StoragePolicy policy;
+  policy.backend = Backend::kSpill;
+  policy.page_size = 512;
+  policy.memory_budget_bytes = 512;
+  const storage::PageFile index = spill_page_file(g, policy);
+  const std::uint32_t pages = index.num_pages();
+  ASSERT_GT(pages, 8u);
+  const auto store = GraphStore::build(Graph(g), policy);
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) order[v] = v;
+  Rng rng(0x570b);
+  std::shuffle(order.begin(), order.end(), rng);
+
+  auto pass = [&] {
+    const auto lease = store->lease();
+    const GraphView view = store->view();
+    for (const VertexId v : order)
+      ASSERT_EQ(neighbors_of(view, v), neighbors_of(g, v)) << "v=" << v;
+  };
+  pass();
+  storage::StorageStats st = store->stats();
+  EXPECT_EQ(st.page_faults, pages);
+  EXPECT_EQ(st.page_hits, 0u);
+  EXPECT_EQ(st.decode_ops, n);
+  EXPECT_GT(st.decoded_cache_bytes, 0u);
+
+  // Trim drops the lists and the held pages. The same order again starts
+  // on a page other than the one frame left resident, so the second run
+  // reads every page once more.
+  ASSERT_TRUE(store->trim_decoded());
+  EXPECT_EQ(store->stats().decoded_cache_bytes, 0u);
+  pass();
+  st = store->stats();
+  EXPECT_EQ(st.page_faults, 2u * pages);
+  EXPECT_EQ(st.decode_ops, 2u * n);
+  ASSERT_TRUE(store->trim_decoded());
+
+  // A sparse run decodes exactly the lists it reads and asks the pager
+  // once per distinct page among them.
+  for (const std::size_t k : {1u, 16u, 64u}) {
+    const storage::StorageStats before = store->stats();
+    std::vector<VertexId> touched;
+    {
+      const auto lease = store->lease();
+      const GraphView view = store->view();
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto v = static_cast<VertexId>(rng.next_below(n));
+        ASSERT_EQ(neighbors_of(view, v), neighbors_of(g, v)) << "v=" << v;
+        touched.push_back(v);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    // Vertices are packed in ascending order, so the sorted vertices of a
+    // page are adjacent.
+    std::size_t distinct_pages = 0;
+    for (std::size_t i = 0; i < touched.size(); ++i)
+      if (i == 0 || index.location(touched[i]).page !=
+                        index.location(touched[i - 1]).page)
+        ++distinct_pages;
+    const storage::StorageStats after = store->stats();
+    EXPECT_EQ(after.decode_ops - before.decode_ops, touched.size())
+        << "k=" << k;
+    EXPECT_EQ((after.page_faults + after.page_hits) -
+                  (before.page_faults + before.page_hits),
+              distinct_pages)
+        << "k=" << k;
+    ASSERT_TRUE(store->trim_decoded());
+  }
+}
+
+TEST(StorageStore, SpillReadersHoldLeasesAgainstTrim) {
+  // Three readers decode from shared held pages while a fourth thread
+  // trims: a trim either refuses while a lease is held or frees lists and
+  // pages no reader can still see. A violation is a use-after-free or a
+  // data race that ASan/TSan make loud.
+  const Graph g = make_barabasi_albert(500, 5, 151);
+  StoragePolicy policy;
+  policy.backend = Backend::kSpill;
+  policy.page_size = 512;
+  policy.memory_budget_bytes = 512;
+  const auto store = GraphStore::build(Graph(g), policy);
+  std::atomic<bool> stop{false};
+  std::thread trimmer([&] {
+    while (!stop.load(std::memory_order_relaxed)) store->trim_decoded();
+  });
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(0x570c + t);
+      for (int round = 0; round < 100; ++round) {
+        const auto lease = store->lease();
+        const GraphView view = store->view();
+        for (int i = 0; i < 16; ++i) {
+          const auto v =
+              static_cast<VertexId>(rng.next_below(g.num_vertices()));
+          const auto got = view.neighbors(v);
+          const auto want = g.neighbors(v);
+          if (!std::equal(got.begin(), got.end(), want.begin(), want.end()))
+            mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  stop.store(true);
+  trimmer.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(store->trim_decoded());
+  EXPECT_EQ(store->stats().decoded_cache_bytes, 0u);
+}
+
 TEST(StorageStore, GraphMemoryBytesCoversTheCSR) {
   const Graph g = make_barabasi_albert(1000, 5, 71);
   // row_ptr is (n+1) u64s, adjacency m2 u32s; labels absent here.
@@ -512,6 +642,23 @@ TEST(StorageSession, PageFaultCounterMovesOnSpill) {
   ASSERT_TRUE(r.ok());
   EXPECT_GT(session.metrics().counter("storage_page_faults_total").value(),
             0u);
+}
+
+TEST(StorageSession, SpillCountReadsEachPageOnce) {
+  // One client, one count: the query's run reads each page of the file
+  // once, however its plan orders the list decodes.
+  SessionConfig cfg;
+  cfg.storage.backend = Backend::kSpill;
+  cfg.storage.memory_budget_bytes = 1024;
+  cfg.storage.page_size = 512;
+  const Graph g = make_barabasi_albert(400, 5, 101);
+  const std::uint32_t pages = spill_page_file(g, cfg.storage).num_pages();
+  GraphSession session(Graph(g), cfg);
+  const auto& faults = session.metrics().counter("storage_page_faults_total");
+  const std::uint64_t before = faults.value();
+  const QueryResult r = session.run(host_request(triangle()));
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(faults.value() - before, pages);
 }
 
 // ---------------------------------------------------------------------------
