@@ -7,7 +7,7 @@
 //   scale     proxy scale factor in (0, 1] (default 0.25)
 //
 // Shows the pieces working together: repeated queries hitting the plan
-// cache, a renumbered isomorphic pattern sharing a cached plan, a deliberately
+// cache, a renumbered pattern sharing a cached plan, a deliberately
 // tight deadline interrupting a heavy query with a partial count, and the
 // session's metrics exported as JSON and Prometheus text.
 #include <cstdio>
@@ -45,8 +45,8 @@ int main(int argc, char** argv) try {
     show(rep == 0 ? "q23 (cold)" : "q23 (repeat)", session.run(std::move(req)));
   }
 
-  // A renumbered isomorphic pattern shares the cached plan via its
-  // canonical form.
+  // A renumbered pattern shares the cached plan when it reorders to the
+  // same matching order: this one only moves q23's missing edge.
   {
     QueryRequest req;
     req.pattern = query(23).relabeled({6, 4, 2, 0, 1, 3, 5});

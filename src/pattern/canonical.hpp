@@ -1,11 +1,12 @@
-// Canonical pattern form for plan-cache keys.
+// Canonical pattern form for the standing-query index's groups.
 //
-// Two patterns that differ only in vertex numbering compile to plans with
-// identical match counts, so the service-layer plan cache keys entries by a
-// renumbering-invariant canonical string: the lexicographically smallest
-// (label, adjacency-prefix) encoding over all vertex orderings, serialized
-// through Pattern::to_string(). Patterns have at most kMaxPatternSize (8)
-// vertices, so a pruned branch-and-bound over orderings is microseconds.
+// mqo::PatternIndex groups standing registrations whose patterns differ only
+// in vertex numbering: they share one representative, and its anchored plans
+// serve all of them, each projected back through its own canonical
+// permutation. The form is the lexicographically smallest (label,
+// adjacency-prefix) encoding over all vertex orderings, serialized through
+// Pattern::to_string(). Patterns have at most kMaxPatternSize (8) vertices, so
+// a pruned branch-and-bound over orderings is microseconds.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "pattern/motifs.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <numeric>
 
@@ -24,9 +25,10 @@ std::uint64_t triangle_bits(const Pattern& p,
   return bits;
 }
 
-}  // namespace
-
-std::uint64_t canonical_form(const Pattern& p) {
+/// The minimum upper-triangle adjacency bitstring over all vertex
+/// permutations: equal for two patterns iff their unlabeled structures are
+/// isomorphic.
+std::uint64_t min_triangle_bits(const Pattern& p) {
   std::vector<std::size_t> perm(p.size());
   std::iota(perm.begin(), perm.end(), 0);
   std::uint64_t best = ~0ULL;
@@ -36,9 +38,11 @@ std::uint64_t canonical_form(const Pattern& p) {
   return best;
 }
 
+}  // namespace
+
 bool isomorphic(const Pattern& a, const Pattern& b) {
   if (a.size() != b.size() || a.num_edges() != b.num_edges()) return false;
-  return canonical_form(a) == canonical_form(b);
+  return min_triangle_bits(a) == min_triangle_bits(b);
 }
 
 std::vector<Pattern> connected_motifs(std::size_t size) {
@@ -60,7 +64,7 @@ std::vector<Pattern> connected_motifs(std::size_t size) {
       if ((mask >> b) & 1ULL) edges.push_back(pairs[b]);
     Pattern p(size, edges);
     if (!p.is_connected()) continue;
-    by_canon.try_emplace(canonical_form(p), p);
+    by_canon.try_emplace(min_triangle_bits(p), p);
   }
   std::vector<Pattern> out;
   out.reserve(by_canon.size());

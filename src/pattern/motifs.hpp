@@ -5,7 +5,6 @@
 // query-set construction of the evaluation.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "pattern/pattern.hpp"
@@ -15,11 +14,6 @@ namespace stm {
 /// All connected motifs with `size` vertices (size in [2, 6]; 6 already has
 /// 112 classes), each in a canonical vertex order, deterministically sorted.
 std::vector<Pattern> connected_motifs(std::size_t size);
-
-/// A canonical 64-bit form of the pattern's structure: the minimum
-/// upper-triangle adjacency bitstring over all vertex permutations.
-/// Two unlabeled patterns are isomorphic iff their canonical forms match.
-std::uint64_t canonical_form(const Pattern& p);
 
 /// True iff the unlabeled structures of a and b are isomorphic.
 bool isomorphic(const Pattern& a, const Pattern& b);

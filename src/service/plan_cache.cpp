@@ -1,6 +1,5 @@
 #include "service/plan_cache.hpp"
 
-#include "pattern/canonical.hpp"
 #include "pattern/matching_order.hpp"
 #include "util/check.hpp"
 
@@ -8,13 +7,15 @@ namespace stm {
 
 namespace {
 
-/// Plan options that change compiled-plan semantics, folded into the key.
-std::string options_suffix(const PlanOptions& opts) {
-  std::string s = "|";
-  s += (opts.induced == Induced::kVertex) ? 'v' : 'e';
-  s += opts.code_motion ? '1' : '0';
-  s += (opts.count_mode == CountMode::kUniqueSubgraphs) ? 'u' : 'm';
-  return s;
+/// The cache key: the plan's compile input, then the plan options that
+/// change compiled-plan semantics.
+std::string cache_key(const Pattern& reordered, const PlanOptions& opts) {
+  std::string key = reordered.to_string();
+  key += '|';
+  key += (opts.induced == Induced::kVertex) ? 'v' : 'e';
+  key += opts.code_motion ? '1' : '0';
+  key += (opts.count_mode == CountMode::kUniqueSubgraphs) ? 'u' : 'm';
+  return key;
 }
 
 }  // namespace
@@ -31,63 +32,31 @@ std::shared_ptr<const MatchingPlan> PlanCache::lookup_locked(
   return it->second.plan;
 }
 
-void PlanCache::insert_locked(const std::string& canonical,
-                              std::shared_ptr<const MatchingPlan> plan) {
-  lru_.push_front(canonical);
-  entries_[canonical] = Entry{std::move(plan), lru_.begin()};
-  while (entries_.size() > capacity_) evict_locked();
-}
-
-void PlanCache::evict_locked() {
-  STM_CHECK(!lru_.empty());
-  const std::string victim = lru_.back();
-  lru_.pop_back();
-  entries_.erase(victim);
-  for (auto it = aliases_.begin(); it != aliases_.end();) {
-    it = (it->second == victim) ? aliases_.erase(it) : std::next(it);
-  }
-  ++stats_.evictions;
-}
-
 std::shared_ptr<const MatchingPlan> PlanCache::get_or_compile(
     const Pattern& pattern, const PlanOptions& opts, bool* was_hit) {
-  const std::string suffix = options_suffix(opts);
-  const std::string exact = pattern.to_string() + suffix;
+  const Pattern reordered = reorder_for_matching(pattern);
+  const std::string key = cache_key(reordered, opts);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto alias = aliases_.find(exact);
-    if (alias != aliases_.end()) {
-      if (auto plan = lookup_locked(alias->second)) {
-        ++stats_.hits;
-        if (was_hit != nullptr) *was_hit = true;
-        return plan;
-      }
-      aliases_.erase(alias);  // target was evicted
-    }
-  }
-
-  // Isomorphism-invariant tier: a renumbered variant of a cached pattern
-  // resolves to the same canonical key. Canonicalization runs outside the
-  // lock (it is the expensive part of this path).
-  const std::string canonical = canonical_form(pattern) + suffix;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto plan = lookup_locked(canonical)) {
+    if (auto plan = lookup_locked(key)) {
       ++stats_.hits;
-      aliases_[exact] = canonical;
       if (was_hit != nullptr) *was_hit = true;
       return plan;
     }
   }
 
-  auto plan = std::make_shared<const MatchingPlan>(
-      reorder_for_matching(pattern), opts);
+  auto plan = std::make_shared<const MatchingPlan>(reordered, opts);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
   if (was_hit != nullptr) *was_hit = false;
-  if (auto existing = lookup_locked(canonical)) return existing;  // lost race
-  insert_locked(canonical, plan);
-  aliases_[exact] = canonical;
+  if (auto existing = lookup_locked(key)) return existing;  // lost race
+  lru_.push_front(key);
+  entries_[key] = Entry{plan, lru_.begin()};
+  while (entries_.size() > capacity_) {
+    entries_.erase(lru_.back());
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
   return plan;
 }
 
@@ -104,7 +73,6 @@ std::size_t PlanCache::size() const {
 void PlanCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  aliases_.clear();
   lru_.clear();
 }
 

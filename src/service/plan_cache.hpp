@@ -2,15 +2,13 @@
 //
 // Compiling a MatchingPlan runs matching-order selection, automorphism /
 // symmetry-breaking analysis and code-motion placement — work worth skipping
-// for repeated queries. The cache is keyed two-tiered:
-//   1. an exact key (pattern.to_string() + plan options) for the common case
-//      of a textually identical repeated query — a string lookup, no
-//      isomorphism work;
-//   2. a canonical key (canonical_form() + options) behind it, so queries
-//      that are mere renumberings of a cached pattern share its entry (plans
-//      of isomorphic patterns produce identical counts).
-// Entries are LRU-evicted at `capacity`; exact-key aliases of an evicted
-// entry are dropped with it.
+// for repeated queries. An entry is keyed by the plan's compile input:
+// reorder_for_matching(pattern).to_string() plus the plan options. A plan
+// fixes what every stack level means, so it is only valid for a caller whose
+// vertex matching_order(pattern)[i] sits at plan position i; under this key a
+// hit hands out exactly the plan that caller would compile. A renumbering
+// shares an entry only when it reorders to the same pattern. Entries are
+// LRU-evicted at `capacity`.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +23,7 @@
 namespace stm {
 
 struct PlanCacheStats {
-  std::uint64_t hits = 0;        // exact- or canonical-key hit
+  std::uint64_t hits = 0;        // served a cached plan
   std::uint64_t misses = 0;      // compiled a new plan
   std::uint64_t evictions = 0;   // LRU evictions
   double hit_rate() const {
@@ -44,8 +42,9 @@ class PlanCache {
   /// skipped. Thread-safe; compilation runs outside the cache lock, so
   /// concurrent misses on distinct patterns compile in parallel (a racing
   /// duplicate compile of the same pattern is discarded, first insert wins).
-  /// A plan reads no graph (it is compiled from reorder_for_matching of the
-  /// pattern), so one entry serves every graph version of a session.
+  /// The plan is compiled from reorder_for_matching(pattern): its position i
+  /// is the caller's matching_order(pattern)[i]. A plan reads no graph, so
+  /// one entry serves every graph version of a session.
   std::shared_ptr<const MatchingPlan> get_or_compile(const Pattern& pattern,
                                                      const PlanOptions& opts,
                                                      bool* was_hit = nullptr);
@@ -61,18 +60,14 @@ class PlanCache {
     std::list<std::string>::iterator lru_it;  // position in lru_ (MRU front)
   };
 
-  /// Looks up `canonical` (moving it to MRU) under mu_. Returns nullptr when
+  /// Looks up `key` (moving it to MRU) under mu_. Returns nullptr when
   /// absent.
   std::shared_ptr<const MatchingPlan> lookup_locked(const std::string& key);
-  void insert_locked(const std::string& canonical,
-                     std::shared_ptr<const MatchingPlan> plan);
-  void evict_locked();
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;        // canonical key -> entry
-  std::map<std::string, std::string> aliases_;  // exact key -> canonical key
-  std::list<std::string> lru_;                  // canonical keys, MRU first
+  std::map<std::string, Entry> entries_;  // compile input + options -> entry
+  std::list<std::string> lru_;            // keys, MRU first
   PlanCacheStats stats_;
 };
 

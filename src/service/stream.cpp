@@ -21,8 +21,9 @@ namespace stm {
 namespace {
 
 /// Identifies the (pattern, plan options) a resume token was issued for.
-/// FNV-1a over the canonical pattern string plus the option bytes — stable
-/// across sessions, engine-independent (the stream order is too).
+/// FNV-1a over the pattern's own edge-list string (Pattern::to_string())
+/// plus the option bytes — stable across sessions, engine-independent (the
+/// stream order is too).
 std::uint64_t stream_fingerprint(const QueryRequest& req) {
   std::uint64_t h = 14695981039346656037ULL;
   const auto mix = [&h](unsigned char c) {

@@ -234,7 +234,8 @@ QueryResult drain(GraphSession& session, StreamRequest req,
 /// bit-identical (the global order is a pure function of the plan), the
 /// multiset must equal the brute-force reference enumeration, and a paged
 /// host cursor must concatenate to the full stream with no duplicate or
-/// loss.
+/// loss. All of it runs in a session where a stream of the reversed
+/// numbering of the pattern was opened first.
 void check_stream(const TestCase& c, const MatchingPlan&,
                   OracleReport& report) {
   using ServiceEngine = ::stm::EngineKind;
@@ -256,6 +257,18 @@ void check_stream(const TestCase& c, const MatchingPlan&,
     q.simt.fault = FaultConfig{};
     return req;
   };
+
+  // Cache a renumbered sibling's plan first, so the checks below also cover
+  // the path where the case's own streams look their plan up in the cache:
+  // a plan compiled for another numbering would scramble every embedding.
+  {
+    std::vector<std::size_t> reversal(c.pattern.size());
+    for (std::size_t i = 0; i < reversal.size(); ++i)
+      reversal[i] = reversal.size() - 1 - i;
+    StreamRequest sibling = request(ServiceEngine::kHost);
+    sibling.query.pattern = c.pattern.relabeled(reversal);
+    session.open_stream(std::move(sibling))->cancel();
+  }
 
   const ServiceEngine kinds[] = {ServiceEngine::kReference,
                                  ServiceEngine::kHost, ServiceEngine::kSimt};

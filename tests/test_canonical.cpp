@@ -1,4 +1,5 @@
-// Tests for the canonical pattern form behind the plan-cache key.
+// Tests for the canonical pattern form behind the standing-query groups,
+// and for the plan-cache key beside it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +7,10 @@
 #include <set>
 #include <vector>
 
+#include "core/run.hpp"
+#include "graph/generators.hpp"
 #include "pattern/canonical.hpp"
+#include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
 #include "service/plan_cache.hpp"
 #include "util/rng.hpp"
@@ -82,7 +86,7 @@ TEST(Canonical, SingleVertexAndEdge) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-cache tier regression: near-colliding non-isomorphic patterns
+// Plan-cache key regression: near-colliding non-isomorphic patterns
 // ---------------------------------------------------------------------------
 
 TEST(Canonical, CospectralPairsStayDistinct) {
@@ -102,11 +106,13 @@ TEST(Canonical, CospectralPairsStayDistinct) {
 }
 
 TEST(Canonical, PlanCacheKeepsNonIsomorphicCollidersApart) {
-  // Regression for the two-tier key: after caching pattern A, a
+  // The plan cache keys an entry by the plan's compile input,
+  // reorder_for_matching(pattern): after caching pattern A, a
   // non-isomorphic pattern B with the same size/degree profile must MISS
-  // (and compile its own plan), while a renumbering of A must HIT through
-  // the canonical tier. A stale alias or a weak canonical form would hand
-  // B the wrong plan and silently corrupt its counts.
+  // (and compile its own plan). A renumbering of A shares A's plan exactly
+  // when it reorders to the same pattern; otherwise it compiles its own,
+  // which counts the same. Handing B (or a differently reordered renumbering
+  // of A) A's plan would silently corrupt its counts and embeddings.
   const Pattern prism = Pattern::parse("0-1,1-2,2-0,3-4,4-5,5-3,0-3,1-4,2-5");
   const Pattern k33 = Pattern::parse("0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5");
 
@@ -120,12 +126,20 @@ TEST(Canonical, PlanCacheKeepsNonIsomorphicCollidersApart) {
   EXPECT_NE(plan_prism.get(), plan_k33.get());
 
   // {5,3,4,2,0,1} is an automorphism of the prism (|Aut| = 12); swapping
-  // only 0 and 1 is not, so the exact key genuinely changes.
+  // only 0 and 1 is not, and it reorders to another compile input.
   const Pattern prism_renumbered = prism.relabeled({1, 0, 2, 3, 4, 5});
-  ASSERT_NE(prism_renumbered.to_string(), prism.to_string());
+  ASSERT_NE(reorder_for_matching(prism_renumbered).to_string(),
+            reorder_for_matching(prism).to_string());
   const auto plan_again = cache.get_or_compile(prism_renumbered, {}, &hit);
-  EXPECT_TRUE(hit) << "renumbering must hit via the canonical tier";
-  EXPECT_EQ(plan_again.get(), plan_prism.get());
+  EXPECT_FALSE(hit) << "a renumbering that reorders differently compiles";
+  EXPECT_NE(plan_again.get(), plan_prism.get());
+  const Graph g = make_erdos_renyi(24, 0.4, 5);
+  const std::uint64_t prisms =
+      run_engine(EngineKind::kHost, GraphView(g), *plan_prism, {}, {}).count;
+  EXPECT_GT(prisms, 0u);
+  EXPECT_EQ(
+      run_engine(EngineKind::kHost, GraphView(g), *plan_again, {}, {}).count,
+      prisms);
 
   // The labeled near-collision pair must also get distinct entries.
   const Pattern path = Pattern::parse("0-1,1-2");

@@ -1,4 +1,4 @@
-// Tests for motif enumeration and canonical forms.
+// Tests for motif enumeration and isomorphism.
 #include <gtest/gtest.h>
 
 #include "baselines/reference.hpp"
@@ -50,9 +50,8 @@ TEST(Motifs, SortedSparseFirst) {
 
 TEST(Motifs, CanonicalFormInvariantUnderRelabeling) {
   Pattern p = query(13);
-  const auto canon = canonical_form(p);
-  EXPECT_EQ(canonical_form(p.relabeled({5, 3, 1, 0, 2, 4})), canon);
-  EXPECT_EQ(canonical_form(p.relabeled({2, 0, 4, 5, 1, 3})), canon);
+  EXPECT_TRUE(isomorphic(p, p.relabeled({5, 3, 1, 0, 2, 4})));
+  EXPECT_TRUE(isomorphic(p, p.relabeled({2, 0, 4, 5, 1, 3})));
 }
 
 TEST(Motifs, IsomorphicDetectsStructure) {

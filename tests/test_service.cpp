@@ -109,14 +109,18 @@ TEST(PlanCache, HitOnRepeatAndOnRenumbering) {
   auto p2 = cache.get_or_compile(query(8), {}, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(p1.get(), p2.get());  // literally the same plan
-  // A renumbered isomorphic pattern hits through the canonical tier.
-  const Pattern shuffled = query(8).relabeled({3, 1, 4, 0, 2});
-  auto p3 = cache.get_or_compile(shuffled, {}, &hit);
+  // q23 (K7 minus an edge) renumbered by {6,4,2,0,1,3,5} moves the missing
+  // edge, yet reorders to q23's own compile input, so it hits q23's plan.
+  auto p3 = cache.get_or_compile(query(23), {}, &hit);
+  EXPECT_FALSE(hit);
+  const Pattern shuffled = query(23).relabeled({6, 4, 2, 0, 1, 3, 5});
+  ASSERT_NE(shuffled.to_string(), query(23).to_string());
+  auto p4 = cache.get_or_compile(shuffled, {}, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_EQ(p1.get(), p3.get());
+  EXPECT_EQ(p3.get(), p4.get());
   EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(PlanCache, OptionsArePartOfTheKey) {
@@ -239,8 +243,9 @@ TEST(EngineCancel, PreCancelledTokenStopsSimtEngine) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceCache, WarmHitReturnsIdenticalCounts) {
-  GraphSession session(make_barabasi_albert(200, 3, 5));
+  GraphSession session(make_barabasi_albert(200, 6, 5));
   const std::uint64_t expected = reference_count(session.graph(), query(8));
+  ASSERT_GT(expected, 0u);
 
   QueryResult cold = session.run(host_request(query(8)));
   EXPECT_FALSE(cold.plan_cache_hit);
@@ -250,14 +255,21 @@ TEST(ServiceCache, WarmHitReturnsIdenticalCounts) {
   EXPECT_TRUE(warm.plan_cache_hit);
   EXPECT_EQ(warm.count, expected);
 
-  // A renumbered isomorphic pattern also hits, with the same count.
+  // A renumbering of q23 that reorders to q23's compile input hits, with
+  // q23's count.
+  const std::uint64_t expected23 =
+      reference_count(session.graph(), query(23));
+  ASSERT_GT(expected23, 0u);
+  QueryResult cold23 = session.run(host_request(query(23)));
+  EXPECT_FALSE(cold23.plan_cache_hit);
+  EXPECT_EQ(cold23.count, expected23);
   QueryResult alias =
-      session.run(host_request(query(8).relabeled({4, 2, 0, 1, 3})));
+      session.run(host_request(query(23).relabeled({6, 4, 2, 0, 1, 3, 5})));
   EXPECT_TRUE(alias.plan_cache_hit);
-  EXPECT_EQ(alias.count, expected);
+  EXPECT_EQ(alias.count, expected23);
 
   EXPECT_EQ(session.plan_cache().stats().hits, 2u);
-  EXPECT_EQ(session.plan_cache().stats().misses, 1u);
+  EXPECT_EQ(session.plan_cache().stats().misses, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -617,6 +617,90 @@ TEST(StreamCursor, ResumedDrainForwardsOnlyTheRemainder) {
   }
 }
 
+// A plan fixes which pattern vertex each stack level matches, and a stream
+// maps its embeddings back through its own pattern's matching order. So a
+// renumbering that reorders differently (here the 5-path's numbering
+// 3-1,1-0,0-2,2-4) must compile its own plan: after its stream has run, the
+// path's stream, a token minted from it and its top-k read exactly what a
+// session that never saw the sibling reads.
+TEST(StreamCursor, RenumberedSiblingSharesNoPlan) {
+  const Graph g = make_barabasi_albert(120, 3, 7);
+  const Pattern path = Pattern::parse("0-1,1-2,2-3,3-4");
+  const Pattern sibling = Pattern::parse("3-1,1-0,0-2,2-4");
+  ASSERT_NE(reorder_for_matching(sibling).to_string(),
+            reorder_for_matching(path).to_string());
+  constexpr std::uint64_t kPage = 1000;
+  const auto is_path = [&g](const Embedding& e) {
+    for (std::size_t i = 0; i + 1 < e.size(); ++i)
+      if (!g.has_edge(e[i], e[i + 1])) return false;
+    return true;
+  };
+  const auto score = [](const Embedding& e) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < e.size(); ++i)
+      s += static_cast<double>((i + 1) * e[i]);
+    return s;
+  };
+
+  for (const EngineKind engine :
+       {EngineKind::kHost, EngineKind::kSimt, EngineKind::kReference}) {
+    SCOPED_TRACE(to_string(engine));
+    GraphSession fresh{Graph(g)};
+    QueryResult r;
+    const std::vector<Embedding> want =
+        drain(fresh, stream_request(path, engine), &r);
+    ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
+    ASSERT_GT(want.size(), kPage);
+
+    GraphSession session{Graph(g)};
+    drain(session, stream_request(sibling, engine), &r);
+    ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
+    {
+      const std::vector<Embedding> got =
+          drain(session, stream_request(path, engine), &r);
+      EXPECT_EQ(r.status, QueryStatus::kOk) << r.error;
+      EXPECT_EQ(static_cast<std::size_t>(
+                    std::count_if(got.begin(), got.end(), is_path)),
+                got.size());
+      EXPECT_EQ(got.size(), want.size());
+      EXPECT_TRUE(got == want) << "the stream diverges from a fresh session's";
+    }
+
+    StreamRequest page = stream_request(path, engine);
+    page.stream.limit = kPage;
+    std::string token;
+    drain(session, page, &r, &token);
+    ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
+    ASSERT_FALSE(token.empty());
+    {
+      GraphSession later{Graph(g)};
+      StreamRequest rest = stream_request(path, engine);
+      rest.stream.resume_token = token;
+      const std::vector<Embedding> tail = drain(later, rest, &r);
+      EXPECT_EQ(r.status, QueryStatus::kOk) << r.error;
+      EXPECT_EQ(tail.size(), want.size() - kPage);
+      EXPECT_TRUE(tail == slice(want, kPage, want.size()))
+          << "the resumed page is not the fresh stream's suffix";
+    }
+
+    TopKOptions opts;
+    opts.k = 5;
+    opts.score = score;
+    QueryRequest q;
+    q.pattern = path;
+    q.engine = engine;
+    const TopKResult expected = fresh.top_k(q, opts);
+    const TopKResult got = session.top_k(q, opts);
+    ASSERT_EQ(got.result.status, QueryStatus::kOk) << got.result.error;
+    ASSERT_EQ(got.top.size(), expected.top.size());
+    for (std::size_t i = 0; i < got.top.size(); ++i) {
+      EXPECT_TRUE(is_path(got.top[i].embedding)) << i;
+      EXPECT_EQ(got.top[i].embedding, expected.top[i].embedding) << i;
+      EXPECT_EQ(got.top[i].rank, expected.top[i].rank) << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation, close, deadline
 // ---------------------------------------------------------------------------
