@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <optional>
 #include <queue>
 
@@ -336,10 +337,28 @@ class StackEngine {
   /// Stages a matched embedding into its outer-index bucket. `w.matched[0..
   /// k-2]` holds the prefix; `v` is the last-level choice.
   void stage_embedding(const WarpState& w, VertexId v) {
-    Embedding e(k_);
-    for (std::size_t i = 0; i + 1 < k_; ++i) e[i] = w.matched[i];
-    e[k_ - 1] = v;
-    emit_buckets_[idx_of(w.matched[0])].push_back(std::move(e));
+    EmbeddingBatch& bucket = emit_buckets_[idx_of(w.matched[0])];
+    bucket.insert(bucket.end(), w.matched.begin(),
+                  w.matched.begin() + static_cast<std::ptrdiff_t>(k_ - 1));
+    bucket.push_back(v);
+  }
+
+  /// Sorts a flat bucket into DFS order (lexicographic over plan-position
+  /// tuples) through an index permutation, then gathers it.
+  void sort_bucket(EmbeddingBatch& bucket) const {
+    const auto at = [&](std::size_t i) {
+      return bucket.begin() + static_cast<std::ptrdiff_t>(i * k_);
+    };
+    std::vector<std::size_t> perm(bucket.size() / k_);
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+      return std::lexicographical_compare(at(a), at(a + 1), at(b), at(b + 1));
+    });
+    EmbeddingBatch sorted;
+    sorted.reserve(bucket.size());
+    for (const std::size_t i : perm)
+      sorted.insert(sorted.end(), at(i), at(i + 1));
+    bucket.swap(sorted);
   }
 
   /// Smallest outer virtual index a live unit can still emit into, derived
@@ -388,7 +407,7 @@ class StackEngine {
     const std::uint64_t wm = emit_watermark();
     while (emit_next_flush_ < wm) {
       auto& bucket = emit_buckets_[emit_next_flush_];
-      std::sort(bucket.begin(), bucket.end());
+      sort_bucket(bucket);
       if (!sink_->post(emit_next_flush_, std::move(bucket))) {
         emit_active_ = false;  // stream aborted; keep counting
         emit_buckets_.clear();
@@ -762,7 +781,7 @@ class StackEngine {
   /// Emission state: per-outer-index staging buckets, the next bucket to
   /// flush, and whether the sink still accepts posts.
   bool emit_active_ = false;
-  std::vector<std::vector<Embedding>> emit_buckets_;
+  std::vector<EmbeddingBatch> emit_buckets_;
   std::uint64_t emit_next_flush_ = 0;
   std::uint64_t sched_iters_ = 0;
 };

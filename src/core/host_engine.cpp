@@ -49,6 +49,9 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
   // An emitting run claims one outer vertex per grab, so a bucket is posted
   // as soon as its vertex is done and is never staged beside its neighbours.
   const VertexId grab = sink != nullptr ? 1 : cfg.chunk_size;
+  const std::size_t k = plan.size();
+  const std::uint64_t budget =
+      sink != nullptr ? sink->budget() : kUnlimitedBudget;
   // Emission is disabled for the rest of the run once the sink reports the
   // stream aborted/failed; counting continues unaffected.
   std::atomic<bool> emit_stop{false};
@@ -84,12 +87,19 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
         // Dynamic chunk claiming is the host-side analogue of the warp-level
         // chunk grabbing in the SIMT engine.
         CancelPoller poller(cancel);
-        // Completed buckets not yet accepted by the sink. A worker never
-        // parks on backpressure while claimable work may exist (a blocked
-        // worker could be the only one able to run the retry chunk that
-        // holds the release head); it blocking-flushes only on exit, in
-        // ascending bucket order so the head-exemption guarantees progress.
-        std::vector<std::pair<std::uint64_t, std::vector<Embedding>>> pending;
+        // Completed buckets not yet accepted by the sink. A worker parks on
+        // backpressure only to post the release head, whose admission waits
+        // on the consumer alone; any other bucket that does not fit waits
+        // here while the worker keeps computing (a parked worker could be
+        // the only one able to run the retry chunk that holds the release
+        // head). It blocking-flushes on exit, in ascending bucket order.
+        std::vector<std::pair<std::uint64_t, EmbeddingBatch>> pending;
+        // Embeddings this worker has staged. Once they hold the page budget
+        // the worker claims no further vertex. Its fresh claims ascend, so
+        // by the end of the last one (cut at the budget) the consumer has
+        // read all it staged, at least the budget: the page ends inside that
+        // bucket. Retry chunks still run, staged whole.
+        std::uint64_t staged_total = 0;
         auto flush_pending = [&](bool blocking) {
           if (pending.empty()) return;
           if (emit_stop.load(std::memory_order_relaxed)) {
@@ -142,7 +152,7 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
               have = true;
             }
           }
-          if (!have) {
+          if (!have && staged_total < budget) {
             const VertexId begin =
                 cursor.fetch_add(grab, std::memory_order_relaxed);
             if (begin < n) {
@@ -165,16 +175,14 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
           active_chunks.fetch_add(1, std::memory_order_acq_rel);
           const bool emitting =
               sink != nullptr && !emit_stop.load(std::memory_order_relaxed);
-          std::vector<Embedding> staged;
+          EmbeddingBatch staged;
           std::uint64_t found = 0;
           if (emitting) {
-            const EmbeddingVisitor visit =
-                [&staged](const std::vector<VertexId>& mapping) {
-                  staged.push_back(mapping);
-                  return true;
-                };
+            std::uint64_t room =
+                chunk.attempts > 0 ? kUnlimitedBudget : budget - staged_total;
             found = recursive_enumerate_range(g, plan, chunk.begin, chunk.end,
-                                              visit, &counters[t], cancel);
+                                              AppendToBatch{staged, room},
+                                              &counters[t], cancel);
           } else {
             found = recursive_count_range(g, plan, chunk.begin, chunk.end,
                                           &counters[t], cancel);
@@ -198,11 +206,13 @@ HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
             counts[t] += found;
             if (chunk.attempts > 0)
               units_recovered.fetch_add(1, std::memory_order_relaxed);
-            // Post only chunks that enumerated to completion: a token that
-            // fired mid-chunk leaves `staged` a prefix of the bucket, which
-            // must not enter the stream (the drained prefix would no longer
-            // be bucket-aligned and thus not reproducible).
+            // Post only chunks that enumerated to completion or to the page
+            // budget: a token that fired mid-chunk leaves `staged` a prefix
+            // of the bucket, which must not enter the stream (the drained
+            // prefix would no longer be bucket-aligned and thus not
+            // reproducible).
             if (emitting && (cancel == nullptr || !cancel->expired())) {
+              staged_total += staged.size() / k;
               pending.emplace_back(chunk.begin - v_begin,
                                    std::move(staged));
               flush_pending(/*blocking=*/false);

@@ -52,10 +52,12 @@ struct HostMatchResult {
 /// The sequenced stream is the plan's DFS order. A vertex's bucket is posted
 /// only after it enumerated exactly (interrupted or kHostTask-failed units
 /// are never posted, keeping the stream exact; a retried unit posts on its
-/// successful attempt).
-/// Workers never block on backpressure while claimable work (including retry
-/// chunks) exists — completed buckets park in a per-worker pending list and
-/// are flushed opportunistically, with a final blocking flush at exit.
+/// successful attempt). A worker whose staged buckets hold the sink's page
+/// budget claims no further vertex, its last bucket cut at the budget.
+/// Workers block on backpressure only to post the release head, which waits
+/// on the consumer alone — other completed buckets park in a per-worker
+/// pending list and are flushed opportunistically, with a final blocking
+/// flush at exit.
 HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
                            const HostEngineConfig& cfg = {},
                            const CancelToken* cancel = nullptr,

@@ -52,7 +52,7 @@ class RecExec {
     matched_[1] = v1;
     bump_partials(1);
     if (k_ == 2) {
-      if (visit_ != nullptr) (*visit_)({v0, v1});
+      if (visit_ != nullptr) visit_leaf();
       return 1;
     }
     materialize_entry(2);
@@ -105,6 +105,13 @@ class RecExec {
 
   const std::vector<VertexId>& cand(std::size_t l) const {
     return values_[static_cast<std::size_t>(plan_.candidate_node(l))];
+  }
+
+  /// Hands matched_[0, k) to the visitor through one reused buffer.
+  bool visit_leaf() {
+    leaf_.assign(matched_.begin(),
+                 matched_.begin() + static_cast<std::ptrdiff_t>(k_));
+    return (*visit_)(leaf_);
   }
 
   void bump_partials(std::size_t l) {
@@ -189,10 +196,7 @@ class RecExec {
         ++found;
         if (visit_ != nullptr) {
           matched_[l] = v;
-          std::vector<VertexId> mapping(matched_.begin(),
-                                        matched_.begin() +
-                                            static_cast<std::ptrdiff_t>(k_));
-          if (!(*visit_)(mapping)) {
+          if (!visit_leaf()) {
             stopped_ = true;
             break;
           }
@@ -229,6 +233,7 @@ class RecExec {
   const simd::Kernels& simd_;  // bound once per exec
   std::vector<std::vector<VertexId>> values_;
   std::array<VertexId, kMaxPatternSize> matched_{};
+  std::vector<VertexId> leaf_;  // the visitor's argument, reused per leaf
   const EmbeddingVisitor* visit_ = nullptr;
   bool stopped_ = false;
 };

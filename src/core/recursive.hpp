@@ -53,9 +53,22 @@ std::uint64_t recursive_count_range(GraphView g, const MatchingPlan& plan,
                                     const CancelToken* cancel = nullptr);
 
 /// Callback receiving one embedding: mapping[i] = data vertex matched to
-/// query vertex i (of the reordered pattern). Return false to stop the
-/// enumeration early.
+/// query vertex i (of the reordered pattern). The executor reuses one
+/// buffer for every call, so copy what must outlive it. Return false to
+/// stop the enumeration early.
 using EmbeddingVisitor = std::function<bool(const std::vector<VertexId>&)>;
+
+/// Visitor of a stream producer: appends each embedding to the flat `batch`
+/// (k vertices per embedding, core/emit.hpp) and stops the enumeration once
+/// it has taken `room` of them, counting `room` down.
+struct AppendToBatch {
+  std::vector<VertexId>& batch;
+  std::uint64_t& room;
+  bool operator()(const std::vector<VertexId>& mapping) const {
+    batch.insert(batch.end(), mapping.begin(), mapping.end());
+    return --room > 0;
+  }
+};
 
 /// Like recursive_count_range but invokes `visit` per embedding; stops early
 /// when the visitor returns false. Returns the number of embeddings visited.

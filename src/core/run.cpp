@@ -31,9 +31,10 @@ bool expired(const CancelToken* cancel) {
 }
 
 /// The stream's reference lane: the sequential recursive executor, one
-/// bucket per outer-loop vertex, posted in order. Shares the plan (hence
-/// the order) with the optimized engines but none of their scheduling — the
-/// oracle compares the engines' drained streams against this one.
+/// bucket per outer-loop vertex, posted in order until the buckets hold the
+/// sink's budget (the last one cut at it). Shares the plan (hence the order)
+/// with the optimized engines but none of their scheduling — the oracle
+/// compares the engines' drained streams against this one.
 EngineRun run_reference_stream(GraphView g, const MatchingPlan& plan,
                                VertexId start, const CancelToken* cancel,
                                EmbeddingSink& sink) {
@@ -43,21 +44,15 @@ EngineRun run_reference_stream(GraphView g, const MatchingPlan& plan,
   EngineRun run;
   RecursiveCounters counters;
   Timer engine_timer;
-  std::vector<Embedding> staged;
-  for (VertexId v0 = begin; v0 < n; ++v0) {
-    staged.clear();
+  std::uint64_t room = sink.budget();
+  for (VertexId v0 = begin; v0 < n && room > 0; ++v0) {
+    EmbeddingBatch staged;
     run.count += recursive_enumerate_range(
-        g, plan, v0, v0 + 1,
-        [&staged](const std::vector<VertexId>& m) {
-          staged.push_back(m);
-          return true;
-        },
-        &counters, cancel);
+        g, plan, v0, v0 + 1, AppendToBatch{staged, room}, &counters, cancel);
     // A fired token may have cut the bucket short; an incomplete bucket is
     // never posted (the stream ends at the previous, complete one).
     if (expired(cancel)) break;
     if (!sink.post(v0 - begin, std::move(staged))) break;
-    staged = {};
   }
   run.stats.engine_ms = engine_timer.elapsed_ms();
   run.stats.scalar_ops = counters.scalar_ops;

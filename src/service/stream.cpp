@@ -174,24 +174,19 @@ bool post_resume_head(GraphView g, const MatchingPlan& plan,
                       const Embedding& after, std::uint64_t limit,
                       const CancelToken& token, stream::EmitPipeline& pipe,
                       QueryStats* stats) {
-  std::vector<Embedding> head;
+  EmbeddingBatch head;
+  std::uint64_t room = limit == 0 ? kUnlimitedBudget : limit;
   RecursiveCounters counters;
   Timer timer;
-  recursive_enumerate_after(
-      g, plan, after,
-      [&head, limit](const std::vector<VertexId>& m) {
-        head.push_back(m);
-        return limit == 0 || head.size() < limit;
-      },
-      &counters, &token);
+  recursive_enumerate_after(g, plan, after, AppendToBatch{head, room},
+                            &counters, &token);
   stats->engine_ms = timer.elapsed_ms();
   stats->scalar_ops = counters.scalar_ops;
   stats->sets_built = counters.sets_built;
   // Like every bucket, the head is posted only once it is exact: complete,
   // or cut at the limit, where the page ends anyway.
   if (token.expired()) return false;
-  const bool full = limit > 0 && head.size() >= limit;
-  return pipe.post_head(std::move(head)) && !full;
+  return pipe.post_head(std::move(head)) && room > 0;
 }
 
 }  // namespace
@@ -206,7 +201,8 @@ struct GraphSession::StreamState {
   std::shared_ptr<CancelToken> token;
   std::shared_ptr<const GraphSnapshot> snap;
   std::shared_ptr<const MatchingPlan> plan;
-  /// matching_order(pattern): original vertex at plan position i.
+  /// matching_order(pattern): original vertex at plan position i. The
+  /// consumer remaps each delivered embedding through it.
   std::vector<std::size_t> order;
   bool plan_cache_hit = false;
   std::uint64_t fingerprint = 0;
@@ -229,7 +225,9 @@ struct GraphSession::StreamState {
 
   // Consumer-thread state. The handle is single-consumer; the finalizer is
   // serialized behind the once-flag and joins the producer first.
-  Embedding last;  // last delivered embedding, caller's vertex order
+  EmbeddingBatch batch;  // the released bucket being delivered, plan order
+  std::size_t at = 0;    // offset of its next embedding
+  Embedding last;        // last delivered embedding, caller's vertex order
   // delivered / limit_reached / drained are written by the consumer thread
   // in next() and read by whichever thread runs the finalizer — including
   // the session destructor sweeping live streams while a consumer is still
@@ -321,6 +319,7 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
 
   stream::SequencerConfig seq_cfg;
   seq_cfg.max_buffered = std::max<std::size_t>(1, req.stream.max_buffered);
+  seq_cfg.width = order.size();
   auto st = std::make_shared<StreamState>(seq_cfg, token.get());
   st->session = this;
   st->req = std::move(req.query);
@@ -334,7 +333,7 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   st->after = std::move(after);
   st->start_v0 = at.v0;
   st->resumed_total = at.total;
-  st->pipe = std::make_unique<stream::EmitPipeline>(st->seq, st->order,
+  st->pipe = std::make_unique<stream::EmitPipeline>(st->seq, st->opts.limit,
                                                     st->opts.emit_fault);
 
   {
@@ -522,20 +521,28 @@ bool EmbeddingStream::next(Embedding* out) {
   if (st.finalized.load(std::memory_order_acquire) || st.limit_reached) {
     return false;
   }
-  Embedding e;
-  if (!st.seq.next(&e)) {
-    st.drained = true;
-    finalize();
-    return false;
+  // One sequencer lock per released bucket; an abort (cancel, close, a
+  // failed transport) also ends the bucket being read.
+  if (st.at == st.batch.size() || st.seq.aborted()) {
+    if (!st.seq.next(&st.batch)) {
+      st.drained = true;
+      finalize();
+      return false;
+    }
+    st.at = 0;
   }
+  const std::size_t k = st.order.size();
+  const VertexId* e = st.batch.data() + st.at;
+  st.at += k;
+  out->resize(k);
+  for (std::size_t i = 0; i < k; ++i) (*out)[st.order[i]] = e[i];
+  st.last.assign(out->begin(), out->end());
   ++st.delivered;
-  st.last = e;
   if (st.opts.limit > 0 && st.delivered >= st.opts.limit) {
     st.limit_reached = true;
     st.token->cancel();
     st.seq.abort(QueryStatus::kOk, std::string());
   }
-  *out = std::move(e);
   return true;
 }
 

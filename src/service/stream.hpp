@@ -12,17 +12,21 @@
 //
 // Each embedding is in *original pattern vertex order*: embedding[i] is the
 // data vertex matched to pattern vertex i, as the caller wrote the pattern
-// (the engine-internal matching order is remapped away at the emission
-// pipeline).
+// (next() remaps the engine-internal matching order away as it copies each
+// embedding out of the flat bucket it arrived in).
 //
 // Lifecycle: open_stream() pins the current graph snapshot, compiles (or
 // reuses) the plan, and starts a producer thread running the requested
-// engine in emission mode. The consumer pulls with next(); producers block
-// on bounded-memory backpressure when the consumer lags (StreamOptions::
-// max_buffered). The stream ends when the enumeration completes, the limit
-// is reached, the deadline/cancel token fires, or the handle is closed —
-// in every case the delivered embeddings form a valid prefix of the full
-// stream, and result() reports how far it got.
+// engine in emission mode; a page's producer stops at what the page still
+// needs. The consumer pulls with next(); producers block on bounded-memory
+// backpressure when the consumer lags: a one-worker producer holds at most
+// StreamOptions::max_buffered embeddings plus one bucket beyond what the
+// consumer has taken (several host workers may also keep buckets above the
+// release head queued while they compute, DESIGN.md §12). The stream ends
+// when the enumeration completes, the limit is reached, the deadline/cancel
+// token fires, or the handle is closed — in every case the delivered
+// embeddings form a valid prefix of the full stream, and result() reports
+// how far it got.
 //
 // Streams are admitted against SessionConfig::max_open_streams (their own
 // bound, not the dispatcher pool: a pull-based consumer can hold a stream
@@ -54,10 +58,10 @@ struct StreamOptions {
   /// Tokens of the earlier "stm1" layout still resume.
   std::string resume_token;
   /// Backpressure bound: embeddings buffered between producers and the
-  /// consumer before engine workers block.
+  /// consumer before engine workers block (see the header comment).
   std::size_t max_buffered = 4096;
   /// Chaos for the emission transport (FaultSite::kEmitDrop): dropped
-  /// deliveries are retransmitted from the retained copy, exhaustion fails
+  /// deliveries are retransmitted from the retained batch, exhaustion fails
   /// the stream with kInternalError.
   FaultConfig emit_fault;
 };

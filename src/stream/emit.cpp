@@ -3,32 +3,26 @@
 #include <string>
 #include <utility>
 
-#include "util/check.hpp"
-
 namespace stm::stream {
 
-EmitPipeline::EmitPipeline(OutputSequencer& seq,
-                           std::vector<std::size_t> plan_to_orig,
+EmitPipeline::EmitPipeline(OutputSequencer& seq, std::uint64_t limit,
                            const FaultConfig& fault)
-    : seq_(seq), plan_to_orig_(std::move(plan_to_orig)), injector_(fault) {}
+    : seq_(seq),
+      limit_(limit),
+      injector_(fault),
+      chaos_(fault.rate(FaultSite::kEmitDrop) > 0.0) {}
 
 void EmitPipeline::begin(std::uint64_t num_buckets) {
   seq_.begin(num_buckets + head_);
 }
 
-void EmitPipeline::remap(std::vector<Embedding>& batch) const {
-  if (plan_to_orig_.empty()) return;
-  const std::size_t k = plan_to_orig_.size();
-  Embedding orig(k);
-  for (auto& emb : batch) {
-    STM_CHECK(emb.size() == k);
-    for (std::size_t i = 0; i < k; ++i) orig[plan_to_orig_[i]] = emb[i];
-    emb.assign(orig.begin(), orig.end());
-  }
+std::uint64_t EmitPipeline::budget() const {
+  if (limit_ == 0) return kUnlimitedBudget;
+  return limit_ > head_size_ ? limit_ - head_size_ : 0;
 }
 
 int EmitPipeline::resolve_drops(std::uint64_t bucket) {
-  if (injector_.config().rate(FaultSite::kEmitDrop) <= 0.0) return 0;
+  if (!chaos_) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = drop_cache_.find(bucket);
   if (it != drop_cache_.end()) return it->second;
@@ -47,6 +41,13 @@ int EmitPipeline::resolve_drops(std::uint64_t bucket) {
   return drops;
 }
 
+void EmitPipeline::landed(std::uint64_t bucket, std::size_t ids) {
+  emitted_.fetch_add(ids / seq_.width(), std::memory_order_relaxed);
+  if (!chaos_) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  drop_cache_.erase(bucket);
+}
+
 void EmitPipeline::fail_stream(std::uint64_t bucket) {
   failed_.store(true, std::memory_order_release);
   std::string msg = "emit transport dropped bucket " + std::to_string(bucket) +
@@ -60,53 +61,37 @@ void EmitPipeline::fail_stream(std::uint64_t bucket) {
   seq_.abort(QueryStatus::kInternalError, std::move(msg));
 }
 
-bool EmitPipeline::post_head(std::vector<Embedding>&& batch) {
-  head_ = 1;
-  return forward(0, std::move(batch));
+bool EmitPipeline::post_head(EmbeddingBatch&& batch) {
+  head_size_ = batch.size() / seq_.width();
+  const bool posted = post(0, std::move(batch));
+  head_ = 1;  // every engine bucket moves up past the head
+  return posted;
 }
 
-bool EmitPipeline::post(std::uint64_t bucket, std::vector<Embedding>&& batch) {
-  return forward(bucket + head_, std::move(batch));
-}
-
-bool EmitPipeline::forward(std::uint64_t bucket,
-                           std::vector<Embedding>&& batch) {
+bool EmitPipeline::post(std::uint64_t bucket, EmbeddingBatch&& batch) {
+  bucket += head_;
   if (failed()) return false;
   if (resolve_drops(bucket) < 0) {
     fail_stream(bucket);
     return false;
   }
-  remap(batch);
-  const std::size_t n = batch.size();
+  const std::size_t ids = batch.size();
   if (!seq_.post(bucket, std::move(batch))) return false;
-  emitted_.fetch_add(n, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    drop_cache_.erase(bucket);
-  }
+  landed(bucket, ids);
   return true;
 }
 
 EmbeddingSink::TryPost EmitPipeline::try_post(std::uint64_t bucket,
-                                              std::vector<Embedding>& batch) {
+                                              EmbeddingBatch& batch) {
   bucket += head_;
   if (failed()) return TryPost::kAborted;
   if (resolve_drops(bucket) < 0) {
     fail_stream(bucket);
     return TryPost::kAborted;
   }
-  // Remapping twice on a kWouldBlock retry would scramble the embedding, so
-  // remap only when the sequencer actually admits the batch.
-  const std::size_t n = batch.size();
-  std::vector<Embedding> staged = batch;  // retained copy: drop-safe transport
-  remap(staged);
-  const TryPost r = seq_.try_post(bucket, staged);
-  if (r == TryPost::kPosted) {
-    batch.clear();
-    emitted_.fetch_add(n, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    drop_cache_.erase(bucket);
-  }
+  const std::size_t ids = batch.size();
+  const TryPost r = seq_.try_post(bucket, batch);
+  if (r == TryPost::kPosted) landed(bucket, ids);
   return r;
 }
 

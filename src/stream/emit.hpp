@@ -3,19 +3,21 @@
 // Sits between an engine and the OutputSequencer and owns the two concerns
 // the engines must not know about:
 //
-//   * Vertex-order remapping — engines emit embeddings in plan order
-//     (embedding[i] = data vertex at plan position i); the pipeline remaps
-//     them to the original pattern's vertex order (out[order[i]] = in[i],
-//     with `order` from matching_order()) so API consumers see embeddings
-//     indexed by the pattern as they wrote it.
+//   * The page budget — a page of `limit` embeddings whose head bucket
+//     (post_head) already holds h of them needs limit - h more from the
+//     engine, which its producers may stop at (EmbeddingSink::budget).
 //
 //   * kEmitDrop fault injection with exact recovery — each delivery of a
 //     bucket over the "transport" may be dropped (deterministic per
-//     (bucket, attempt) key); the staged copy is retained and retransmitted
-//     until it lands or the max_unit_attempts budget is exhausted, at which
-//     point the stream fails with kInternalError. Because a drop loses
-//     nothing (the copy is retained) and a success delivers exactly once,
-//     the drained stream under chaos is bit-identical to the fault-free run.
+//     (bucket, attempt) key); the batch is retained and retransmitted until
+//     it lands or the max_unit_attempts budget is exhausted, at which point
+//     the stream fails with kInternalError. A batch the sequencer has not
+//     admitted is still the caller's, so it is itself the retained copy.
+//     Because a drop loses nothing and a success delivers exactly once, the
+//     drained stream under chaos is bit-identical to the fault-free run.
+//
+// Batches pass through in plan order; the stream's consumer remaps each
+// embedding to the caller's pattern-vertex order as it delivers it.
 #pragma once
 
 #include <atomic>
@@ -23,7 +25,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/emit.hpp"
 #include "core/fault.hpp"
@@ -33,22 +34,22 @@ namespace stm::stream {
 
 class EmitPipeline : public EmbeddingSink {
  public:
-  /// `plan_to_orig`: matching_order() of the original pattern — element i is
-  /// the original vertex matched at plan position i. Empty = identity (no
-  /// remap). `fault` configures the kEmitDrop site (rate 0 = off).
-  EmitPipeline(OutputSequencer& seq, std::vector<std::size_t> plan_to_orig,
+  /// `limit`: the page size (0 = unlimited). `fault` configures the
+  /// kEmitDrop site (rate 0 = off).
+  EmitPipeline(OutputSequencer& seq, std::uint64_t limit,
                const FaultConfig& fault = {});
 
   void begin(std::uint64_t num_buckets) override;
-  bool post(std::uint64_t bucket, std::vector<Embedding>&& batch) override;
-  TryPost try_post(std::uint64_t bucket, std::vector<Embedding>& batch) override;
+  std::uint64_t budget() const override;
+  bool post(std::uint64_t bucket, EmbeddingBatch&& batch) override;
+  TryPost try_post(std::uint64_t bucket, EmbeddingBatch& batch) override;
 
   /// Head bucket of a resumed stream: posts `batch` (plan order, the rest of
   /// the cursor's outer vertex after the seek walk) as sequencer bucket 0 and
   /// shifts every engine bucket b to b + 1, so an engine run from the next
   /// outer vertex keeps its own dense bucket space. At most once, before the
   /// engine runs (and so before begin()).
-  bool post_head(std::vector<Embedding>&& batch);
+  bool post_head(EmbeddingBatch&& batch);
 
   /// True once the kEmitDrop retry budget was exhausted for some bucket; the
   /// sequencer has then been aborted with kInternalError.
@@ -65,19 +66,21 @@ class EmitPipeline : public EmbeddingSink {
   }
 
  private:
-  bool forward(std::uint64_t bucket, std::vector<Embedding>&& batch);
-  void remap(std::vector<Embedding>& batch) const;
   /// Number of transport drops bucket `bucket` suffers before landing, or
   /// a negative value when the attempt budget is exhausted. Deterministic;
   /// cached so a try_post retried after kWouldBlock doesn't re-roll (and
   /// re-count) the same drops.
   int resolve_drops(std::uint64_t bucket);
+  /// Counts a landed bucket and forgets its cached drop verdict.
+  void landed(std::uint64_t bucket, std::size_t ids);
   void fail_stream(std::uint64_t bucket);
 
   OutputSequencer& seq_;
-  std::vector<std::size_t> plan_to_orig_;
-  std::uint64_t head_ = 0;  // 1 once post_head() took sequencer bucket 0
+  std::uint64_t limit_;
+  std::uint64_t head_ = 0;       // 1 once post_head() took sequencer bucket 0
+  std::uint64_t head_size_ = 0;  // embeddings in that head bucket
   FaultInjector injector_;
+  const bool chaos_;  // kEmitDrop armed
   std::atomic<bool> failed_{false};
   std::atomic<std::uint64_t> emitted_{0};
   mutable std::mutex mu_;

@@ -16,33 +16,32 @@ void OutputSequencer::begin(std::uint64_t num_buckets) {
 }
 
 void OutputSequencer::admit_locked(std::uint64_t bucket,
-                                   std::vector<Embedding>&& batch) {
-  buffered_ += batch.size();
-  if (bucket == next_release_) {
-    for (auto& e : batch) current_.push_back(std::move(e));
-    ++next_release_;
-    // Drain any contiguous run that earlier out-of-order posts left pending.
-    for (auto it = pending_.find(next_release_); it != pending_.end();
-         it = pending_.find(next_release_)) {
-      for (auto& e : it->second) current_.push_back(std::move(e));
-      pending_.erase(it);
-      ++next_release_;
-    }
-    cv_consumer_.notify_all();
-    cv_producers_.notify_all();  // head advanced: new head may be waiting
-  } else {
+                                   EmbeddingBatch&& batch) {
+  buffered_ += batch.size() / cfg_.width;
+  if (bucket != next_release_) {
     STM_CHECK_MSG(bucket > next_release_ && !pending_.count(bucket),
                   "bucket posted twice or below the release head");
     pending_.emplace(bucket, std::move(batch));
+    return;
   }
+  if (!batch.empty()) current_.push_back(std::move(batch));
+  ++next_release_;
+  // Release any contiguous run that earlier out-of-order posts left pending.
+  for (auto it = pending_.find(next_release_); it != pending_.end();
+       it = pending_.find(next_release_)) {
+    if (!it->second.empty()) current_.push_back(std::move(it->second));
+    pending_.erase(it);
+    ++next_release_;
+  }
+  cv_consumer_.notify_all();
+  cv_producers_.notify_all();  // head advanced: new head may be waiting
 }
 
-bool OutputSequencer::post(std::uint64_t bucket,
-                           std::vector<Embedding>&& batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!ended_ && !can_admit_locked(bucket, batch.size())) {
+bool OutputSequencer::wait_admissible(std::unique_lock<std::mutex>& lock,
+                                      std::uint64_t bucket, std::size_t n) {
+  if (!ended_ && !can_admit_locked(bucket, n)) {
     Timer stall;
-    while (!ended_ && !can_admit_locked(bucket, batch.size())) {
+    while (!ended_ && !can_admit_locked(bucket, n)) {
       if (token_ != nullptr && token_->expired()) {
         stall_ms_ += stall.elapsed_ms();
         return false;
@@ -51,17 +50,24 @@ bool OutputSequencer::post(std::uint64_t bucket,
     }
     stall_ms_ += stall.elapsed_ms();
   }
-  if (ended_) return false;
+  return !ended_;
+}
+
+bool OutputSequencer::post(std::uint64_t bucket, EmbeddingBatch&& batch) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!wait_admissible(lock, bucket, batch.size() / cfg_.width)) return false;
   admit_locked(bucket, std::move(batch));
   return true;
 }
 
 EmbeddingSink::TryPost OutputSequencer::try_post(std::uint64_t bucket,
-                                                 std::vector<Embedding>& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ended_) return EmbeddingSink::TryPost::kAborted;
-  if (!can_admit_locked(bucket, batch.size()))
+                                                 EmbeddingBatch& batch) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::size_t n = batch.size() / cfg_.width;
+  if (!ended_ && bucket != next_release_ && !can_admit_locked(bucket, n))
     return EmbeddingSink::TryPost::kWouldBlock;
+  if (!wait_admissible(lock, bucket, n))
+    return EmbeddingSink::TryPost::kAborted;
   admit_locked(bucket, std::move(batch));
   return EmbeddingSink::TryPost::kPosted;
 }
@@ -84,7 +90,7 @@ void OutputSequencer::finish(QueryStatus status, std::string error) {
 void OutputSequencer::abort(QueryStatus status, std::string error) {
   std::lock_guard<std::mutex> lock(mu_);
   end_locked(status, std::move(error));
-  aborted_ = true;
+  aborted_.store(true, std::memory_order_release);
   buffered_ = 0;
   current_.clear();
   pending_.clear();
@@ -98,14 +104,14 @@ namespace {
 constexpr int kYieldsBeforePark = 64;
 }  // namespace
 
-bool OutputSequencer::next(Embedding* out) {
+bool OutputSequencer::next(EmbeddingBatch* out) {
   std::unique_lock<std::mutex> lock(mu_);
   for (int yields = 0;;) {
-    if (aborted_) return false;
+    if (aborted_.load(std::memory_order_relaxed)) return false;
     if (!current_.empty()) {
       *out = std::move(current_.front());
       current_.pop_front();
-      if (buffered_ > 0) --buffered_;
+      buffered_ -= out->size() / cfg_.width;
       cv_producers_.notify_all();
       return true;
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -615,6 +616,51 @@ TEST(StreamCursor, ResumedDrainForwardsOnlyTheRemainder) {
     EXPECT_EQ(r.status, QueryStatus::kOk) << lane.name;
     EXPECT_EQ(emitted.value() - before, full.size() - position) << lane.name;
   }
+
+  // A page opened there forwards exactly what it delivers: the head holds
+  // the rest of the hub's bucket, and a one-worker producer stops at the
+  // page's remaining budget, cutting its last bucket.
+  const std::size_t remaining = full.size() - position;
+  for (const ResumeLane& lane : {kResumeLanes[0], kResumeLanes[3]}) {
+    for (std::size_t limit = 1; limit <= remaining + 1; ++limit) {
+      const std::uint64_t before = emitted.value();
+      EXPECT_EQ(drain(session, resume_request(shape, lane, limit, token), &r),
+                slice(full, position, position + limit))
+          << lane.name << " limit " << limit;
+      EXPECT_EQ(r.status, QueryStatus::kOk) << lane.name << " limit " << limit;
+      EXPECT_EQ(emitted.value() - before, std::min(limit, remaining))
+          << lane.name << " limit " << limit;
+    }
+  }
+}
+
+// With one host worker every post is the release head. Once the consumer
+// has a released bucket left to take, the head waits for it, so a consumer
+// that stops after one next() holds the producer to max_buffered plus the
+// bucket it took and one head past the bound.
+TEST(StreamBackpressure, OneWorkerHonoursMaxBuffered) {
+  GraphSession session(make_grid(40, 40));
+  QueryResult r;
+  const std::vector<Embedding> full =
+      drain(session, stream_request(square()), &r);
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+  const auto [hub_begin, hub_end] = hub_bucket(full, square());
+  const std::size_t largest = hub_end - hub_begin;
+  constexpr std::size_t kMaxBuffered = 16;
+  const std::size_t bound = kMaxBuffered + 2 * largest;
+  ASSERT_GT(full.size(), 10 * bound) << "buckets too large to show the bound";
+
+  Counter& emitted = session.metrics().counter("stream_emitted_total");
+  const std::uint64_t before = emitted.value();
+  StreamRequest req = stream_request(square());
+  req.query.host.num_threads = 1;
+  req.stream.max_buffered = kMaxBuffered;
+  auto s = session.open_stream(std::move(req));
+  Embedding e;
+  ASSERT_TRUE(s->next(&e));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(s->result().status, QueryStatus::kCancelled);  // closes it
+  EXPECT_LE(emitted.value() - before, bound);
 }
 
 // A plan fixes which pattern vertex each stack level matches, and a stream
